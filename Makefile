@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-short lint fmt vet bench bench-base bench-compare run-all scenario-golden catalog-golden serve-smoke serve-load serve-restart-smoke sweep-resume-smoke trace-smoke dist-smoke stream-smoke clean
+.PHONY: all build test test-short lint fmt vet bench bench-base bench-compare bench-e2e-test run-all scenario-golden catalog-golden serve-smoke serve-load serve-restart-smoke sweep-resume-smoke trace-smoke dist-smoke stream-smoke clean
 
 all: build lint test
 
@@ -53,6 +53,12 @@ bench-compare:
 	$(BENCH_KERNEL) > "$$tmp"; \
 	$(GO) run ./cmd/bench2json -compare BENCH_base.json -tolerance 0.20 -allocs-tolerance 0.20 < "$$tmp"
 
+# Vet and test the end-to-end benchmark harness (bench/, a module of its own
+# that builds against this one through a replace directive), so a refactor of
+# a package the harness imports fails here instead of in the benchmark.
+bench-e2e-test:
+	cd bench && $(GO) vet ./... && $(GO) test ./...
+
 run-all:
 	$(GO) run ./cmd/atlarge run --all --parallel 4
 
@@ -81,9 +87,9 @@ catalog-golden:
 # End-to-end smoke of `atlarge serve`: boot it on an ephemeral port, check
 # /v1/experiments matches the committed catalog golden, hit one /v1/run
 # twice (the second, cached response must be byte-identical), drive a job
-# through the redesigned /v1/jobs resource AND the deprecated
-# /v1/scenario/jobs alias (both must serve the same result bytes, and an
-# identical resubmission must dedup onto the same job), and scrape /metrics.
+# through the /v1/jobs resource (its result must equal the synchronous sweep
+# response, and an identical resubmission must dedup onto the same job), and
+# scrape /metrics.
 serve-smoke:
 	@set -e; tmp=$$(mktemp -d); \
 	trap 'kill "$$pid" 2>/dev/null || true; rm -rf "$$tmp"' EXIT; \
@@ -117,13 +123,11 @@ serve-smoke:
 	cmp "$$tmp/result.json" "$$tmp/sync.json"; \
 	curl -fsS -X POST --data-binary @"$$tmp/job.json" "$$url/v1/jobs" | grep -q "\"id\": \"$$id\"" \
 		|| { echo "serve-smoke: identical resubmission did not dedup"; exit 1; }; \
-	curl -fsS "$$url/v1/scenario/jobs/$$id/result" > "$$tmp/legacy-result.json"; \
-	cmp "$$tmp/legacy-result.json" "$$tmp/result.json"; \
 	curl -fsS "$$url/metrics" > "$$tmp/metrics.txt"; \
 	for m in atlarge_queue_depth atlarge_cache_hit_ratio atlarge_http_requests_total atlarge_jobs; do \
 		grep -q "$$m" "$$tmp/metrics.txt" || { echo "serve-smoke: /metrics missing $$m"; exit 1; }; \
 	done; \
-	echo "serve-smoke: OK (run cache, /v1/jobs, dedup, legacy alias, /metrics)"
+	echo "serve-smoke: OK (run cache, /v1/jobs, dedup, /metrics)"
 
 # Load-test the serving layer in-process: N concurrent clients of mixed
 # /v1/run and async /v1/jobs traffic; asserts zero dropped jobs, a
@@ -132,6 +136,11 @@ serve-smoke:
 serve-load:
 	$(GO) run ./cmd/serve-load -clients 8 -rounds 30 -jobs 2 -p99 2s
 	$(GO) run ./cmd/serve-load -clients 8 -rounds 30 -jobs 2 -p99 2s -workers 3
+
+# The 32-task sweep (4 policies × 4 loads × 2 replicas of 700 scientific
+# jobs) the dist, restart and resume smokes interrupt: ~2.4 s on one core of
+# a 2.1 GHz Xeon, so a kill usually lands mid-flight.
+SMOKE_SPEC = examples/scenarios/smoke-32.json
 
 # End-to-end smoke of distributed sweep execution: boot 3 worker processes,
 # run the 32-task sweep across them while SIGKILLing one worker mid-flight,
@@ -144,14 +153,8 @@ dist-smoke:
 	@set -e; tmp=$$(mktemp -d); \
 	trap 'kill "$$w1" "$$w2" "$$w3" 2>/dev/null || true; rm -rf "$$tmp"' EXIT; \
 	$(GO) build -o "$$tmp/atlarge" ./cmd/atlarge; \
-	printf '%s\n' '{"version": 1, "name": "dist-smoke",' \
-		'"workload": {"class": "scientific", "jobs": 700},' \
-		'"cluster": {"kind": "CL", "machines": 16, "cores": 8},' \
-		'"replicas": 2, "seed": 42,' \
-		'"sweep": {"policy": ["sjf", "fcfs", "easy-bf", "random"], "load": [0.5, 0.7, 0.9, 1.1]}}' \
-		> "$$tmp/spec.json"; \
-	"$$tmp/atlarge" scenario sweep "$$tmp/spec.json" --parallel 8 --format json > "$$tmp/inprocess.json"; \
-	"$$tmp/atlarge" scenario sweep "$$tmp/spec.json" --parallel 8 --format csv > "$$tmp/inprocess.csv"; \
+	"$$tmp/atlarge" scenario sweep $(SMOKE_SPEC) --parallel 8 --format json > "$$tmp/inprocess.json"; \
+	"$$tmp/atlarge" scenario sweep $(SMOKE_SPEC) --parallel 8 --format csv > "$$tmp/inprocess.csv"; \
 	"$$tmp/atlarge" worker --listen 127.0.0.1:0 --parallel 2 > "$$tmp/w1.log" 2>&1 & w1=$$!; \
 	"$$tmp/atlarge" worker --listen 127.0.0.1:0 --parallel 2 > "$$tmp/w2.log" 2>&1 & w2=$$!; \
 	"$$tmp/atlarge" worker --listen 127.0.0.1:0 --parallel 2 > "$$tmp/w3.log" 2>&1 & w3=$$!; \
@@ -165,7 +168,7 @@ dist-smoke:
 	a2=$$(sed -n 's|.*http://||p' "$$tmp/w2.log"); \
 	a3=$$(sed -n 's|.*http://||p' "$$tmp/w3.log"); \
 	( sleep 1.5; kill -9 "$$w3" 2>/dev/null ) & \
-	"$$tmp/atlarge" scenario sweep "$$tmp/spec.json" --parallel 2 --format json \
+	"$$tmp/atlarge" scenario sweep $(SMOKE_SPEC) --parallel 2 --format json \
 		--workers "$$a1,$$a2,$$a3" > "$$tmp/dist3.json" 2>"$$tmp/dist3.log"; \
 	cmp "$$tmp/dist3.json" "$$tmp/inprocess.json"; \
 	if grep -q "re-dispatched" "$$tmp/dist3.log"; then \
@@ -173,35 +176,29 @@ dist-smoke:
 	else \
 		echo "dist-smoke: WARNING: sweep finished before the kill cost any claims; byte-identity still checked"; \
 	fi; \
-	"$$tmp/atlarge" scenario sweep "$$tmp/spec.json" --parallel 2 --format csv \
+	"$$tmp/atlarge" scenario sweep $(SMOKE_SPEC) --parallel 2 --format csv \
 		--workers "$$a1" > "$$tmp/dist1.csv"; \
 	cmp "$$tmp/dist1.csv" "$$tmp/inprocess.csv"; \
 	echo "dist-smoke: OK (3-worker run with a mid-flight SIGKILL and 1-worker run both byte-identical to in-process)"
 
-# Restart-durability smoke of `atlarge serve --state-dir`: submit the same
-# multi-second sweep sweep-resume-smoke uses as an async job, SIGKILL the
-# server mid-flight, restart it on the same state dir, and byte-compare the
-# recovered job's result against an uninterrupted CLI run. The kill lands
+# Restart-durability smoke of `atlarge serve --state-dir`: submit the 32-task
+# sweep as an async job, SIGKILL the server mid-flight, restart it on the
+# same state dir, and byte-compare the recovered job's result against an
+# uninterrupted CLI run. The kill lands
 # wherever it lands — resume must be byte-identical from ANY prefix of
 # completed work.
 serve-restart-smoke:
 	@set -e; tmp=$$(mktemp -d); \
 	trap 'kill "$$pid" 2>/dev/null || true; rm -rf "$$tmp"' EXIT; \
 	$(GO) build -o "$$tmp/atlarge" ./cmd/atlarge; \
-	printf '%s\n' '{"version": 1, "name": "restart-smoke",' \
-		'"workload": {"class": "scientific", "jobs": 700},' \
-		'"cluster": {"kind": "CL", "machines": 16, "cores": 8},' \
-		'"replicas": 2, "seed": 42,' \
-		'"sweep": {"policy": ["sjf", "fcfs", "easy-bf", "random"], "load": [0.5, 0.7, 0.9, 1.1]}}' \
-		> "$$tmp/spec.json"; \
-	"$$tmp/atlarge" scenario sweep "$$tmp/spec.json" --parallel 1 --format json > "$$tmp/uninterrupted.json"; \
+	"$$tmp/atlarge" scenario sweep $(SMOKE_SPEC) --parallel 1 --format json > "$$tmp/uninterrupted.json"; \
 	"$$tmp/atlarge" serve --addr 127.0.0.1:0 --parallel 2 --state-dir "$$tmp/state" > "$$tmp/serve1.log" 2>&1 & pid=$$!; \
 	for i in $$(seq 1 50); do \
 		grep -q "serving" "$$tmp/serve1.log" 2>/dev/null && break; sleep 0.2; \
 	done; \
 	url=$$(sed -n 's|.*\(http://[0-9.:]*\).*|\1|p' "$$tmp/serve1.log"); \
 	test -n "$$url" || { echo "serve-restart-smoke: server never came up"; cat "$$tmp/serve1.log"; exit 1; }; \
-	printf '{"kind": "sweep", "spec": %s}' "$$(cat "$$tmp/spec.json")" > "$$tmp/job.json"; \
+	printf '{"kind": "sweep", "spec": %s}' "$$(cat $(SMOKE_SPEC))" > "$$tmp/job.json"; \
 	curl -fsS -X POST --data-binary @"$$tmp/job.json" "$$url/v1/jobs" > "$$tmp/accept.json"; \
 	id=$$(sed -n 's/.*"id": "\([0-9a-f]*\)".*/\1/p' "$$tmp/accept.json" | head -1); \
 	test -n "$$id" || { echo "serve-restart-smoke: no job id"; cat "$$tmp/accept.json"; exit 1; }; \
@@ -223,29 +220,23 @@ serve-restart-smoke:
 	cmp "$$tmp/resumed.json" "$$tmp/uninterrupted.json"; \
 	echo "serve-restart-smoke: OK (recovered job result byte-identical to uninterrupted run)"
 
-# End-to-end check of checkpoint/resume through the CLI: run a sweep sized
-# to take a few seconds, kill it at roughly 50% via --timeout, resume from
-# the checkpoint directory, and byte-compare the final JSON against an
-# uninterrupted --parallel 1 run. The timeout lands wherever it lands — the
+# End-to-end check of checkpoint/resume through the CLI: run the 32-task
+# sweep, kill it at roughly 50% via --timeout, resume from the checkpoint
+# directory, and byte-compare the final JSON against an uninterrupted
+# --parallel 1 run. The timeout lands wherever it lands — the
 # invariant under test is that resume is byte-identical from ANY prefix of
 # completed work (including none or all of it), so the target is
 # deterministic even though the kill point is not.
 sweep-resume-smoke:
 	@set -e; tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
 	$(GO) build -o "$$tmp/atlarge" ./cmd/atlarge; \
-	printf '%s\n' '{"version": 1, "name": "resume-smoke",' \
-		'"workload": {"class": "scientific", "jobs": 700},' \
-		'"cluster": {"kind": "CL", "machines": 16, "cores": 8},' \
-		'"replicas": 2, "seed": 42,' \
-		'"sweep": {"policy": ["sjf", "fcfs", "easy-bf", "random"], "load": [0.5, 0.7, 0.9, 1.1]}}' \
-		> "$$tmp/spec.json"; \
-	"$$tmp/atlarge" scenario sweep "$$tmp/spec.json" --parallel 1 --format json > "$$tmp/uninterrupted.json"; \
-	"$$tmp/atlarge" scenario sweep "$$tmp/spec.json" --parallel 2 --format json \
+	"$$tmp/atlarge" scenario sweep $(SMOKE_SPEC) --parallel 1 --format json > "$$tmp/uninterrupted.json"; \
+	"$$tmp/atlarge" scenario sweep $(SMOKE_SPEC) --parallel 2 --format json \
 		--checkpoint "$$tmp/ckpt" --timeout 1s > /dev/null 2>"$$tmp/interrupt.log" \
 		&& { echo "sweep-resume-smoke: WARNING: sweep finished before the 1s kill; resume path still checked"; } \
 		|| grep -q "run interrupted" "$$tmp/interrupt.log"; \
 	echo "sweep-resume-smoke: interrupted with $$(ls "$$tmp"/ckpt/*/task-*.json 2>/dev/null | wc -l)/32 tasks checkpointed"; \
-	"$$tmp/atlarge" scenario sweep "$$tmp/spec.json" --parallel 8 --format json --checkpoint "$$tmp/ckpt" > "$$tmp/resumed.json"; \
+	"$$tmp/atlarge" scenario sweep $(SMOKE_SPEC) --parallel 8 --format json --checkpoint "$$tmp/ckpt" > "$$tmp/resumed.json"; \
 	cmp "$$tmp/resumed.json" "$$tmp/uninterrupted.json"; \
 	echo "sweep-resume-smoke: OK (resumed report byte-identical to uninterrupted run)"
 

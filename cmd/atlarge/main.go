@@ -40,8 +40,7 @@
 // --rate/--burst rate-limit work-submitting endpoints per client (keyed by
 // the X-Atlarge-Client header or remote host), and --queue-depth refuses
 // submissions with 429 + a computed Retry-After once the pending-task queue
-// is that deep. /v1/scenario/jobs/* remains as a deprecated alias of
-// /v1/jobs.
+// is that deep.
 //
 // trace runs one experiment or one scenario cell sequentially with the
 // kernel tracer and executor task spans attached, writes the capture as
@@ -79,6 +78,10 @@
 // simulation domain (sched, autoscale, mmog — see `atlarge list --domains`);
 // --domain fills the domain of a spec that omits it, and otherwise must
 // match the spec's declaration. See examples/scenarios/ for runnable specs.
+// A one-cell sched spec is also the single-simulation tool: a named policy
+// ("policy": "fcfs") runs one static-policy simulation, and "policy":
+// "portfolio" runs the periodic portfolio scheduler over the same trace;
+// --replicas reports either as mean ± 95% CI.
 package main
 
 import (

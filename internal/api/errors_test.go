@@ -47,6 +47,7 @@ func TestErrorEnvelopeShape(t *testing.T) {
 		{"stream bad seed", "GET", "/v1/run/stream?seed=x", "", http.StatusBadRequest, errBadRequest},
 		{"sweep bad spec", "POST", "/v1/scenario/sweep", "{", http.StatusBadRequest, errBadRequest},
 		{"sweep bad async", "POST", "/v1/scenario/sweep?async=maybe", sweepSpecBody, http.StatusBadRequest, errBadRequest},
+		{"sweep removed async", "POST", "/v1/scenario/sweep?async=true", sweepSpecBody, http.StatusBadRequest, errBadRequest},
 		{"sweep bad seed", "POST", "/v1/scenario/sweep?seed=x", sweepSpecBody, http.StatusBadRequest, errBadRequest},
 		{"sweep body too large", "POST", "/v1/scenario/sweep", `{"pad": "` + strings.Repeat("x", maxSpecBytes+1) + `"}`, http.StatusRequestEntityTooLarge, errPayloadTooLarge},
 		{"job body too large", "POST", "/v1/jobs", `{"kind": "sweep", "spec": {"pad": "` + strings.Repeat("x", maxSpecBytes+1) + `"}}`, http.StatusRequestEntityTooLarge, errPayloadTooLarge},
@@ -59,8 +60,6 @@ func TestErrorEnvelopeShape(t *testing.T) {
 		{"unknown job result", "GET", "/v1/jobs/feedbeef/result", "", http.StatusNotFound, errNotFound},
 		{"unknown job cancel", "DELETE", "/v1/jobs/feedbeef", "", http.StatusNotFound, errNotFound},
 		{"bad state filter", "GET", "/v1/jobs?state=paused", "", http.StatusBadRequest, errBadRequest},
-		{"legacy unknown job", "GET", "/v1/scenario/jobs/feedbeef", "", http.StatusNotFound, errNotFound},
-		{"legacy unknown result", "GET", "/v1/scenario/jobs/feedbeef/result", "", http.StatusNotFound, errNotFound},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

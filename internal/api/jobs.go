@@ -36,6 +36,10 @@ type job struct {
 	name   string // the spec's name, for humans listing jobs
 	cancel context.CancelFunc
 
+	// exited is closed when the goroutine running the job returns; nil for
+	// jobs restored terminal from the state dir, which never run.
+	exited chan struct{}
+
 	mu     sync.Mutex
 	state  string
 	done   int
@@ -195,28 +199,11 @@ func (j *job) markCancelled() bool {
 	return running
 }
 
-// jobStatus is the legacy status document of GET /v1/scenario/jobs/{id},
-// kept byte-compatible for existing clients of the deprecated alias routes.
-type jobStatus struct {
-	Job   string `json:"job"`
-	State string `json:"state"`
-	Done  int    `json:"done"`
-	Total int    `json:"total"`
-	// Result is the path serving the finished report; set when done.
-	Result string `json:"result,omitempty"`
-	// Error carries the failure message of a failed job.
-	Error string `json:"error,omitempty"`
-}
-
-// status snapshots the job in the legacy shape.
-func (j *job) status() jobStatus {
+// currentState reads the job's state.
+func (j *job) currentState() string {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	st := jobStatus{Job: j.id, State: j.state, Done: j.done, Total: j.total, Error: j.errMsg}
-	if j.state == jobDone {
-		st.Result = "/v1/scenario/jobs/" + j.id + "/result"
-	}
-	return st
+	return j.state
 }
 
 // jobDoc is the uniform job resource of the /v1/jobs API.

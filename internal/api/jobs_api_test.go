@@ -56,9 +56,9 @@ func waitJobDone(t *testing.T, url, id string) jobDoc {
 	}
 }
 
-// TestJobsLifecycle drives the redesigned resource end to end: submit,
-// list (with state filter), poll, fetch a result byte-identical to the
-// synchronous sweep, and observe the same job through the deprecated alias.
+// TestJobsLifecycle drives the jobs resource end to end: submit, list (with
+// state filter), poll, and fetch a result byte-identical to the synchronous
+// sweep.
 func TestJobsLifecycle(t *testing.T) {
 	srv := httptest.NewServer(New(Config{Parallelism: 2}))
 	defer srv.Close()
@@ -100,26 +100,10 @@ func TestJobsLifecycle(t *testing.T) {
 	if jobResult != syncOut["_body"] {
 		t.Error("job result bytes differ from synchronous sweep response")
 	}
-
-	// The deprecated alias serves the same job in the legacy shape, marked
-	// deprecated.
-	resp, legacyBody := get(t, srv.URL+"/v1/scenario/jobs/"+doc.ID)
-	if resp.Header.Get("Deprecation") != "true" {
-		t.Error("legacy alias lacks Deprecation header")
-	}
-	var st jobStatus
-	if err := json.Unmarshal([]byte(legacyBody), &st); err != nil || st.Job != doc.ID || st.State != jobDone {
-		t.Errorf("legacy status = %s", legacyBody)
-	}
-	_, legacyResult := get(t, srv.URL+st.Result)
-	if legacyResult != jobResult {
-		t.Error("legacy result bytes differ from /v1/jobs result")
-	}
 }
 
 // TestJobsDedup: identical submissions share one job — 202 on create, 200
-// with the same ID after, across both the new route and the legacy async
-// sweep (whose ID is the same content hash).
+// with the same ID after (the ID is the content hash of the work).
 func TestJobsDedup(t *testing.T) {
 	srv := httptest.NewServer(New(Config{Parallelism: 2}))
 	defer srv.Close()
@@ -131,13 +115,6 @@ func TestJobsDedup(t *testing.T) {
 	status, second, raw := postJob(t, srv.URL, jobBody(11))
 	if status != http.StatusOK || second.ID != first.ID {
 		t.Fatalf("dup submit: status %d, id %q (want 200, %q); body %s", status, second.ID, first.ID, raw)
-	}
-
-	// The legacy async sweep with the same (spec, seed, replicas) resolves
-	// to the same job.
-	legacyStatus, out := postSweep(t, srv.URL+"/v1/scenario/sweep?seed=11&replicas=2&async=1")
-	if legacyStatus != http.StatusOK || out["job"] != first.ID {
-		t.Errorf("legacy async dedup: status %d, job %q (want 200, %q)", legacyStatus, out["job"], first.ID)
 	}
 
 	// A different seed is different work: fresh job, fresh ID.
@@ -307,7 +284,7 @@ func TestJobsInterruptedResume(t *testing.T) {
 // state on disk (so a restart restores it as terminal instead of resuming),
 // and its result answers 410 job_cancelled. A 64-replica sweep on one
 // worker gives the DELETE time to land; if the job wins the race anyway the
-// cancel-specific assertions are skipped, as in TestServeAsyncSweepCancel.
+// cancel-specific assertions are skipped.
 func TestJobsCancelPersists(t *testing.T) {
 	dir := t.TempDir()
 	api := New(Config{Parallelism: 1, StateDir: dir})
@@ -319,6 +296,19 @@ func TestJobsCancelPersists(t *testing.T) {
 	if status != http.StatusAccepted || doc.ID == "" {
 		t.Fatalf("submit: status %d, body %s", status, raw)
 	}
+	// A cancelled job's runner still finishes its in-flight task and
+	// persists the outcome; wait for it so no state-dir write races the
+	// TempDir cleanup (registered earlier, so it runs after this one).
+	api.jobMu.Lock()
+	exited := api.jobs[doc.ID].exited
+	api.jobMu.Unlock()
+	t.Cleanup(func() {
+		select {
+		case <-exited:
+		case <-time.After(30 * time.Second):
+			t.Error("job runner never exited after cancel")
+		}
+	})
 	req, err := http.NewRequest(http.MethodDelete, srv.URL+"/v1/jobs/"+doc.ID, nil)
 	if err != nil {
 		t.Fatal(err)

@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -100,9 +101,6 @@ type runKey struct {
 //	GET    /v1/jobs/{id}/profile               the job's execution profile (span aggregates)
 //	DELETE /v1/jobs/{id}                       cancel a running job mid-plan
 //	GET    /metrics                            Prometheus text-format server metrics
-//
-// /v1/scenario/jobs/{id}[...] and POST /v1/scenario/sweep?async=1 remain as
-// deprecated aliases of the jobs resource.
 //
 // Job IDs are the content hash of (spec, seed, replicas) — the same hash
 // the sweep checkpoint store uses — so identical sweeps submitted by
@@ -232,11 +230,6 @@ func New(cfg Config) *Server {
 	s.mux.HandleFunc("GET /v1/jobs/{id}/profile", s.handleJobProfile)
 	s.mux.HandleFunc("DELETE /v1/jobs/{id}", s.handleJobCancel)
 	s.mux.Handle("GET /metrics", s.metrics.Handler())
-	// Deprecated aliases of the jobs resource; responses keep the legacy
-	// shapes and carry a successor pointer.
-	s.mux.HandleFunc("GET /v1/scenario/jobs/{id}", s.handleLegacyJobStatus)
-	s.mux.HandleFunc("GET /v1/scenario/jobs/{id}/result", s.handleLegacyJobResult)
-	s.mux.HandleFunc("DELETE /v1/scenario/jobs/{id}", s.handleLegacyJobCancel)
 	return s
 }
 
@@ -361,7 +354,7 @@ func (s *Server) countJobs(state string) int {
 	defer s.jobMu.Unlock()
 	n := 0
 	for _, j := range s.jobs {
-		if j.status().State == state {
+		if j.currentState() == state {
 			n++
 		}
 	}
@@ -667,8 +660,8 @@ func (s *Server) handleRunStream(w http.ResponseWriter, r *http.Request) {
 	line(resultEvent{Type: "result", Document: doc})
 }
 
-// boundSweep applies the replica and cell bounds shared by every sweep
-// entry point (sync, legacy async, /v1/jobs), pinning the effective replica
+// boundSweep applies the replica and cell bounds shared by both sweep
+// entry points (sync and /v1/jobs), pinning the effective replica
 // count into opt and writing the error response itself on failure. The cell
 // bound is enforced from the sweep's axis cardinalities alone, before any
 // cell is materialized, so a degenerate spec cannot make the server
@@ -697,7 +690,7 @@ func (s *Server) boundSweep(w http.ResponseWriter, spec *scenario.Spec, opt *sce
 	return cells, true
 }
 
-// parseSweepRequest validates a legacy sweep request — body spec plus
+// parseSweepRequest validates a synchronous sweep request — body spec plus
 // seed/replicas query parameters — writing the error response itself on
 // failure.
 func (s *Server) parseSweepRequest(w http.ResponseWriter, r *http.Request) (*scenario.Spec, []scenario.Scenario, scenario.Options, bool) {
@@ -739,36 +732,18 @@ func (s *Server) parseSweepRequest(w http.ResponseWriter, r *http.Request) (*sce
 }
 
 func (s *Server) handleScenarioSweep(w http.ResponseWriter, r *http.Request) {
-	async := false
-	if raw := r.URL.Query().Get("async"); raw != "" {
-		var err error
-		if async, err = strconv.ParseBool(raw); err != nil {
-			writeError(w, http.StatusBadRequest, errBadRequest, "bad async: %v", err)
-			return
-		}
+	// The async flag is gone; refuse it rather than silently running the
+	// sweep synchronously on a client that expects a job ID back at once.
+	if r.URL.Query().Has("async") {
+		writeError(w, http.StatusBadRequest, errBadRequest,
+			"the async parameter is removed; submit asynchronous sweeps to POST /v1/jobs")
+		return
 	}
 	if !s.adm.admit(w, r) {
 		return
 	}
 	spec, cells, opt, ok := s.parseSweepRequest(w, r)
 	if !ok {
-		return
-	}
-	if async {
-		// Deprecated alias of POST /v1/jobs; the response keeps the legacy
-		// {"job", "status"} shape.
-		j, created, ok := s.launchJob(w, spec, cells, opt)
-		if !ok {
-			return
-		}
-		status := http.StatusOK
-		if created {
-			status = http.StatusAccepted
-		}
-		writeJSON(w, status, map[string]string{
-			"job":    j.id,
-			"status": "/v1/scenario/jobs/" + j.id,
-		})
 		return
 	}
 	opt.Stats = s.stats
@@ -866,14 +841,14 @@ func (s *Server) launchJob(w http.ResponseWriter, spec *scenario.Spec, cells []s
 
 	s.jobMu.Lock()
 	if existing, found := s.jobs[id]; found {
-		if st := existing.status().State; st == jobRunning || st == jobDone {
+		if st := existing.currentState(); st == jobRunning || st == jobDone {
 			s.jobMu.Unlock()
 			return existing, false, true
 		}
 	}
 	running := 0
 	for _, j := range s.jobs {
-		if j.status().State == jobRunning {
+		if j.currentState() == jobRunning {
 			running++
 		}
 	}
@@ -885,7 +860,7 @@ func (s *Server) launchJob(w http.ResponseWriter, spec *scenario.Spec, cells []s
 		return nil, false, false
 	}
 	ctx, cancel := context.WithCancel(context.Background())
-	j := &job{id: id, kind: jobKindSweep, name: spec.Name, cancel: cancel, state: jobRunning, total: total}
+	j := &job{id: id, kind: jobKindSweep, name: spec.Name, cancel: cancel, state: jobRunning, total: total, exited: make(chan struct{})}
 	if _, seen := s.jobs[id]; !seen {
 		s.jobOrder = append(s.jobOrder, id)
 	}
@@ -927,8 +902,10 @@ func (s *Server) launchJob(w http.ResponseWriter, spec *scenario.Spec, cells []s
 	return j, true, true
 }
 
-// runJob executes one job's sweep and settles + persists its outcome.
+// runJob executes one job's sweep and settles + persists its outcome, then
+// closes j.exited: past that point nothing writes to the job's state dir.
 func (s *Server) runJob(ctx context.Context, cancel context.CancelFunc, j *job, spec *scenario.Spec, cells []scenario.Scenario, opt scenario.Options) {
+	defer close(j.exited)
 	defer cancel()
 	opt.Progress = func(done, total int, id string) { j.progress(done, total) }
 	opt.SpanObserver = j.observeSpan
@@ -954,11 +931,13 @@ func (s *Server) persistOutcome(j *job) {
 	if s.store == nil {
 		return
 	}
-	st := j.status()
-	if st.State == jobRunning {
+	j.mu.Lock()
+	state, errMsg := j.state, j.errMsg
+	j.mu.Unlock()
+	if state == jobRunning {
 		return
 	}
-	if st.State == jobDone {
+	if state == jobDone {
 		if raw, ok := j.resultBytes(); ok {
 			if err := s.store.saveResult(j.id, raw); err != nil {
 				return // job.json keeps saying running → restart resumes it
@@ -969,8 +948,8 @@ func (s *Server) persistOutcome(j *job) {
 	if err != nil {
 		return
 	}
-	rec.State = st.State
-	rec.Error = st.Error
+	rec.State = state
+	rec.Error = errMsg
 	_ = s.store.saveRecord(rec)
 }
 
@@ -1039,7 +1018,7 @@ func (s *Server) resumeJob(rec *jobRecord) error {
 		return fmt.Errorf("api: recover job %s: %w", rec.ID, err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
-	j := &job{id: rec.ID, kind: rec.Kind, name: rec.Name, cancel: cancel, state: jobRunning, total: rec.Total}
+	j := &job{id: rec.ID, kind: rec.Kind, name: rec.Name, cancel: cancel, state: jobRunning, total: rec.Total, exited: make(chan struct{})}
 	s.addRecovered(j)
 	opt := scenario.Options{
 		Parallelism: s.cfg.Parallelism,
@@ -1085,7 +1064,7 @@ func (s *Server) evictFinishedLocked() {
 				evictedOne = true
 				break
 			}
-			if st := j.status().State; st != jobRunning {
+			if j.currentState() != jobRunning {
 				delete(s.jobs, id)
 				s.jobOrder = append(s.jobOrder[:i], s.jobOrder[i+1:]...)
 				s.noteEvictedLocked(id)
@@ -1135,7 +1114,7 @@ func (s *Server) getJob(w http.ResponseWriter, r *http.Request) (*job, bool) {
 
 func (s *Server) handleJobList(w http.ResponseWriter, r *http.Request) {
 	filter := r.URL.Query().Get("state")
-	if filter != "" && !slicesContains(jobStates, filter) {
+	if filter != "" && !slices.Contains(jobStates, filter) {
 		writeError(w, http.StatusBadRequest, errBadRequest,
 			"unknown state %q (want one of %s)", filter, strings.Join(jobStates, ", "))
 		return
@@ -1177,7 +1156,7 @@ func (s *Server) handleJobResult(w http.ResponseWriter, r *http.Request) {
 func (s *Server) writeJobResult(w http.ResponseWriter, j *job) {
 	raw, ready := j.resultBytes()
 	if !ready {
-		st := j.status()
+		st := j.doc()
 		switch st.State {
 		case jobFailed:
 			writeError(w, http.StatusGone, errJobFailed, "job %s failed: %s", j.id, st.Error)
@@ -1216,39 +1195,6 @@ func (s *Server) handleJobCancel(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, j.doc())
 }
 
-// markDeprecated stamps the alias routes with their successor.
-func markDeprecated(w http.ResponseWriter) {
-	w.Header().Set("Deprecation", "true")
-	w.Header().Set("Link", `</v1/jobs>; rel="successor-version"`)
-}
-
-func (s *Server) handleLegacyJobStatus(w http.ResponseWriter, r *http.Request) {
-	markDeprecated(w)
-	if j, ok := s.getJob(w, r); ok {
-		writeJSON(w, http.StatusOK, j.status())
-	}
-}
-
-func (s *Server) handleLegacyJobResult(w http.ResponseWriter, r *http.Request) {
-	markDeprecated(w)
-	j, ok := s.getJob(w, r)
-	if !ok {
-		return
-	}
-	s.writeJobResult(w, j)
-}
-
-func (s *Server) handleLegacyJobCancel(w http.ResponseWriter, r *http.Request) {
-	markDeprecated(w)
-	j, ok := s.getJob(w, r)
-	if !ok {
-		return
-	}
-	j.markCancelled()
-	s.persistOutcome(j)
-	writeJSON(w, http.StatusOK, j.status())
-}
-
 // splitIDs parses the comma-separated ids parameter.
 func splitIDs(raw string) []string {
 	var out []string
@@ -1258,16 +1204,6 @@ func splitIDs(raw string) []string {
 		}
 	}
 	return out
-}
-
-// slicesContains reports whether list contains v.
-func slicesContains(list []string, v string) bool {
-	for _, s := range list {
-		if s == v {
-			return true
-		}
-	}
-	return false
 }
 
 func queryInt64(raw string, def int64) (int64, error) {

@@ -7,7 +7,6 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
-	"time"
 
 	"atlarge"
 )
@@ -111,7 +110,7 @@ func TestServeRunStreamSeedZero(t *testing.T) {
 	}
 }
 
-// sweepSpecBody is a small two-cell sweep used by the async job tests.
+// sweepSpecBody is a small two-cell sweep used by the sweep and job tests.
 const sweepSpecBody = `{"version": 2, "name": "api-async", "domain": "sched",
 	"policy": "sjf", "workload": {"class": "syn", "jobs": 8},
 	"cluster": {"machines": 2},
@@ -132,88 +131,32 @@ func postSweep(t *testing.T, url string) (int, map[string]string) {
 	return resp.StatusCode, out
 }
 
-// TestServeAsyncSweep: the async path accepts with a job id, the job runs
-// to done, and its result bytes equal the synchronous response.
-func TestServeAsyncSweep(t *testing.T) {
-	srv := httptest.NewServer(New(Config{Parallelism: 2}))
-	defer srv.Close()
-
-	status, accepted := postSweep(t, srv.URL+"/v1/scenario/sweep?seed=5&replicas=2&async=1")
-	if status != http.StatusAccepted || accepted["job"] == "" {
-		t.Fatalf("async accept: status %d, body %s", status, accepted["_body"])
-	}
-
-	statusURL := srv.URL + accepted["status"]
-	deadline := time.Now().Add(30 * time.Second)
-	var st jobStatus
-	for {
-		_, body := get(t, statusURL)
-		if err := json.Unmarshal([]byte(body), &st); err != nil {
-			t.Fatalf("bad status body %s: %v", body, err)
-		}
-		if st.State != jobRunning {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("job stuck running: %+v", st)
-		}
-		time.Sleep(20 * time.Millisecond)
-	}
-	if st.State != jobDone || st.Done != st.Total || st.Total != 4 || st.Result == "" {
-		t.Fatalf("finished status = %+v", st)
-	}
-
-	_, asyncBody := get(t, srv.URL+st.Result)
-	syncStatus, syncOut := postSweep(t, srv.URL+"/v1/scenario/sweep?seed=5&replicas=2")
-	if syncStatus != http.StatusOK {
-		t.Fatalf("sync sweep failed: %d", syncStatus)
-	}
-	if asyncBody != syncOut["_body"] {
-		t.Error("async result bytes differ from synchronous sweep response")
-	}
-}
-
-// TestServeAsyncSweepResultNotReady: fetching the result of a running or
-// unknown job reports the right statuses.
-func TestServeAsyncSweepNotFound(t *testing.T) {
-	srv := httptest.NewServer(New(Config{}))
-	defer srv.Close()
-	resp, body := get(t, srv.URL+"/v1/scenario/jobs/nope")
-	if resp.StatusCode != http.StatusNotFound || !strings.Contains(body, `"error"`) {
-		t.Errorf("unknown job: status %d body %s", resp.StatusCode, body)
-	}
-	resp2, _ := get(t, srv.URL+"/v1/scenario/jobs/nope/result")
-	if resp2.StatusCode != http.StatusNotFound {
-		t.Errorf("unknown job result: status %d", resp2.StatusCode)
-	}
-}
-
 // TestServeAsyncSweepCancel: DELETE flips a running job to cancelled and
-// its result becomes 410.
+// its result becomes 410; without a state dir the outcome is in memory only.
 func TestServeAsyncSweepCancel(t *testing.T) {
 	srv := httptest.NewServer(New(Config{Parallelism: 1}))
 	defer srv.Close()
 
-	status, accepted := postSweep(t, srv.URL+"/v1/scenario/sweep?replicas=64&async=1")
+	body := `{"kind": "sweep", "spec": ` + sweepSpecBody + `, "replicas": 64}`
+	status, doc, raw := postJob(t, srv.URL, body)
 	if status != http.StatusAccepted {
-		t.Fatalf("async accept: %d", status)
+		t.Fatalf("submit: status %d, body %s", status, raw)
 	}
-	req, _ := http.NewRequest(http.MethodDelete, srv.URL+accepted["status"], nil)
+	req, _ := http.NewRequest(http.MethodDelete, srv.URL+"/v1/jobs/"+doc.ID, nil)
 	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		t.Fatal(err)
 	}
-	body := readAll(t, resp)
-	resp.Body.Close()
-	var st jobStatus
-	if err := json.Unmarshal([]byte(body), &st); err != nil {
+	var st jobDoc
+	if err := json.Unmarshal([]byte(readAll(t, resp)), &st); err != nil {
 		t.Fatal(err)
 	}
+	resp.Body.Close()
 	if st.State != jobCancelled && st.State != jobDone {
 		t.Fatalf("cancelled job state = %q", st.State)
 	}
 	if st.State == jobCancelled {
-		resp2, _ := get(t, srv.URL+accepted["status"]+"/result")
+		resp2, _ := get(t, srv.URL+"/v1/jobs/"+doc.ID+"/result")
 		if resp2.StatusCode != http.StatusGone {
 			t.Errorf("cancelled result: status %d, want 410", resp2.StatusCode)
 		}
@@ -249,15 +192,18 @@ func TestServeSweepSpecReplicaBound(t *testing.T) {
 	spec := `{"version": 2, "name": "hostile", "domain": "sched",
 		"policy": "sjf", "workload": {"class": "syn", "jobs": 4},
 		"replicas": 1000000}`
-	for _, path := range []string{"/v1/scenario/sweep", "/v1/scenario/sweep?async=1"} {
-		resp, err := http.Post(srv.URL+path, "application/json", strings.NewReader(spec))
+	for path, body := range map[string]string{
+		"/v1/scenario/sweep": spec,
+		"/v1/jobs":           `{"kind": "sweep", "spec": ` + spec + `}`,
+	} {
+		resp, err := http.Post(srv.URL+path, "application/json", strings.NewReader(body))
 		if err != nil {
 			t.Fatal(err)
 		}
-		body := readAll(t, resp)
+		got := readAll(t, resp)
 		resp.Body.Close()
-		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(body, "replicas must be in 1..8") {
-			t.Errorf("%s: status %d body %s, want 400 replica bound", path, resp.StatusCode, body)
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(got, "replicas must be in 1..8") {
+			t.Errorf("%s: status %d body %s, want 400 replica bound", path, resp.StatusCode, got)
 		}
 	}
 	// The spec's own replica count still works when it is within bounds.
@@ -273,31 +219,22 @@ func TestServeSweepSpecReplicaBound(t *testing.T) {
 	}
 }
 
-// TestServeAsyncSweepTotalFromSpec: the job's status total reflects the
-// spec's replica count from the moment of acceptance.
+// TestServeAsyncSweepTotalFromSpec: the job's total reflects the spec's
+// replica count from the moment of acceptance when the request names none.
 func TestServeAsyncSweepTotalFromSpec(t *testing.T) {
 	srv := httptest.NewServer(New(Config{Parallelism: 2}))
 	defer srv.Close()
 	spec := `{"version": 2, "name": "tot", "domain": "sched",
 		"policy": "sjf", "workload": {"class": "syn", "jobs": 4},
 		"replicas": 3, "sweep": {"policy": ["sjf", "fcfs"]}}`
-	resp, err := http.Post(srv.URL+"/v1/scenario/sweep?async=1", "application/json", strings.NewReader(spec))
-	if err != nil {
-		t.Fatal(err)
+	status, doc, raw := postJob(t, srv.URL, `{"kind": "sweep", "spec": `+spec+`}`)
+	if status != http.StatusAccepted {
+		t.Fatalf("submit: status %d, body %s", status, raw)
 	}
-	accepted := map[string]string{}
-	if err := json.NewDecoder(resp.Body).Decode(&accepted); err != nil {
-		t.Fatal(err)
+	if doc.Total != 6 { // 2 cells × 3 spec replicas
+		t.Errorf("job total = %d, want 6 (from the spec's replicas)", doc.Total)
 	}
-	resp.Body.Close()
-	_, body := get(t, srv.URL+accepted["status"])
-	var st jobStatus
-	if err := json.Unmarshal([]byte(body), &st); err != nil {
-		t.Fatal(err)
-	}
-	if st.Total != 6 { // 2 cells × 3 spec replicas
-		t.Errorf("job total = %d, want 6 (from the spec's replicas)", st.Total)
-	}
+	waitJobDone(t, srv.URL, doc.ID)
 }
 
 // TestServeAsyncSweepJobLimit: concurrent running jobs are bounded. The
@@ -312,14 +249,16 @@ func TestServeAsyncSweepJobLimit(t *testing.T) {
 	srv := httptest.NewServer(api)
 	defer srv.Close()
 
-	status, out := postSweep(t, srv.URL+"/v1/scenario/sweep?async=1")
-	if status != http.StatusTooManyRequests {
-		t.Fatalf("second job: status %d body %s, want 429", status, out["_body"])
+	resp, env, raw := doReq(t, "POST", srv.URL+"/v1/jobs", jobBody(61))
+	if resp.StatusCode != http.StatusTooManyRequests || env.Error.Code != errJobLimit {
+		t.Fatalf("second job: status %d body %s, want 429 %s", resp.StatusCode, raw, errJobLimit)
 	}
 
 	// Releasing the held job frees a slot.
 	api.jobs["job-held"].finish(nil, nil)
-	if status, _ := postSweep(t, srv.URL+"/v1/scenario/sweep?async=1"); status != http.StatusAccepted {
-		t.Fatalf("freed slot: status %d, want 202", status)
+	status, doc, raw := postJob(t, srv.URL, jobBody(61))
+	if status != http.StatusAccepted {
+		t.Fatalf("freed slot: status %d body %s, want 202", status, raw)
 	}
+	waitJobDone(t, srv.URL, doc.ID)
 }

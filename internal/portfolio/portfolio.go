@@ -62,7 +62,7 @@ func estimateTrace(tr *workload.Trace) *workload.Trace {
 // slowdown (math.Inf on simulation error, which never wins).
 func simulateScore(window *workload.Trace, envFactory func() *cluster.Environment, p sched.Policy, seed int64) float64 {
 	res, err := sched.NewSimulator(envFactory(), estimateTrace(window), p, seed).Run()
-	if err != nil || len(res.Jobs) == 0 {
+	if err != nil || res.Completed == 0 {
 		return math.Inf(1)
 	}
 	return res.MeanSlowdown

@@ -68,7 +68,12 @@ func (s *Scheduler) Run(tr *workload.Trace) (*Result, error) {
 		window := &workload.Trace{Name: fmt.Sprintf("%s/w%d", tr.Name, w), Jobs: sorted.Jobs[lo:hi]}
 
 		policy, simRuns := s.Selector.Select(window, s.EnvFactory, s.Policies, s.Seed+int64(w))
-		real, err := sched.NewSimulator(s.EnvFactory(), window, policy, s.Seed+int64(w)).Run()
+		simulator := sched.NewSimulator(s.EnvFactory(), window, policy, s.Seed+int64(w))
+		simulator.OnJob = func(js sched.JobStats) {
+			allSlowdowns = append(allSlowdowns, js.Slowdown)
+			allResponses = append(allResponses, float64(js.Response))
+		}
+		real, err := simulator.Run()
 		if err != nil {
 			return nil, fmt.Errorf("portfolio: window %d with %s: %w", w, policy.Name(), err)
 		}
@@ -79,10 +84,6 @@ func (s *Scheduler) Run(tr *workload.Trace) (*Result, error) {
 		})
 		res.TotalSimRuns += simRuns
 		picked[policy.Name()] = true
-		for _, js := range real.Jobs {
-			allSlowdowns = append(allSlowdowns, js.Slowdown)
-			allResponses = append(allResponses, float64(js.Response))
-		}
 	}
 	res.MeanSlowdown = stats.Mean(allSlowdowns)
 	res.MeanResponse = stats.Mean(allResponses)
@@ -113,13 +114,11 @@ func (s *Scheduler) StaticBaselines(tr *workload.Trace) (map[string]float64, err
 					hi = len(sorted.Jobs)
 				}
 				window := &workload.Trace{Jobs: sorted.Jobs[lo:hi]}
-				res, err := sched.NewSimulator(s.EnvFactory(), window, p, s.Seed+int64(w)).Run()
-				if err != nil {
+				simulator := sched.NewSimulator(s.EnvFactory(), window, p, s.Seed+int64(w))
+				simulator.OnJob = func(js sched.JobStats) { all = append(all, js.Slowdown) }
+				if _, err := simulator.Run(); err != nil {
 					errs[i] = fmt.Errorf("portfolio: baseline %s window %d: %w", p.Name(), w, err)
 					return
-				}
-				for _, js := range res.Jobs {
-					all = append(all, js.Slowdown)
 				}
 			}
 			means[i] = stats.Mean(all)

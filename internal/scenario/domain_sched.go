@@ -323,7 +323,7 @@ func (schedDomain) Run(sc *Scenario, workloadSeed, simSeed int64) ([]MetricValue
 		return nil, fmt.Errorf("scenario: cell %s: %w", sc.ID(), err)
 	}
 	return []MetricValue{
-		{Name: MetricJobs, Value: float64(len(res.Jobs))},
+		{Name: MetricJobs, Value: float64(res.Completed)},
 		{Name: MetricMakespan, Value: float64(res.Makespan)},
 		{Name: MetricMeanResponse, Value: res.MeanResponse},
 		{Name: MetricMeanWait, Value: res.MeanWait},

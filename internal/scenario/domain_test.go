@@ -335,6 +335,7 @@ func TestCommittedDomainSpecsValidate(t *testing.T) {
 		"environment-shapes.json",
 		"autoscaler-vs-load.json",
 		"mmog-partitioners.json",
+		"smoke-32.json",
 	} {
 		spec, err := Load(filepath.Join("..", "..", "examples", "scenarios", name))
 		if err != nil {

@@ -28,11 +28,11 @@ func TestSimulatorInvariantsProperty(t *testing.T) {
 		r := rand.New(rand.NewSource(seed))
 		tr := workload.StandardGenerator(class).Generate(15, r)
 		env := cluster.NewHomogeneous(cluster.KindCluster, 1, 4, 8)
-		res, err := NewSimulator(env, tr, policy, seed).Run()
+		res, jobs, err := runWithStats(env, tr, policy, seed)
 		if err != nil {
 			return false
 		}
-		if len(res.Jobs) != len(tr.Jobs) {
+		if res.Completed != len(tr.Jobs) || len(jobs) != len(tr.Jobs) {
 			return false
 		}
 		seen := map[int]bool{}
@@ -40,7 +40,7 @@ func TestSimulatorInvariantsProperty(t *testing.T) {
 		for _, j := range tr.Jobs {
 			byID[j.ID] = j
 		}
-		for _, js := range res.Jobs {
+		for _, js := range jobs {
 			if seen[js.JobID] {
 				return false // double completion
 			}
@@ -66,11 +66,11 @@ func TestSlowdownAtLeastOneProperty(t *testing.T) {
 		r := rand.New(rand.NewSource(seed))
 		tr := workload.StandardGenerator(workload.ClassGaming).Generate(10, r)
 		env := cluster.NewHomogeneous(cluster.KindCluster, 1, 2, 4)
-		res, err := NewSimulator(env, tr, GreedyBackfill(), seed).Run()
+		_, jobs, err := runWithStats(env, tr, GreedyBackfill(), seed)
 		if err != nil {
 			return false
 		}
-		for _, js := range res.Jobs {
+		for _, js := range jobs {
 			if js.Slowdown < 1 {
 				return false
 			}

@@ -14,6 +14,25 @@ func tinyEnv() *cluster.Environment {
 	return cluster.NewHomogeneous(cluster.KindCluster, 1, 1, 4)
 }
 
+// runWithStats runs tr and returns the per-job stats the OnJob hook
+// reports, in completion order.
+func runWithStats(env *cluster.Environment, tr *workload.Trace, p Policy, seed int64) (*Result, []JobStats, error) {
+	s := NewSimulator(env, tr, p, seed)
+	var jobs []JobStats
+	s.OnJob = func(js JobStats) { jobs = append(jobs, js) }
+	res, err := s.Run()
+	return res, jobs, err
+}
+
+// byJobID indexes per-job stats by job ID.
+func byJobID(jobs []JobStats) map[int]JobStats {
+	m := make(map[int]JobStats, len(jobs))
+	for _, js := range jobs {
+		m[js.JobID] = js
+	}
+	return m
+}
+
 // mkJob builds a single-task job.
 func mkJob(id int, submit sim.Time, cpus int, runtime sim.Duration) *workload.Job {
 	return &workload.Job{
@@ -28,14 +47,14 @@ func mkJob(id int, submit sim.Time, cpus int, runtime sim.Duration) *workload.Jo
 
 func TestFCFSSingleJob(t *testing.T) {
 	tr := &workload.Trace{Jobs: []*workload.Job{mkJob(1, 0, 2, 100)}}
-	res, err := NewSimulator(tinyEnv(), tr, FCFS(), 1).Run()
+	res, jobs, err := runWithStats(tinyEnv(), tr, FCFS(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Jobs) != 1 {
-		t.Fatalf("completed %d jobs, want 1", len(res.Jobs))
+	if len(jobs) != 1 || res.Completed != 1 {
+		t.Fatalf("completed %d jobs (hook saw %d), want 1", res.Completed, len(jobs))
 	}
-	js := res.Jobs[0]
+	js := jobs[0]
 	if js.Wait != 0 || js.Response != 100 || js.Finish != 100 {
 		t.Errorf("job stats = %+v", js)
 	}
@@ -50,20 +69,14 @@ func TestFCFSQueuesWhenFull(t *testing.T) {
 		mkJob(1, 0, 4, 50),
 		mkJob(2, 0, 4, 50),
 	}}
-	res, err := NewSimulator(tinyEnv(), tr, FCFS(), 1).Run()
+	res, jobs, err := runWithStats(tinyEnv(), tr, FCFS(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Makespan != 100 {
 		t.Errorf("Makespan = %v, want 100 (serialized)", res.Makespan)
 	}
-	var second JobStats
-	for _, js := range res.Jobs {
-		if js.JobID == 2 {
-			second = js
-		}
-	}
-	if second.Wait != 50 {
+	if second := byJobID(jobs)[2]; second.Wait != 50 {
 		t.Errorf("second job wait = %v, want 50", second.Wait)
 	}
 }
@@ -77,14 +90,11 @@ func TestStrictFCFSBlocksBackfill(t *testing.T) {
 		mkJob(2, 1, 4, 10),
 		mkJob(3, 2, 1, 10),
 	}}
-	res, err := NewSimulator(tinyEnv(), tr, FCFS(), 1).Run()
+	_, jobs, err := runWithStats(tinyEnv(), tr, FCFS(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	byID := map[int]JobStats{}
-	for _, js := range res.Jobs {
-		byID[js.JobID] = js
-	}
+	byID := byJobID(jobs)
 	if byID[3].Start < byID[2].Start {
 		t.Errorf("strict FCFS let job3 (start %v) pass job2 (start %v)",
 			byID[3].Start, byID[2].Start)
@@ -97,14 +107,11 @@ func TestGreedyBackfillSkipsBlockedHead(t *testing.T) {
 		mkJob(2, 1, 4, 10),
 		mkJob(3, 2, 1, 10),
 	}}
-	res, err := NewSimulator(tinyEnv(), tr, GreedyBackfill(), 1).Run()
+	_, jobs, err := runWithStats(tinyEnv(), tr, GreedyBackfill(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	byID := map[int]JobStats{}
-	for _, js := range res.Jobs {
-		byID[js.JobID] = js
-	}
+	byID := byJobID(jobs)
 	if byID[3].Start >= byID[2].Start {
 		t.Errorf("greedy backfill did not let job3 (start %v) pass job2 (start %v)",
 			byID[3].Start, byID[2].Start)
@@ -125,14 +132,11 @@ func TestEASYBackfillRespectsReservation(t *testing.T) {
 		mkJob(3, 2, 1, 200),
 		mkJob(4, 3, 1, 50),
 	}}
-	res, err := NewSimulator(tinyEnv(), tr, EASYBackfill(), 1).Run()
+	_, jobs, err := runWithStats(tinyEnv(), tr, EASYBackfill(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	byID := map[int]JobStats{}
-	for _, js := range res.Jobs {
-		byID[js.JobID] = js
-	}
+	byID := byJobID(jobs)
 	if byID[4].Start != 3 {
 		t.Errorf("job4 start = %v, want 3 (EASY backfill)", byID[4].Start)
 	}
@@ -147,14 +151,11 @@ func TestSJFOrdersShortFirst(t *testing.T) {
 		mkJob(1, 0, 4, 100),
 		mkJob(2, 0, 4, 10),
 	}}
-	res, err := NewSimulator(tinyEnv(), tr, SJF(), 1).Run()
+	_, jobs, err := runWithStats(tinyEnv(), tr, SJF(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	byID := map[int]JobStats{}
-	for _, js := range res.Jobs {
-		byID[js.JobID] = js
-	}
+	byID := byJobID(jobs)
 	if byID[2].Start != 0 || byID[1].Start != 10 {
 		t.Errorf("SJF starts: job2=%v job1=%v, want 0 and 10", byID[2].Start, byID[1].Start)
 	}
@@ -165,14 +166,11 @@ func TestLJFOrdersLongFirst(t *testing.T) {
 		mkJob(1, 0, 4, 10),
 		mkJob(2, 0, 4, 100),
 	}}
-	res, err := NewSimulator(tinyEnv(), tr, LJF(), 1).Run()
+	_, jobs, err := runWithStats(tinyEnv(), tr, LJF(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	byID := map[int]JobStats{}
-	for _, js := range res.Jobs {
-		byID[js.JobID] = js
-	}
+	byID := byJobID(jobs)
 	if byID[2].Start != 0 {
 		t.Errorf("LJF did not start long job first: %v", byID[2].Start)
 	}
@@ -190,13 +188,13 @@ func TestWorkflowDependenciesRespected(t *testing.T) {
 		},
 	}
 	tr := &workload.Trace{Jobs: []*workload.Job{job}}
-	res, err := NewSimulator(tinyEnv(), tr, FCFS(), 1).Run()
+	_, jobs, err := runWithStats(tinyEnv(), tr, FCFS(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Critical path: 10 + 20 + 1 = 31; plenty of cores so response = 31.
-	if res.Jobs[0].Response != 31 {
-		t.Errorf("workflow response = %v, want 31 (critical path)", res.Jobs[0].Response)
+	if jobs[0].Response != 31 {
+		t.Errorf("workflow response = %v, want 31 (critical path)", jobs[0].Response)
 	}
 }
 
@@ -226,8 +224,8 @@ func TestUtilizationBounds(t *testing.T) {
 	if res.UtilizationMean < 0 || res.UtilizationMean > 1 {
 		t.Errorf("UtilizationMean = %v out of [0,1]", res.UtilizationMean)
 	}
-	if len(res.Jobs) != 50 {
-		t.Errorf("completed %d jobs, want 50", len(res.Jobs))
+	if res.Completed != 50 {
+		t.Errorf("completed %d jobs, want 50", res.Completed)
 	}
 }
 
@@ -245,8 +243,8 @@ func TestAllPoliciesCompleteAllJobs(t *testing.T) {
 		t.Fatalf("got %d results", len(results))
 	}
 	for name, res := range results {
-		if len(res.Jobs) != 40 {
-			t.Errorf("policy %s completed %d/40 jobs", name, len(res.Jobs))
+		if res.Completed != 40 {
+			t.Errorf("policy %s completed %d/40 jobs", name, res.Completed)
 		}
 		if res.MeanSlowdown < 1 {
 			t.Errorf("policy %s mean slowdown %v < 1", name, res.MeanSlowdown)
@@ -275,10 +273,10 @@ func TestRunAllDeterministic(t *testing.T) {
 
 func TestCloneTraceIsolation(t *testing.T) {
 	tr := &workload.Trace{Jobs: []*workload.Job{mkJob(1, 0, 1, 10)}}
-	cp := cloneTrace(tr)
+	cp := tr.Clone()
 	cp.Jobs[0].Tasks[0].Runtime = 99
 	if tr.Jobs[0].Tasks[0].Runtime != 10 {
-		t.Error("cloneTrace shares task storage")
+		t.Error("Clone shares task storage")
 	}
 }
 
@@ -303,14 +301,11 @@ func TestFairShareBalancesJobs(t *testing.T) {
 		{ID: 1, Submit: 0, Tasks: tasks1},
 		{ID: 2, Submit: 0, Tasks: tasks2},
 	}}
-	res, err := NewSimulator(tinyEnv(), tr, FairShare(), 1).Run()
+	_, jobs, err := runWithStats(tinyEnv(), tr, FairShare(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	byID := map[int]JobStats{}
-	for _, js := range res.Jobs {
-		byID[js.JobID] = js
-	}
+	byID := byJobID(jobs)
 	gap := byID[2].Finish - byID[1].Finish
 	if gap < 0 {
 		gap = -gap

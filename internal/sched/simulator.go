@@ -25,11 +25,8 @@ type JobStats struct {
 
 // Result aggregates one simulation run.
 type Result struct {
-	Policy string
-	// Jobs holds per-job stats for materialized runs; streaming runs
-	// (RunSource) aggregate incrementally and leave it nil.
-	Jobs            []JobStats
-	Completed       int // number of jobs that finished (== len(Jobs) when kept)
+	Policy          string
+	Completed       int // number of jobs that finished
 	Makespan        sim.Duration
 	MeanSlowdown    float64
 	MeanResponse    float64
@@ -44,6 +41,10 @@ const boundedSlowdownTau = 10
 
 // Simulator executes a trace on an environment under one policy.
 type Simulator struct {
+	// OnJob, when non-nil, receives each job's stats as the job completes,
+	// in completion order. The run itself keeps only scalar aggregates.
+	OnJob func(JobStats)
+
 	env    *cluster.Environment
 	trace  *workload.Trace
 	policy Policy
@@ -59,14 +60,12 @@ type Simulator struct {
 	jobLeft     map[int]int                    // job ID -> unfinished task count
 	jobStart    map[int]sim.Time               // job ID -> first task start
 	jobStarted  map[int]bool                   //
-	stats       []JobStats                     //
-	rec         sim.Recorder                   //
 	estFinish   map[*cluster.Machine][]estSlot // for EASY reservations
 
-	// stream is non-nil for RunSource runs: jobs are fed incrementally and
-	// per-job state is reclaimed on finish, so memory tracks in-flight jobs
-	// rather than stream length.
-	stream *streamState
+	// Per-job state is reclaimed as jobs finish and stats fold into agg, so
+	// memory tracks in-flight jobs rather than trace length.
+	feed feeder
+	agg  aggregate
 
 	// Flattened machine list (with the owning cluster per slot), built once
 	// per run so placement does not walk the cluster nesting every probe.
@@ -95,9 +94,13 @@ func NewSimulator(env *cluster.Environment, tr *workload.Trace, p Policy, seed i
 	return &Simulator{env: env, trace: tr, policy: p, seed: seed}
 }
 
-// initRun prepares the kernel and per-run state shared by Run and RunSource.
-func (s *Simulator) initRun() {
+// run executes the simulation with arrivals pulled from next (nil ends the
+// stream), chunk arrivals per feed event, and returns the aggregate result.
+func (s *Simulator) run(next func() *workload.Job, chunk int) (*Result, error) {
 	s.k = sim.NewKernel(s.seed)
+	s.k.Reserve(chunk)
+	s.feed = feeder{next: next, chunk: chunk, batch: make([]sim.BatchEvent, 0, chunk)}
+	s.agg = aggregate{}
 	s.running = make(map[*TaskState]*cluster.Machine)
 	s.pendingDeps = make(map[int]int)
 	s.dependents = make(map[int][]*TaskState)
@@ -115,30 +118,19 @@ func (s *Simulator) initRun() {
 			s.machClusters = append(s.machClusters, cl)
 		}
 	}
-}
-
-// Run executes the simulation to completion and returns the aggregate result.
-func (s *Simulator) Run() (*Result, error) {
-	s.initRun()
-
-	arrivals := make([]sim.BatchEvent, 0, len(s.trace.Jobs))
-	for _, job := range s.trace.Jobs {
-		if err := job.ValidateDAG(); err != nil {
-			return nil, fmt.Errorf("sched: %w", err)
-		}
-		job := job
-		s.jobLeft[job.ID] = len(job.Tasks)
-		arrivals = append(arrivals, sim.BatchEvent{
-			At: job.Submit, Name: "job-arrive",
-			Fn: func(k *sim.Kernel) { s.onJobArrive(job) },
-		})
+	s.feedChunk()
+	var err error
+	if s.feed.err == nil {
+		err = s.k.Run()
 	}
-	s.k.Reserve(len(arrivals))
-	s.k.AtBatch(arrivals)
-	if err := s.k.Run(); err != nil {
+	// A feed error stops the kernel; report the cause, not the stop.
+	if s.feed.err != nil {
+		return nil, s.feed.err
+	}
+	if err != nil {
 		return nil, fmt.Errorf("sched: run: %w", err)
 	}
-	return s.buildResult(), nil
+	return s.agg.result(s.policy.Name(), s.k.Now()), nil
 }
 
 func (s *Simulator) onJobArrive(job *workload.Job) {
@@ -386,59 +378,18 @@ func (s *Simulator) finishJob(job *workload.Job) {
 	if js.Slowdown < 1 {
 		js.Slowdown = 1
 	}
-	if st := s.stream; st != nil {
-		// Streaming mode: fold the stats into running aggregates and drop
-		// every per-job map entry, so finished jobs cost nothing.
-		st.accumulate(js)
-		delete(s.jobStart, job.ID)
-		delete(s.jobStarted, job.ID)
-		delete(s.jobLeft, job.ID)
-		delete(s.ctx.ServedWork, job.ID)
-		return
+	s.agg.add(js)
+	if s.OnJob != nil {
+		s.OnJob(js)
 	}
-	s.stats = append(s.stats, js)
+	delete(s.jobStart, job.ID)
+	delete(s.jobStarted, job.ID)
+	delete(s.jobLeft, job.ID)
+	delete(s.ctx.ServedWork, job.ID)
 }
 
 func (s *Simulator) recordUtilization() {
-	if st := s.stream; st != nil {
-		st.recordUtil(s.k.Now(), s.env.Utilization())
-		return
-	}
-	s.rec.Record("util", s.k.Now(), s.env.Utilization())
-}
-
-func (s *Simulator) buildResult() *Result {
-	if st := s.stream; st != nil {
-		return st.buildResult(s.policy.Name(), s.k.Now())
-	}
-	res := &Result{Policy: s.policy.Name(), Jobs: s.stats, Completed: len(s.stats), Horizon: s.k.Now()}
-	if len(s.stats) == 0 {
-		return res
-	}
-	var firstSubmit, lastFinish sim.Time
-	firstSubmit = s.stats[0].Submit
-	var sumSd, sumResp, sumWait float64
-	for _, js := range s.stats {
-		if js.Submit < firstSubmit {
-			firstSubmit = js.Submit
-		}
-		if js.Finish > lastFinish {
-			lastFinish = js.Finish
-		}
-		sumSd += js.Slowdown
-		sumResp += float64(js.Response)
-		sumWait += float64(js.Wait)
-		if !js.DeadlineMet {
-			res.DeadlineMisses++
-		}
-	}
-	n := float64(len(s.stats))
-	res.Makespan = lastFinish - firstSubmit
-	res.MeanSlowdown = sumSd / n
-	res.MeanResponse = sumResp / n
-	res.MeanWait = sumWait / n
-	res.UtilizationMean = s.rec.TimeWeightedMean("util", s.k.Now())
-	return res
+	s.agg.recordUtil(s.k.Now(), s.env.Utilization())
 }
 
 // RunAll runs the trace under every policy on fresh copies of the
@@ -447,7 +398,7 @@ func (s *Simulator) buildResult() *Result {
 func RunAll(envFactory func() *cluster.Environment, tr *workload.Trace, policies []Policy, seed int64) (map[string]*Result, error) {
 	out := make(map[string]*Result, len(policies))
 	for _, p := range policies {
-		res, err := NewSimulator(envFactory(), cloneTrace(tr), p, seed).Run()
+		res, err := NewSimulator(envFactory(), tr.Clone(), p, seed).Run()
 		if err != nil {
 			return nil, fmt.Errorf("sched: policy %s: %w", p.Name(), err)
 		}
@@ -455,7 +406,3 @@ func RunAll(envFactory func() *cluster.Environment, tr *workload.Trace, policies
 	}
 	return out, nil
 }
-
-// cloneTrace deep-copies a trace so concurrent or repeated runs cannot share
-// task state.
-func cloneTrace(tr *workload.Trace) *workload.Trace { return tr.Clone() }

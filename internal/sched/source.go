@@ -1,27 +1,127 @@
 package sched
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 
 	"atlarge/internal/sim"
 	"atlarge/internal/workload"
 )
 
-// feedBatch is how many jobs each feed event schedules ahead of the
-// simulation clock. Chunks always end on a submit-instant boundary so a
+// feedBatch is how many jobs each RunSource feed event schedules ahead of
+// the simulation clock. Chunks always end on a submit-instant boundary so a
 // dispatch cycle never sees a partial view of simultaneous arrivals.
 const feedBatch = 256
 
-// streamState carries everything a streaming run keeps instead of O(jobs)
-// slices and maps: the source cursor, the reusable feed buffer, and scalar
-// aggregates equivalent to what buildResult derives from []JobStats.
-type streamState struct {
-	src   workload.JobSource
-	carry *workload.Job // first job of the next chunk (already cloned)
+// Run executes the trace to completion and returns the aggregate result. It
+// is the RunSource path over a submit-ordered view of the trace, fed as one
+// up-front batch: jobs are not cloned, and an unsorted trace is viewed
+// through a stable sort by Submit, so simultaneous submissions keep their
+// trace order as the FIFO tie-break. The trace is not mutated.
+func (s *Simulator) Run() (*Result, error) {
+	bySubmit := func(a, b *workload.Job) int { return cmp.Compare(a.Submit, b.Submit) }
+	jobs := s.trace.Jobs
+	if !slices.IsSortedFunc(jobs, bySubmit) {
+		jobs = slices.Clone(jobs)
+		slices.SortStableFunc(jobs, bySubmit)
+	}
+	i := 0
+	return s.run(func() *workload.Job {
+		if i == len(jobs) {
+			return nil
+		}
+		i++
+		return jobs[i-1]
+	}, len(jobs))
+}
+
+// RunSource executes the simulation against a pull-based job stream instead
+// of a materialized trace: arrivals are fed in feedBatch chunks and each job
+// is cloned out of the source's scratch storage, so resident memory is
+// proportional to in-flight jobs — independent of how many jobs the source
+// emits. The source must emit jobs in non-decreasing Submit order (the
+// JobSource contract); RunSource does not Close it.
+//
+// For a submit-ordered stream the simulation is event-for-event the run Run
+// executes on the materialized equivalent.
+func (s *Simulator) RunSource(src workload.JobSource) (*Result, error) {
+	return s.run(func() *workload.Job {
+		if j := src.Next(); j != nil {
+			return j.Clone()
+		}
+		return nil
+	}, feedBatch)
+}
+
+// feeder is the arrival cursor of a run: the job stream, the reusable batch
+// buffer, and the first job of the next chunk.
+type feeder struct {
+	next  func() *workload.Job
+	chunk int
+	carry *workload.Job
 	batch []sim.BatchEvent
 	last  sim.Time // newest submit fed so far (monotonicity guard)
 	err   error
+}
 
+// feedChunk pulls the next chunk of jobs, schedules their arrivals, and — if
+// the stream continues — schedules itself at the chunk's final submit
+// instant. A chunk only ends once the next job's submit time strictly
+// advances, so all arrivals sharing an instant land in one batch; the feed
+// event then fires after those arrivals but before their dispatch cycle (its
+// sequence number predates the dispatch event's), keeping the event order
+// identical to feeding the whole stream up front.
+func (s *Simulator) feedChunk() {
+	f := &s.feed
+	buf := f.batch[:0]
+	j := f.carry
+	f.carry = nil
+	if j == nil {
+		j = f.next()
+	}
+	for j != nil {
+		if j.Submit < f.last {
+			f.err = fmt.Errorf("sched: job source emitted submit %v after %v (must be non-decreasing)", j.Submit, f.last)
+			s.k.Stop()
+			return
+		}
+		if err := j.ValidateDAG(); err != nil {
+			f.err = fmt.Errorf("sched: %w", err)
+			s.k.Stop()
+			return
+		}
+		if len(buf) >= f.chunk && j.Submit > f.last {
+			f.carry = j
+			break
+		}
+		f.last = j.Submit
+		job := j
+		s.jobLeft[job.ID] = len(job.Tasks)
+		buf = append(buf, sim.BatchEvent{
+			At: job.Submit, Name: "job-arrive",
+			Fn: func(k *sim.Kernel) { s.onJobArrive(job) },
+		})
+		j = f.next()
+	}
+	f.batch = buf // keep the backing array for the next chunk
+	if len(buf) == 0 {
+		return
+	}
+	s.k.AtBatch(buf)
+	if f.carry == nil {
+		// The stream is drained. For Run the cursor and the buffer span the
+		// whole trace, and the buffer's closures would otherwise stay live
+		// after their arrivals fire, so release both.
+		f.next, f.batch = nil, nil
+		return
+	}
+	s.k.At(f.last, "feed", func(k *sim.Kernel) { s.feedChunk() })
+}
+
+// aggregate folds per-job stats and the utilization series into the scalar
+// Result fields as the run goes, so no per-job state outlives its job.
+type aggregate struct {
 	count       int
 	sumSd       float64
 	sumResp     float64
@@ -31,8 +131,8 @@ type streamState struct {
 	firstSubmit sim.Time
 	lastFinish  sim.Time
 
-	// Incremental form of Recorder.TimeWeightedMean over the util series:
-	// samples are piecewise-constant from utilAt, integrated since utilT0.
+	// Time-weighted mean of the piecewise-constant utilization signal:
+	// each sample holds from utilAt on, integrated since utilT0.
 	utilInit bool
 	utilT0   sim.Time
 	utilAt   sim.Time
@@ -40,131 +140,46 @@ type streamState struct {
 	utilArea float64
 }
 
-func (st *streamState) accumulate(js JobStats) {
-	st.count++
-	st.sumSd += js.Slowdown
-	st.sumResp += float64(js.Response)
-	st.sumWait += float64(js.Wait)
+func (a *aggregate) add(js JobStats) {
+	a.count++
+	a.sumSd += js.Slowdown
+	a.sumResp += float64(js.Response)
+	a.sumWait += float64(js.Wait)
 	if !js.DeadlineMet {
-		st.misses++
+		a.misses++
 	}
-	if !st.firstSet || js.Submit < st.firstSubmit {
-		st.firstSet = true
-		st.firstSubmit = js.Submit
+	if !a.firstSet || js.Submit < a.firstSubmit {
+		a.firstSet = true
+		a.firstSubmit = js.Submit
 	}
-	if js.Finish > st.lastFinish {
-		st.lastFinish = js.Finish
+	if js.Finish > a.lastFinish {
+		a.lastFinish = js.Finish
 	}
 }
 
-func (st *streamState) recordUtil(now sim.Time, v float64) {
-	if !st.utilInit {
-		st.utilInit = true
-		st.utilT0, st.utilAt, st.utilV = now, now, v
+func (a *aggregate) recordUtil(now sim.Time, v float64) {
+	if !a.utilInit {
+		a.utilInit = true
+		a.utilT0, a.utilAt, a.utilV = now, now, v
 		return
 	}
-	st.utilArea += st.utilV * float64(now-st.utilAt)
-	st.utilAt, st.utilV = now, v
+	a.utilArea += a.utilV * float64(now-a.utilAt)
+	a.utilAt, a.utilV = now, v
 }
 
-func (st *streamState) buildResult(policy string, horizon sim.Time) *Result {
-	res := &Result{Policy: policy, Completed: st.count, Horizon: horizon}
-	if st.count == 0 {
+func (a *aggregate) result(policy string, horizon sim.Time) *Result {
+	res := &Result{Policy: policy, Completed: a.count, Horizon: horizon}
+	if a.count == 0 {
 		return res
 	}
-	n := float64(st.count)
-	res.Makespan = st.lastFinish - st.firstSubmit
-	res.MeanSlowdown = st.sumSd / n
-	res.MeanResponse = st.sumResp / n
-	res.MeanWait = st.sumWait / n
-	res.DeadlineMisses = st.misses
-	if st.utilInit && horizon > st.utilT0 {
-		res.UtilizationMean = (st.utilArea + st.utilV*float64(horizon-st.utilAt)) / float64(horizon-st.utilT0)
+	n := float64(a.count)
+	res.Makespan = a.lastFinish - a.firstSubmit
+	res.MeanSlowdown = a.sumSd / n
+	res.MeanResponse = a.sumResp / n
+	res.MeanWait = a.sumWait / n
+	res.DeadlineMisses = a.misses
+	if a.utilInit && horizon > a.utilT0 {
+		res.UtilizationMean = (a.utilArea + a.utilV*float64(horizon-a.utilAt)) / float64(horizon-a.utilT0)
 	}
 	return res
-}
-
-// RunSource executes the simulation against a pull-based job stream instead
-// of a materialized trace: arrivals are fed in feedBatch chunks, per-job
-// state is reclaimed as jobs finish, and stats are aggregated incrementally,
-// so resident memory is proportional to in-flight jobs — independent of how
-// many jobs the source emits. The source must emit jobs in non-decreasing
-// Submit order (the JobSource contract); RunSource does not Close it.
-//
-// For a valid submit-ordered stream the simulation is event-for-event the
-// run Run would execute on the materialized equivalent.
-func (s *Simulator) RunSource(src workload.JobSource) (*Result, error) {
-	s.stream = &streamState{src: src}
-	s.initRun()
-	s.feed()
-	if s.stream.err != nil {
-		return nil, s.stream.err
-	}
-	if err := s.k.Run(); err != nil {
-		return nil, fmt.Errorf("sched: run: %w", err)
-	}
-	if s.stream.err != nil {
-		return nil, s.stream.err
-	}
-	return s.buildResult(), nil
-}
-
-// feed pulls the next chunk of jobs, schedules their arrivals, and — if the
-// stream continues — schedules itself at the chunk's final submit instant.
-// A chunk only ends once the next job's submit time strictly advances, so
-// all arrivals sharing an instant land in one batch; the feed event then
-// fires after those arrivals but before their dispatch cycle (its sequence
-// number predates the dispatch event's), keeping the event order identical
-// to a fully materialized run.
-func (s *Simulator) feed() {
-	st := s.stream
-	buf := st.batch[:0]
-	j := st.carry
-	st.carry = nil
-	if j == nil {
-		j = s.pullClone()
-	}
-	for j != nil {
-		if j.Submit < st.last {
-			st.err = fmt.Errorf("sched: job source emitted submit %v after %v (must be non-decreasing)", j.Submit, st.last)
-			s.k.Stop()
-			return
-		}
-		if err := j.ValidateDAG(); err != nil {
-			st.err = fmt.Errorf("sched: %w", err)
-			s.k.Stop()
-			return
-		}
-		if len(buf) >= feedBatch && j.Submit > st.last {
-			st.carry = j
-			break
-		}
-		st.last = j.Submit
-		job := j
-		s.jobLeft[job.ID] = len(job.Tasks)
-		buf = append(buf, sim.BatchEvent{
-			At: job.Submit, Name: "job-arrive",
-			Fn: func(k *sim.Kernel) { s.onJobArrive(job) },
-		})
-		j = s.pullClone()
-	}
-	st.batch = buf // keep the backing array for the next chunk
-	if len(buf) == 0 {
-		return
-	}
-	s.k.AtBatch(buf)
-	if st.carry != nil {
-		s.k.At(st.last, "feed", func(k *sim.Kernel) { s.feed() })
-	}
-}
-
-// pullClone takes the next job from the source and clones it out of the
-// source's scratch storage, since the simulator holds jobs until they
-// finish.
-func (s *Simulator) pullClone() *workload.Job {
-	j := s.stream.src.Next()
-	if j == nil {
-		return nil
-	}
-	return j.Clone()
 }

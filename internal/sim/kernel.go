@@ -27,9 +27,10 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"math/bits"
 	"math/rand"
 	"time"
+
+	"atlarge/internal/heap4"
 )
 
 // Time is a point in virtual time, measured in seconds since the start of the
@@ -61,34 +62,13 @@ type event struct {
 	dead bool   // cancelled
 }
 
-// heapNode is one entry of the 4-ary min-heap: the event's virtual time
-// packed with a (seq, idx) key, so the hot sift loops never dereference the
-// slab. The 16-byte node puts a parent's four children on exactly one cache
-// line. The time is stored as its IEEE-754 bit pattern — virtual time is
-// never negative, so unsigned bit order equals numeric order — which lets
-// nodeLess compare (atBits, key) as one 128-bit integer with no branches.
-// The key's high 40 bits are the schedule sequence number (the FIFO
-// tie-breaker among simultaneous events) and the low 24 bits the slab index,
-// so comparing keys compares sequence numbers — seq is unique per event, so
-// the idx bits never decide an order.
-type heapNode struct {
-	atBits uint64 // packTime(at)
-	key    uint64 // seq<<idxBits | idx
-}
-
-// packTime converts a non-negative virtual time to order-preserving bits.
-// Negative zero normalizes to positive zero so it cannot sort as a huge
-// unsigned value.
-func packTime(at Time) uint64 {
-	if at == 0 {
-		return 0
-	}
-	return math.Float64bits(float64(at))
-}
-
-// unpackTime is the inverse of packTime.
-func unpackTime(b uint64) Time { return Time(math.Float64frombits(b)) }
-
+// Heap nodes are heap4.Node values: Hi is the event time as
+// heap4.TimeKey(at) and Lo packs (seq, idx), so the hot sift loops never
+// dereference the slab and compare (at, key) as one 128-bit integer. The
+// key's high 40 bits are the schedule sequence number (the FIFO tie-breaker
+// among simultaneous events) and the low 24 bits the slab index, so
+// comparing keys compares sequence numbers — seq is unique per event, so the
+// idx bits never decide an order.
 const (
 	idxBits = 24
 	idxMask = 1<<idxBits - 1
@@ -98,8 +78,8 @@ const (
 	maxIdx = idxMask
 )
 
-// index extracts the slab index from the node key.
-func (n heapNode) index() uint32 { return uint32(n.key & idxMask) }
+// nodeIndex extracts the slab index from a heap node's key.
+func nodeIndex(n heap4.Node) uint32 { return uint32(n.Lo & idxMask) }
 
 // noEvent is the free-stack terminator.
 const noEvent = ^uint32(0)
@@ -151,9 +131,9 @@ var ErrStopped = errors.New("sim: stopped")
 // The zero value is not usable; construct with NewKernel.
 type Kernel struct {
 	now      Time
-	heap     []heapNode // 4-ary min-heap ordered by (at, seq)
-	events   []event    // slab of event slots addressed by heap node indices
-	freeHead uint32     // top of the intrusive free stack, noEvent when empty
+	heap     []heap4.Node // 4-ary min-heap ordered by (at, seq)
+	events   []event      // slab of event slots addressed by heap node indices
+	freeHead uint32       // top of the intrusive free stack, noEvent when empty
 	seq      uint64
 	seed     int64
 	streams  map[string]*rand.Rand
@@ -230,23 +210,6 @@ func (k *Kernel) Rand(stream string) *rand.Rand {
 	return r
 }
 
-// nodeLess orders heap nodes by (at, seq): virtual time first, FIFO among
-// ties. seq is unique per scheduled event, so the order is total and the
-// fire sequence is independent of the heap's internal arrangement. The
-// comparison is a branch-free 128-bit unsigned compare (a borrow out of the
-// double-word subtraction means a < b), which the sift loops depend on:
-// simultaneous events make a time-then-seq branch pair unpredictable.
-func nodeLess(a, b heapNode) bool {
-	_, borrow := bits.Sub64(a.key, b.key, 0)
-	_, borrow = bits.Sub64(a.atBits, b.atBits, borrow)
-	return borrow != 0
-}
-
-// The event queue is a 4-ary implicit heap: children of i live at 4i+1..4i+4.
-// Compared to the binary heap it halves the tree depth, so sift-up (the hot
-// path when events are mostly scheduled in time order) does half the
-// comparisons and the node's four children share cache lines on sift-down.
-
 // Reserve pre-sizes the event slab and heap for at least n concurrently
 // scheduled events, so a run whose live-event bound is known up front never
 // grows either during the simulation. Reserving less than the current
@@ -258,7 +221,7 @@ func (k *Kernel) Reserve(n int) {
 		k.events = ne
 	}
 	if n > cap(k.heap) {
-		nh := make([]heapNode, len(k.heap), n)
+		nh := make([]heap4.Node, len(k.heap), n)
 		copy(nh, k.heap)
 		k.heap = nh
 	}
@@ -275,136 +238,26 @@ func (k *Kernel) growSlab() {
 
 // growHeap grows the heap along the nextCap ladder.
 func (k *Kernel) growHeap() {
-	nh := make([]heapNode, len(k.heap), nextCap(cap(k.heap)))
+	nh := make([]heap4.Node, len(k.heap), nextCap(cap(k.heap)))
 	copy(nh, k.heap)
 	k.heap = nh
 }
 
-// push inserts n and restores the heap property bottom-up.
-func (k *Kernel) push(n heapNode) {
+// push inserts n in heap order, growing the heap along the nextCap ladder.
+func (k *Kernel) push(n heap4.Node) {
 	if len(k.heap) == cap(k.heap) {
 		k.growHeap()
 	}
-	h := k.heap[:len(k.heap)+1]
-	i := len(h) - 1
-	for i > 0 {
-		p := (i - 1) / 4
-		if !nodeLess(n, h[p]) {
-			break
-		}
-		h[i] = h[p]
-		i = p
-	}
-	h[i] = n
-	k.heap = h
+	k.heap = heap4.Push(k.heap, n)
 }
 
-// appendNode appends n without restoring heap order; callers must heapify
-// before the next pop. Used by the batch scheduling path.
-func (k *Kernel) appendNode(n heapNode) {
+// appendNode appends n without restoring heap order; callers must
+// heap4.Heapify before the next pop. Used by the batch scheduling path.
+func (k *Kernel) appendNode(n heap4.Node) {
 	if len(k.heap) == cap(k.heap) {
 		k.growHeap()
 	}
 	k.heap = append(k.heap, n)
-}
-
-// siftDown restores the heap property below i, assuming both subtrees of i
-// are heaps.
-func siftDown(h []heapNode, i int) {
-	n := len(h)
-	node := h[i]
-	for {
-		c := 4*i + 1
-		if c >= n {
-			break
-		}
-		end := c + 4
-		if end > n {
-			end = n
-		}
-		m := c
-		for j := c + 1; j < end; j++ {
-			if nodeLess(h[j], h[m]) {
-				m = j
-			}
-		}
-		if !nodeLess(h[m], node) {
-			break
-		}
-		h[i] = h[m]
-		i = m
-	}
-	h[i] = node
-}
-
-// heapify rebuilds the whole heap bottom-up (Floyd), O(n) instead of the
-// O(n log n) of pushing every node. The fire order is unaffected by the
-// internal arrangement because (at, seq) is a total order.
-func (k *Kernel) heapify() {
-	h := k.heap
-	for i := (len(h) - 2) / 4; i >= 0; i-- {
-		siftDown(h, i)
-	}
-}
-
-// pop removes and returns the earliest node. It uses the bottom-up variant
-// of sift-down: the root hole walks to a leaf along min-children (three
-// comparisons per level, no early-exit test), then the former tail is sifted
-// up from that leaf — the tail came from the bottom of the tree, so the up
-// phase almost always terminates within a level. For a full drain this does
-// ~25% fewer comparisons than the classic sift-down and keeps the per-level
-// loop free of unpredictable exits.
-func (k *Kernel) pop() heapNode {
-	h := k.heap
-	top := h[0]
-	n := len(h) - 1
-	tail := h[n]
-	k.heap = h[:n]
-	if n == 0 {
-		return top
-	}
-	h = k.heap
-	i := 0
-	for {
-		c := 4*i + 1
-		if c+4 <= n {
-			// Full fan-out: unrolled min-of-four.
-			m := c
-			if nodeLess(h[c+1], h[m]) {
-				m = c + 1
-			}
-			if nodeLess(h[c+2], h[m]) {
-				m = c + 2
-			}
-			if nodeLess(h[c+3], h[m]) {
-				m = c + 3
-			}
-			h[i] = h[m]
-			i = m
-			continue
-		}
-		if c >= n {
-			break
-		}
-		m := c
-		for j := c + 1; j < n; j++ {
-			if nodeLess(h[j], h[m]) {
-				m = j
-			}
-		}
-		h[i] = h[m]
-		i = m
-	}
-	for i > 0 {
-		p := (i - 1) / 4
-		if !nodeLess(tail, h[p]) {
-			break
-		}
-		h[i] = h[p]
-		i = p
-	}
-	h[i] = tail
-	return top
 }
 
 // alloc takes a slot from the free stack (or the slab tail) and initializes
@@ -458,7 +311,7 @@ func (k *Kernel) At(at Time, name string, fn Handler) EventRef {
 		panic(fmt.Sprintf("sim: event %q scheduled at %v before now %v", name, at, k.now))
 	}
 	idx := k.alloc(name, fn)
-	k.push(heapNode{atBits: packTime(at), key: k.nextKey(idx)})
+	k.push(heap4.Node{Hi: heap4.TimeKey(float64(at)), Lo: k.nextKey(idx)})
 	if k.tracer != nil {
 		k.tracer.EventScheduled(name, at, k.now)
 	}
@@ -503,7 +356,7 @@ func (k *Kernel) AtBatch(batch []BatchEvent) {
 	for i := range batch {
 		b := &batch[i]
 		idx := k.alloc(b.Name, b.Fn)
-		n := heapNode{atBits: packTime(b.At), key: k.nextKey(idx)}
+		n := heap4.Node{Hi: heap4.TimeKey(float64(b.At)), Lo: k.nextKey(idx)}
 		if bulk {
 			k.appendNode(n)
 		} else {
@@ -514,7 +367,7 @@ func (k *Kernel) AtBatch(batch []BatchEvent) {
 		}
 	}
 	if bulk {
-		k.heapify()
+		heap4.Heapify(k.heap)
 	}
 }
 
@@ -536,7 +389,7 @@ func (k *Kernel) AfterEach(period Duration, n int, name string, fn Handler) {
 	for i := 0; i < n; i++ {
 		at += period
 		idx := k.alloc(name, fn)
-		node := heapNode{atBits: packTime(at), key: k.nextKey(idx)}
+		node := heap4.Node{Hi: heap4.TimeKey(float64(at)), Lo: k.nextKey(idx)}
 		if bulk {
 			k.appendNode(node)
 		} else {
@@ -547,7 +400,7 @@ func (k *Kernel) AfterEach(period Duration, n int, name string, fn Handler) {
 		}
 	}
 	if bulk {
-		k.heapify()
+		heap4.Heapify(k.heap)
 	}
 }
 
@@ -568,9 +421,10 @@ func (k *Kernel) Run() error {
 		if k.stopped {
 			return ErrStopped
 		}
-		n := k.pop()
-		idx := n.index()
-		at := unpackTime(n.atBits)
+		var n heap4.Node
+		n, k.heap = heap4.Pop(k.heap)
+		idx := nodeIndex(n)
+		at := Time(math.Float64frombits(n.Hi))
 		e := &k.events[idx]
 		if e.dead {
 			if k.tracer != nil {
@@ -616,9 +470,10 @@ func (k *Kernel) Run() error {
 func (k *Kernel) Step() (bool, error) {
 	defer k.flushFired()
 	for len(k.heap) > 0 {
-		n := k.pop()
-		idx := n.index()
-		at := unpackTime(n.atBits)
+		var n heap4.Node
+		n, k.heap = heap4.Pop(k.heap)
+		idx := nodeIndex(n)
+		at := Time(math.Float64frombits(n.Hi))
 		e := &k.events[idx]
 		if e.dead {
 			if k.tracer != nil {

@@ -8,6 +8,7 @@ import (
 	"strings"
 	"sync"
 
+	"atlarge/internal/heap4"
 	"atlarge/internal/sim"
 )
 
@@ -248,73 +249,18 @@ func (s *clientSource) Int63() int64 { return int64(s.Uint64() >> 1) }
 
 func (s *clientSource) Seed(int64) {}
 
-// mergeNode is the 16-byte value node of the k-way merge heaps, mirroring
-// the sim kernel's heap discipline: compare by packed time bits, break ties
-// by client ID so the merge order is independent of heap insertion history
-// (and hence of shard count). shard is carried only by the top-level
-// cross-shard merge.
-type mergeNode struct {
-	at     uint64
-	client uint32
-	shard  uint32
+// mergeNode builds the heap node of one merge cursor: the submit time keys
+// the order, and ties break on client<<32|shard, so the merge order is
+// independent of heap insertion history (and hence of shard count). shard is
+// non-zero only in the top-level cross-shard merge, where each shard holds
+// one node and client IDs are unique anyway.
+func mergeNode(at sim.Time, client, shard uint32) heap4.Node {
+	return heap4.Node{Hi: heap4.TimeKey(float64(at)), Lo: uint64(client)<<32 | uint64(shard)}
 }
 
-// packTime maps a non-negative time to a uint64 whose natural order matches
-// numeric order (IEEE-754 bit patterns are monotone for non-negative
-// floats).
-func packTime(t sim.Time) uint64 { return math.Float64bits(float64(t)) }
-
-func nodeLess(a, b mergeNode) bool {
-	return a.at < b.at || (a.at == b.at && a.client < b.client)
-}
-
-const mergeArity = 4
-
-func siftUp(h []mergeNode, i int) {
-	n := h[i]
-	for i > 0 {
-		p := (i - 1) / mergeArity
-		if !nodeLess(n, h[p]) {
-			break
-		}
-		h[i] = h[p]
-		i = p
-	}
-	h[i] = n
-}
-
-func siftDown(h []mergeNode, i int) {
-	n := h[i]
-	for {
-		first := i*mergeArity + 1
-		if first >= len(h) {
-			break
-		}
-		last := first + mergeArity
-		if last > len(h) {
-			last = len(h)
-		}
-		best := first
-		for c := first + 1; c < last; c++ {
-			if nodeLess(h[c], h[best]) {
-				best = c
-			}
-		}
-		if !nodeLess(h[best], n) {
-			break
-		}
-		h[i] = h[best]
-		i = best
-	}
-	h[i] = n
-}
-
-// heapify establishes the heap property bottom-up (Floyd), O(n).
-func heapify(h []mergeNode) {
-	for i := (len(h) - 2) / mergeArity; i >= 0; i-- {
-		siftDown(h, i)
-	}
-}
+// nodeClient and nodeShard unpack mergeNode's tie-break word.
+func nodeClient(n heap4.Node) uint32 { return uint32(n.Lo >> 32) }
+func nodeShard(n heap4.Node) uint32  { return uint32(n.Lo) }
 
 // mergeCore merges one contiguous client range [base, base+len(clients))
 // into a (submit, client)-ordered job stream: a heap of one cursor per
@@ -323,7 +269,7 @@ type mergeCore struct {
 	cfg     popConfig
 	clients []client
 	base    uint32
-	heap    []mergeNode
+	heap    []heap4.Node
 	src     clientSource
 	r       *rand.Rand
 	sc      genScratch
@@ -335,7 +281,7 @@ func newMergeCore(cfg popConfig, lo, hi int) *mergeCore {
 		cfg:     cfg,
 		clients: make([]client, hi-lo),
 		base:    uint32(lo),
-		heap:    make([]mergeNode, hi-lo),
+		heap:    make([]heap4.Node, hi-lo),
 	}
 	mc.r = rand.New(&mc.src)
 	for i := range mc.clients {
@@ -363,9 +309,9 @@ func newMergeCore(cfg popConfig, lo, hi int) *mergeCore {
 		}
 		c.mult = mult
 		c.next = cfg.gens[ci].Arrivals.NextAfter(0, mult, mc.r)
-		mc.heap[i] = mergeNode{at: packTime(c.next), client: uint32(id)}
+		mc.heap[i] = mergeNode(c.next, uint32(id), 0)
 	}
-	heapify(mc.heap)
+	heap4.Heapify(mc.heap)
 	return mc
 }
 
@@ -374,8 +320,8 @@ func newMergeCore(cfg popConfig, lo, hi int) *mergeCore {
 // caller via emitAs), advances the cursor, and restores the heap. The
 // stream is unbounded, so next always succeeds.
 func (mc *mergeCore) next() (*Job, uint32) {
-	node := mc.heap[0]
-	c := &mc.clients[node.client-mc.base]
+	client := nodeClient(mc.heap[0])
+	c := &mc.clients[client-mc.base]
 	mc.src.state = &c.rng
 	g := &mc.cfg.gens[c.class]
 	mc.job.ID = 0
@@ -383,9 +329,9 @@ func (mc *mergeCore) next() (*Job, uint32) {
 	mc.job.Class = g.Class
 	g.fillJob(&mc.job, mc.r, &mc.sc)
 	c.next = g.Arrivals.NextAfter(c.next, c.mult, mc.r)
-	mc.heap[0] = mergeNode{at: packTime(c.next), client: node.client}
-	siftDown(mc.heap, 0)
-	return &mc.job, node.client
+	mc.heap[0] = mergeNode(c.next, client, 0)
+	heap4.FixTop(mc.heap)
+	return &mc.job, client
 }
 
 // populationSource is the inline (unsharded) population stream.
@@ -473,7 +419,7 @@ type shard struct {
 // inline source.
 type shardedSource struct {
 	shards []*shard
-	heap   []mergeNode
+	heap   []heap4.Node
 	name   string
 	job    Job
 	seq    int
@@ -527,9 +473,9 @@ func newShardedSource(cfg popConfig, clients, shards int, name string) *shardedS
 	for i, sh := range s.shards {
 		sh.cur = <-sh.out
 		bj := &sh.cur.jobs[0]
-		s.heap = append(s.heap, mergeNode{at: packTime(bj.submit), client: bj.client, shard: uint32(i)})
+		s.heap = append(s.heap, mergeNode(bj.submit, bj.client, uint32(i)))
 	}
-	heapify(s.heap)
+	heap4.Heapify(s.heap)
 	return s
 }
 
@@ -565,12 +511,11 @@ func (s *shardedSource) Next() *Job {
 		sh.free <- old
 		sh.pos = 0
 		bj := &sh.cur.jobs[0]
-		s.heap = append(s.heap, mergeNode{at: packTime(bj.submit), client: bj.client, shard: uint32(s.retire)})
-		siftUp(s.heap, len(s.heap)-1)
+		s.heap = heap4.Push(s.heap, mergeNode(bj.submit, bj.client, uint32(s.retire)))
 		s.retire = -1
 	}
-	node := s.heap[0]
-	sh := s.shards[node.shard]
+	si := nodeShard(s.heap[0])
+	sh := s.shards[si]
 	bj := &sh.cur.jobs[sh.pos]
 	s.job.Submit = bj.submit
 	s.job.Class = bj.class
@@ -582,16 +527,11 @@ func (s *shardedSource) Next() *Job {
 	sh.pos++
 	if sh.pos < len(sh.cur.jobs) {
 		nb := &sh.cur.jobs[sh.pos]
-		s.heap[0] = mergeNode{at: packTime(nb.submit), client: nb.client, shard: node.shard}
-		siftDown(s.heap, 0)
+		s.heap[0] = mergeNode(nb.submit, nb.client, si)
+		heap4.FixTop(s.heap)
 	} else {
-		last := len(s.heap) - 1
-		s.heap[0] = s.heap[last]
-		s.heap = s.heap[:last]
-		if last > 0 {
-			siftDown(s.heap, 0)
-		}
-		s.retire = int(node.shard)
+		_, s.heap = heap4.Pop(s.heap)
+		s.retire = int(si)
 	}
 	return &s.job
 }
