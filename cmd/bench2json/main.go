@@ -101,8 +101,26 @@ func run(suite, compare string, tolerance, allocsTol float64) error {
 // must exceed both baseline × (1 + tolerance) and baseline + allocsSlack.
 const allocsSlack = 2
 
+// stripProcs drops the -N GOMAXPROCS suffix the testing package appends to
+// benchmark names when GOMAXPROCS > 1, so runs on hosts with different CPU
+// counts match by name. Sub-benchmark names must therefore not end in
+// "-digits" themselves (name them key=value instead).
+func stripProcs(name string) string {
+	i := strings.LastIndexByte(name, '-')
+	if i < 0 || i == len(name)-1 {
+		return name
+	}
+	for _, c := range name[i+1:] {
+		if c < '0' || c > '9' {
+			return name
+		}
+	}
+	return name[:i]
+}
+
 // compareBaseline gates the parsed run against a committed baseline: any
-// benchmark present in both whose ns/op exceeds baseline × (1 + tolerance),
+// benchmark present in both (matched by package and name without the
+// GOMAXPROCS suffix) whose ns/op exceeds baseline × (1 + tolerance),
 // or whose allocs/op exceeds both baseline × (1 + allocsTol) and baseline +
 // allocsSlack, is a regression and fails the call. The allocs gate only
 // applies where both records carry allocs/op (runs made with -benchmem).
@@ -118,7 +136,7 @@ func compareBaseline(cur output, path string, tolerance, allocsTol float64) erro
 	if err := json.Unmarshal(raw, &base); err != nil {
 		return fmt.Errorf("parse baseline %s: %w", path, err)
 	}
-	key := func(m measurement) string { return m.Package + " " + m.Name }
+	key := func(m measurement) string { return m.Package + " " + stripProcs(m.Name) }
 	baseline := make(map[string]measurement, len(base.Benchmarks))
 	for _, m := range base.Benchmarks {
 		baseline[key(m)] = m

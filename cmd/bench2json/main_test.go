@@ -81,6 +81,36 @@ func TestCompareBaseline(t *testing.T) {
 	}
 }
 
+// TestCompareBaselineAcrossCPUCounts matches a baseline recorded at
+// GOMAXPROCS=1 (no name suffix) against runs at other CPU counts.
+func TestCompareBaselineAcrossCPUCounts(t *testing.T) {
+	path := writeBaseline(t, output{Suite: "base", Benchmarks: []measurement{
+		{Package: "p", Name: "BenchmarkKernelSchedule", Iterations: 100, NsPerOp: 1000},
+		{Package: "p", Name: "BenchmarkWorldTick/entities=10000", Iterations: 100, NsPerOp: 500},
+	}})
+	for _, suffix := range []string{"", "-2", "-16"} {
+		cur := output{Benchmarks: []measurement{
+			{Package: "p", Name: "BenchmarkKernelSchedule" + suffix, Iterations: 100, NsPerOp: 1000},
+			{Package: "p", Name: "BenchmarkWorldTick/entities=10000" + suffix, Iterations: 100, NsPerOp: 900},
+		}}
+		err := compareBaseline(cur, path, 0.20, 0.20)
+		if err == nil || !strings.Contains(err.Error(), "1 benchmark(s) regressed") {
+			t.Errorf("suffix %q: want exactly the WorldTick regression, got %v", suffix, err)
+		}
+	}
+	for name, want := range map[string]string{
+		"BenchmarkX-8":       "BenchmarkX",
+		"BenchmarkX/n=4-128": "BenchmarkX/n=4",
+		"BenchmarkX":         "BenchmarkX",
+		"BenchmarkX-":        "BenchmarkX-",
+		"BenchmarkX/a-b":     "BenchmarkX/a-b",
+	} {
+		if got := stripProcs(name); got != want {
+			t.Errorf("stripProcs(%q) = %q, want %q", name, got, want)
+		}
+	}
+}
+
 func TestCompareBaselineAllocsGate(t *testing.T) {
 	allocs := func(n float64) map[string]float64 { return map[string]float64{"allocs/op": n} }
 	base := output{Suite: "base", Benchmarks: []measurement{

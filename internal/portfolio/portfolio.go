@@ -25,7 +25,6 @@ import (
 	"sort"
 	"sync"
 
-	"atlarge/internal/cluster"
 	"atlarge/internal/sched"
 	"atlarge/internal/workload"
 )
@@ -34,9 +33,13 @@ import (
 type Selector interface {
 	// Name identifies the selector in reports.
 	Name() string
-	// Select picks a policy for window. simRuns reports how many full window
-	// simulations the selection performed (the online selection cost).
-	Select(window *workload.Trace, envFactory func() *cluster.Environment, policies []sched.Policy, seed int64) (chosen sched.Policy, simRuns int)
+	// Select picks policies[chosen] for the next window. score(i)
+	// simulates policies[i] on the window from runtime estimates and
+	// returns its mean bounded slowdown (lower is better; +Inf when the
+	// simulation fails); it is safe for concurrent use. simRuns reports the
+	// online selection cost in full window simulations — one per policy
+	// scored, however many of them the scheduler could share.
+	Select(policies []sched.Policy, score func(i int) float64, seed int64) (chosen, simRuns int)
 	// Observe feeds back the realized quality (mean bounded slowdown; lower
 	// is better) of the chosen policy on the window.
 	Observe(policy sched.Policy, realizedSlowdown float64)
@@ -58,35 +61,24 @@ func estimateTrace(tr *workload.Trace) *workload.Trace {
 	return cp
 }
 
-// simulateScore runs policy on the estimated window and returns mean bounded
-// slowdown (math.Inf on simulation error, which never wins).
-func simulateScore(window *workload.Trace, envFactory func() *cluster.Environment, p sched.Policy, seed int64) float64 {
-	res, err := sched.NewSimulator(envFactory(), estimateTrace(window), p, seed).Run()
-	if err != nil || res.Completed == 0 {
-		return math.Inf(1)
-	}
-	return res.MeanSlowdown
-}
-
 // Exhaustive simulates every policy each round.
 type Exhaustive struct{}
 
 // Name implements Selector.
 func (Exhaustive) Name() string { return "exhaustive" }
 
-// Select implements Selector. The candidate simulations are independent
-// (each gets a fresh environment and an estimate-clone of the window), so
-// they run concurrently; the argmin keeps the sequential tie-break (lowest
-// portfolio index wins).
-func (Exhaustive) Select(window *workload.Trace, envFactory func() *cluster.Environment, policies []sched.Policy, seed int64) (sched.Policy, int) {
+// Select implements Selector. The candidate simulations are independent,
+// so they are scored concurrently; the argmin keeps the sequential
+// tie-break (lowest portfolio index wins).
+func (Exhaustive) Select(policies []sched.Policy, score func(int) float64, _ int64) (int, int) {
 	scores := make([]float64, len(policies))
 	var wg sync.WaitGroup
-	for i, p := range policies {
+	for i := range policies {
 		wg.Add(1)
-		go func(i int, p sched.Policy) {
+		go func(i int) {
 			defer wg.Done()
-			scores[i] = simulateScore(window, envFactory, p, seed)
-		}(i, p)
+			scores[i] = score(i)
+		}(i)
 	}
 	wg.Wait()
 	best := 0
@@ -95,7 +87,7 @@ func (Exhaustive) Select(window *workload.Trace, envFactory func() *cluster.Envi
 			best = i
 		}
 	}
-	return policies[best], len(policies)
+	return best, len(policies)
 }
 
 // Observe implements Selector (exhaustive selection needs no feedback).
@@ -121,32 +113,36 @@ func NewActiveSet(k, refreshEvery int) *ActiveSet {
 func (a *ActiveSet) Name() string { return fmt.Sprintf("active-set(k=%d)", a.K) }
 
 // Select implements Selector.
-func (a *ActiveSet) Select(window *workload.Trace, envFactory func() *cluster.Environment, policies []sched.Policy, seed int64) (sched.Policy, int) {
+func (a *ActiveSet) Select(policies []sched.Policy, score func(int) float64, _ int64) (int, int) {
 	a.round++
-	candidates := policies
+	var candidates []int
 	if a.round > 1 && (a.RefreshEvery == 0 || a.round%a.RefreshEvery != 0) {
 		candidates = a.topK(policies)
+	} else {
+		for i := range policies {
+			candidates = append(candidates, i)
+		}
 	}
 	best := candidates[0]
 	bestScore := math.Inf(1)
-	for _, p := range candidates {
-		s := simulateScore(window, envFactory, p, seed)
+	for _, i := range candidates {
+		s := score(i)
 		// Seed the score table from simulation so unexplored policies have a
 		// baseline before realized feedback arrives.
-		if _, ok := a.scores[p.Name()]; !ok {
-			a.scores[p.Name()] = s
+		if _, ok := a.scores[policies[i].Name()]; !ok {
+			a.scores[policies[i].Name()] = s
 		}
 		if s < bestScore {
 			bestScore = s
-			best = p
+			best = i
 		}
 	}
 	return best, len(candidates)
 }
 
-// topK returns the K policies with the lowest smoothed slowdown; ties and
-// unknown policies rank by portfolio order.
-func (a *ActiveSet) topK(policies []sched.Policy) []sched.Policy {
+// topK returns the portfolio indexes of the K policies with the lowest
+// smoothed slowdown; ties and unknown policies rank by portfolio order.
+func (a *ActiveSet) topK(policies []sched.Policy) []int {
 	k := a.K
 	if k <= 0 || k > len(policies) {
 		k = len(policies)
@@ -163,11 +159,7 @@ func (a *ActiveSet) topK(policies []sched.Policy) []sched.Policy {
 		}
 		return sx < sy
 	})
-	out := make([]sched.Policy, 0, k)
-	for _, i := range idx[:k] {
-		out = append(out, policies[i])
-	}
-	return out
+	return idx[:k]
 }
 
 // Observe implements Selector with exponential smoothing.
@@ -206,27 +198,27 @@ func NewQLearning(epsilon, alpha float64) *QLearning {
 func (q *QLearning) Name() string { return "q-learning" }
 
 // Select implements Selector. It never simulates (simRuns = 0).
-func (q *QLearning) Select(window *workload.Trace, envFactory func() *cluster.Environment, policies []sched.Policy, seed int64) (sched.Policy, int) {
+func (q *QLearning) Select(policies []sched.Policy, _ func(int) float64, seed int64) (int, int) {
 	q.step++
 	// Explore any policy not yet tried, in order.
-	for _, p := range policies {
+	for i, p := range policies {
 		if !q.seen[p.Name()] {
 			q.seen[p.Name()] = true
-			return p, 0
+			return i, 0
 		}
 	}
 	// Epsilon-greedy: deterministic pseudo-random exploration from the step
 	// counter and seed, so runs are reproducible.
 	h := uint64(seed)*2654435761 + uint64(q.step)*40503
 	if float64(h%1000)/1000 < q.Epsilon {
-		return policies[int(h/1000)%len(policies)], 0
+		return int(h/1000) % len(policies), 0
 	}
-	best := policies[0]
+	best := 0
 	bestV := math.Inf(1)
-	for _, p := range policies {
+	for i, p := range policies {
 		if v, ok := q.values[p.Name()]; ok && v < bestV {
 			bestV = v
-			best = p
+			best = i
 		}
 	}
 	return best, 0

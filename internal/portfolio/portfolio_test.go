@@ -19,6 +19,18 @@ func genTrace(t *testing.T, class workload.Class, n int, seed int64) *workload.T
 	return workload.StandardGenerator(class).Generate(n, r)
 }
 
+// scoreOn returns the selector score callback for tr simulated as one
+// window on smallEnvFactory.
+func scoreOn(t *testing.T, tr *workload.Trace, policies []sched.Policy, seed int64) func(int) float64 {
+	t.Helper()
+	s := &Scheduler{Policies: policies, WindowSize: len(tr.Jobs), EnvFactory: smallEnvFactory, Seed: seed}
+	runs, err := s.windowRuns(tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return runs.score(0)
+}
+
 func TestEstimateTraceSwapsRuntimes(t *testing.T) {
 	tr := &workload.Trace{Jobs: []*workload.Job{{
 		ID: 1,
@@ -38,8 +50,8 @@ func TestEstimateTraceSwapsRuntimes(t *testing.T) {
 func TestExhaustiveSelectsAPolicy(t *testing.T) {
 	tr := genTrace(t, workload.ClassSynthetic, 20, 1)
 	policies := sched.DefaultPortfolio()
-	chosen, runs := Exhaustive{}.Select(tr, smallEnvFactory, policies, 1)
-	if chosen == nil {
+	chosen, runs := Exhaustive{}.Select(policies, scoreOn(t, tr, policies, 1), 1)
+	if chosen < 0 || chosen >= len(policies) {
 		t.Fatal("no policy chosen")
 	}
 	if runs != len(policies) {
@@ -51,11 +63,11 @@ func TestActiveSetLimitsSimulations(t *testing.T) {
 	tr := genTrace(t, workload.ClassSynthetic, 20, 1)
 	policies := sched.DefaultPortfolio()
 	as := NewActiveSet(2, 0)
-	_, runs1 := as.Select(tr, smallEnvFactory, policies, 1)
+	_, runs1 := as.Select(policies, scoreOn(t, tr, policies, 1), 1)
 	if runs1 != len(policies) {
 		t.Errorf("first round simRuns = %d, want full set %d", runs1, len(policies))
 	}
-	_, runs2 := as.Select(tr, smallEnvFactory, policies, 2)
+	_, runs2 := as.Select(policies, scoreOn(t, tr, policies, 2), 2)
 	if runs2 != 2 {
 		t.Errorf("second round simRuns = %d, want K=2", runs2)
 	}
@@ -65,9 +77,9 @@ func TestActiveSetRefresh(t *testing.T) {
 	tr := genTrace(t, workload.ClassSynthetic, 15, 1)
 	policies := sched.DefaultPortfolio()
 	as := NewActiveSet(2, 3)
-	_, _ = as.Select(tr, smallEnvFactory, policies, 1) // round 1: full
-	_, r2 := as.Select(tr, smallEnvFactory, policies, 2)
-	_, r3 := as.Select(tr, smallEnvFactory, policies, 3) // round 3: refresh
+	_, _ = as.Select(policies, scoreOn(t, tr, policies, 1), 1) // round 1: full
+	_, r2 := as.Select(policies, scoreOn(t, tr, policies, 2), 2)
+	_, r3 := as.Select(policies, scoreOn(t, tr, policies, 3), 3) // round 3: refresh
 	if r2 != 2 {
 		t.Errorf("round 2 = %d sims, want 2", r2)
 	}
@@ -77,28 +89,28 @@ func TestActiveSetRefresh(t *testing.T) {
 }
 
 func TestQLearningNeverSimulates(t *testing.T) {
-	tr := genTrace(t, workload.ClassSynthetic, 10, 1)
 	policies := sched.DefaultPortfolio()
 	q := NewQLearning(0.1, 0.5)
-	totalSims := 0
+	totalSims, scored := 0, 0
+	score := func(int) float64 { scored++; return 1 }
 	for i := 0; i < 20; i++ {
-		p, sims := q.Select(tr, smallEnvFactory, policies, int64(i))
+		p, sims := q.Select(policies, score, int64(i))
 		totalSims += sims
-		q.Observe(p, 2.0)
+		q.Observe(policies[p], 2.0)
 	}
-	if totalSims != 0 {
-		t.Errorf("q-learning performed %d simulations, want 0", totalSims)
+	if totalSims != 0 || scored != 0 {
+		t.Errorf("q-learning reported %d simulations and scored %d, want 0", totalSims, scored)
 	}
 }
 
 func TestQLearningExploresAllThenExploits(t *testing.T) {
-	tr := genTrace(t, workload.ClassSynthetic, 10, 1)
 	policies := sched.DefaultPortfolio()
 	q := NewQLearning(0, 0.5) // no epsilon exploration
 	seen := map[string]bool{}
 	// First len(policies) rounds must try every policy once.
 	for i := 0; i < len(policies); i++ {
-		p, _ := q.Select(tr, smallEnvFactory, policies, 1)
+		i, _ := q.Select(policies, nil, 1)
+		p := policies[i]
 		seen[p.Name()] = true
 		// Make FCFS look best, everything else bad.
 		if p.Name() == "FCFS" {
@@ -110,9 +122,9 @@ func TestQLearningExploresAllThenExploits(t *testing.T) {
 	if len(seen) != len(policies) {
 		t.Fatalf("explored %d distinct policies, want %d", len(seen), len(policies))
 	}
-	p, _ := q.Select(tr, smallEnvFactory, policies, 1)
-	if p.Name() != "FCFS" {
-		t.Errorf("exploit chose %s, want FCFS", p.Name())
+	p, _ := q.Select(policies, nil, 1)
+	if policies[p].Name() != "FCFS" {
+		t.Errorf("exploit chose %s, want FCFS", policies[p].Name())
 	}
 }
 

@@ -2,6 +2,7 @@ package portfolio
 
 import (
 	"fmt"
+	"math"
 	"sync"
 
 	"atlarge/internal/cluster"
@@ -46,41 +47,46 @@ type Scheduler struct {
 
 // Run executes the full trace.
 func (s *Scheduler) Run(tr *workload.Trace) (*Result, error) {
+	runs, err := s.windowRuns(tr)
+	if err != nil {
+		return nil, err
+	}
+	return s.run(runs)
+}
+
+// StaticBaselines runs every individual policy over the same windowed
+// execution (same window boundaries, same seeds) and returns the mean
+// slowdown per policy. This isolates the value of *selection* from the value
+// of any single policy.
+func (s *Scheduler) StaticBaselines(tr *workload.Trace) (map[string]float64, error) {
+	runs, err := s.windowRuns(tr)
+	if err != nil {
+		return nil, err
+	}
+	return s.staticBaselines(runs)
+}
+
+func (s *Scheduler) run(runs *windowRuns) (*Result, error) {
 	if len(s.Policies) == 0 {
 		return nil, fmt.Errorf("portfolio: empty policy set")
 	}
-	if s.WindowSize <= 0 {
-		return nil, fmt.Errorf("portfolio: window size %d", s.WindowSize)
-	}
-	sorted := &workload.Trace{Name: tr.Name, Jobs: append([]*workload.Job(nil), tr.Jobs...)}
-	sorted.SortBySubmit()
-
 	res := &Result{Selector: s.Selector.Name()}
 	var allSlowdowns, allResponses []float64
 	picked := make(map[string]bool)
 
-	for w := 0; w*s.WindowSize < len(sorted.Jobs); w++ {
-		lo := w * s.WindowSize
-		hi := lo + s.WindowSize
-		if hi > len(sorted.Jobs) {
-			hi = len(sorted.Jobs)
+	for w := range runs.windows {
+		chosen, simRuns := s.Selector.Select(s.Policies, runs.score(w), s.Seed+int64(w))
+		policy := s.Policies[chosen]
+		real := runs.get(chosen, w, false)
+		if real.err != nil {
+			return nil, fmt.Errorf("portfolio: window %d with %s: %w", w, policy.Name(), real.err)
 		}
-		window := &workload.Trace{Name: fmt.Sprintf("%s/w%d", tr.Name, w), Jobs: sorted.Jobs[lo:hi]}
-
-		policy, simRuns := s.Selector.Select(window, s.EnvFactory, s.Policies, s.Seed+int64(w))
-		simulator := sched.NewSimulator(s.EnvFactory(), window, policy, s.Seed+int64(w))
-		simulator.OnJob = func(js sched.JobStats) {
-			allSlowdowns = append(allSlowdowns, js.Slowdown)
-			allResponses = append(allResponses, float64(js.Response))
-		}
-		real, err := simulator.Run()
-		if err != nil {
-			return nil, fmt.Errorf("portfolio: window %d with %s: %w", w, policy.Name(), err)
-		}
-		s.Selector.Observe(policy, real.MeanSlowdown)
+		allSlowdowns = append(allSlowdowns, real.slowdowns...)
+		allResponses = append(allResponses, real.responses...)
+		s.Selector.Observe(policy, real.res.MeanSlowdown)
 
 		res.Choices = append(res.Choices, WindowChoice{
-			Window: w, Policy: policy.Name(), SimRuns: simRuns, Realized: real.MeanSlowdown,
+			Window: w, Policy: policy.Name(), SimRuns: simRuns, Realized: real.res.MeanSlowdown,
 		})
 		res.TotalSimRuns += simRuns
 		picked[policy.Name()] = true
@@ -91,14 +97,9 @@ func (s *Scheduler) Run(tr *workload.Trace) (*Result, error) {
 	return res, nil
 }
 
-// StaticBaselines runs every individual policy over the same windowed
-// execution (same window boundaries, same seeds) and returns the mean
-// slowdown per policy. This isolates the value of *selection* from the value
-// of any single policy. The per-policy runs touch disjoint simulator state,
-// so each policy is simulated on its own goroutine.
-func (s *Scheduler) StaticBaselines(tr *workload.Trace) (map[string]float64, error) {
-	sorted := &workload.Trace{Name: tr.Name, Jobs: append([]*workload.Job(nil), tr.Jobs...)}
-	sorted.SortBySubmit()
+// staticBaselines simulates each policy on its own goroutine; window runs
+// already made by a portfolio run over the same windows are reused.
+func (s *Scheduler) staticBaselines(runs *windowRuns) (map[string]float64, error) {
 	means := make([]float64, len(s.Policies))
 	errs := make([]error, len(s.Policies))
 	var wg sync.WaitGroup
@@ -107,19 +108,13 @@ func (s *Scheduler) StaticBaselines(tr *workload.Trace) (map[string]float64, err
 		go func(i int, p sched.Policy) {
 			defer wg.Done()
 			var all []float64
-			for w := 0; w*s.WindowSize < len(sorted.Jobs); w++ {
-				lo := w * s.WindowSize
-				hi := lo + s.WindowSize
-				if hi > len(sorted.Jobs) {
-					hi = len(sorted.Jobs)
-				}
-				window := &workload.Trace{Jobs: sorted.Jobs[lo:hi]}
-				simulator := sched.NewSimulator(s.EnvFactory(), window, p, s.Seed+int64(w))
-				simulator.OnJob = func(js sched.JobStats) { all = append(all, js.Slowdown) }
-				if _, err := simulator.Run(); err != nil {
-					errs[i] = fmt.Errorf("portfolio: baseline %s window %d: %w", p.Name(), w, err)
+			for w := range runs.windows {
+				r := runs.get(i, w, false)
+				if r.err != nil {
+					errs[i] = fmt.Errorf("portfolio: baseline %s window %d: %w", p.Name(), w, r.err)
 					return
 				}
+				all = append(all, r.slowdowns...)
 			}
 			means[i] = stats.Mean(all)
 		}(i, p)
@@ -133,4 +128,112 @@ func (s *Scheduler) StaticBaselines(tr *workload.Trace) (map[string]float64, err
 		out[p.Name()] = means[i]
 	}
 	return out, nil
+}
+
+// windowRuns is a trace cut into the scheduler's windows, with every window
+// simulation memoized: one run per (policy, window, runtimes or estimates),
+// on a fresh environment with seed Seed+window. A policy's run on a window is
+// both its static baseline there and, when the policy is chosen, the
+// portfolio's realized run; on a window whose runtime estimates are all
+// exact, the estimate run a selector scores is that same simulation too.
+// Runs may be requested concurrently.
+type windowRuns struct {
+	s       *Scheduler
+	windows []*workload.Trace
+	exact   []bool // every task's RuntimeEstimate equals its Runtime
+
+	mu   sync.Mutex
+	est  []*workload.Trace // estimate views, built on first use
+	runs map[runKey]*windowRun
+}
+
+type runKey struct {
+	policy, window int
+	est            bool
+}
+
+// windowRun is one window simulation: its result and, for runs on true
+// runtimes, the per-job slowdowns and responses in completion order.
+type windowRun struct {
+	once      sync.Once
+	res       *sched.Result
+	slowdowns []float64
+	responses []float64
+	err       error
+}
+
+// windowRuns cuts tr, in stable submit order, into windows of WindowSize
+// jobs.
+func (s *Scheduler) windowRuns(tr *workload.Trace) (*windowRuns, error) {
+	if s.WindowSize <= 0 {
+		return nil, fmt.Errorf("portfolio: window size %d", s.WindowSize)
+	}
+	sorted := &workload.Trace{Name: tr.Name, Jobs: append([]*workload.Job(nil), tr.Jobs...)}
+	sorted.SortBySubmit()
+	runs := &windowRuns{s: s, runs: make(map[runKey]*windowRun)}
+	for lo := 0; lo < len(sorted.Jobs); lo += s.WindowSize {
+		hi := min(lo+s.WindowSize, len(sorted.Jobs))
+		window := &workload.Trace{Name: fmt.Sprintf("%s/w%d", tr.Name, len(runs.windows)), Jobs: sorted.Jobs[lo:hi]}
+		runs.windows = append(runs.windows, window)
+		runs.exact = append(runs.exact, exactEstimates(window))
+	}
+	runs.est = make([]*workload.Trace, len(runs.windows))
+	return runs, nil
+}
+
+// exactEstimates reports whether every task's runtime estimate is exact, so
+// the estimate view of tr simulates exactly like tr.
+func exactEstimates(tr *workload.Trace) bool {
+	for _, j := range tr.Jobs {
+		for k := range j.Tasks {
+			if j.Tasks[k].RuntimeEstimate != j.Tasks[k].Runtime {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// get returns the run of policy i on window w, from runtime estimates when
+// est is set, simulating it on first request.
+func (r *windowRuns) get(i, w int, est bool) *windowRun {
+	key := runKey{policy: i, window: w, est: est && !r.exact[w]}
+	r.mu.Lock()
+	run := r.runs[key]
+	if run == nil {
+		run = &windowRun{}
+		r.runs[key] = run
+	}
+	window := r.windows[w]
+	if key.est {
+		if r.est[w] == nil {
+			r.est[w] = estimateTrace(window)
+		}
+		window = r.est[w]
+	}
+	r.mu.Unlock()
+	run.once.Do(func() {
+		sim := sched.NewSimulator(r.s.EnvFactory(), window, r.s.Policies[i], r.s.Seed+int64(w))
+		if !key.est {
+			sim.OnJob = func(js sched.JobStats) {
+				run.slowdowns = append(run.slowdowns, js.Slowdown)
+				run.responses = append(run.responses, float64(js.Response))
+			}
+		}
+		run.res, run.err = sim.Run()
+	})
+	return run
+}
+
+// score is the selectors' view of window w: policy i's mean bounded slowdown
+// on the window's runtime estimates, +Inf when that run fails or completes
+// nothing.
+func (r *windowRuns) score(w int) func(i int) float64 {
+	return func(i int) float64 {
+		run := r.get(i, w, true)
+		if run.err != nil || run.res.Completed == 0 {
+			return math.Inf(1)
+		}
+		return run.res.MeanSlowdown
+	}
 }

@@ -164,8 +164,9 @@ func RunTable9(cfg Table9Config) ([]Table9Row, error) {
 	return rows, nil
 }
 
-// runTable9Row simulates one study row with its derived seed.
-func runTable9Row(cfg Table9Config, spec table9Spec, i int) (Table9Row, error) {
+// table9Row builds study row i's trace (derived seed, compressed submits)
+// and its exhaustive portfolio scheduler.
+func table9Row(cfg Table9Config, spec table9Spec, i int) (*Scheduler, *workload.Trace) {
 	r := rand.New(rand.NewSource(cfg.Seed + int64(i)))
 	jobsPerClass := cfg.JobsPerRow / len(spec.classes)
 	tr := mixedTrace(spec.classes, jobsPerClass, r)
@@ -174,20 +175,28 @@ func runTable9Row(cfg Table9Config, spec table9Spec, i int) (Table9Row, error) {
 			j.Submit /= sim.Time(cfg.LoadFactor)
 		}
 	}
-
-	envFactory := func() *cluster.Environment { return compositeEnv(spec.envKinds) }
-	s := &Scheduler{
+	return &Scheduler{
 		Policies:   sched.DefaultPortfolio(),
 		Selector:   Exhaustive{},
 		WindowSize: cfg.WindowSize,
-		EnvFactory: envFactory,
+		EnvFactory: func() *cluster.Environment { return compositeEnv(spec.envKinds) },
 		Seed:       cfg.Seed + int64(i),
-	}
-	res, err := s.Run(tr)
+	}, tr
+}
+
+// runTable9Row simulates one study row with its derived seed. The portfolio
+// run and the static baselines share their window simulations.
+func runTable9Row(cfg Table9Config, spec table9Spec, i int) (Table9Row, error) {
+	s, tr := table9Row(cfg, spec, i)
+	runs, err := s.windowRuns(tr)
 	if err != nil {
 		return Table9Row{}, fmt.Errorf("portfolio: row %s: %w", spec.study, err)
 	}
-	baselines, err := s.StaticBaselines(tr)
+	res, err := s.run(runs)
+	if err != nil {
+		return Table9Row{}, fmt.Errorf("portfolio: row %s: %w", spec.study, err)
+	}
+	baselines, err := s.staticBaselines(runs)
 	if err != nil {
 		return Table9Row{}, fmt.Errorf("portfolio: row %s baselines: %w", spec.study, err)
 	}

@@ -48,12 +48,12 @@ func TestBestWorstTieBreak(t *testing.T) {
 // namedPolicy is a minimal policy stub for ordering tests.
 type namedPolicy string
 
-func (p namedPolicy) Name() string                             { return string(p) }
-func (p namedPolicy) Order(*sched.Context, []*sched.TaskState) {}
-func (p namedPolicy) AllowSkip() bool                          { return false }
-func (p namedPolicy) EasyReservation() bool                    { return false }
-func (p namedPolicy) StaticOrder() bool                        { return true }
-func (p namedPolicy) PureOrder() bool                          { return true }
+func (p namedPolicy) Name() string                      { return string(p) }
+func (p namedPolicy) Compare(a, b *sched.TaskState) int { return 0 }
+func (p namedPolicy) AllowSkip() bool                   { return false }
+func (p namedPolicy) EasyReservation() bool             { return false }
+func (p namedPolicy) StaticOrder() bool                 { return true }
+func (p namedPolicy) Random() bool                      { return false }
 
 func TestVerdictBands(t *testing.T) {
 	tests := []struct {

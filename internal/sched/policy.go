@@ -7,8 +7,6 @@ package sched
 
 import (
 	"cmp"
-	"math/rand"
-	"slices"
 
 	"atlarge/internal/sim"
 	"atlarge/internal/workload"
@@ -25,28 +23,19 @@ type TaskState struct {
 	StartAt  sim.Time
 	FinishAt sim.Time
 
-	// fairKey caches the job's served work for the duration of one
-	// FairShare sort, so the comparator does not hit the map O(n log n)
-	// times.
-	fairKey float64
+	js  *jobState // the run's bookkeeping for Job, shared by its tasks
+	pos int       // queue index when an ordering pass began (merge tie-break)
 }
 
-// Context carries the scheduler state that ordering policies may consult.
-type Context struct {
-	Now sim.Time
-	// ServedWork maps job ID to CPU-seconds already completed, for
-	// fair-share ordering.
-	ServedWork map[int]float64
-	// Rand is a deterministic stream for randomized policies.
-	Rand *rand.Rand
-}
-
-// Policy orders the eligible-task queue and declares its backfill semantics.
+// Policy declares the dispatch order of the eligible-task queue and its
+// backfill semantics. The simulator keeps the queue in the order a stable
+// sort by Compare would give: tasks that compare equal keep their queue
+// order.
 type Policy interface {
 	// Name identifies the policy in reports.
 	Name() string
-	// Order sorts q in dispatch order (in place).
-	Order(ctx *Context, q []*TaskState)
+	// Compare orders two queued tasks: negative when a dispatches first.
+	Compare(a, b *TaskState) int
 	// AllowSkip reports whether tasks behind a non-fitting task may be
 	// dispatched (backfilling). Strict FCFS returns false.
 	AllowSkip() bool
@@ -54,121 +43,105 @@ type Policy interface {
 	// by EASY semantics: a backfilled task must not delay the estimated
 	// start of the queue head.
 	EasyReservation() bool
-	// StaticOrder reports whether Order is a pure sort on per-task keys
-	// fixed at enqueue time. The simulator then knows an already-ordered
-	// queue stays ordered until new tasks arrive and may skip redundant
-	// sorts. Policies whose keys drift over time (fair share) or whose
-	// ordering has side effects (random shuffle) must return false.
+	// StaticOrder reports whether Compare reads only per-task keys fixed at
+	// enqueue time. Otherwise Compare may also read the served work of the
+	// task's job (FairShare does), and the simulator re-orders the queued
+	// tasks of every job whose served work changed.
 	StaticOrder() bool
-	// PureOrder reports whether Order leaves every externally visible
-	// state (RNG streams, context) untouched, so a scheduling cycle that
-	// provably places nothing may skip ordering altogether. Only
-	// randomized policies, which consume the deterministic policy RNG
-	// when they shuffle, must return false.
-	PureOrder() bool
+	// Random reports whether the policy dispatches in a fresh random order
+	// each cycle instead: the simulator shuffles the queue with the run's
+	// deterministic "policy" stream and ignores Compare. A shuffle consumes
+	// that stream, so no cycle may be skipped.
+	Random() bool
 }
 
-// basePolicy provides the common AllowSkip/EasyReservation plumbing.
+// basePolicy is a Policy built from a comparator and its trait flags.
 type basePolicy struct {
 	name   string
 	skip   bool
 	easy   bool
 	static bool
-	random bool // consumes the policy RNG when ordering
-	order  func(ctx *Context, q []*TaskState)
+	random bool
+	cmp    func(a, b *TaskState) int
 }
 
-func (p basePolicy) Name() string                       { return p.name }
-func (p basePolicy) AllowSkip() bool                    { return p.skip }
-func (p basePolicy) EasyReservation() bool              { return p.easy }
-func (p basePolicy) StaticOrder() bool                  { return p.static }
-func (p basePolicy) PureOrder() bool                    { return !p.random }
-func (p basePolicy) Order(ctx *Context, q []*TaskState) { p.order(ctx, q) }
+func (p basePolicy) Name() string                { return p.name }
+func (p basePolicy) AllowSkip() bool             { return p.skip }
+func (p basePolicy) EasyReservation() bool       { return p.easy }
+func (p basePolicy) StaticOrder() bool           { return p.static }
+func (p basePolicy) Random() bool                { return p.random }
+func (p basePolicy) Compare(a, b *TaskState) int { return p.cmp(a, b) }
 
 // byReady orders by eligibility time then job then task ID, the FCFS order.
-func byReady(_ *Context, q []*TaskState) {
-	slices.SortStableFunc(q, func(a, b *TaskState) int {
-		if c := cmp.Compare(a.Ready, b.Ready); c != 0 {
-			return c
-		}
-		if c := cmp.Compare(a.Job.ID, b.Job.ID); c != 0 {
-			return c
-		}
-		return cmp.Compare(a.Task.ID, b.Task.ID)
-	})
+func byReady(a, b *TaskState) int {
+	if c := cmp.Compare(a.Ready, b.Ready); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(a.Job.ID, b.Job.ID); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.Task.ID, b.Task.ID)
 }
 
 // FCFS is strict first-come-first-served: the queue head blocks everything
 // behind it.
-func FCFS() Policy { return basePolicy{name: "FCFS", static: true, order: byReady} }
+func FCFS() Policy { return basePolicy{name: "FCFS", static: true, cmp: byReady} }
 
 // GreedyBackfill is FCFS order with unrestricted skipping: any task that fits
 // runs, which maximizes utilization but can starve wide tasks.
 func GreedyBackfill() Policy {
-	return basePolicy{name: "GreedyBF", skip: true, static: true, order: byReady}
+	return basePolicy{name: "GreedyBF", skip: true, static: true, cmp: byReady}
 }
 
 // EASYBackfill is FCFS with conservative (EASY) backfilling: tasks may jump
 // the queue only when their estimated finish does not delay the reservation
 // of the queue head.
 func EASYBackfill() Policy {
-	return basePolicy{name: "EASY-BF", skip: true, easy: true, static: true, order: byReady}
+	return basePolicy{name: "EASY-BF", skip: true, easy: true, static: true, cmp: byReady}
 }
 
 // SJF dispatches the task with the shortest estimated runtime first
 // (shortest-job-first), with skipping.
 func SJF() Policy {
-	return basePolicy{name: "SJF", skip: true, static: true, order: func(_ *Context, q []*TaskState) {
-		slices.SortStableFunc(q, func(a, b *TaskState) int {
-			return cmp.Compare(a.Task.RuntimeEstimate, b.Task.RuntimeEstimate)
-		})
+	return basePolicy{name: "SJF", skip: true, static: true, cmp: func(a, b *TaskState) int {
+		return cmp.Compare(a.Task.RuntimeEstimate, b.Task.RuntimeEstimate)
 	}}
 }
 
 // LJF dispatches the task with the longest estimated runtime first, with
 // skipping. It approximates reservation-style policies that favor large work.
 func LJF() Policy {
-	return basePolicy{name: "LJF", skip: true, static: true, order: func(_ *Context, q []*TaskState) {
-		slices.SortStableFunc(q, func(a, b *TaskState) int {
-			return cmp.Compare(b.Task.RuntimeEstimate, a.Task.RuntimeEstimate)
-		})
+	return basePolicy{name: "LJF", skip: true, static: true, cmp: func(a, b *TaskState) int {
+		return cmp.Compare(b.Task.RuntimeEstimate, a.Task.RuntimeEstimate)
 	}}
 }
 
 // WFP orders by the widest task first (most CPUs), breaking ties by age; it
 // approximates the WFP3 class of slowdown-aware policies.
 func WFP() Policy {
-	return basePolicy{name: "WFP", skip: true, static: true, order: func(_ *Context, q []*TaskState) {
-		slices.SortStableFunc(q, func(a, b *TaskState) int {
-			if c := cmp.Compare(b.Task.CPUs, a.Task.CPUs); c != 0 {
-				return c
-			}
-			return cmp.Compare(a.Ready, b.Ready)
-		})
+	return basePolicy{name: "WFP", skip: true, static: true, cmp: func(a, b *TaskState) int {
+		if c := cmp.Compare(b.Task.CPUs, a.Task.CPUs); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.Ready, b.Ready)
 	}}
 }
 
 // FairShare favors the job that has consumed the least CPU-seconds so far,
 // equalizing service across jobs.
 func FairShare() Policy {
-	return basePolicy{name: "FairShare", skip: true, order: func(ctx *Context, q []*TaskState) {
-		for _, st := range q {
-			st.fairKey = ctx.ServedWork[st.Job.ID]
+	return basePolicy{name: "FairShare", skip: true, cmp: func(a, b *TaskState) int {
+		if c := cmp.Compare(a.js.served, b.js.served); c != 0 {
+			return c
 		}
-		slices.SortStableFunc(q, func(a, b *TaskState) int {
-			if c := cmp.Compare(a.fairKey, b.fairKey); c != 0 {
-				return c
-			}
-			return cmp.Compare(a.Ready, b.Ready)
-		})
+		return cmp.Compare(a.Ready, b.Ready)
 	}}
 }
 
-// RandomOrder shuffles the queue; the baseline "no intelligence" policy.
+// RandomOrder dispatches in a random order; the baseline "no intelligence"
+// policy.
 func RandomOrder() Policy {
-	return basePolicy{name: "Random", skip: true, random: true, order: func(ctx *Context, q []*TaskState) {
-		ctx.Rand.Shuffle(len(q), func(i, j int) { q[i], q[j] = q[j], q[i] })
-	}}
+	return basePolicy{name: "Random", skip: true, random: true, cmp: func(*TaskState, *TaskState) int { return 0 }}
 }
 
 // DefaultPortfolio returns the standard policy set used by the portfolio

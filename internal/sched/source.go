@@ -75,6 +75,7 @@ type feeder struct {
 func (s *Simulator) feedChunk() {
 	f := &s.feed
 	buf := f.batch[:0]
+	var states []jobState // one slab per chunk, refilled if a chunk overruns
 	j := f.carry
 	f.carry = nil
 	if j == nil {
@@ -96,11 +97,14 @@ func (s *Simulator) feedChunk() {
 			break
 		}
 		f.last = j.Submit
-		job := j
-		s.jobLeft[job.ID] = len(job.Tasks)
+		if len(states) == cap(states) {
+			states = make([]jobState, 0, f.chunk)
+		}
+		states = append(states, jobState{left: len(j.Tasks)})
+		job, js := j, &states[len(states)-1]
 		buf = append(buf, sim.BatchEvent{
 			At: job.Submit, Name: "job-arrive",
-			Fn: func(k *sim.Kernel) { s.onJobArrive(job) },
+			Fn: func(k *sim.Kernel) { s.onJobArrive(job, js) },
 		})
 		j = f.next()
 	}

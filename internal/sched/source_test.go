@@ -165,7 +165,7 @@ func TestRunSortsBySubmitStably(t *testing.T) {
 
 // TestRunSourceBoundedMemory streams 10^5 jobs from a million-scale style
 // population through the simulator and checks that per-job state is fully
-// reclaimed: after the run, every job-keyed map must be empty — memory was
+// reclaimed: after the run, the queue and every task-keyed map must be empty — memory was
 // proportional to in-flight jobs, not stream length.
 func TestRunSourceBoundedMemory(t *testing.T) {
 	if testing.Short() {
@@ -197,14 +197,16 @@ func TestRunSourceBoundedMemory(t *testing.T) {
 	if res.Completed != jobs {
 		t.Fatalf("Completed = %d, want %d", res.Completed, jobs)
 	}
+	slots := 0
+	for _, sl := range s.estFinish {
+		slots += len(sl)
+	}
 	for name, n := range map[string]int{
-		"jobLeft":     len(s.jobLeft),
-		"jobStart":    len(s.jobStart),
-		"jobStarted":  len(s.jobStarted),
+		"queue":       len(s.queue),
 		"pendingDeps": len(s.pendingDeps),
 		"dependents":  len(s.dependents),
-		"ServedWork":  len(s.ctx.ServedWork),
-		"running":     len(s.running),
+		"changed":     len(s.changed),
+		"estFinish":   slots,
 	} {
 		if n != 0 {
 			t.Errorf("%s retains %d entries after streaming run", name, n)
