@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-short lint fmt vet bench bench-base bench-compare bench-e2e-test run-all scenario-golden catalog-golden serve-smoke serve-load serve-restart-smoke sweep-resume-smoke trace-smoke dist-smoke stream-smoke clean
+.PHONY: all build test test-short lint fmt vet bench bench-base bench-compare bench-e2e-test run-all determinism scenario-golden catalog-golden serve-smoke serve-load serve-restart-smoke sweep-resume-smoke trace-smoke dist-smoke stream-smoke clean
 
 all: build lint test
 
@@ -61,6 +61,12 @@ bench-e2e-test:
 
 run-all:
 	$(GO) run ./cmd/atlarge run --all --parallel 4
+
+# Repeat the determinism, parity and fingerprint tests five times in one
+# process each: a result that follows map iteration order passes a single
+# run by chance far more often than five.
+determinism:
+	$(GO) test -count=5 -run 'Determinism|Deterministic|Parity|Fingerprint' ./internal/p2p ./internal/mmog ./internal/sched .
 
 # End-to-end determinism check of the scenario engine through the CLI: each
 # committed golden sweep (one per pinned domain) must produce byte-identical

@@ -9,7 +9,6 @@ package mmog
 import (
 	"fmt"
 	"math"
-	"math/rand"
 )
 
 // Entity is a player avatar or game unit at a 2D position.
@@ -53,35 +52,8 @@ func DefaultWorldConfig(entities int) WorldConfig {
 
 // GenerateWorld builds a world with clustered entities.
 func GenerateWorld(cfg WorldConfig) *World {
-	r := rand.New(rand.NewSource(cfg.Seed))
-	w := &World{Size: cfg.Size}
-	for p := 0; p < cfg.POIs; p++ {
-		w.POIs = append(w.POIs, [2]float64{r.Float64() * cfg.Size, r.Float64() * cfg.Size})
-	}
-	clamp := func(v float64) float64 {
-		if v < 0 {
-			return 0
-		}
-		if v >= cfg.Size {
-			return cfg.Size - 1e-9
-		}
-		return v
-	}
-	for i := 0; i < cfg.Entities; i++ {
-		var poi [2]float64
-		if r.Float64() < cfg.HotFraction {
-			poi = w.POIs[0]
-		} else {
-			poi = w.POIs[r.Intn(len(w.POIs))]
-		}
-		w.Entities = append(w.Entities, Entity{
-			ID:         i + 1,
-			X:          clamp(poi[0] + r.NormFloat64()*cfg.Spread),
-			Y:          clamp(poi[1] + r.NormFloat64()*cfg.Spread),
-			Actionable: r.Float64() < 0.6,
-		})
-	}
-	return w
+	w := GenerateWorldSoA(cfg)
+	return &World{Size: w.Size, Entities: w.entities(nil), POIs: w.POIs}
 }
 
 // InteractionRadius is the distance within which two actionable entities
@@ -175,61 +147,29 @@ func (AoSPartitioner) Loads(w *World, servers int) []float64 {
 	// population by interest, not geography).
 	areas := make([][]Entity, len(w.POIs))
 	for _, e := range w.Entities {
-		best, bestD := 0, math.Inf(1)
-		for p, poi := range w.POIs {
-			dx, dy := e.X-poi[0], e.Y-poi[1]
-			if d := dx*dx + dy*dy; d < bestD {
-				bestD = d
-				best = p
-			}
-		}
+		best := nearestArea(w.POIs, e.X, e.Y)
 		areas[best] = append(areas[best], e)
 	}
 	// Split any area larger than cap into chunks: inside one area entities
 	// are interchangeable (same interest), so AoS can shard them and only
 	// pay a small cross-shard synchronization overhead.
-	const cap = 80
 	var shards [][]Entity
 	for _, a := range areas {
-		for len(a) > cap {
-			shards = append(shards, a[:cap])
-			a = a[cap:]
+		for len(a) > aosShardCap {
+			shards = append(shards, a[:aosShardCap])
+			a = a[aosShardCap:]
 		}
 		if len(a) > 0 {
 			shards = append(shards, a)
 		}
 	}
-	// LPT assignment of shard loads to servers.
-	loads := make([]float64, servers)
 	shardLoads := make([]float64, len(shards))
 	for i, sh := range shards {
 		// Cross-shard sync overhead: 5% per shard beyond the first of an area.
 		shardLoads[i] = pairLoad(sh) * 1.05
 	}
-	// Sort descending by load (simple selection for small n).
-	order := make([]int, len(shards))
-	for i := range order {
-		order[i] = i
-	}
-	for i := 0; i < len(order); i++ {
-		maxJ := i
-		for j := i + 1; j < len(order); j++ {
-			if shardLoads[order[j]] > shardLoads[order[maxJ]] {
-				maxJ = j
-			}
-		}
-		order[i], order[maxJ] = order[maxJ], order[i]
-	}
-	for _, idx := range order {
-		minS := 0
-		for s := 1; s < servers; s++ {
-			if loads[s] < loads[minS] {
-				minS = s
-			}
-		}
-		loads[minS] += shardLoads[idx]
-	}
-	return loads
+	// LPT assignment of shard loads to servers.
+	return placeLPT(shardLoads, servers, &PartitionScratch{})
 }
 
 // MirrorPartitioner is AoS plus Mirror-style computation offloading: a cloud
@@ -244,50 +184,91 @@ func (m MirrorPartitioner) Name() string { return "mirror" }
 
 // Loads implements Partitioner.
 func (m MirrorPartitioner) Loads(w *World, servers int) []float64 {
-	frac := m.OffloadFraction
-	if frac < 0 {
-		frac = 0
-	}
-	if frac > 0.9 {
-		frac = 0.9
-	}
-	loads := AoSPartitioner{}.Loads(w, servers)
+	return m.offload(AoSPartitioner{}.Loads(w, servers))
+}
+
+// offload scales per-server loads in place by the share the mirror leaves
+// on the servers: 1 - OffloadFraction, the fraction clamped to [0, 0.9].
+func (m MirrorPartitioner) offload(loads []float64) []float64 {
+	frac := min(max(m.OffloadFraction, 0), 0.9)
 	for i := range loads {
 		loads[i] *= 1 - frac
 	}
 	return loads
 }
 
-// MaxSupportedPlayers finds the largest entity count (by doubling then
-// bisecting) for which the maximum per-server load stays within budget.
-func MaxSupportedPlayers(p Partitioner, servers int, budget float64, seed int64) int {
-	ok := func(n int) bool {
-		cfg := DefaultWorldConfig(n)
-		cfg.Seed = seed
-		w := GenerateWorld(cfg)
-		loads := p.Loads(w, servers)
-		maxL := 0.0
-		for _, l := range loads {
-			if l > maxL {
-				maxL = l
-			}
-		}
-		return maxL <= budget
+// scalabilityWorld is the seeded default world a scalability search probes
+// at many sizes. It grows one world on demand instead of generating each
+// size afresh (the world of n entities is a prefix of any larger one), and
+// answers AoS and Mirror probes from an aosIndex, so a probe costs
+// O(shards²) rather than O(n·aosShardCap) pair tests.
+type scalabilityWorld struct {
+	gen     *worldGen
+	aos     aosIndex
+	scratch PartitionScratch
+}
+
+func newScalabilityWorld(seed int64) *scalabilityWorld {
+	cfg := DefaultWorldConfig(0)
+	cfg.Seed = seed
+	return &scalabilityWorld{gen: newWorldGen(cfg)}
+}
+
+// loads returns p's per-server loads on the world's first n entities: the
+// same bits p.Loads returns on GenerateWorld of n entities. The slice is
+// valid until the next call.
+func (sw *scalabilityWorld) loads(p Partitioner, n, servers int) []float64 {
+	sw.gen.grow(n)
+	switch p := p.(type) {
+	case AoSPartitioner:
+		return sw.aosLoads(n, servers)
+	case MirrorPartitioner:
+		return p.offload(sw.aosLoads(n, servers))
+	case SoAPartitioner:
+		return p.LoadsSoA(sw.gen.w.prefix(n), servers, &sw.scratch)
 	}
+	w := sw.gen.w.prefix(n)
+	return p.Loads(&World{Size: w.Size, Entities: w.entities(nil), POIs: w.POIs}, servers)
+}
+
+// aosLoads is AoSPartitioner.LoadsSoA on the first n entities, read from
+// the index.
+func (sw *scalabilityWorld) aosLoads(n, servers int) []float64 {
+	sw.aos.extend(&sw.gen.w)
+	s := &sw.scratch
+	s.shardLoads = sw.aos.shardLoads(s.shardLoads[:0], n)
+	return placeLPT(s.shardLoads, max(servers, 1), s)
+}
+
+// maxPlayers finds the largest entity count (by doubling then bisecting)
+// for which p's maximum per-server load stays within budget.
+func (sw *scalabilityWorld) maxPlayers(p Partitioner, servers int, budget float64) int {
+	return maxFitting(func(n int) bool { return maxOf(sw.loads(p, n, servers)) <= budget })
+}
+
+// maxFitting returns the largest n that fits, probing 64, 128, ... until
+// one does not fit (or 2^20 is reached) and then bisecting the last gap.
+func maxFitting(fits func(n int) bool) int {
 	lo, hi := 0, 64
-	for ok(hi) && hi < 1<<20 {
+	for fits(hi) && hi < 1<<20 {
 		lo = hi
 		hi *= 2
 	}
 	for lo+1 < hi {
 		mid := (lo + hi) / 2
-		if ok(mid) {
+		if fits(mid) {
 			lo = mid
 		} else {
 			hi = mid
 		}
 	}
 	return lo
+}
+
+// MaxSupportedPlayers finds the largest entity count (by doubling then
+// bisecting) for which the maximum per-server load stays within budget.
+func MaxSupportedPlayers(p Partitioner, servers int, budget float64, seed int64) int {
+	return newScalabilityWorld(seed).maxPlayers(p, servers, budget)
 }
 
 // ScalabilityRow is one line of the AoS scalability experiment.
@@ -301,13 +282,14 @@ type ScalabilityRow struct {
 // counts under a fixed per-server load budget.
 func RunScalabilityStudy(serverCounts []int, budget float64, seed int64) []ScalabilityRow {
 	var rows []ScalabilityRow
+	world := newScalabilityWorld(seed)
 	parts := []Partitioner{ZonePartitioner{}, AoSPartitioner{}, MirrorPartitioner{OffloadFraction: 0.5}}
 	for _, servers := range serverCounts {
 		for _, p := range parts {
 			rows = append(rows, ScalabilityRow{
 				Technique:  p.Name(),
 				Servers:    servers,
-				MaxPlayers: MaxSupportedPlayers(p, servers, budget, seed),
+				MaxPlayers: world.maxPlayers(p, servers, budget),
 			})
 		}
 	}

@@ -2,7 +2,6 @@ package mmog
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 	"sort"
 	"strings"
@@ -127,9 +126,9 @@ func (s *WorldSim) Tick() (maxLoad, meanLoad float64) {
 	w := s.w
 	size := w.Size
 	for i := range w.X {
-		px, py := w.nearestPOI(w.X[i], w.Y[i])
-		x := w.X[i] + s.move.NormFloat64()*s.wander + 0.02*(px-w.X[i])
-		y := w.Y[i] + s.move.NormFloat64()*s.wander + 0.02*(py-w.Y[i])
+		poi := w.POIs[nearestArea(w.POIs, w.X[i], w.Y[i])]
+		x := w.X[i] + s.move.NormFloat64()*s.wander + 0.02*(poi[0]-w.X[i])
+		y := w.Y[i] + s.move.NormFloat64()*s.wander + 0.02*(poi[1]-w.Y[i])
 		if x < 0 {
 			x = 0
 		} else if x >= size {
@@ -147,9 +146,7 @@ func (s *WorldSim) Tick() (maxLoad, meanLoad float64) {
 	if s.soa != nil {
 		loads = s.soa.LoadsSoA(w, s.cfg.Servers, &s.scratch)
 	} else {
-		for i := range s.aosView.Entities {
-			s.aosView.Entities[i] = Entity{ID: i + 1, X: w.X[i], Y: w.Y[i], Actionable: w.Actionable[i]}
-		}
+		s.aosView.Entities = w.entities(s.aosView.Entities)
 		loads = s.cfg.Partitioner.Loads(s.aosView, s.cfg.Servers)
 	}
 	maxL, sum := 0.0, 0.0
@@ -206,19 +203,6 @@ func RunWorldSim(cfg WorldSimConfig) (*WorldSimResult, error) {
 		return nil, err
 	}
 	return s.Run()
-}
-
-// nearestPOI returns the closest point of interest to (x, y).
-func nearestPOI(w *World, x, y float64) (float64, float64) {
-	bx, by, bestD := 0.0, 0.0, math.Inf(1)
-	for _, poi := range w.POIs {
-		dx, dy := x-poi[0], y-poi[1]
-		if d := dx*dx + dy*dy; d < bestD {
-			bestD = d
-			bx, by = poi[0], poi[1]
-		}
-	}
-	return bx, by
 }
 
 func maxOf(xs []float64) float64 {

@@ -1,6 +1,7 @@
 package mmog
 
 import (
+	"math"
 	"testing"
 
 	"atlarge/internal/sim"
@@ -213,4 +214,18 @@ func TestWorldSimFallbackView(t *testing.T) {
 	if *got != *want {
 		t.Fatalf("fallback diverged:\n got %+v\nwant %+v", got, want)
 	}
+}
+
+// nearestPOI returns the closest point of interest to (x, y): the
+// reference form of nearestArea.
+func nearestPOI(w *World, x, y float64) (float64, float64) {
+	bx, by, bestD := 0.0, 0.0, math.Inf(1)
+	for _, poi := range w.POIs {
+		dx, dy := x-poi[0], y-poi[1]
+		if d := dx*dx + dy*dy; d < bestD {
+			bestD = d
+			bx, by = poi[0], poi[1]
+		}
+	}
+	return bx, by
 }

@@ -3,6 +3,7 @@ package mmog
 import (
 	"math"
 	"math/rand"
+	"slices"
 )
 
 // WorldSoA is the struct-of-arrays representation of a World: entity fields
@@ -19,19 +20,31 @@ type WorldSoA struct {
 // Len returns the entity count.
 func (w *WorldSoA) Len() int { return len(w.X) }
 
-// GenerateWorldSoA builds the same world GenerateWorld builds — identical RNG
-// draw order, so entity i has bit-identical position and actionability — in
-// struct-of-arrays form.
-func GenerateWorldSoA(cfg WorldConfig) *WorldSoA {
-	r := rand.New(rand.NewSource(cfg.Seed))
-	w := &WorldSoA{
-		Size:       cfg.Size,
-		X:          make([]float64, 0, cfg.Entities),
-		Y:          make([]float64, 0, cfg.Entities),
-		Actionable: make([]bool, 0, cfg.Entities),
-	}
+// worldGen draws a world entity by entity: the POIs first, then each entity
+// in order. The world of n entities is therefore the first n entities of any
+// larger world with the same seed, which lets a search over world sizes grow
+// one world instead of regenerating it per size.
+type worldGen struct {
+	cfg WorldConfig
+	r   *rand.Rand
+	w   WorldSoA
+}
+
+func newWorldGen(cfg WorldConfig) *worldGen {
+	g := &worldGen{cfg: cfg, r: rand.New(rand.NewSource(cfg.Seed)), w: WorldSoA{Size: cfg.Size}}
 	for p := 0; p < cfg.POIs; p++ {
-		w.POIs = append(w.POIs, [2]float64{r.Float64() * cfg.Size, r.Float64() * cfg.Size})
+		g.w.POIs = append(g.w.POIs, [2]float64{g.r.Float64() * cfg.Size, g.r.Float64() * cfg.Size})
+	}
+	return g
+}
+
+// grow draws entities until the world holds at least n.
+func (g *worldGen) grow(n int) {
+	cfg, r, w := &g.cfg, g.r, &g.w
+	if more := n - w.Len(); more > 0 {
+		w.X = slices.Grow(w.X, more)
+		w.Y = slices.Grow(w.Y, more)
+		w.Actionable = slices.Grow(w.Actionable, more)
 	}
 	clamp := func(v float64) float64 {
 		if v < 0 {
@@ -42,7 +55,7 @@ func GenerateWorldSoA(cfg WorldConfig) *WorldSoA {
 		}
 		return v
 	}
-	for i := 0; i < cfg.Entities; i++ {
+	for w.Len() < n {
 		var poi [2]float64
 		if r.Float64() < cfg.HotFraction {
 			poi = w.POIs[0]
@@ -53,21 +66,43 @@ func GenerateWorldSoA(cfg WorldConfig) *WorldSoA {
 		w.Y = append(w.Y, clamp(poi[1]+r.NormFloat64()*cfg.Spread))
 		w.Actionable = append(w.Actionable, r.Float64() < 0.6)
 	}
-	return w
 }
 
-// nearestPOI returns the closest point of interest to (x, y), with the same
-// strict-less scan as the AoS form.
-func (w *WorldSoA) nearestPOI(x, y float64) (float64, float64) {
-	bx, by, bestD := 0.0, 0.0, math.Inf(1)
-	for _, poi := range w.POIs {
+// GenerateWorldSoA builds the world GenerateWorld builds, in
+// struct-of-arrays form.
+func GenerateWorldSoA(cfg WorldConfig) *WorldSoA {
+	g := newWorldGen(cfg)
+	g.grow(cfg.Entities)
+	return &g.w
+}
+
+// prefix returns a view of the world's first n entities.
+func (w *WorldSoA) prefix(n int) *WorldSoA {
+	return &WorldSoA{Size: w.Size, X: w.X[:n], Y: w.Y[:n], Actionable: w.Actionable[:n], POIs: w.POIs}
+}
+
+// entities writes the world's entities into dst, grown to Len, in the
+// []Entity form of World.
+func (w *WorldSoA) entities(dst []Entity) []Entity {
+	dst = slices.Grow(dst[:0], w.Len())[:w.Len()]
+	for i := range dst {
+		dst[i] = Entity{ID: i + 1, X: w.X[i], Y: w.Y[i], Actionable: w.Actionable[i]}
+	}
+	return dst
+}
+
+// nearestArea returns the index of the point of interest closest to (x, y);
+// the first one wins ties.
+func nearestArea(pois [][2]float64, x, y float64) int {
+	best, bestD := 0, math.Inf(1)
+	for p, poi := range pois {
 		dx, dy := x-poi[0], y-poi[1]
 		if d := dx*dx + dy*dy; d < bestD {
 			bestD = d
-			bx, by = poi[0], poi[1]
+			best = p
 		}
 	}
-	return bx, by
+	return best
 }
 
 // pairLoadIdx is pairLoad over a group of entity indices into a WorldSoA:
@@ -207,7 +242,7 @@ func (ZonePartitioner) LoadsSoA(w *WorldSoA, servers int, s *PartitionScratch) [
 }
 
 // aosShardCap is the AoS area population cap: larger areas shard into chunks
-// of this size (world.go's Loads uses the same constant inline).
+// of this size.
 const aosShardCap = 80
 
 // LoadsSoA implements SoAPartitioner: Area-of-Simulation without per-call
@@ -226,15 +261,7 @@ func (AoSPartitioner) LoadsSoA(w *WorldSoA, servers int, s *PartitionScratch) []
 		s.counts[b] = 0
 	}
 	for i := 0; i < n; i++ {
-		x, y := w.X[i], w.Y[i]
-		best, bestD := 0, math.Inf(1)
-		for p, poi := range w.POIs {
-			dx, dy := x-poi[0], y-poi[1]
-			if d := dx*dx + dy*dy; d < bestD {
-				bestD = d
-				best = p
-			}
-		}
+		best := nearestArea(w.POIs, w.X[i], w.Y[i])
 		s.bin[i] = int32(best)
 		s.counts[best]++
 	}
@@ -261,8 +288,15 @@ func (AoSPartitioner) LoadsSoA(w *WorldSoA, servers int, s *PartitionScratch) []
 	for i := 0; i < ns; i++ {
 		s.shardLoads[i] = pairLoadIdx(w, s.order[s.shardStart[i]:s.shardEnd[i]]) * 1.05
 	}
-	// Descending selection sort of shard indices — kept verbatim from Loads
-	// (including its unstable swaps) so equal-load shards keep the same order.
+	return placeLPT(s.shardLoads, servers, s)
+}
+
+// placeLPT assigns shard loads to servers longest first, each to the
+// currently least-loaded server, and returns the per-server loads (owned by
+// s). The descending selection sort and its unstable swaps fix the order of
+// equal-load shards, and with it every AoS load path's result bits.
+func placeLPT(shardLoads []float64, servers int, s *PartitionScratch) []float64 {
+	ns := len(shardLoads)
 	s.shardOrder = growInts(s.shardOrder, ns)
 	for i := range s.shardOrder {
 		s.shardOrder[i] = i
@@ -270,7 +304,7 @@ func (AoSPartitioner) LoadsSoA(w *WorldSoA, servers int, s *PartitionScratch) []
 	for i := 0; i < ns; i++ {
 		maxJ := i
 		for j := i + 1; j < ns; j++ {
-			if s.shardLoads[s.shardOrder[j]] > s.shardLoads[s.shardOrder[maxJ]] {
+			if shardLoads[s.shardOrder[j]] > shardLoads[s.shardOrder[maxJ]] {
 				maxJ = j
 			}
 		}
@@ -287,24 +321,74 @@ func (AoSPartitioner) LoadsSoA(w *WorldSoA, servers int, s *PartitionScratch) []
 				minS = srv
 			}
 		}
-		s.loads[minS] += s.shardLoads[idx]
+		s.loads[minS] += shardLoads[idx]
 	}
 	return s.loads
 }
 
-// LoadsSoA implements SoAPartitioner: the AoS loads scaled by the retained
+// aosIndex is the Area-of-Simulation shard structure of a growing world. An
+// entity's area (its nearest POI) does not depend on the world size or the
+// server count, and an area's aosShardCap-entity shards are fixed once full.
+// So each area keeps its members in entity order and, per member, the
+// actionable pairs within the interaction radius among the members of its
+// shard up to and including it. The shard loads of any prefix of the world
+// then cost no pair tests.
+type aosIndex struct {
+	members [][]int32  // per area: entity indices, ascending
+	pairs   [][]uint32 // per area: cumulative in-shard pair count per member
+	n       int        // entities indexed
+}
+
+// extend indexes the entities of w not indexed yet.
+func (x *aosIndex) extend(w *WorldSoA) {
+	if x.members == nil {
+		x.members = make([][]int32, len(w.POIs))
+		x.pairs = make([][]uint32, len(w.POIs))
+	}
+	for ; x.n < w.Len(); x.n++ {
+		i := x.n
+		a := nearestArea(w.POIs, w.X[i], w.Y[i])
+		m := x.members[a]
+		pos := len(m)
+		shard := pos - pos%aosShardCap
+		var c uint32
+		if pos > shard {
+			c = x.pairs[a][pos-1]
+		}
+		if w.Actionable[i] {
+			xi, yi := w.X[i], w.Y[i]
+			for _, j := range m[shard:] {
+				if !w.Actionable[j] {
+					continue
+				}
+				dx := w.X[j] - xi
+				dy := w.Y[j] - yi
+				if dx*dx+dy*dy <= InteractionRadius*InteractionRadius {
+					c++
+				}
+			}
+		}
+		x.members[a] = append(m, int32(i))
+		x.pairs[a] = append(x.pairs[a], c)
+	}
+}
+
+// shardLoads appends to dst the AoS shard loads of the first n indexed
+// entities, in the area and shard order LoadsSoA builds, with the same bits
+// as pairLoadIdx(shard) * 1.05.
+func (x *aosIndex) shardLoads(dst []float64, n int) []float64 {
+	for a, m := range x.members {
+		k, _ := slices.BinarySearch(m, int32(n)) // members below n
+		for start := 0; start < k; start += aosShardCap {
+			end := min(start+aosShardCap, k)
+			dst = append(dst, (float64(x.pairs[a][end-1])+float64(end-start)*0.1)*1.05)
+		}
+	}
+	return dst
+}
+
+// LoadsSoA implements SoAPartitioner: the AoS loads minus the offloaded
 // fraction, as in Loads.
 func (m MirrorPartitioner) LoadsSoA(w *WorldSoA, servers int, s *PartitionScratch) []float64 {
-	frac := m.OffloadFraction
-	if frac < 0 {
-		frac = 0
-	}
-	if frac > 0.9 {
-		frac = 0.9
-	}
-	loads := AoSPartitioner{}.LoadsSoA(w, servers, s)
-	for i := range loads {
-		loads[i] *= 1 - frac
-	}
-	return loads
+	return m.offload(AoSPartitioner{}.LoadsSoA(w, servers, s))
 }

@@ -1,7 +1,10 @@
 package p2p
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"atlarge/internal/sim"
@@ -71,24 +74,90 @@ func TestSwarmDownloadBoundedByCapacity(t *testing.T) {
 	}
 }
 
+// swarmFingerprint runs one swarm and folds every download record (times as
+// bits) and the abort count into a comparable string.
+func swarmFingerprint(t *testing.T, cfg SwarmConfig, times []sim.Time, horizon sim.Time) string {
+	t.Helper()
+	sw, err := NewSwarm(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sw.ScheduleArrivals(times)
+	if err := sw.Run(horizon, 10); err != nil {
+		t.Fatal(err)
+	}
+	var b strings.Builder
+	for _, r := range sw.Records() {
+		fmt.Fprintf(&b, "%d %s %x %x %x %d\n", r.PeerID, r.Class,
+			math.Float64bits(float64(r.JoinAt)), math.Float64bits(float64(r.DoneAt)),
+			math.Float64bits(r.Duration), r.Group)
+	}
+	fmt.Fprintf(&b, "aborts %d", sw.Aborts())
+	return b.String()
+}
+
+// TestSwarmDeterminism runs each swarm shape three times in one process and
+// requires bit-identical records: rate sums and completion tie-breaks must
+// follow join order, never map iteration order.
 func TestSwarmDeterminism(t *testing.T) {
-	run := func() int {
-		cfg := DefaultSwarmConfig()
-		cfg.FileSize = 20e6
-		cfg.Seed = 7
-		sw, err := NewSwarm(cfg)
+	poisson := func(rate float64, n int, seed int64) []sim.Time {
+		return workload.PoissonArrivals{Rate: rate}.Times(n, rand.New(rand.NewSource(seed)))
+	}
+	plain := DefaultSwarmConfig()
+	plain.FileSize = 20e6
+	plain.Seed = 7
+	churn := DefaultSwarmConfig()
+	churn.FileSize = 50e6
+	churn.Seed = 3
+	churn.ChurnRate = 1.0 / 600
+	crowd := DefaultSwarmConfig()
+	crowd.Seed = 6
+	for i := range crowd.Classes {
+		crowd.Classes[i].LingerS = 60
+	}
+	crowdTimes := workload.FlashcrowdArrivals{BaseRate: 0.005, StartAt: 20000, Spike: 60, HalfLife: 2000}.
+		Times(250, rand.New(rand.NewSource(6)))
+	twoFast := DefaultSwarmConfig()
+	twoFast.Seed = 5
+	twoFast.FileSize = 100e6
+	twoFast.Classes = []PeerClass{{Name: "adsl", Down: 1000e3, Up: 128e3, LingerS: 300, Fraction: 1}}
+	twoFast.TwoFastGroupSize = 4
+	cases := []struct {
+		name    string
+		cfg     SwarmConfig
+		times   []sim.Time
+		horizon sim.Time
+	}{
+		{"plain", plain, poisson(0.02, 60, 7), 200000},
+		{"churn", churn, poisson(0.05, 60, 3), 300000},
+		{"flashcrowd", crowd, crowdTimes, 400000},
+		{"2fast", twoFast, poisson(0.01, 40, 5), 500000},
+	}
+	for _, c := range cases {
+		first := swarmFingerprint(t, c.cfg, c.times, c.horizon)
+		for run := 1; run < 3; run++ {
+			if got := swarmFingerprint(t, c.cfg, c.times, c.horizon); got != first {
+				t.Errorf("%s: run %d differs from run 0", c.name, run)
+			}
+		}
+	}
+
+	table := func() string {
+		rows, err := RunTable5(6)
 		if err != nil {
 			t.Fatal(err)
 		}
-		arr := workload.PoissonArrivals{Rate: 0.02}
-		sw.ScheduleArrivals(arr.Times(20, rand.New(rand.NewSource(7))))
-		if err := sw.Run(200000, 10); err != nil {
-			t.Fatal(err)
+		var b strings.Builder
+		for _, r := range rows {
+			fmt.Fprintf(&b, "%s %x\n", r.Study, math.Float64bits(r.Value))
 		}
-		return len(sw.Records())
+		return b.String()
 	}
-	if a, b := run(), run(); a != b {
-		t.Errorf("non-deterministic: %d vs %d records", a, b)
+	first := table()
+	for run := 1; run < 3; run++ {
+		if got := table(); got != first {
+			t.Errorf("RunTable5(6): run %d row values differ from run 0:\n%s\nvs\n%s", run, got, first)
+		}
 	}
 }
 

@@ -6,8 +6,8 @@
 //
 // The swarm model is a fluid-flow model in the Qiu–Srikant tradition: peer
 // download rates are recomputed on every membership change from the swarm's
-// aggregate upload capacity and each leecher's reciprocity, and completion
-// events are scheduled from the current rates. This reproduces the
+// aggregate upload capacity and each leecher's reciprocity, and the earliest
+// completion is scheduled from the current rates. This reproduces the
 // macroscopic phenomena the paper's studies measured without packet-level
 // detail.
 package p2p
@@ -15,6 +15,7 @@ package p2p
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"atlarge/internal/sim"
 )
@@ -45,13 +46,10 @@ type peerState struct {
 	joined    sim.Time
 	remaining float64 // bytes left to download
 	rate      float64 // current download rate
-	seeding   bool
-	helper    bool // 2fast helper donating upload to a collector
-	group     int  // 2fast group id (0 = none)
-
-	completionEv sim.EventRef
-	completed    bool
-	doneAt       sim.Time
+	seeding   bool    // completed the download
+	helper    bool    // 2fast helper donating upload to a collector
+	group     int     // 2fast group id (0 = none)
+	gone      bool    // departed or aborted
 }
 
 // DownloadRecord is the outcome of one completed download.
@@ -105,14 +103,20 @@ func DefaultSwarmConfig() SwarmConfig {
 
 // Swarm simulates one torrent swarm.
 type Swarm struct {
-	cfg     SwarmConfig
-	k       *sim.Kernel
-	peers   map[int]*peerState
+	cfg SwarmConfig
+	k   *sim.Kernel
+	// peers holds the present peers in join order, so rate sums and
+	// completion tie-breaks are reproducible.
+	peers   []*peerState
 	nextID  int
 	records []DownloadRecord
-	rec     sim.Recorder
 	groups  map[int][]*peerState
 	aborts  int
+	// next is the one pending peer-complete event, for nextPeer: every
+	// recompute replaces it, so only the earliest completion can fire.
+	next     sim.EventRef
+	nextPeer *peerState
+	onNext   sim.Handler
 }
 
 // NewSwarm builds a swarm simulation on a fresh kernel.
@@ -123,12 +127,13 @@ func NewSwarm(cfg SwarmConfig) (*Swarm, error) {
 	if len(cfg.Classes) == 0 {
 		return nil, fmt.Errorf("p2p: no peer classes")
 	}
-	return &Swarm{
+	s := &Swarm{
 		cfg:    cfg,
 		k:      sim.NewKernel(cfg.Seed),
-		peers:  make(map[int]*peerState),
 		groups: make(map[int][]*peerState),
-	}, nil
+	}
+	s.onNext = func(k *sim.Kernel) { s.complete(s.nextPeer) }
+	return s, nil
 }
 
 // Kernel exposes the simulation kernel for scheduling arrivals.
@@ -139,9 +144,6 @@ func (s *Swarm) Records() []DownloadRecord { return s.records }
 
 // Aborts returns the number of peers that churned out before completing.
 func (s *Swarm) Aborts() int { return s.aborts }
-
-// Recorder exposes the time series (seeds, leechers, rates).
-func (s *Swarm) Recorder() *sim.Recorder { return &s.rec }
 
 // sampleClass draws a peer class by its population fraction.
 func (s *Swarm) sampleClass() PeerClass {
@@ -196,7 +198,7 @@ func (s *Swarm) newPeer() *peerState {
 		joined:    s.k.Now(),
 		remaining: s.cfg.FileSize,
 	}
-	s.peers[p.id] = p
+	s.peers = append(s.peers, p)
 	if s.cfg.ChurnRate > 0 {
 		ttl := sim.Duration(s.k.Rand("churn").ExpFloat64() / s.cfg.ChurnRate)
 		pp := p
@@ -208,46 +210,27 @@ func (s *Swarm) newPeer() *peerState {
 // abort removes a peer that leaves before completing (churn). Completed or
 // already-departed peers are unaffected; the aborted download is counted.
 func (s *Swarm) abort(p *peerState) {
-	if p.completed {
+	if p.seeding || p.gone {
 		return
 	}
-	if _, present := s.peers[p.id]; !present {
-		return
-	}
-	p.completionEv.Cancel()
 	s.aborts++
 	s.depart(p)
 }
 
-// counts returns (leechers, seeds) excluding origin seeds.
-func (s *Swarm) counts() (leechers, seeds int) {
-	for _, p := range s.peers {
-		if p.helper {
-			continue
-		}
-		if p.seeding {
-			seeds++
-		} else {
-			leechers++
-		}
-	}
-	return leechers, seeds
-}
-
-// recompute reassigns download rates and reschedules completion events.
+// recompute reassigns download rates and reschedules the next completion.
 // Fluid model: the swarm's aggregate upload capacity is split evenly among
 // leechers; tit-for-tat couples a leecher's achievable rate to its own upload
 // capacity by the Reciprocity factor. 2fast collectors additionally receive
 // their group helpers' upload capacity as dedicated bandwidth.
+//
+// Every handler that changes membership or progress ends in recompute, which
+// replaces the pending completion, so only the earliest completion at the
+// current rates can ever fire: that one event is scheduled, ties going to
+// the first peer in join order.
 func (s *Swarm) recompute() {
-	now := s.k.Now()
-	leechers, seeds := s.counts()
-	s.rec.Record("leechers", now, float64(leechers))
-	s.rec.Record("seeds", now, float64(seeds))
-	if leechers == 0 {
-		return
-	}
-
+	s.next.Cancel()
+	s.nextPeer = nil
+	leechers := 0
 	totalUp := float64(s.cfg.InitialSeeds) * s.cfg.SeedUp
 	for _, p := range s.peers {
 		if p.helper {
@@ -256,6 +239,7 @@ func (s *Swarm) recompute() {
 		if p.seeding {
 			totalUp += p.class.Up
 		} else {
+			leechers++
 			// Piece scarcity: a leecher can only upload pieces it already
 			// has, so its usable upload scales with download progress. This
 			// is what makes flashcrowds degrade performance — a wave of
@@ -267,10 +251,15 @@ func (s *Swarm) recompute() {
 			totalUp += p.class.Up * s.cfg.Efficiency * progress
 		}
 	}
+	if leechers == 0 {
+		return
+	}
 	share := totalUp / float64(leechers)
 
+	now := s.k.Now()
+	var nextAt sim.Time
 	for _, p := range s.peers {
-		if p.seeding || p.helper || p.completed {
+		if p.seeding || p.helper {
 			continue
 		}
 		// Tit-for-tat: a fraction r of the fair share must be reciprocated
@@ -291,29 +280,23 @@ func (s *Swarm) recompute() {
 			rate = 1 // avoid stalling forever
 		}
 		p.rate = rate
-		p.completionEv.Cancel()
-		eta := sim.Duration(p.remaining / rate)
-		pp := p
-		p.completionEv = s.k.After(eta, "peer-complete", func(k *sim.Kernel) {
-			s.complete(pp)
-		})
+		if at := now + sim.Duration(p.remaining/rate); s.nextPeer == nil || at < nextAt {
+			s.nextPeer, nextAt = p, at
+		}
 	}
+	s.next = s.k.At(nextAt, "peer-complete", s.onNext)
 }
 
 func (s *Swarm) complete(p *peerState) {
-	if p.completed {
-		return
-	}
-	p.completed = true
 	p.seeding = true
 	p.remaining = 0
-	p.doneAt = s.k.Now()
+	now := s.k.Now()
 	s.records = append(s.records, DownloadRecord{
 		PeerID:   p.id,
 		Class:    p.class.Name,
 		JoinAt:   p.joined,
-		DoneAt:   p.doneAt,
-		Duration: float64(p.doneAt - p.joined),
+		DoneAt:   now,
+		Duration: float64(now - p.joined),
 		Group:    p.group,
 	})
 	// Schedule departure after lingering as a seed.
@@ -323,16 +306,17 @@ func (s *Swarm) complete(p *peerState) {
 }
 
 func (s *Swarm) depart(p *peerState) {
-	delete(s.peers, p.id)
+	p.gone = true
 	if p.group != 0 {
 		// Helpers of a departed collector leave too.
 		for _, h := range s.groups[p.group] {
 			if h.helper {
-				delete(s.peers, h.id)
+				h.gone = true
 			}
 		}
 		delete(s.groups, p.group)
 	}
+	s.peers = slices.DeleteFunc(s.peers, func(q *peerState) bool { return q.gone })
 	s.recompute()
 }
 
@@ -361,7 +345,7 @@ func (s *Swarm) Run(horizon sim.Time, tick sim.Duration) error {
 // rates (arrivals during the tick changed shares).
 func (s *Swarm) applyProgress(dt sim.Duration) {
 	for _, p := range s.peers {
-		if p.seeding || p.helper || p.completed {
+		if p.seeding || p.helper {
 			continue
 		}
 		p.remaining -= p.rate * float64(dt)
