@@ -114,3 +114,43 @@ func TestTable9SpecsShape(t *testing.T) {
 		t.Error("Shen'13 row must combine two workload classes")
 	}
 }
+
+// TestTable9Verdicts checks the paper's Table 9 verdicts over the default
+// configuration at seeds 0–9. Measured over seeds 0–19: rows 1–4 and 6 are
+// "PS is useful" in every seed; row 5 (BC on MC) underperforms in seeds 0,
+// 9, 12 and 15, where the portfolio ends a rounding error above the worst
+// static policy; and the BD row shows the paper's "useful, but..." regret
+// only in seed 11 (0.19), a fidelity gap recorded in ROADMAP. The test
+// asserts what holds: the five rows always, and the portfolio no worse
+// than the worst static policy in at least 8 of 10 seeds on every row.
+func TestTable9Verdicts(t *testing.T) {
+	if testing.Short() || raceEnabled {
+		// Ten default Table 9 runs take ~6 s, and ~100 s under the race
+		// detector; TestRunTable9WorkersDeterministic covers the row pool's
+		// concurrency.
+		t.Skip("runs the default Table 9 at ten seeds")
+	}
+	const seeds = 10
+	notWorse := make([]int, len(table9Specs()))
+	for seed := int64(0); seed < seeds; seed++ {
+		cfg := DefaultTable9Config()
+		cfg.Seed = seed
+		rows, err := RunTable9(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, row := range rows {
+			if row.Portfolio <= row.WorstStatic {
+				notWorse[i]++
+			}
+			if i != 4 && i != 6 && row.Finding != "PS is useful" {
+				t.Errorf("seed %d row %d (%s): %q, want \"PS is useful\"", seed, i+1, row.Study, row.Finding)
+			}
+		}
+	}
+	for i, n := range notWorse {
+		if n < 8 {
+			t.Errorf("row %d: portfolio no worse than the worst static policy in %d/%d seeds, want ≥ 8", i+1, n, seeds)
+		}
+	}
+}

@@ -12,16 +12,14 @@ import (
 	"atlarge/internal/workload"
 )
 
-// TaskState is a task waiting in or dispatched from the scheduler queue.
+// TaskState is an in-flight task of a run: waiting for its dependencies,
+// queued, or running. States live in the run's arena and their slots are
+// reused once the task finishes, so a *TaskState passed to Compare is valid
+// only for that call.
 type TaskState struct {
 	Job   *workload.Job
 	Task  *workload.Task
 	Ready sim.Time // when the task became eligible (deps satisfied)
-
-	// Set when dispatched.
-	Started  bool
-	StartAt  sim.Time
-	FinishAt sim.Time
 
 	js  *jobState // the run's bookkeeping for Job, shared by its tasks
 	pos int       // queue index when an ordering pass began (merge tie-break)

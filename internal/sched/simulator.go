@@ -59,12 +59,20 @@ type Simulator struct {
 	k    *sim.Kernel
 	rand *rand.Rand // the "policy" stream, shuffled from by Random
 
-	// queue holds the eligible tasks. queue[:sorted] is in policy order as
-	// of the last ordering pass; later tasks arrived since. moved is the
-	// reusable buffer of tasks an ordering pass sorts and merges back.
-	queue  []*TaskState
+	// states holds the in-flight tasks; everything else refers to them by
+	// ref. cmpItems is cmp over queue items, built once per run.
+	states   stateArena
+	cmpItems func(a, b qitem) int
+
+	// The queue of eligible tasks is qbuf[qhead:], so compaction may drop
+	// the front instead of moving the rest. Its first sorted tasks are in
+	// policy order as of the last ordering pass; later tasks arrived since.
+	// moved is the reusable buffer of tasks an ordering pass sorts and
+	// merges back.
+	qbuf   []qitem
+	qhead  int
 	sorted int
-	moved  []*TaskState
+	moved  []qitem
 	// changed lists the jobs whose served work changed since the last
 	// ordering pass, for policies whose order reads it.
 	changed []*jobState
@@ -77,9 +85,15 @@ type Simulator struct {
 	left     []int
 	minWidth int
 
-	pendingDeps map[int]int          // task ID -> unfinished dep count
-	dependents  map[int][]*TaskState // task ID -> states waiting on it
-	estFinish   [][]estSlot          // per machine, for EASY reservations
+	pendingDeps map[int]int     // task ID -> unfinished dep count
+	dependents  map[int]depList // task ID -> the states waiting on it
+	depEdges    []depEdge       // the dependents lists' entries
+	freeEdge    uint32          // head of the free entries, noEdge if none
+	estFinish   [][]estSlot     // per machine, for EASY reservations
+
+	// finishes holds the idle task-finish records, reused across starts.
+	finishes []*finishEvent
+	dag      workload.DAGScratch // the arrival check of each job's DAG
 
 	// Per-job state is reclaimed as jobs finish and stats fold into agg, so
 	// memory tracks in-flight jobs rather than trace length.
@@ -99,11 +113,39 @@ type Simulator struct {
 // jobState is a job's bookkeeping for one run; each TaskState of the job
 // points to it.
 type jobState struct {
-	left    int      // unfinished tasks
-	start   sim.Time // first task start
+	left    int          // unfinished tasks
+	cp      sim.Duration // critical path, the slowdown's ideal time
+	start   sim.Time     // first task start
 	started bool
 	served  float64 // CPU-seconds completed, the FairShare key
 	changed bool    // served changed since the last ordering pass
+}
+
+// qitem is a queued task: its state's ref plus the two keys the dispatch
+// scan reads, so the scan never dereferences a state. It holds no pointer,
+// so moving queue items is a plain memory move.
+type qitem struct {
+	fast sim.Duration // the runtime estimate on the fastest machine
+	cpus int32
+	ref  uint32
+}
+
+// depList is a task's dependents in arrival order: a linked list of
+// entries in depEdges.
+type depList struct{ head, tail uint32 }
+
+// depEdge is one entry of a depList: a waiting state and the next entry.
+type depEdge struct{ ref, next uint32 }
+
+const noEdge = math.MaxUint32
+
+// finishEvent is a running task's pending task-finish event. Records are
+// recycled through the simulator's free list and each builds its handler
+// once, so starting a task allocates nothing in steady state.
+type finishEvent struct {
+	ref uint32
+	mi  int
+	fn  sim.Handler
 }
 
 type estSlot struct {
@@ -127,15 +169,18 @@ func (s *Simulator) run(next func() *workload.Job, chunk int) (*Result, error) {
 	s.random = s.policy.Random()
 	s.drift = !s.policy.StaticOrder() && !s.random
 	s.cmp = s.policy.Compare
+	s.cmpItems = func(a, b qitem) int { return s.cmp(s.states.at(a.ref), s.states.at(b.ref)) }
 	s.rand = s.k.Rand("policy")
 	s.onDispatch = func(*sim.Kernel) {
 		s.dispatchPending = false
 		s.dispatch()
 	}
-	s.queue, s.sorted, s.changed = s.queue[:0], 0, s.changed[:0]
+	s.states.reset()
+	s.qbuf, s.qhead, s.sorted, s.changed = s.qbuf[:0], 0, 0, s.changed[:0]
 	s.widths, s.minWidth = s.widths[:0], math.MaxInt
 	s.pendingDeps = make(map[int]int)
-	s.dependents = make(map[int][]*TaskState)
+	s.dependents = make(map[int]depList)
+	s.depEdges, s.freeEdge = s.depEdges[:0], noEdge
 	s.machines = s.machines[:0]
 	s.machClusters = s.machClusters[:0]
 	s.maxSpeed = 0
@@ -163,17 +208,30 @@ func (s *Simulator) run(next func() *workload.Job, chunk int) (*Result, error) {
 }
 
 func (s *Simulator) onJobArrive(job *workload.Job, js *jobState) {
-	states := make([]TaskState, len(job.Tasks))
+	now := s.k.Now()
 	for i := range job.Tasks {
 		t := &job.Tasks[i]
-		st := &states[i]
-		*st = TaskState{Job: job, Task: t, Ready: s.k.Now(), js: js}
+		ref := s.states.alloc()
+		*s.states.at(ref) = TaskState{Job: job, Task: t, Ready: now, js: js}
 		if len(t.Deps) == 0 {
-			s.enqueue(st)
-		} else {
-			s.pendingDeps[t.ID] = len(t.Deps)
-			for _, d := range t.Deps {
-				s.dependents[d] = append(s.dependents[d], st)
+			s.enqueue(ref)
+			continue
+		}
+		s.pendingDeps[t.ID] = len(t.Deps)
+		for _, d := range t.Deps {
+			e := s.freeEdge
+			if e != noEdge {
+				s.freeEdge = s.depEdges[e].next
+				s.depEdges[e] = depEdge{ref: ref, next: noEdge}
+			} else {
+				e = uint32(len(s.depEdges))
+				s.depEdges = append(s.depEdges, depEdge{ref: ref, next: noEdge})
+			}
+			if l, ok := s.dependents[d]; ok {
+				s.depEdges[l.tail].next = e
+				s.dependents[d] = depList{head: l.head, tail: e}
+			} else {
+				s.dependents[d] = depList{head: e, tail: e}
 			}
 		}
 	}
@@ -181,9 +239,19 @@ func (s *Simulator) onJobArrive(job *workload.Job, js *jobState) {
 }
 
 // enqueue appends a ready task and maintains the width counts.
-func (s *Simulator) enqueue(st *TaskState) {
-	s.queue = append(s.queue, st)
-	c := st.Task.CPUs
+func (s *Simulator) enqueue(ref uint32) {
+	t := s.states.at(ref).Task
+	if len(s.qbuf) == cap(s.qbuf) && s.qhead > 0 {
+		// Reclaim the front that compaction dropped; grow as well when
+		// the live part fills more than half the buffer.
+		live := s.qbuf[s.qhead:]
+		if 2*s.qhead < cap(s.qbuf) {
+			s.qbuf = make([]qitem, 0, 2*cap(s.qbuf))
+		}
+		s.qbuf, s.qhead = append(s.qbuf[:0], live...), 0
+	}
+	c := t.CPUs
+	s.qbuf = append(s.qbuf, qitem{fast: t.RuntimeEstimate / s.maxSpeed, cpus: int32(c), ref: ref})
 	for len(s.widths) <= c {
 		s.widths = append(s.widths, 0)
 	}
@@ -205,42 +273,36 @@ func (s *Simulator) scheduleDispatch() {
 
 // dispatch orders the queue by policy and greedily places tasks.
 func (s *Simulator) dispatch() {
-	if len(s.queue) == 0 {
+	q := s.qbuf[s.qhead:]
+	if len(q) == 0 {
 		s.forgetChanged() // no queued task to re-order
 		return
 	}
-	if !s.random {
-		// Saturation shortcut: when even the narrowest queued request
-		// cannot fit anywhere, the cycle places nothing, and a pure
-		// ordering can be deferred to the next cycle that matters.
-		maxFree := 0
-		for _, m := range s.machines {
-			maxFree = max(maxFree, m.Free())
-		}
-		if maxFree < s.minWidth {
-			s.recordUtilization()
-			return
-		}
+	// A task fits iff it is no wider than the largest free block. Within
+	// one cycle free capacity never grows (placements claim cores; the EASY
+	// revert below returns exactly what it just claimed), so a task that
+	// does not fit now never will in this cycle.
+	maxFree := s.maxFree()
+	if !s.random && maxFree < s.minWidth {
+		// Saturation shortcut: even the narrowest queued request fits
+		// nowhere, so the cycle places nothing, and a pure ordering can be
+		// deferred to the next cycle that matters.
+		s.recordUtilization()
+		return
 	}
 	s.order()
 
 	now := s.k.Now()
 	var headReservation sim.Time
 	headSeen := false
-	// Within one dispatch cycle free capacity never grows (placements claim
-	// cores; the EASY revert below returns exactly what it just claimed), so
-	// once a placement for some width fails, every later task at least as
-	// wide must fail too. Tracking the narrowest failed width makes probes
-	// for a saturated environment O(1), and once it is no wider than every
-	// unvisited task the rest of the queue is kept untouched.
-	minFailed := math.MaxInt
+	// The scan stops once no unvisited task can fit: minLeft is the
+	// narrowest unvisited width, and the rest of the queue is kept as is.
 	left := append(s.left[:0], s.widths...)
 	minLeft := s.minWidth
-	q := s.queue
 	kept, i := 0, 0
-	for ; i < len(q) && minFailed > minLeft; i++ {
-		st := q[i]
-		cpus := st.Task.CPUs
+	for ; i < len(q) && maxFree >= minLeft; i++ {
+		it := q[i]
+		cpus := int(it.cpus)
 		if left[cpus]--; left[cpus] == 0 && cpus == minLeft {
 			for minLeft < len(left) && left[minLeft] == 0 {
 				minLeft++
@@ -249,20 +311,15 @@ func (s *Simulator) dispatch() {
 				minLeft = math.MaxInt
 			}
 		}
-		if headSeen && now+st.Task.RuntimeEstimate/s.maxSpeed > headReservation {
+		if headSeen && now+it.fast > headReservation {
 			// Would delay the head's reservation even on the fastest
 			// machine: the placement below would be reverted.
-			q[kept] = st
+			q[kept] = it
 			kept++
 			continue
 		}
-		mi := -1
-		if cpus < minFailed {
-			mi = s.place(cpus)
-		}
-		if mi < 0 {
-			minFailed = min(minFailed, cpus)
-			q[kept] = st
+		if cpus > maxFree {
+			q[kept] = it
 			kept++
 			if s.easy && !headSeen {
 				headSeen = true
@@ -274,24 +331,40 @@ func (s *Simulator) dispatch() {
 			}
 			continue
 		}
-		if headSeen {
-			m := s.machines[mi]
-			if now+st.Task.RuntimeEstimate/sim.Duration(m.Speed) > headReservation {
-				// Would delay the head's reservation: put it back.
-				if err := m.Release(cpus); err != nil {
-					panic(err)
-				}
-				q[kept] = st
-				kept++
-				continue
+		mi := s.place(cpus)
+		m := s.machines[mi]
+		if headSeen && now+s.states.at(it.ref).Task.RuntimeEstimate/sim.Duration(m.Speed) > headReservation {
+			// Would delay the head's reservation: put it back.
+			if err := m.Release(cpus); err != nil {
+				panic(err)
 			}
+			q[kept] = it
+			kept++
+			continue
 		}
 		s.widths[cpus]--
-		s.start(st, mi)
+		s.start(it.ref, mi)
+		if m.Free()+cpus == maxFree {
+			maxFree = s.maxFree()
+		}
 	}
-	n := kept + copy(q[kept:], q[i:])
-	clear(q[n:])
-	s.queue, s.sorted, s.left = q[:n], n, left
+	if s.easy && !headSeen && i < len(q) {
+		// Had the scan gone on, its next task would have failed to fit and
+		// become the head, and probing its reservation sorts estFinish in
+		// place. Later finishes depend on that order (see onTaskFinish).
+		s.reservationTime(int(q[i].cpus))
+	}
+	// Close the gap between the kept prefix and the unvisited tail by
+	// moving whichever is shorter.
+	tail := len(q) - i
+	if kept < tail {
+		copy(q[i-kept:], q[:kept])
+		s.qhead += i - kept
+	} else {
+		copy(q[kept:], q[i:])
+		s.qbuf = s.qbuf[:s.qhead+kept+tail]
+	}
+	s.sorted, s.left = kept+tail, left
 	for s.minWidth < len(s.widths) && s.widths[s.minWidth] == 0 {
 		s.minWidth++
 	}
@@ -301,6 +374,15 @@ func (s *Simulator) dispatch() {
 	s.recordUtilization()
 }
 
+// maxFree returns the largest number of free cores on one machine.
+func (s *Simulator) maxFree() int {
+	f := 0
+	for _, m := range s.machines {
+		f = max(f, m.Free())
+	}
+	return f
+}
+
 // order brings the queue into the order a stable sort by the policy's
 // comparator would give, touching only what changed since the last pass:
 // the tasks that arrived since (the queue past s.sorted) and, for a policy
@@ -308,7 +390,7 @@ func (s *Simulator) dispatch() {
 // changed. The rest stays in order; the moved tasks are stable-sorted and
 // merged back in, ties going to the earlier queue position.
 func (s *Simulator) order() {
-	q := s.queue
+	q := s.qbuf[s.qhead:]
 	if s.random {
 		s.rand.Shuffle(len(q), func(i, j int) { q[i], q[j] = q[j], q[i] })
 		return
@@ -318,13 +400,14 @@ func (s *Simulator) order() {
 	byPos := len(s.changed) > 0
 	if byPos {
 		head = 0
-		for i, st := range q {
+		for i, it := range q {
+			st := s.states.at(it.ref)
 			st.pos = i
 			if i < s.sorted && !st.js.changed {
-				q[head] = st
+				q[head] = it
 				head++
 			} else {
-				moved = append(moved, st)
+				moved = append(moved, it)
 			}
 		}
 		s.forgetChanged()
@@ -332,12 +415,13 @@ func (s *Simulator) order() {
 		moved = append(moved, q[head:]...)
 	}
 	if len(moved) > 0 {
-		slices.SortStableFunc(moved, s.cmp)
+		slices.SortStableFunc(moved, s.cmpItems)
 		// Merge from the back: q[:head] holds the kept order, and each moved
 		// task lands after every kept task that does not sort after it.
-		before := func(x, y *TaskState) bool {
-			c := s.cmp(x, y)
-			return c < 0 || c == 0 && byPos && x.pos < y.pos
+		before := func(x, y qitem) bool {
+			a, b := s.states.at(x.ref), s.states.at(y.ref)
+			c := s.cmp(a, b)
+			return c < 0 || c == 0 && byPos && a.pos < b.pos
 		}
 		for r := len(moved) - 1; r >= 0; r-- {
 			x := moved[r]
@@ -357,7 +441,6 @@ func (s *Simulator) order() {
 			q[lo+r] = x
 			head = lo
 		}
-		clear(moved)
 	}
 	s.moved = moved[:0]
 	s.sorted = len(q)
@@ -373,7 +456,7 @@ func (s *Simulator) forgetChanged() {
 }
 
 // place claims cpus slots on the first machine (earlier clusters first) that
-// has them free and returns its index, or -1 when none has.
+// has them free and returns its index. Some machine must have them.
 func (s *Simulator) place(cpus int) int {
 	for i, m := range s.machines {
 		if m.Free() >= cpus {
@@ -383,7 +466,7 @@ func (s *Simulator) place(cpus int) int {
 			return i
 		}
 	}
-	return -1
+	panic(fmt.Sprintf("sched: no machine has %d free cores", cpus))
 }
 
 // reservationTime estimates the earliest time cpus slots free up on any
@@ -413,30 +496,50 @@ func (s *Simulator) reservationTime(cpus int) sim.Time {
 	return best
 }
 
-func (s *Simulator) start(st *TaskState, mi int) {
+func (s *Simulator) start(ref uint32, mi int) {
 	now := s.k.Now()
 	m := s.machines[mi]
-	st.Started = true
-	st.StartAt = now
-	runtime := st.Task.Runtime / sim.Duration(m.Speed)
+	st := s.states.at(ref)
+	t := st.Task
+	runtime := t.Runtime / sim.Duration(m.Speed)
 	// Cross-site placement pays the environment's inter-cluster latency once,
 	// modeling data movement between sites (grids and geo-distributed
 	// datacenters pay more).
 	if len(s.env.Clusters) > 1 && s.machClusters[mi] != s.env.Clusters[0] {
 		runtime += s.env.InterLatency
 	}
-	st.FinishAt = now + runtime
-	est := now + st.Task.RuntimeEstimate/sim.Duration(m.Speed)
-	s.estFinish[mi] = append(s.estFinish[mi], estSlot{at: est, cpus: st.Task.CPUs})
+	est := now + t.RuntimeEstimate/sim.Duration(m.Speed)
+	s.estFinish[mi] = append(s.estFinish[mi], estSlot{at: est, cpus: t.CPUs})
 	if js := st.js; !js.started {
 		js.started = true
 		js.start = now
 	}
-	s.k.At(st.FinishAt, "task-finish", func(k *sim.Kernel) { s.onTaskFinish(st, mi) })
+	f := s.finishEvent()
+	f.ref, f.mi = ref, mi
+	s.k.At(now+runtime, "task-finish", f.fn)
 }
 
-func (s *Simulator) onTaskFinish(st *TaskState, mi int) {
-	if err := s.machines[mi].Release(st.Task.CPUs); err != nil {
+// finishEvent takes an idle task-finish record, building one when none is
+// idle. Its handler returns it to the idle list before finishing the task.
+func (s *Simulator) finishEvent() *finishEvent {
+	if n := len(s.finishes); n > 0 {
+		f := s.finishes[n-1]
+		s.finishes = s.finishes[:n-1]
+		return f
+	}
+	f := &finishEvent{}
+	f.fn = func(*sim.Kernel) {
+		s.finishes = append(s.finishes, f)
+		s.onTaskFinish(f.ref, f.mi)
+	}
+	return f
+}
+
+func (s *Simulator) onTaskFinish(ref uint32, mi int) {
+	st := s.states.at(ref)
+	t, job, js := st.Task, st.Job, st.js
+	s.states.release(ref)
+	if err := s.machines[mi].Release(t.CPUs); err != nil {
 		panic(err)
 	}
 	// Drop an estimate slot of the task's width. Known bug: this is the
@@ -445,30 +548,33 @@ func (s *Simulator) onTaskFinish(st *TaskState, mi int) {
 	// changes EASY-BF results.
 	slots := s.estFinish[mi]
 	for i := range slots {
-		if slots[i].cpus == st.Task.CPUs {
+		if slots[i].cpus == t.CPUs {
 			s.estFinish[mi] = append(slots[:i], slots[i+1:]...)
 			break
 		}
 	}
-	js := st.js
-	js.served += float64(st.Task.CPUs) * float64(st.Task.Runtime)
+	js.served += float64(t.CPUs) * float64(t.Runtime)
 	if s.drift && !js.changed {
 		js.changed = true
 		s.changed = append(s.changed, js)
 	}
 
-	for _, dep := range s.dependents[st.Task.ID] {
-		s.pendingDeps[dep.Task.ID]--
-		if s.pendingDeps[dep.Task.ID] == 0 {
-			delete(s.pendingDeps, dep.Task.ID)
-			dep.Ready = s.k.Now()
-			s.enqueue(dep)
+	if l, ok := s.dependents[t.ID]; ok {
+		for e := l.head; e != noEdge; e = s.depEdges[e].next {
+			dep := s.states.at(s.depEdges[e].ref)
+			s.pendingDeps[dep.Task.ID]--
+			if s.pendingDeps[dep.Task.ID] == 0 {
+				delete(s.pendingDeps, dep.Task.ID)
+				dep.Ready = s.k.Now()
+				s.enqueue(s.depEdges[e].ref)
+			}
 		}
+		delete(s.dependents, t.ID)
+		s.depEdges[l.tail].next, s.freeEdge = s.freeEdge, l.head
 	}
-	delete(s.dependents, st.Task.ID)
 
 	if js.left--; js.left == 0 {
-		s.finishJob(st.Job, js)
+		s.finishJob(job, js)
 	}
 	s.scheduleDispatch()
 }
@@ -490,7 +596,7 @@ func (s *Simulator) finishJob(job *workload.Job, state *jobState) {
 	// Bounded slowdown against the job's ideal time: the critical path is
 	// the response time under infinite resources, so any queueing — before
 	// the first task or between tasks — counts as slowdown.
-	den := float64(job.CriticalPath())
+	den := float64(state.cp)
 	if den < boundedSlowdownTau {
 		den = boundedSlowdownTau
 	}

@@ -87,7 +87,8 @@ func (s *Simulator) feedChunk() {
 			s.k.Stop()
 			return
 		}
-		if err := j.ValidateDAG(); err != nil {
+		cp, err := j.CheckDAG(&s.dag)
+		if err != nil {
 			f.err = fmt.Errorf("sched: %w", err)
 			s.k.Stop()
 			return
@@ -100,7 +101,7 @@ func (s *Simulator) feedChunk() {
 		if len(states) == cap(states) {
 			states = make([]jobState, 0, f.chunk)
 		}
-		states = append(states, jobState{left: len(j.Tasks)})
+		states = append(states, jobState{left: len(j.Tasks), cp: cp})
 		job, js := j, &states[len(states)-1]
 		buf = append(buf, sim.BatchEvent{
 			At: job.Submit, Name: "job-arrive",

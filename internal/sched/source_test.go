@@ -165,8 +165,10 @@ func TestRunSortsBySubmitStably(t *testing.T) {
 
 // TestRunSourceBoundedMemory streams 10^5 jobs from a million-scale style
 // population through the simulator and checks that per-job state is fully
-// reclaimed: after the run, the queue and every task-keyed map must be empty — memory was
-// proportional to in-flight jobs, not stream length.
+// reclaimed: after the run, the queue, every task-keyed map and the state
+// arena must be empty, and the arena must have grown to far fewer pages
+// than the streamed tasks would fill — memory was proportional to in-flight
+// jobs, not stream length.
 func TestRunSourceBoundedMemory(t *testing.T) {
 	if testing.Short() {
 		t.Skip("streams 1e5 jobs")
@@ -190,7 +192,8 @@ func TestRunSourceBoundedMemory(t *testing.T) {
 
 	env := cluster.NewHomogeneous(cluster.KindCluster, 2, 32, 16)
 	s := NewSimulator(env, nil, GreedyBackfill(), 1)
-	res, err := s.RunSource(workload.Take(src, jobs))
+	counted := &taskCounter{JobSource: workload.Take(src, jobs)}
+	res, err := s.RunSource(counted)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,19 +205,37 @@ func TestRunSourceBoundedMemory(t *testing.T) {
 		slots += len(sl)
 	}
 	for name, n := range map[string]int{
-		"queue":       len(s.queue),
+		"queue":       len(s.qbuf) - s.qhead,
 		"pendingDeps": len(s.pendingDeps),
 		"dependents":  len(s.dependents),
 		"changed":     len(s.changed),
 		"estFinish":   slots,
+		"arena":       s.states.live(),
 	} {
 		if n != 0 {
 			t.Errorf("%s retains %d entries after streaming run", name, n)
 		}
 	}
+	if pages, all := len(s.states.pages), counted.tasks/statePage; pages > all/20 {
+		t.Errorf("arena grew to %d pages; the %d streamed tasks fill %d", pages, counted.tasks, all)
+	}
 	if res.UtilizationMean <= 0 || res.UtilizationMean > 1 {
 		t.Errorf("UtilizationMean = %v out of (0,1]", res.UtilizationMean)
 	}
+}
+
+// taskCounter counts the tasks of the jobs its source emits.
+type taskCounter struct {
+	workload.JobSource
+	tasks int
+}
+
+func (c *taskCounter) Next() *workload.Job {
+	j := c.JobSource.Next()
+	if j != nil {
+		c.tasks += len(j.Tasks)
+	}
+	return j
 }
 
 // errSource emits a fixed list of jobs, for protocol-violation tests.

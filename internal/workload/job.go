@@ -10,6 +10,7 @@ package workload
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"atlarge/internal/sim"
@@ -107,83 +108,97 @@ func (j *Job) IsWorkflow() bool {
 }
 
 // CriticalPath returns the length, in virtual seconds, of the longest
-// dependency chain (the lower bound on job makespan with infinite resources).
+// dependency chain (the lower bound on job makespan with infinite
+// resources). It is 0 for a job that fails ValidateDAG.
 func (j *Job) CriticalPath() sim.Duration {
-	memo := make(map[int]sim.Duration, len(j.Tasks))
-	byID := make(map[int]*Task, len(j.Tasks))
-	for i := range j.Tasks {
-		byID[j.Tasks[i].ID] = &j.Tasks[i]
-	}
-	var finish func(id int) sim.Duration
-	finish = func(id int) sim.Duration {
-		if v, ok := memo[id]; ok {
-			return v
-		}
-		t := byID[id]
-		if t == nil {
-			return 0
-		}
-		var start sim.Duration
-		for _, d := range t.Deps {
-			if f := finish(d); f > start {
-				start = f
-			}
-		}
-		v := start + t.Runtime
-		memo[id] = v
-		return v
-	}
-	var cp sim.Duration
-	for _, t := range j.Tasks {
-		if f := finish(t.ID); f > cp {
-			cp = f
-		}
-	}
+	cp, _ := j.CheckDAG(new(DAGScratch))
 	return cp
 }
 
-// ValidateDAG checks that dependencies reference existing tasks and contain
-// no cycles.
+// ValidateDAG checks that task IDs are unique and that dependencies
+// reference existing tasks and contain no cycles.
 func (j *Job) ValidateDAG() error {
-	byID := make(map[int]*Task, len(j.Tasks))
-	for i := range j.Tasks {
-		if _, dup := byID[j.Tasks[i].ID]; dup {
-			return fmt.Errorf("workload: job %d: duplicate task id %d", j.ID, j.Tasks[i].ID)
-		}
-		byID[j.Tasks[i].ID] = &j.Tasks[i]
+	_, err := j.CheckDAG(new(DAGScratch))
+	return err
+}
+
+// DAGScratch is reusable working storage for CheckDAG: checking a stream of
+// jobs with one scratch allocates only when a job outgrows every earlier
+// one. The zero value is ready to use; a scratch is not safe for concurrent
+// use.
+type DAGScratch struct {
+	pos    map[int]int32  // task ID -> index
+	state  []uint8        // per task: unvisited, on the DFS path, or done
+	finish []sim.Duration // per done task: finish time under infinite resources
+}
+
+const (
+	dagUnvisited uint8 = iota
+	dagOnPath
+	dagDone
+)
+
+// CheckDAG validates the job as ValidateDAG does and returns its critical
+// path as CriticalPath does, in one depth-first pass over the tasks. On an
+// invalid job it returns 0 and the first problem found: a duplicate task ID,
+// or, in depth-first order from each task in turn, a missing dependency or
+// a cycle.
+func (j *Job) CheckDAG(sc *DAGScratch) (sim.Duration, error) {
+	n := len(j.Tasks)
+	if n == 0 {
+		return 0, nil
 	}
-	const (
-		white = 0
-		gray  = 1
-		black = 2
-	)
-	color := make(map[int]int, len(j.Tasks))
-	var visit func(id int) error
-	visit = func(id int) error {
-		switch color[id] {
-		case gray:
-			return fmt.Errorf("workload: job %d: dependency cycle through task %d", j.ID, id)
-		case black:
-			return nil
+	if sc.pos == nil {
+		sc.pos = make(map[int]int32, n)
+	}
+	clear(sc.pos)
+	for i := range j.Tasks {
+		id := j.Tasks[i].ID
+		if _, dup := sc.pos[id]; dup {
+			return 0, fmt.Errorf("workload: job %d: duplicate task id %d", j.ID, id)
 		}
-		color[id] = gray
-		t := byID[id]
-		for _, d := range t.Deps {
-			if _, ok := byID[d]; !ok {
-				return fmt.Errorf("workload: job %d: task %d depends on missing task %d", j.ID, id, d)
-			}
-			if err := visit(d); err != nil {
-				return err
-			}
+		sc.pos[id] = int32(i)
+	}
+	sc.state = slices.Grow(sc.state[:0], n)[:n]
+	clear(sc.state)
+	sc.finish = slices.Grow(sc.finish[:0], n)[:n]
+	var cp sim.Duration
+	for i := range j.Tasks {
+		if err := sc.visit(j, int32(i)); err != nil {
+			return 0, err
 		}
-		color[id] = black
+		if f := sc.finish[i]; f > cp {
+			cp = f
+		}
+	}
+	return cp, nil
+}
+
+// visit finishes task i after every task it depends on.
+func (sc *DAGScratch) visit(j *Job, i int32) error {
+	switch sc.state[i] {
+	case dagOnPath:
+		return fmt.Errorf("workload: job %d: dependency cycle through task %d", j.ID, j.Tasks[i].ID)
+	case dagDone:
 		return nil
 	}
-	for _, t := range j.Tasks {
-		if err := visit(t.ID); err != nil {
+	sc.state[i] = dagOnPath
+	t := &j.Tasks[i]
+	var start sim.Duration
+	for _, d := range t.Deps {
+		k, ok := sc.pos[d]
+		if !ok {
+			return fmt.Errorf("workload: job %d: task %d depends on missing task %d", j.ID, t.ID, d)
+		}
+		if err := sc.visit(j, k); err != nil {
 			return err
 		}
+		if f := sc.finish[k]; f > start {
+			start = f
+		}
 	}
+	sc.finish[i] = start + t.Runtime
+	sc.state[i] = dagDone
 	return nil
 }
 
@@ -255,8 +270,9 @@ func (tr *Trace) Span() sim.Duration {
 
 // Validate runs ValidateDAG over all jobs.
 func (tr *Trace) Validate() error {
+	var sc DAGScratch
 	for _, j := range tr.Jobs {
-		if err := j.ValidateDAG(); err != nil {
+		if _, err := j.CheckDAG(&sc); err != nil {
 			return err
 		}
 	}
