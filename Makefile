@@ -66,7 +66,7 @@ run-all:
 # process each: a result that follows map iteration order passes a single
 # run by chance far more often than five.
 determinism:
-	$(GO) test -count=5 -run 'Determinism|Deterministic|Parity|Fingerprint' ./internal/p2p ./internal/mmog ./internal/sched ./internal/portfolio ./internal/workload .
+	$(GO) test -count=5 -run 'Determinism|Deterministic|Parity|Fingerprint' ./internal/p2p ./internal/mmog ./internal/sched ./internal/portfolio ./internal/workload ./internal/graphproc ./internal/biblio .
 
 # End-to-end determinism check of the scenario engine through the CLI: each
 # committed golden sweep (one per pinned domain) must produce byte-identical

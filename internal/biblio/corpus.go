@@ -14,8 +14,10 @@ import (
 
 // Publication is one article in the corpus.
 type Publication struct {
-	Venue    string
-	Year     int
+	Venue string
+	Year  int
+	// Keywords from Generate is a window into an arena shared with other
+	// publications, capped at its length, so an append copies it.
 	Keywords []string
 	IsDesign bool
 	Accepted bool
@@ -109,8 +111,17 @@ func venueStart(venue string) int {
 	}
 }
 
+// keywordChunk is the length of one keyword arena chunk of Generate.
+const keywordChunk = 4096
+
 // Generate builds the synthetic corpus over the union of the Figure 1 and
 // Figure 2 venues.
+//
+// Keywords are stored in shared arenas: each publication's Keywords is a
+// window into a chunk of keywordChunk strings, capped at its own length
+// with a 3-index slice, so appending to it copies the window instead of
+// overwriting the next publication's keywords. A publication without
+// keywords has a nil Keywords.
 func Generate(cfg CorpusConfig) ([]Publication, error) {
 	if cfg.StartYear > cfg.EndYear {
 		return nil, fmt.Errorf("biblio: year range %d..%d", cfg.StartYear, cfg.EndYear)
@@ -127,41 +138,58 @@ func Generate(cfg CorpusConfig) ([]Publication, error) {
 			venueList = append(venueList, v)
 		}
 	}
-	kw := KeywordWeights()
-	var corpus []Publication
+	// Volume grows mildly over time (the field expanded).
+	volume := func(year int) float64 {
+		return float64(cfg.ArticlesPerVenueYear) * (0.5 + float64(year-1980)*0.02)
+	}
+	// A venue-year draws at most int(volume·1.2) articles.
+	bound := 0
 	for _, venue := range venueList {
-		start := venueStart(venue)
-		for year := cfg.StartYear; year <= cfg.EndYear; year++ {
-			if year < start {
-				continue
-			}
-			// Volume grows mildly over time (the field expanded).
-			vol := float64(cfg.ArticlesPerVenueYear) * (0.5 + float64(year-1980)*0.02)
-			n := int(vol * (0.8 + 0.4*r.Float64()))
+		for year := max(cfg.StartYear, venueStart(venue)); year <= cfg.EndYear; year++ {
+			bound += max(0, int(volume(year)*1.2)+1)
+		}
+	}
+	// Keyword presence probability scales with the reported prevalence;
+	// "design" presence correlates with design articles (0.95 for design
+	// articles, 0.14 otherwise — calibrated so the aggregate matches the
+	// Figure 1 rank of "design" just below "performance").
+	kw := KeywordWeights()
+	prob := make([]float64, len(kw))
+	var design int
+	for i, k := range kw {
+		prob[i] = k.Weight * 0.5
+		if k.Keyword == "design" {
+			design = i
+		}
+	}
+	corpus := make([]Publication, 0, bound)
+	var arena []string
+	for _, venue := range venueList {
+		for year := max(cfg.StartYear, venueStart(venue)); year <= cfg.EndYear; year++ {
+			n := int(volume(year) * (0.8 + 0.4*r.Float64()))
+			share := designShare(year)
 			for a := 0; a < n; a++ {
 				pub := Publication{
 					Venue:    venue,
 					Year:     year,
-					IsDesign: r.Float64() < designShare(year),
+					IsDesign: r.Float64() < share,
 					Accepted: true,
 				}
-				for _, k := range kw {
-					// Keyword presence probability scales with the reported
-					// prevalence; "design" presence correlates with design
-					// articles (0.95 for design articles, 0.14 otherwise —
-					// calibrated so the aggregate matches the Figure 1 rank
-					// of "design" just below "performance").
-					p := k.Weight * 0.5
-					if k.Keyword == "design" {
-						if pub.IsDesign {
-							p = 0.95
-						} else {
-							p = 0.14
-						}
+				prob[design] = 0.14
+				if pub.IsDesign {
+					prob[design] = 0.95
+				}
+				if cap(arena)-len(arena) < len(kw) {
+					arena = make([]string, 0, keywordChunk)
+				}
+				first := len(arena)
+				for i, k := range kw {
+					if r.Float64() < prob[i] {
+						arena = append(arena, k.Keyword)
 					}
-					if r.Float64() < p {
-						pub.Keywords = append(pub.Keywords, k.Keyword)
-					}
+				}
+				if last := len(arena); last > first {
+					pub.Keywords = arena[first:last:last]
 				}
 				corpus = append(corpus, pub)
 			}

@@ -200,90 +200,107 @@ func WCC(g *Graph) ([]float64, *Profile, error) {
 }
 
 // CDLP is community detection by synchronous label propagation for iters
-// rounds: each vertex adopts the most frequent label among its neighbors.
+// rounds: each vertex adopts the most frequent label among its neighbors,
+// ties going to the lowest label.
+//
+// Labels are vertex IDs, so one dense count array indexed by label, reset
+// through the list of labels each vertex touched, does the counting; the
+// call allocates the same few arrays whatever the graph's size.
 func CDLP(g *Graph, iters int) ([]float64, *Profile, error) {
 	if iters < 1 {
 		return nil, nil, fmt.Errorf("graphproc: cdlp iterations %d", iters)
 	}
-	label := make([]float64, g.N)
+	label := make([]int32, g.N)
 	for i := range label {
-		label[i] = float64(i)
+		label[i] = int32(i)
 	}
-	prof := &Profile{Algorithm: AlgoCDLP, Dataset: g.Name}
-	next := make([]float64, g.N)
+	next := make([]int32, g.N)
+	counts := make([]int32, g.N)
+	maxDeg := 0
+	for v := 0; v < g.N; v++ {
+		maxDeg = max(maxDeg, g.Degree(v))
+	}
+	touched := make([]int32, 0, maxDeg)
+	prof := &Profile{
+		Algorithm:     AlgoCDLP,
+		Dataset:       g.Name,
+		ActivePerIter: make([]int64, 0, iters),
+		EdgesPerIter:  make([]int64, 0, iters),
+	}
 	for it := 0; it < iters; it++ {
-		var edges int64
 		for v := 0; v < g.N; v++ {
-			nb := g.Neighbors(v)
-			if len(nb) == 0 {
-				next[v] = label[v]
-				continue
+			best := label[v]
+			touched = touched[:0]
+			for _, u := range g.Neighbors(v) {
+				l := label[u]
+				if counts[l] == 0 {
+					touched = append(touched, l)
+				}
+				counts[l]++
 			}
-			counts := make(map[float64]int, len(nb))
-			for _, u := range nb {
-				counts[label[u]]++
-				edges++
-			}
-			best, bestC := label[v], 0
-			for l, c := range counts {
-				if c > bestC || (c == bestC && l < best) {
+			var bestC int32
+			for _, l := range touched {
+				if c := counts[l]; c > bestC || (c == bestC && l < best) {
 					best, bestC = l, c
 				}
+				counts[l] = 0
 			}
 			next[v] = best
 		}
 		label, next = next, label
 		prof.Iterations++
 		prof.ActivePerIter = append(prof.ActivePerIter, int64(g.N))
-		prof.EdgesPerIter = append(prof.EdgesPerIter, edges)
+		prof.EdgesPerIter = append(prof.EdgesPerIter, int64(g.M()))
 	}
-	return label, prof, nil
+	out := make([]float64, g.N)
+	for v, l := range label {
+		out[v] = float64(l)
+	}
+	return out, prof, nil
 }
 
-// LCC computes the local clustering coefficient per vertex via sorted
-// adjacency intersection; compute-heavy (the ComputeUnits term dominates).
+// LCC computes the local clustering coefficient per vertex by counting,
+// for each neighbor, the neighbors it shares with the vertex;
+// compute-heavy (the ComputeUnits term dominates). Shared neighbors are
+// counted as a multiset intersection: a target listed a times by the
+// vertex and b times by the neighbor counts min(a, b) times.
 func LCC(g *Graph) ([]float64, *Profile, error) {
 	out := make([]float64, g.N)
 	prof := &Profile{Algorithm: AlgoLCC, Dataset: g.Name, Iterations: 1}
-	var edges int64
+	// mult[x] is how often the current vertex lists x as a neighbor.
+	mult := make([]int32, g.N)
 	var work float64
 	for v := 0; v < g.N; v++ {
 		nb := g.Neighbors(v)
-		edges += int64(len(nb))
 		d := len(nb)
 		if d < 2 {
 			continue
 		}
+		for _, x := range nb {
+			mult[x]++
+		}
 		links := 0
 		for _, u := range nb {
-			// Intersect neighbor lists (both sorted).
-			links += intersectCount(nb, g.Neighbors(int(u)))
-			work += float64(d + g.Degree(int(u)))
+			nu := g.Neighbors(int(u))
+			for i := 0; i < len(nu); {
+				x, j := nu[i], i+1
+				for j < len(nu) && nu[j] == x {
+					j++
+				}
+				links += min(int(mult[x]), j-i)
+				i = j
+			}
+			work += float64(d + len(nu))
+		}
+		for _, x := range nb {
+			mult[x] = 0
 		}
 		out[v] = float64(links) / float64(d*(d-1))
 	}
 	prof.ActivePerIter = []int64{int64(g.N)}
-	prof.EdgesPerIter = []int64{edges}
+	prof.EdgesPerIter = []int64{int64(g.M())}
 	prof.ComputeUnits = work
 	return out, prof, nil
-}
-
-// intersectCount counts common elements of two sorted int32 slices.
-func intersectCount(a, b []int32) int {
-	i, j, c := 0, 0, 0
-	for i < len(a) && j < len(b) {
-		switch {
-		case a[i] < b[j]:
-			i++
-		case a[i] > b[j]:
-			j++
-		default:
-			c++
-			i++
-			j++
-		}
-	}
-	return c
 }
 
 // SSSP computes single-source shortest paths with iterative Bellman–Ford

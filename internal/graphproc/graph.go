@@ -8,10 +8,8 @@
 package graphproc
 
 import (
-	"cmp"
 	"fmt"
 	"math/rand"
-	"slices"
 )
 
 // Graph is a directed graph in CSR (compressed sparse row) form. Vertices
@@ -49,7 +47,8 @@ func (g *Graph) EdgeWeights(v int) []float32 {
 
 // FromEdges builds a CSR graph from an edge list. Self-loops are kept;
 // duplicate edges are kept (multigraph semantics, like Graphalytics inputs
-// after dedup is skipped).
+// after dedup is skipped). Each adjacency list is sorted by target, with
+// duplicate edges in input order.
 func FromEdges(name string, n int, edges [][2]int32, weights []float32) (*Graph, error) {
 	if n <= 0 {
 		return nil, fmt.Errorf("graphproc: vertex count %d", n)
@@ -57,55 +56,41 @@ func FromEdges(name string, n int, edges [][2]int32, weights []float32) (*Graph,
 	if weights != nil && len(weights) != len(edges) {
 		return nil, fmt.Errorf("graphproc: %d weights for %d edges", len(weights), len(edges))
 	}
-	deg := make([]int32, n)
+	g := &Graph{Name: name, N: n}
+	g.offsets = make([]int32, n+1)
+	// cursor counts edges per target, then per source.
+	cursor := make([]int32, n+1)
 	for _, e := range edges {
 		if e[0] < 0 || int(e[0]) >= n || e[1] < 0 || int(e[1]) >= n {
 			return nil, fmt.Errorf("graphproc: edge (%d,%d) out of range [0,%d)", e[0], e[1], n)
 		}
-		deg[e[0]]++
+		g.offsets[e[0]+1]++
+		cursor[e[1]+1]++
 	}
-	g := &Graph{Name: name, N: n}
-	g.offsets = make([]int32, n+1)
 	for v := 0; v < n; v++ {
-		g.offsets[v+1] = g.offsets[v] + deg[v]
+		g.offsets[v+1] += g.offsets[v]
+		cursor[v+1] += cursor[v]
 	}
+	// Two stable counting sorts, by target and then by source, order each
+	// adjacency list by target and keep duplicate edges in input order.
+	byTarget := make([]int32, len(edges))
+	for i, e := range edges {
+		byTarget[cursor[e[1]]] = int32(i)
+		cursor[e[1]]++
+	}
+	copy(cursor, g.offsets[:n])
 	g.targets = make([]int32, len(edges))
 	if weights != nil {
 		g.Weights = make([]float32, len(edges))
 	}
-	cursor := make([]int32, n)
-	copy(cursor, g.offsets[:n])
-	for i, e := range edges {
+	for _, i := range byTarget {
+		e := edges[i]
 		pos := cursor[e[0]]
 		g.targets[pos] = e[1]
 		if weights != nil {
 			g.Weights[pos] = weights[i]
 		}
 		cursor[e[0]]++
-	}
-	// Sort adjacency lists for deterministic traversal order.
-	for v := 0; v < n; v++ {
-		lo, hi := g.offsets[v], g.offsets[v+1]
-		if g.Weights == nil {
-			seg := g.targets[lo:hi]
-			slices.Sort(seg)
-			continue
-		}
-		idx := make([]int, hi-lo)
-		for i := range idx {
-			idx[i] = i
-		}
-		tg := g.targets[lo:hi]
-		wt := g.Weights[lo:hi]
-		slices.SortStableFunc(idx, func(a, b int) int { return cmp.Compare(tg[a], tg[b]) })
-		nt := make([]int32, len(idx))
-		nw := make([]float32, len(idx))
-		for i, j := range idx {
-			nt[i] = tg[j]
-			nw[i] = wt[j]
-		}
-		copy(tg, nt)
-		copy(wt, nw)
 	}
 	return g, nil
 }

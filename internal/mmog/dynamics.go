@@ -3,6 +3,7 @@ package mmog
 import (
 	"math"
 	"math/rand"
+	"slices"
 
 	"atlarge/internal/sim"
 	"atlarge/internal/stats"
@@ -172,12 +173,9 @@ func (m MatchModel) Generate(n int) []Match {
 			lo = 0
 			pool = m.Players
 		}
-		seen := map[int]bool{}
 		players := make([]int, 0, m.TeamSize*2)
 		for len(players) < m.TeamSize*2 {
-			p := lo + r.Intn(pool)
-			if !seen[p] {
-				seen[p] = true
+			if p := lo + r.Intn(pool); !slices.Contains(players, p) {
 				players = append(players, p)
 			}
 		}

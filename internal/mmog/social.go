@@ -2,7 +2,7 @@ package mmog
 
 import (
 	"math/rand"
-	"sort"
+	"slices"
 
 	"atlarge/internal/stats"
 )
@@ -10,77 +10,161 @@ import (
 // SocialNetwork is the implicit player graph mined from co-play: an edge
 // connects two players who appeared in the same match, weighted by
 // co-occurrence count (Iosup et al., IEEE IC'14).
+//
+// The graph is stored in CSR (compressed sparse row) form. Its nodes are
+// the players with at least one co-player, in ascending ID order: row i is
+// player players[i], its neighbours are the row indices
+// nbr[off[i]:off[i+1]] in ascending order, and cnt holds the co-occurrence
+// count of each of those edges. A player listed twice in one match
+// co-occurs with itself, which shows as a self-loop.
 type SocialNetwork struct {
-	// Adj maps player -> co-player -> co-occurrence count.
-	Adj map[int]map[int]int
+	players []int
+	off     []int32
+	nbr     []int32
+	cnt     []int32
 }
 
 // BuildSocialNetwork mines the implicit network from matches.
 func BuildSocialNetwork(matches []Match) *SocialNetwork {
-	sn := &SocialNetwork{Adj: make(map[int]map[int]int)}
+	// Slots are the player positions of the matches with at least two
+	// players, numbered in match order; slots matchStart[m]..matchStart[m+1]
+	// belong to the m-th such match.
+	slots := 0
 	for _, m := range matches {
-		for i := 0; i < len(m.Players); i++ {
-			for j := i + 1; j < len(m.Players); j++ {
-				sn.addEdge(m.Players[i], m.Players[j])
-				sn.addEdge(m.Players[j], m.Players[i])
+		if len(m.Players) >= 2 {
+			slots += len(m.Players)
+		}
+	}
+	slotID := make([]int, 0, slots)
+	matchOf := make([]int32, 0, slots)
+	matchStart := []int32{0}
+	for _, m := range matches {
+		if len(m.Players) < 2 {
+			continue
+		}
+		for _, id := range m.Players {
+			slotID = append(slotID, id)
+			matchOf = append(matchOf, int32(len(matchStart)-1))
+		}
+		matchStart = append(matchStart, int32(len(slotID)))
+	}
+	players := slices.Clone(slotID)
+	slices.Sort(players)
+	players = slices.Compact(players)
+	n := len(players)
+	// Player→match index: byRow[slotOff[r]:slotOff[r+1]] are the slots of
+	// row r in match order.
+	rowOf := make([]int32, slots)
+	slotOff := make([]int32, n+1)
+	for s, id := range slotID {
+		r, _ := slices.BinarySearch(players, id)
+		rowOf[s] = int32(r)
+		slotOff[r+1]++
+	}
+	for r := 0; r < n; r++ {
+		slotOff[r+1] += slotOff[r]
+	}
+	byRow := make([]int32, slots)
+	fill := slices.Clone(slotOff[:n])
+	for s, r := range rowOf {
+		byRow[fill[r]] = int32(s)
+		fill[r]++
+	}
+
+	sn := &SocialNetwork{players: players, off: make([]int32, n+1)}
+	count := make([]int32, n)
+	var touched []int32
+	for r := 0; r < n; r++ {
+		touched = touched[:0]
+		for _, s := range byRow[slotOff[r]:slotOff[r+1]] {
+			m := matchOf[s]
+			for o := matchStart[m]; o < matchStart[m+1]; o++ {
+				if o == s {
+					continue
+				}
+				u := rowOf[o]
+				if count[u] == 0 {
+					touched = append(touched, u)
+				}
+				count[u]++
 			}
 		}
+		slices.Sort(touched)
+		for _, u := range touched {
+			sn.nbr = append(sn.nbr, u)
+			sn.cnt = append(sn.cnt, count[u])
+			count[u] = 0
+		}
+		sn.off[r+1] = int32(len(sn.nbr))
 	}
 	return sn
 }
 
-func (sn *SocialNetwork) addEdge(a, b int) {
-	if sn.Adj[a] == nil {
-		sn.Adj[a] = make(map[int]int)
+// row returns the neighbour rows of row r.
+func (sn *SocialNetwork) row(r int32) []int32 {
+	return sn.nbr[sn.off[r]:sn.off[r+1]]
+}
+
+// CoPlays returns how many times players a and b appeared in the same
+// match (0 when they never did).
+func (sn *SocialNetwork) CoPlays(a, b int) int {
+	ra, okA := slices.BinarySearch(sn.players, a)
+	rb, okB := slices.BinarySearch(sn.players, b)
+	if !okA || !okB {
+		return 0
 	}
-	sn.Adj[a][b]++
+	lo := sn.off[ra]
+	if i, ok := slices.BinarySearch(sn.row(int32(ra)), int32(rb)); ok {
+		return int(sn.cnt[lo+int32(i)])
+	}
+	return 0
 }
 
 // Nodes returns the number of players in the network.
-func (sn *SocialNetwork) Nodes() int { return len(sn.Adj) }
+func (sn *SocialNetwork) Nodes() int { return len(sn.players) }
 
 // Edges returns the number of undirected edges.
-func (sn *SocialNetwork) Edges() int {
-	n := 0
-	for _, nb := range sn.Adj {
-		n += len(nb)
-	}
-	return n / 2
-}
+func (sn *SocialNetwork) Edges() int { return len(sn.nbr) / 2 }
 
 // DegreeDistribution returns the sorted degrees of all nodes.
 func (sn *SocialNetwork) DegreeDistribution() []float64 {
-	out := make([]float64, 0, len(sn.Adj))
-	for _, nb := range sn.Adj {
-		out = append(out, float64(len(nb)))
+	out := make([]float64, len(sn.players))
+	for r := range out {
+		out[r] = float64(sn.off[r+1] - sn.off[r])
 	}
-	sort.Float64s(out)
+	slices.Sort(out)
 	return out
 }
 
 // ClusteringCoefficient returns the mean local clustering coefficient, the
-// signature of community structure in co-play graphs.
+// signature of community structure in co-play graphs. The coefficients are
+// summed in ascending player order.
 func (sn *SocialNetwork) ClusteringCoefficient() float64 {
-	var coeffs []float64
-	for v, nb := range sn.Adj {
-		neigh := make([]int, 0, len(nb))
-		for u := range nb {
-			neigh = append(neigh, u)
-		}
-		if len(neigh) < 2 {
+	n := len(sn.players)
+	inNb := make([]bool, n)
+	coeffs := make([]float64, 0, n)
+	for v := int32(0); int(v) < n; v++ {
+		nb := sn.row(v)
+		if len(nb) < 2 {
 			continue
 		}
+		for _, u := range nb {
+			inNb[u] = true
+		}
+		// Each linked neighbour pair {a, b}, a < b, is counted once, from a.
 		links := 0
-		for i := 0; i < len(neigh); i++ {
-			for j := i + 1; j < len(neigh); j++ {
-				if _, ok := sn.Adj[neigh[i]][neigh[j]]; ok {
+		for _, a := range nb {
+			for _, b := range sn.row(a) {
+				if b > a && inNb[b] {
 					links++
 				}
 			}
 		}
-		possible := len(neigh) * (len(neigh) - 1) / 2
+		for _, u := range nb {
+			inNb[u] = false
+		}
+		possible := len(nb) * (len(nb) - 1) / 2
 		coeffs = append(coeffs, float64(links)/float64(possible))
-		_ = v
 	}
 	return stats.Mean(coeffs)
 }

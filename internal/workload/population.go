@@ -183,20 +183,10 @@ func (p *Population) Source() (JobSource, error) {
 	if rateScale == 0 {
 		rateScale = 1 / float64(p.Clients)
 	}
-	sk := normalizeSkew(p.Skew)
-	var zipfNorm float64
-	if sk.Kind == "zipf" {
-		// Unit-mean normalizer for the deterministic Zipf weights; O(N) once.
-		sum := 0.0
-		for i := 0; i < p.Clients; i++ {
-			sum += math.Pow(float64(i+1), -sk.S)
-		}
-		zipfNorm = sum / float64(p.Clients)
-	}
-	cfg := popConfig{gens: gens, cum: cum, skew: sk, zipfNorm: zipfNorm, rateScale: rateScale, seed: p.Seed}
+	cfg := popConfig{gens: gens, cum: cum, skew: normalizeSkew(p.Skew), rateScale: rateScale, seed: p.Seed}
 	name := p.name()
 	if p.Shards <= 1 {
-		return &populationSource{core: newMergeCore(cfg, 0, p.Clients), name: name}, nil
+		return &populationSource{core: newMergeCores(cfg, [][2]int{{0, p.Clients}})[0], name: name}, nil
 	}
 	return newShardedSource(cfg, p.Clients, p.Shards, name), nil
 }
@@ -214,7 +204,6 @@ type popConfig struct {
 	gens      []Generator
 	cum       []float64 // cumulative mix weights
 	skew      Skew
-	zipfNorm  float64
 	rateScale float64
 	seed      int64
 }
@@ -276,16 +265,56 @@ type mergeCore struct {
 	job     Job
 }
 
-func newMergeCore(cfg popConfig, lo, hi int) *mergeCore {
-	mc := &mergeCore{
-		cfg:     cfg,
-		clients: make([]client, hi-lo),
-		base:    uint32(lo),
-		heap:    make([]heap4.Node, hi-lo),
+// newMergeCores builds one merge core per client range. Client by client,
+// in ID order, it stores each unnormalised Zipf weight in the client's mult
+// and adds it to the unit-mean normaliser's sum, so the sum is the same for
+// any partition; then it draws every client's start state, concurrently
+// when there are several cores (client init is the O(clients) part of
+// startup).
+func newMergeCores(cfg popConfig, ranges [][2]int) []*mergeCore {
+	cores := make([]*mergeCore, len(ranges))
+	sum, n := 0.0, 0
+	for i, rg := range ranges {
+		mc := &mergeCore{
+			cfg:     cfg,
+			clients: make([]client, rg[1]-rg[0]),
+			base:    uint32(rg[0]),
+			heap:    make([]heap4.Node, rg[1]-rg[0]),
+		}
+		if cfg.skew.Kind == "zipf" {
+			for j := range mc.clients {
+				w := math.Pow(float64(rg[0]+j+1), -cfg.skew.S)
+				mc.clients[j].mult = w
+				sum += w
+			}
+		}
+		n += len(mc.clients)
+		cores[i] = mc
 	}
+	zipfNorm := sum / float64(n)
+	if len(cores) == 1 {
+		cores[0].start(zipfNorm)
+		return cores
+	}
+	var wg sync.WaitGroup
+	wg.Add(len(cores))
+	for _, mc := range cores {
+		go func(mc *mergeCore, zipfNorm float64) {
+			defer wg.Done()
+			mc.start(zipfNorm)
+		}(mc, zipfNorm)
+	}
+	wg.Wait()
+	return cores
+}
+
+// start draws every client's class, rate multiplier and first arrival and
+// heapifies the cursors; zipfNorm is the Zipf weights' unit-mean normaliser.
+func (mc *mergeCore) start(zipfNorm float64) {
+	cfg := &mc.cfg
 	mc.r = rand.New(&mc.src)
 	for i := range mc.clients {
-		id := lo + i
+		id := int(mc.base) + i
 		c := &mc.clients[i]
 		c.rng = uint64(DeriveSeed(cfg.seed, id))
 		mc.src.state = &c.rng
@@ -302,7 +331,7 @@ func newMergeCore(cfg popConfig, lo, hi int) *mergeCore {
 		mult := cfg.rateScale
 		switch cfg.skew.Kind {
 		case "zipf":
-			mult *= math.Pow(float64(id+1), -cfg.skew.S) / cfg.zipfNorm
+			mult *= c.mult / zipfNorm
 		case "lognormal":
 			z := mc.r.NormFloat64()
 			mult *= math.Exp(cfg.skew.Sigma*z - cfg.skew.Sigma*cfg.skew.Sigma/2)
@@ -312,7 +341,6 @@ func newMergeCore(cfg popConfig, lo, hi int) *mergeCore {
 		mc.heap[i] = mergeNode(c.next, uint32(id), 0)
 	}
 	heap4.Heapify(mc.heap)
-	return mc
 }
 
 // next pops the earliest client cursor, fills that client's next job into
@@ -436,26 +464,11 @@ func newShardedSource(cfg popConfig, clients, shards int, name string) *shardedS
 	}
 	s := &shardedSource{name: name, retire: -1, done: make(chan struct{})}
 	per := (clients + shards - 1) / shards
-	// Cores are independent; build them in parallel (client init is the
-	// O(clients) part of startup).
 	var ranges [][2]int
 	for lo := 0; lo < clients; lo += per {
-		hi := lo + per
-		if hi > clients {
-			hi = clients
-		}
-		ranges = append(ranges, [2]int{lo, hi})
+		ranges = append(ranges, [2]int{lo, min(lo+per, clients)})
 	}
-	cores := make([]*mergeCore, len(ranges))
-	var cwg sync.WaitGroup
-	cwg.Add(len(ranges))
-	for i, rg := range ranges {
-		go func(i, lo, hi int) {
-			defer cwg.Done()
-			cores[i] = newMergeCore(cfg, lo, hi)
-		}(i, rg[0], rg[1])
-	}
-	cwg.Wait()
+	cores := newMergeCores(cfg, ranges)
 	for _, core := range cores {
 		sh := &shard{
 			core: core,
