@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-short lint fmt vet bench bench-base bench-compare bench-e2e-test run-all determinism scenario-golden catalog-golden serve-smoke serve-load serve-restart-smoke sweep-resume-smoke trace-smoke dist-smoke stream-smoke clean
+.PHONY: all build test test-short lint fmt vet bench bench-base bench-compare bench-e2e-test run-all determinism scenario-golden catalog-golden serve-smoke serve-load serve-restart-smoke sweep-resume-smoke trace-smoke dist-smoke stream-smoke loc clean
 
 all: build lint test
 
@@ -268,6 +268,19 @@ trace-smoke:
 # resident state is O(clients) rather than O(jobs). See cmd/stream-smoke.
 stream-smoke:
 	$(GO) run ./cmd/stream-smoke -clients 1000000 -jobs 1000000 -skew zipf -shards 8
+
+# Added, removed and net Go lines between BASE and the working tree (tracked
+# and staged files), split into non-test files and _test.go files; a renamed
+# file counts only its changed lines. Usage: make loc BASE=<rev>.
+BASE ?= HEAD
+loc:
+	@git diff --numstat $(BASE) -- '*.go' | awk ' \
+		$$NF ~ /_test\.go}?$$/ { ta += $$1; tr += $$2; next } \
+		{ na += $$1; nr += $$2 } \
+		END { \
+			printf "non-test  +%d -%d net %+d\n", na, nr, na - nr; \
+			printf "test      +%d -%d net %+d\n", ta, tr, ta - tr \
+		}'
 
 clean:
 	$(GO) clean ./...

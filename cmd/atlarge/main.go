@@ -577,17 +577,7 @@ func runScenario(w io.Writer, args []string) error {
 			return err
 		}
 		if col != nil {
-			effReplicas := *replicas
-			if effReplicas <= 0 {
-				effReplicas = spec.Replicas
-			}
-			if effReplicas <= 0 {
-				effReplicas = 1
-			}
-			effSeed := spec.Seed
-			if seedSet {
-				effSeed = *seed
-			}
+			effSeed, effReplicas := scenario.Effective(spec, opt)
 			ids := make([]string, len(cells))
 			for i := range cells {
 				ids[i] = cells[i].ID()

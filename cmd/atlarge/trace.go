@@ -138,10 +138,7 @@ func traceCell(ctx context.Context, path, cellID string, seedSet bool, seed int6
 	if seedSet {
 		opt.Seed = &seed
 	}
-	effSeed := spec.Seed
-	if seedSet {
-		effSeed = seed
-	}
+	effSeed, _ := scenario.Effective(spec, opt)
 	one := []scenario.Scenario{*picked}
 	if _, err := scenario.Run(ctx, spec, one, opt); err != nil {
 		return nil, err

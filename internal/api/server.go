@@ -828,16 +828,13 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 // Errors (job limit, persistence failure) are written by launchJob itself;
 // the caller renders the success response from the returned job.
 func (s *Server) launchJob(w http.ResponseWriter, spec *scenario.Spec, cells []scenario.Scenario, opt scenario.Options) (_ *job, created, ok bool) {
-	seed := spec.Seed
-	if opt.Seed != nil {
-		seed = *opt.Seed
-	}
-	id, err := scenario.RunHash(spec, seed, opt.Replicas)
+	seed, replicas := scenario.Effective(spec, opt)
+	id, err := scenario.RunHash(spec, seed, replicas)
 	if err != nil {
 		writeError(w, http.StatusInternalServerError, errInternal, "%v", err)
 		return nil, false, false
 	}
-	total := len(cells) * opt.Replicas
+	total := len(cells) * replicas
 
 	s.jobMu.Lock()
 	if existing, found := s.jobs[id]; found {
@@ -873,7 +870,7 @@ func (s *Server) launchJob(w http.ResponseWriter, spec *scenario.Spec, cells []s
 		if err == nil {
 			err = s.store.saveRecord(&jobRecord{
 				ID: id, Kind: jobKindSweep, Name: spec.Name, Domain: spec.Domain,
-				Seed: seed, Replicas: opt.Replicas, Total: total,
+				Seed: seed, Replicas: replicas, Total: total,
 				State: jobRunning, Spec: specJSON,
 			})
 		}

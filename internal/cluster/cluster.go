@@ -136,16 +136,16 @@ func (c *Cluster) FirstFit(n int) (*Machine, error) {
 }
 
 // Environment is a complete Table 9 execution environment: one or more
-// clusters plus, for cloud kinds, an elastic provider.
+// clusters of fixed size. The cloud kind (CD) is a fixed base pool too; VM
+// billing lives in autoscale.CostModel.
 type Environment struct {
 	Kind     Kind
 	Clusters []*Cluster
-	Provider *CloudProvider // nil for non-elastic environments
 	// InterLatency is the cross-cluster latency; relevant for G, MCD, GDC.
 	InterLatency sim.Duration
 }
 
-// TotalCores sums over clusters (excluding unprovisioned cloud capacity).
+// TotalCores sums the cores over clusters.
 func (e *Environment) TotalCores() int {
 	n := 0
 	for _, c := range e.Clusters {
@@ -192,18 +192,15 @@ func NewHomogeneous(kind Kind, siteCount, machineCount, coreCount int) *Environm
 		env.InterLatency = 0.002
 	case KindGeoDistributed:
 		env.InterLatency = 0.1
-	case KindCloud:
-		env.Provider = NewCloudProvider(DefaultPricing())
-	case KindCluster:
+	case KindCluster, KindCloud:
 		// single site, no special latency
 	}
 	return env
 }
 
 // StandardEnvironment returns the calibrated environment for a Table 9 kind:
-// CL is one 32-node cluster, G is 4 sites of 16 nodes, CD is a small base
-// pool plus elastic provider, MCD is 3 co-located clusters, GDC is 5 distant
-// sites.
+// CL is one 32-node cluster, G is 4 sites of 16 nodes, CD is a fixed base
+// pool of 8 nodes, MCD is 3 co-located clusters, GDC is 5 distant sites.
 func StandardEnvironment(kind Kind) *Environment {
 	switch kind {
 	case KindCluster:

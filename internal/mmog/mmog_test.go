@@ -9,41 +9,39 @@ import (
 func TestGenerateWorld(t *testing.T) {
 	cfg := DefaultWorldConfig(500)
 	w := GenerateWorld(cfg)
-	if len(w.Entities) != 500 {
-		t.Fatalf("entities = %d", len(w.Entities))
+	if w.Len() != 500 || len(w.Y) != 500 || len(w.Actionable) != 500 {
+		t.Fatalf("entities = %d/%d/%d", len(w.X), len(w.Y), len(w.Actionable))
 	}
 	if len(w.POIs) != cfg.POIs {
 		t.Fatalf("POIs = %d", len(w.POIs))
 	}
-	for _, e := range w.Entities {
-		if e.X < 0 || e.X >= cfg.Size || e.Y < 0 || e.Y >= cfg.Size {
-			t.Fatalf("entity %d out of bounds: (%v,%v)", e.ID, e.X, e.Y)
+	for i := range w.X {
+		if w.X[i] < 0 || w.X[i] >= cfg.Size || w.Y[i] < 0 || w.Y[i] >= cfg.Size {
+			t.Fatalf("entity %d out of bounds: (%v,%v)", i, w.X[i], w.Y[i])
 		}
 	}
 }
 
 func TestPairLoadQuadraticInCluster(t *testing.T) {
 	// All entities co-located: load ~ n(n-1)/2.
-	mk := func(n int) []Entity {
-		es := make([]Entity, n)
-		for i := range es {
-			es[i] = Entity{ID: i, X: 10, Y: 10, Actionable: true}
-		}
-		return es
+	w := &World{Size: 1000}
+	var idxs []int32
+	for i := 0; i < 20; i++ {
+		w.X = append(w.X, 10)
+		w.Y = append(w.Y, 10)
+		w.Actionable = append(w.Actionable, true)
+		idxs = append(idxs, int32(i))
 	}
-	l10 := pairLoad(mk(10))
-	l20 := pairLoad(mk(20))
+	l10 := pairLoad(w, idxs[:10])
+	l20 := pairLoad(w, idxs)
 	if l20 < 3.5*l10 {
 		t.Errorf("load not superlinear: l10=%v l20=%v", l10, l20)
 	}
 }
 
 func TestPairLoadIgnoresDistantPairs(t *testing.T) {
-	es := []Entity{
-		{ID: 1, X: 0, Y: 0, Actionable: true},
-		{ID: 2, X: 500, Y: 500, Actionable: true},
-	}
-	got := pairLoad(es)
+	w := &World{Size: 1000, X: []float64{0, 500}, Y: []float64{0, 500}, Actionable: []bool{true, true}}
+	got := pairLoad(w, []int32{0, 1})
 	want := 0 + 2*0.1 // no interacting pairs, only the linear term
 	if math.Abs(got-want) > 1e-12 {
 		t.Errorf("pairLoad = %v, want %v", got, want)
@@ -52,7 +50,7 @@ func TestPairLoadIgnoresDistantPairs(t *testing.T) {
 
 func TestZonePartitionerConservesEntities(t *testing.T) {
 	w := GenerateWorld(DefaultWorldConfig(300))
-	loads := ZonePartitioner{}.Loads(w, 9)
+	loads := ZonePartitioner{}.Loads(w, 9, &PartitionScratch{})
 	if len(loads) != 9 {
 		t.Fatalf("loads = %d servers", len(loads))
 	}
@@ -71,8 +69,8 @@ func TestAoSBalancesBetterThanZones(t *testing.T) {
 	cfg.HotFraction = 0.6
 	w := GenerateWorld(cfg)
 	servers := 16
-	zl := ZonePartitioner{}.Loads(w, servers)
-	al := AoSPartitioner{}.Loads(w, servers)
+	zl := ZonePartitioner{}.Loads(w, servers, &PartitionScratch{})
+	al := AoSPartitioner{}.Loads(w, servers, &PartitionScratch{})
 	maxOf := func(xs []float64) float64 {
 		m := 0.0
 		for _, x := range xs {
@@ -89,8 +87,8 @@ func TestAoSBalancesBetterThanZones(t *testing.T) {
 
 func TestMirrorReducesLoad(t *testing.T) {
 	w := GenerateWorld(DefaultWorldConfig(400))
-	a := AoSPartitioner{}.Loads(w, 8)
-	m := MirrorPartitioner{OffloadFraction: 0.5}.Loads(w, 8)
+	a := AoSPartitioner{}.Loads(w, 8, &PartitionScratch{})
+	m := MirrorPartitioner{OffloadFraction: 0.5}.Loads(w, 8, &PartitionScratch{})
 	for i := range a {
 		if m[i] > a[i] {
 			t.Fatalf("mirror load %v above AoS load %v", m[i], a[i])

@@ -2,93 +2,17 @@ package mmog
 
 import (
 	"math"
-	"math/rand"
 	"slices"
 )
 
-// WorldSoA is the struct-of-arrays representation of a World: entity fields
-// live in parallel slices instead of a []Entity, so the per-tick hot loops
-// (wander, binning, pair interaction) stream through dense float64 arrays.
-// Entity i's implicit ID is i+1, matching GenerateWorld.
-type WorldSoA struct {
-	Size       float64
-	X, Y       []float64
-	Actionable []bool
-	POIs       [][2]float64
-}
-
-// Len returns the entity count.
-func (w *WorldSoA) Len() int { return len(w.X) }
-
-// worldGen draws a world entity by entity: the POIs first, then each entity
-// in order. The world of n entities is therefore the first n entities of any
-// larger world with the same seed, which lets a search over world sizes grow
-// one world instead of regenerating it per size.
-type worldGen struct {
-	cfg WorldConfig
-	r   *rand.Rand
-	w   WorldSoA
-}
-
-func newWorldGen(cfg WorldConfig) *worldGen {
-	g := &worldGen{cfg: cfg, r: rand.New(rand.NewSource(cfg.Seed)), w: WorldSoA{Size: cfg.Size}}
-	for p := 0; p < cfg.POIs; p++ {
-		g.w.POIs = append(g.w.POIs, [2]float64{g.r.Float64() * cfg.Size, g.r.Float64() * cfg.Size})
-	}
-	return g
-}
-
-// grow draws entities until the world holds at least n.
-func (g *worldGen) grow(n int) {
-	cfg, r, w := &g.cfg, g.r, &g.w
-	if more := n - w.Len(); more > 0 {
-		w.X = slices.Grow(w.X, more)
-		w.Y = slices.Grow(w.Y, more)
-		w.Actionable = slices.Grow(w.Actionable, more)
-	}
-	clamp := func(v float64) float64 {
-		if v < 0 {
-			return 0
-		}
-		if v >= cfg.Size {
-			return cfg.Size - 1e-9
-		}
-		return v
-	}
-	for w.Len() < n {
-		var poi [2]float64
-		if r.Float64() < cfg.HotFraction {
-			poi = w.POIs[0]
-		} else {
-			poi = w.POIs[r.Intn(len(w.POIs))]
-		}
-		w.X = append(w.X, clamp(poi[0]+r.NormFloat64()*cfg.Spread))
-		w.Y = append(w.Y, clamp(poi[1]+r.NormFloat64()*cfg.Spread))
-		w.Actionable = append(w.Actionable, r.Float64() < 0.6)
-	}
-}
-
-// GenerateWorldSoA builds the world GenerateWorld builds, in
-// struct-of-arrays form.
-func GenerateWorldSoA(cfg WorldConfig) *WorldSoA {
-	g := newWorldGen(cfg)
-	g.grow(cfg.Entities)
-	return &g.w
-}
-
-// prefix returns a view of the world's first n entities.
-func (w *WorldSoA) prefix(n int) *WorldSoA {
-	return &WorldSoA{Size: w.Size, X: w.X[:n], Y: w.Y[:n], Actionable: w.Actionable[:n], POIs: w.POIs}
-}
-
-// entities writes the world's entities into dst, grown to Len, in the
-// []Entity form of World.
-func (w *WorldSoA) entities(dst []Entity) []Entity {
-	dst = slices.Grow(dst[:0], w.Len())[:w.Len()]
-	for i := range dst {
-		dst[i] = Entity{ID: i + 1, X: w.X[i], Y: w.Y[i], Actionable: w.Actionable[i]}
-	}
-	return dst
+// Partitioner splits a world across servers and reports per-server load.
+type Partitioner interface {
+	// Name identifies the technique.
+	Name() string
+	// Loads returns the per-server interaction load for the world when split
+	// over servers servers. The returned slice is owned by s: it stays valid
+	// only until the next Loads call with the same scratch.
+	Loads(w *World, servers int, s *PartitionScratch) []float64
 }
 
 // nearestArea returns the index of the point of interest closest to (x, y);
@@ -105,12 +29,15 @@ func nearestArea(pois [][2]float64, x, y float64) int {
 	return best
 }
 
-// pairLoadIdx is pairLoad over a group of entity indices into a WorldSoA:
-// actionable pairs within the interaction radius plus the linear per-entity
-// baseline. The pair count is order-insensitive and every subtraction matches
-// pairLoad's, so a group holding the same entities produces the identical
-// float64.
-func pairLoadIdx(w *WorldSoA, idxs []int32) float64 {
+// InteractionRadius is the distance within which two actionable entities
+// interact (and thus cost simulation work).
+const InteractionRadius = 50.0
+
+// pairLoad computes the interaction load of a group of entity indices into
+// w: the number of actionable pairs within the interaction radius — the
+// quadratic term that limits MMOG scalability — plus a linear per-entity
+// baseline (movement, state updates).
+func pairLoad(w *World, idxs []int32) float64 {
 	load := 0.0
 	for a := 0; a < len(idxs); a++ {
 		i := idxs[a]
@@ -133,11 +60,10 @@ func pairLoadIdx(w *WorldSoA, idxs []int32) float64 {
 	return load + float64(len(idxs))*0.1
 }
 
-// PartitionScratch holds the reusable buffers of the SoA partitioning paths.
-// A zero PartitionScratch is ready to use; buffers grow to the high-water
-// mark of entities/bins/shards and are then reused, so a steady-state tick
-// allocates nothing. The slice LoadsSoA returns is owned by the scratch and
-// valid until the next LoadsSoA call with the same scratch.
+// PartitionScratch holds the reusable buffers of the partitioners. A zero
+// PartitionScratch is ready to use; buffers grow to the high-water mark of
+// entities/bins/shards and are then reused, so a steady-state tick allocates
+// nothing.
 type PartitionScratch struct {
 	bin        []int32 // per-entity bin id
 	counts     []int32 // per-bin entity count
@@ -172,9 +98,8 @@ func growInts(b []int, n int) []int {
 }
 
 // groupByBin counting-sorts entity indices by s.bin into s.order: bins are
-// contiguous and entities keep ascending index order within a bin — the same
-// order appending to [][]Entity produces. nb is the bin count; s.bin and
-// s.counts must already be filled.
+// contiguous and entities keep ascending index order within a bin. nb is the
+// bin count; s.bin and s.counts must already be filled.
 func (s *PartitionScratch) groupByBin(n, nb int) {
 	s.cursor = growInt32(s.cursor, nb)
 	start := int32(0)
@@ -191,19 +116,16 @@ func (s *PartitionScratch) groupByBin(n, nb int) {
 	// s.cursor[b] is now the end offset of bin b; its start is end-counts[b].
 }
 
-// SoAPartitioner is a Partitioner with an allocation-free struct-of-arrays
-// path. The built-in techniques implement it; WorldSim uses LoadsSoA when
-// available and falls back to Loads on a synchronized AoS view otherwise.
-type SoAPartitioner interface {
-	Partitioner
-	// LoadsSoA is Loads over a WorldSoA, reusing scratch buffers. For the
-	// same world contents it returns bit-identical per-server loads.
-	LoadsSoA(w *WorldSoA, servers int, s *PartitionScratch) []float64
-}
+// ZonePartitioner is classic static spatial zoning: the world is cut into a
+// grid of equal zones, each zone pinned to a server (round-robin when zones
+// exceed servers).
+type ZonePartitioner struct{}
 
-// LoadsSoA implements SoAPartitioner: static zoning without the per-call
-// [][]Entity allocation.
-func (ZonePartitioner) LoadsSoA(w *WorldSoA, servers int, s *PartitionScratch) []float64 {
+// Name implements Partitioner.
+func (ZonePartitioner) Name() string { return "zones" }
+
+// Loads implements Partitioner.
+func (ZonePartitioner) Loads(w *World, servers int, s *PartitionScratch) []float64 {
 	if servers < 1 {
 		servers = 1
 	}
@@ -236,7 +158,7 @@ func (ZonePartitioner) LoadsSoA(w *WorldSoA, servers int, s *PartitionScratch) [
 	}
 	for b := 0; b < nb; b++ {
 		end := s.cursor[b]
-		s.loads[b%servers] += pairLoadIdx(w, s.order[end-s.counts[b]:end])
+		s.loads[b%servers] += pairLoad(w, s.order[end-s.counts[b]:end])
 	}
 	return s.loads
 }
@@ -245,11 +167,20 @@ func (ZonePartitioner) LoadsSoA(w *WorldSoA, servers int, s *PartitionScratch) [
 // of this size.
 const aosShardCap = 80
 
-// LoadsSoA implements SoAPartitioner: Area-of-Simulation without per-call
-// area/shard slice allocation. Shard composition, the 5% cross-shard
-// overhead, the descending selection sort, and the LPT min-scan replicate
-// Loads exactly, so the per-server loads are bit-identical.
-func (AoSPartitioner) LoadsSoA(w *WorldSoA, servers int, s *PartitionScratch) []float64 {
+// AoSPartitioner is the Area-of-Simulation technique: simulation areas form
+// around points of interest and are assigned to servers by load (longest
+// processing time first), decoupling load placement from static geography.
+type AoSPartitioner struct{}
+
+// Name implements Partitioner.
+func (AoSPartitioner) Name() string { return "area-of-simulation" }
+
+// Loads implements Partitioner. Each entity joins the area of its nearest
+// POI; an area larger than aosShardCap is split into chunks, since inside one
+// area entities are interchangeable (same interest) and AoS can shard them,
+// paying a 5% cross-shard synchronization overhead per shard. The shards are
+// then placed on servers longest first.
+func (AoSPartitioner) Loads(w *World, servers int, s *PartitionScratch) []float64 {
 	if servers < 1 {
 		servers = 1
 	}
@@ -267,7 +198,7 @@ func (AoSPartitioner) LoadsSoA(w *WorldSoA, servers int, s *PartitionScratch) []
 	}
 	s.groupByBin(n, nb)
 	// Chunk each area into shards of at most aosShardCap entities, in area
-	// order — the same shard list Loads builds by slicing areas.
+	// order.
 	s.shardStart = s.shardStart[:0]
 	s.shardEnd = s.shardEnd[:0]
 	for b := 0; b < nb; b++ {
@@ -286,7 +217,7 @@ func (AoSPartitioner) LoadsSoA(w *WorldSoA, servers int, s *PartitionScratch) []
 	ns := len(s.shardStart)
 	s.shardLoads = growF64(s.shardLoads, ns)
 	for i := 0; i < ns; i++ {
-		s.shardLoads[i] = pairLoadIdx(w, s.order[s.shardStart[i]:s.shardEnd[i]]) * 1.05
+		s.shardLoads[i] = pairLoad(w, s.order[s.shardStart[i]:s.shardEnd[i]]) * 1.05
 	}
 	return placeLPT(s.shardLoads, servers, s)
 }
@@ -340,7 +271,7 @@ type aosIndex struct {
 }
 
 // extend indexes the entities of w not indexed yet.
-func (x *aosIndex) extend(w *WorldSoA) {
+func (x *aosIndex) extend(w *World) {
 	if x.members == nil {
 		x.members = make([][]int32, len(w.POIs))
 		x.pairs = make([][]uint32, len(w.POIs))
@@ -374,8 +305,8 @@ func (x *aosIndex) extend(w *WorldSoA) {
 }
 
 // shardLoads appends to dst the AoS shard loads of the first n indexed
-// entities, in the area and shard order LoadsSoA builds, with the same bits
-// as pairLoadIdx(shard) * 1.05.
+// entities, in the area and shard order AoSPartitioner.Loads builds, with
+// the same bits as pairLoad(shard) * 1.05.
 func (x *aosIndex) shardLoads(dst []float64, n int) []float64 {
 	for a, m := range x.members {
 		k, _ := slices.BinarySearch(m, int32(n)) // members below n
@@ -387,8 +318,27 @@ func (x *aosIndex) shardLoads(dst []float64, n int) []float64 {
 	return dst
 }
 
-// LoadsSoA implements SoAPartitioner: the AoS loads minus the offloaded
-// fraction, as in Loads.
-func (m MirrorPartitioner) LoadsSoA(w *WorldSoA, servers int, s *PartitionScratch) []float64 {
-	return m.offload(AoSPartitioner{}.LoadsSoA(w, servers, s))
+// MirrorPartitioner is AoS plus Mirror-style computation offloading: a cloud
+// mirror absorbs OffloadFraction of each server's interaction load at the
+// price of added latency (modeled outside the load metric).
+type MirrorPartitioner struct {
+	OffloadFraction float64
+}
+
+// Name implements Partitioner.
+func (m MirrorPartitioner) Name() string { return "mirror" }
+
+// Loads implements Partitioner: the AoS loads minus the offloaded fraction.
+func (m MirrorPartitioner) Loads(w *World, servers int, s *PartitionScratch) []float64 {
+	return m.offload(AoSPartitioner{}.Loads(w, servers, s))
+}
+
+// offload scales per-server loads in place by the share the mirror leaves
+// on the servers: 1 - OffloadFraction, the fraction clamped to [0, 0.9].
+func (m MirrorPartitioner) offload(loads []float64) []float64 {
+	frac := min(max(m.OffloadFraction, 0), 0.9)
+	for i := range loads {
+		loads[i] *= 1 - frac
+	}
+	return loads
 }

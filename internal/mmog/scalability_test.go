@@ -26,7 +26,7 @@ func TestScalabilityFingerprint(t *testing.T) {
 }
 
 // TestIndexedLoadsParity checks the scalability search's indexed AoS and
-// Mirror loads against LoadsSoA on a freshly generated world, bit for bit,
+// Mirror loads against Loads on a freshly generated world, bit for bit,
 // at every size a search probes and then at random sizes in random order.
 // Bisection probes sizes below ones already indexed, so the index must
 // answer any prefix, not only its latest size.
@@ -36,7 +36,7 @@ func TestIndexedLoadsParity(t *testing.T) {
 	for c := 0; c < 20; c++ {
 		seed := r.Int63n(1 << 20)
 		servers := 1 + r.Intn(32)
-		var p SoAPartitioner = AoSPartitioner{}
+		var p Partitioner = AoSPartitioner{}
 		if c%2 == 1 {
 			p = MirrorPartitioner{OffloadFraction: r.Float64()}
 		}
@@ -50,7 +50,7 @@ func TestIndexedLoadsParity(t *testing.T) {
 			largest = max(largest, n)
 			cfg := DefaultWorldConfig(n)
 			cfg.Seed = seed
-			want := p.LoadsSoA(GenerateWorldSoA(cfg), servers, &scratch)
+			want := p.Loads(GenerateWorld(cfg), servers, &scratch)
 			got := world.loads(p, n, servers)
 			if len(got) != len(want) {
 				t.Fatalf("%s seed=%d servers=%d n=%d: %d loads, want %d", p.Name(), seed, servers, n, len(got), len(want))

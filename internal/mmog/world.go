@@ -8,26 +8,30 @@ package mmog
 
 import (
 	"fmt"
-	"math"
+	"math/rand"
+	"slices"
 )
-
-// Entity is a player avatar or game unit at a 2D position.
-type Entity struct {
-	ID int
-	X  float64
-	Y  float64
-	// Actionable entities (units in combat) generate interaction load.
-	Actionable bool
-}
 
 // World is a square virtual world of side Size with entities clustered
 // around points of interest — the workload shape the RTSenv study found:
 // multiple points of interest, tens of entities under careful management in
-// some, hundreds under casual management in others.
+// some, hundreds under casual management in others. Entity fields live in
+// parallel slices (struct of arrays), so the per-tick hot loops (wander,
+// binning, pair interaction) stream through dense float64 arrays.
+// Actionable entities (units in combat) generate interaction load.
 type World struct {
-	Size     float64
-	Entities []Entity
-	POIs     [][2]float64
+	Size       float64
+	X, Y       []float64
+	Actionable []bool
+	POIs       [][2]float64
+}
+
+// Len returns the entity count.
+func (w *World) Len() int { return len(w.X) }
+
+// prefix returns a view of the world's first n entities.
+func (w *World) prefix(n int) *World {
+	return &World{Size: w.Size, X: w.X[:n], Y: w.Y[:n], Actionable: w.Actionable[:n], POIs: w.POIs}
 }
 
 // WorldConfig parameterizes world generation.
@@ -50,151 +54,59 @@ func DefaultWorldConfig(entities int) WorldConfig {
 	return WorldConfig{Size: 1000, POIs: 5, Entities: entities, Spread: 30, HotFraction: 0.4, Seed: 1}
 }
 
+// worldGen draws a world entity by entity: the POIs first, then each entity
+// in order. The world of n entities is therefore the first n entities of any
+// larger world with the same seed, which lets a search over world sizes grow
+// one world instead of regenerating it per size.
+type worldGen struct {
+	cfg WorldConfig
+	r   *rand.Rand
+	w   World
+}
+
+func newWorldGen(cfg WorldConfig) *worldGen {
+	g := &worldGen{cfg: cfg, r: rand.New(rand.NewSource(cfg.Seed)), w: World{Size: cfg.Size}}
+	for p := 0; p < cfg.POIs; p++ {
+		g.w.POIs = append(g.w.POIs, [2]float64{g.r.Float64() * cfg.Size, g.r.Float64() * cfg.Size})
+	}
+	return g
+}
+
+// grow draws entities until the world holds at least n.
+func (g *worldGen) grow(n int) {
+	cfg, r, w := &g.cfg, g.r, &g.w
+	if more := n - w.Len(); more > 0 {
+		w.X = slices.Grow(w.X, more)
+		w.Y = slices.Grow(w.Y, more)
+		w.Actionable = slices.Grow(w.Actionable, more)
+	}
+	clamp := func(v float64) float64 {
+		if v < 0 {
+			return 0
+		}
+		if v >= cfg.Size {
+			return cfg.Size - 1e-9
+		}
+		return v
+	}
+	for w.Len() < n {
+		var poi [2]float64
+		if r.Float64() < cfg.HotFraction {
+			poi = w.POIs[0]
+		} else {
+			poi = w.POIs[r.Intn(len(w.POIs))]
+		}
+		w.X = append(w.X, clamp(poi[0]+r.NormFloat64()*cfg.Spread))
+		w.Y = append(w.Y, clamp(poi[1]+r.NormFloat64()*cfg.Spread))
+		w.Actionable = append(w.Actionable, r.Float64() < 0.6)
+	}
+}
+
 // GenerateWorld builds a world with clustered entities.
 func GenerateWorld(cfg WorldConfig) *World {
-	w := GenerateWorldSoA(cfg)
-	return &World{Size: w.Size, Entities: w.entities(nil), POIs: w.POIs}
-}
-
-// InteractionRadius is the distance within which two actionable entities
-// interact (and thus cost simulation work).
-const InteractionRadius = 50.0
-
-// pairLoad computes the interaction load of a set of entities: the number of
-// actionable pairs within the interaction radius. This is the quadratic term
-// that limits MMOG scalability.
-func pairLoad(entities []Entity) float64 {
-	load := 0.0
-	for i := 0; i < len(entities); i++ {
-		if !entities[i].Actionable {
-			continue
-		}
-		for j := i + 1; j < len(entities); j++ {
-			if !entities[j].Actionable {
-				continue
-			}
-			dx := entities[i].X - entities[j].X
-			dy := entities[i].Y - entities[j].Y
-			if dx*dx+dy*dy <= InteractionRadius*InteractionRadius {
-				load++
-			}
-		}
-	}
-	// Linear baseline cost per entity (movement, state updates).
-	return load + float64(len(entities))*0.1
-}
-
-// Partitioner splits a world across servers and reports per-server load.
-type Partitioner interface {
-	// Name identifies the technique.
-	Name() string
-	// Loads returns the per-server interaction load for the world when split
-	// over servers servers.
-	Loads(w *World, servers int) []float64
-}
-
-// ZonePartitioner is classic static spatial zoning: the world is cut into a
-// grid of equal zones, each zone pinned to a server (round-robin when zones
-// exceed servers).
-type ZonePartitioner struct{}
-
-// Name implements Partitioner.
-func (ZonePartitioner) Name() string { return "zones" }
-
-// Loads implements Partitioner.
-func (ZonePartitioner) Loads(w *World, servers int) []float64 {
-	if servers < 1 {
-		servers = 1
-	}
-	// Grid side: ceil(sqrt(servers)) zones per axis.
-	side := int(math.Ceil(math.Sqrt(float64(servers))))
-	cell := w.Size / float64(side)
-	zones := make([][]Entity, side*side)
-	for _, e := range w.Entities {
-		zx := int(e.X / cell)
-		zy := int(e.Y / cell)
-		if zx >= side {
-			zx = side - 1
-		}
-		if zy >= side {
-			zy = side - 1
-		}
-		idx := zy*side + zx
-		zones[idx] = append(zones[idx], e)
-	}
-	loads := make([]float64, servers)
-	for i, z := range zones {
-		loads[i%servers] += pairLoad(z)
-	}
-	return loads
-}
-
-// AoSPartitioner is the Area-of-Simulation technique: simulation areas form
-// around points of interest and are assigned to servers by load (longest
-// processing time first), decoupling load placement from static geography.
-type AoSPartitioner struct{}
-
-// Name implements Partitioner.
-func (AoSPartitioner) Name() string { return "area-of-simulation" }
-
-// Loads implements Partitioner.
-func (AoSPartitioner) Loads(w *World, servers int) []float64 {
-	if servers < 1 {
-		servers = 1
-	}
-	// Assign each entity to its nearest POI; each POI area may further be
-	// split into sub-areas when overloaded (the AoS mechanism caps area
-	// population by interest, not geography).
-	areas := make([][]Entity, len(w.POIs))
-	for _, e := range w.Entities {
-		best := nearestArea(w.POIs, e.X, e.Y)
-		areas[best] = append(areas[best], e)
-	}
-	// Split any area larger than cap into chunks: inside one area entities
-	// are interchangeable (same interest), so AoS can shard them and only
-	// pay a small cross-shard synchronization overhead.
-	var shards [][]Entity
-	for _, a := range areas {
-		for len(a) > aosShardCap {
-			shards = append(shards, a[:aosShardCap])
-			a = a[aosShardCap:]
-		}
-		if len(a) > 0 {
-			shards = append(shards, a)
-		}
-	}
-	shardLoads := make([]float64, len(shards))
-	for i, sh := range shards {
-		// Cross-shard sync overhead: 5% per shard beyond the first of an area.
-		shardLoads[i] = pairLoad(sh) * 1.05
-	}
-	// LPT assignment of shard loads to servers.
-	return placeLPT(shardLoads, servers, &PartitionScratch{})
-}
-
-// MirrorPartitioner is AoS plus Mirror-style computation offloading: a cloud
-// mirror absorbs OffloadFraction of each server's interaction load at the
-// price of added latency (modeled outside the load metric).
-type MirrorPartitioner struct {
-	OffloadFraction float64
-}
-
-// Name implements Partitioner.
-func (m MirrorPartitioner) Name() string { return "mirror" }
-
-// Loads implements Partitioner.
-func (m MirrorPartitioner) Loads(w *World, servers int) []float64 {
-	return m.offload(AoSPartitioner{}.Loads(w, servers))
-}
-
-// offload scales per-server loads in place by the share the mirror leaves
-// on the servers: 1 - OffloadFraction, the fraction clamped to [0, 0.9].
-func (m MirrorPartitioner) offload(loads []float64) []float64 {
-	frac := min(max(m.OffloadFraction, 0), 0.9)
-	for i := range loads {
-		loads[i] *= 1 - frac
-	}
-	return loads
+	g := newWorldGen(cfg)
+	g.grow(cfg.Entities)
+	return &g.w
 }
 
 // scalabilityWorld is the seeded default world a scalability search probes
@@ -216,7 +128,7 @@ func newScalabilityWorld(seed int64) *scalabilityWorld {
 
 // loads returns p's per-server loads on the world's first n entities: the
 // same bits p.Loads returns on GenerateWorld of n entities. The slice is
-// valid until the next call.
+// owned by the world's scratch and valid until the next call.
 func (sw *scalabilityWorld) loads(p Partitioner, n, servers int) []float64 {
 	sw.gen.grow(n)
 	switch p := p.(type) {
@@ -224,14 +136,11 @@ func (sw *scalabilityWorld) loads(p Partitioner, n, servers int) []float64 {
 		return sw.aosLoads(n, servers)
 	case MirrorPartitioner:
 		return p.offload(sw.aosLoads(n, servers))
-	case SoAPartitioner:
-		return p.LoadsSoA(sw.gen.w.prefix(n), servers, &sw.scratch)
 	}
-	w := sw.gen.w.prefix(n)
-	return p.Loads(&World{Size: w.Size, Entities: w.entities(nil), POIs: w.POIs}, servers)
+	return p.Loads(sw.gen.w.prefix(n), servers, &sw.scratch)
 }
 
-// aosLoads is AoSPartitioner.LoadsSoA on the first n entities, read from
+// aosLoads is AoSPartitioner.Loads on the first n entities, read from
 // the index.
 func (sw *scalabilityWorld) aosLoads(n, servers int) []float64 {
 	sw.aos.extend(&sw.gen.w)

@@ -7,6 +7,7 @@ import (
 	"strings"
 
 	"atlarge/internal/sim"
+	"atlarge/internal/stats"
 )
 
 // WorldSimConfig parameterizes one event-driven virtual-world run: a
@@ -57,7 +58,7 @@ type WorldSimResult struct {
 	Imbalance float64
 }
 
-// WorldSim is a prepared virtual-world simulation: a struct-of-arrays world,
+// WorldSim is a prepared virtual-world simulation: a generated world,
 // a kernel, and the reusable partition scratch. Constructing once and calling
 // Tick repeatedly runs the per-tick hot path — wander, binning, pair
 // interaction — without allocating, which is what lets one kernel tick 10^6
@@ -66,9 +67,7 @@ type WorldSim struct {
 	cfg     WorldSimConfig
 	tickSec float64
 	wander  float64
-	w       *WorldSoA
-	soa     SoAPartitioner
-	aosView *World // synchronized view for partitioners without a SoA path
+	w       *World
 	scratch PartitionScratch
 	k       *sim.Kernel
 	move    *rand.Rand
@@ -95,16 +94,7 @@ func NewWorldSim(cfg WorldSimConfig) (*WorldSim, error) {
 		s.wander = 2
 	}
 	cfg.World.Seed = cfg.Seed
-	s.w = GenerateWorldSoA(cfg.World)
-	if sp, ok := cfg.Partitioner.(SoAPartitioner); ok {
-		s.soa = sp
-	} else {
-		s.aosView = &World{
-			Size:     s.w.Size,
-			Entities: make([]Entity, s.w.Len()),
-			POIs:     s.w.POIs,
-		}
-	}
+	s.w = GenerateWorld(cfg.World)
 	s.k = sim.NewKernel(cfg.Seed)
 	s.move = s.k.Rand("mmog/move")
 	return s, nil
@@ -114,8 +104,9 @@ func NewWorldSim(cfg WorldSimConfig) (*WorldSim, error) {
 // horizon before Run.
 func (s *WorldSim) Kernel() *sim.Kernel { return s.k }
 
-// World returns the struct-of-arrays world state.
-func (s *WorldSim) World() *WorldSoA { return s.w }
+// World returns the world state. The simulation owns it: each Tick moves
+// the entities in place, so its slices change under the caller.
+func (s *WorldSim) World() *World { return s.w }
 
 // Tick advances the world one tick: every entity takes a Gaussian step
 // gently pulled back toward its nearest POI so battle clusters persist
@@ -142,13 +133,7 @@ func (s *WorldSim) Tick() (maxLoad, meanLoad float64) {
 		w.X[i] = x
 		w.Y[i] = y
 	}
-	var loads []float64
-	if s.soa != nil {
-		loads = s.soa.LoadsSoA(w, s.cfg.Servers, &s.scratch)
-	} else {
-		s.aosView.Entities = w.entities(s.aosView.Entities)
-		loads = s.cfg.Partitioner.Loads(s.aosView, s.cfg.Servers)
-	}
+	loads := s.cfg.Partitioner.Loads(w, s.cfg.Servers, &s.scratch)
 	maxL, sum := 0.0, 0.0
 	for _, l := range loads {
 		sum += l
@@ -185,9 +170,9 @@ func (s *WorldSim) Run() (*WorldSimResult, error) {
 	res := &WorldSimResult{Entities: s.w.Len(), Servers: s.cfg.Servers}
 	res.Ticks = s.ticked
 	res.PeakLoad = maxOf(rec.Values("max_load"))
-	res.MeanMaxLoad = meanOf(rec.Values("max_load"))
-	res.MeanLoad = meanOf(rec.Values("mean_load"))
-	res.Imbalance = meanOf(rec.Values("imbalance"))
+	res.MeanMaxLoad = stats.Mean(rec.Values("max_load"))
+	res.MeanLoad = stats.Mean(rec.Values("mean_load"))
+	res.Imbalance = stats.Mean(rec.Values("imbalance"))
 	return res, nil
 }
 
@@ -213,17 +198,6 @@ func maxOf(xs []float64) float64 {
 		}
 	}
 	return m
-}
-
-func meanOf(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	s := 0.0
-	for _, v := range xs {
-		s += v
-	}
-	return s / float64(len(xs))
 }
 
 // partitionerFactories maps canonical partitioner names to constructors; the

@@ -7,9 +7,154 @@ import (
 	"atlarge/internal/sim"
 )
 
-// runWorldSimRef is the pre-SoA RunWorldSim, kept verbatim as the parity
-// reference: array-of-structs world, per-tick allocating Loads, chained
-// self-rescheduling tick events. The SoA rewrite must reproduce its results
+// refEntity and refWorld are the array-of-structs world that the
+// struct-of-arrays World replaced, kept as the form the reference
+// partitioners and runWorldSimRef work on.
+type refEntity struct {
+	ID int
+	X  float64
+	Y  float64
+	// Actionable entities (units in combat) generate interaction load.
+	Actionable bool
+}
+
+type refWorld struct {
+	Size     float64
+	Entities []refEntity
+	POIs     [][2]float64
+}
+
+// newRefWorld copies w into array-of-structs form; entity i gets ID i+1.
+func newRefWorld(w *World) *refWorld {
+	rw := &refWorld{Size: w.Size, Entities: make([]refEntity, w.Len()), POIs: w.POIs}
+	for i := range rw.Entities {
+		rw.Entities[i] = refEntity{ID: i + 1, X: w.X[i], Y: w.Y[i], Actionable: w.Actionable[i]}
+	}
+	return rw
+}
+
+// refPairLoad is the allocating pair load over a []refEntity.
+func refPairLoad(entities []refEntity) float64 {
+	load := 0.0
+	for i := 0; i < len(entities); i++ {
+		if !entities[i].Actionable {
+			continue
+		}
+		for j := i + 1; j < len(entities); j++ {
+			if !entities[j].Actionable {
+				continue
+			}
+			dx := entities[i].X - entities[j].X
+			dy := entities[i].Y - entities[j].Y
+			if dx*dx+dy*dy <= InteractionRadius*InteractionRadius {
+				load++
+			}
+		}
+	}
+	// Linear baseline cost per entity (movement, state updates).
+	return load + float64(len(entities))*0.1
+}
+
+// refZoneLoads is the allocating static-zoning body.
+func refZoneLoads(w *refWorld, servers int) []float64 {
+	if servers < 1 {
+		servers = 1
+	}
+	// Grid side: ceil(sqrt(servers)) zones per axis.
+	side := int(math.Ceil(math.Sqrt(float64(servers))))
+	cell := w.Size / float64(side)
+	zones := make([][]refEntity, side*side)
+	for _, e := range w.Entities {
+		zx := int(e.X / cell)
+		zy := int(e.Y / cell)
+		if zx >= side {
+			zx = side - 1
+		}
+		if zy >= side {
+			zy = side - 1
+		}
+		idx := zy*side + zx
+		zones[idx] = append(zones[idx], e)
+	}
+	loads := make([]float64, servers)
+	for i, z := range zones {
+		loads[i%servers] += refPairLoad(z)
+	}
+	return loads
+}
+
+// refAoSLoads is the allocating Area-of-Simulation body, with its own
+// selection sort and LPT placement.
+func refAoSLoads(w *refWorld, servers int) []float64 {
+	if servers < 1 {
+		servers = 1
+	}
+	areas := make([][]refEntity, len(w.POIs))
+	for _, e := range w.Entities {
+		best := nearestArea(w.POIs, e.X, e.Y)
+		areas[best] = append(areas[best], e)
+	}
+	var shards [][]refEntity
+	for _, a := range areas {
+		for len(a) > aosShardCap {
+			shards = append(shards, a[:aosShardCap])
+			a = a[aosShardCap:]
+		}
+		if len(a) > 0 {
+			shards = append(shards, a)
+		}
+	}
+	loads := make([]float64, servers)
+	shardLoads := make([]float64, len(shards))
+	for i, sh := range shards {
+		shardLoads[i] = refPairLoad(sh) * 1.05
+	}
+	order := make([]int, len(shards))
+	for i := range order {
+		order[i] = i
+	}
+	for i := 0; i < len(order); i++ {
+		maxJ := i
+		for j := i + 1; j < len(order); j++ {
+			if shardLoads[order[j]] > shardLoads[order[maxJ]] {
+				maxJ = j
+			}
+		}
+		order[i], order[maxJ] = order[maxJ], order[i]
+	}
+	for _, idx := range order {
+		minS := 0
+		for s := 1; s < servers; s++ {
+			if loads[s] < loads[minS] {
+				minS = s
+			}
+		}
+		loads[minS] += shardLoads[idx]
+	}
+	return loads
+}
+
+// refLoads dispatches a built-in partitioner to its reference body.
+func refLoads(p Partitioner, w *refWorld, servers int) []float64 {
+	switch p := p.(type) {
+	case ZonePartitioner:
+		return refZoneLoads(w, servers)
+	case AoSPartitioner:
+		return refAoSLoads(w, servers)
+	case MirrorPartitioner:
+		frac := min(max(p.OffloadFraction, 0), 0.9)
+		loads := refAoSLoads(w, servers)
+		for i := range loads {
+			loads[i] *= 1 - frac
+		}
+		return loads
+	}
+	panic("no reference for partitioner " + p.Name())
+}
+
+// runWorldSimRef is the pre-rewrite RunWorldSim, kept as the parity
+// reference: array-of-structs world, per-tick allocating loads, chained
+// self-rescheduling tick events. WorldSim must reproduce its results
 // bit-for-bit.
 func runWorldSimRef(cfg WorldSimConfig) (*WorldSimResult, error) {
 	if cfg.Partitioner == nil {
@@ -24,7 +169,7 @@ func runWorldSimRef(cfg WorldSimConfig) (*WorldSimResult, error) {
 		wander = 2
 	}
 	cfg.World.Seed = cfg.Seed
-	w := GenerateWorld(cfg.World)
+	w := newRefWorld(GenerateWorld(cfg.World))
 	res := &WorldSimResult{Entities: len(w.Entities), Servers: cfg.Servers}
 
 	k := sim.NewKernel(cfg.Seed)
@@ -48,7 +193,7 @@ func runWorldSimRef(cfg WorldSimConfig) (*WorldSimResult, error) {
 			e.X = clamp(e.X + move.NormFloat64()*wander + 0.02*(px-e.X))
 			e.Y = clamp(e.Y + move.NormFloat64()*wander + 0.02*(py-e.Y))
 		}
-		loads := cfg.Partitioner.Loads(w, cfg.Servers)
+		loads := refLoads(cfg.Partitioner, w, cfg.Servers)
 		maxL, sum := 0.0, 0.0
 		for _, l := range loads {
 			sum += l
@@ -76,44 +221,16 @@ func runWorldSimRef(cfg WorldSimConfig) (*WorldSimResult, error) {
 	}
 	res.Ticks = ticked
 	res.PeakLoad = maxOf(rec.Values("max_load"))
-	res.MeanMaxLoad = meanOf(rec.Values("max_load"))
-	res.MeanLoad = meanOf(rec.Values("mean_load"))
-	res.Imbalance = meanOf(rec.Values("imbalance"))
+	res.MeanMaxLoad = refMean(rec.Values("max_load"))
+	res.MeanLoad = refMean(rec.Values("mean_load"))
+	res.Imbalance = refMean(rec.Values("imbalance"))
 	return res, nil
 }
 
-// TestGenerateWorldSoAMatchesGenerateWorld pins the SoA generator to the AoS
-// one: identical RNG draw order means entity i is bit-identical.
-func TestGenerateWorldSoAMatchesGenerateWorld(t *testing.T) {
-	for _, seed := range []int64{1, 7, 12345} {
-		cfg := DefaultWorldConfig(700)
-		cfg.Seed = seed
-		aos := GenerateWorld(cfg)
-		soa := GenerateWorldSoA(cfg)
-		if soa.Len() != len(aos.Entities) {
-			t.Fatalf("seed %d: entity count %d != %d", seed, soa.Len(), len(aos.Entities))
-		}
-		if len(soa.POIs) != len(aos.POIs) {
-			t.Fatalf("seed %d: POI count mismatch", seed)
-		}
-		for p := range soa.POIs {
-			if soa.POIs[p] != aos.POIs[p] {
-				t.Fatalf("seed %d: POI %d: %v != %v", seed, p, soa.POIs[p], aos.POIs[p])
-			}
-		}
-		for i, e := range aos.Entities {
-			if soa.X[i] != e.X || soa.Y[i] != e.Y || soa.Actionable[i] != e.Actionable {
-				t.Fatalf("seed %d: entity %d: (%v,%v,%v) != (%v,%v,%v)",
-					seed, i, soa.X[i], soa.Y[i], soa.Actionable[i], e.X, e.Y, e.Actionable)
-			}
-		}
-	}
-}
-
-// TestLoadsSoAMatchesLoads pins every built-in partitioner's SoA path to its
-// allocating Loads, bit for bit, including scratch reuse across calls.
-func TestLoadsSoAMatchesLoads(t *testing.T) {
-	parts := []SoAPartitioner{
+// TestLoadsMatchReference pins every built-in partitioner to its allocating
+// reference body, bit for bit, including scratch reuse across calls.
+func TestLoadsMatchReference(t *testing.T) {
+	parts := []Partitioner{
 		ZonePartitioner{},
 		AoSPartitioner{},
 		MirrorPartitioner{OffloadFraction: 0.5},
@@ -125,12 +242,12 @@ func TestLoadsSoAMatchesLoads(t *testing.T) {
 		for _, entities := range []int{0, 1, 50, 900} {
 			cfg := DefaultWorldConfig(entities)
 			cfg.Seed = seed
-			aos := GenerateWorld(cfg)
-			soa := GenerateWorldSoA(cfg)
+			w := GenerateWorld(cfg)
+			rw := newRefWorld(w)
 			for _, p := range parts {
 				for _, servers := range []int{1, 3, 8, 16} {
-					want := p.Loads(aos, servers)
-					got := p.LoadsSoA(soa, servers, &scratch)
+					want := refLoads(p, rw, servers)
+					got := p.Loads(w, servers, &scratch)
 					if len(got) != len(want) {
 						t.Fatalf("%s servers=%d: len %d != %d", p.Name(), servers, len(got), len(want))
 					}
@@ -187,19 +304,19 @@ func TestWorldSimMatchesReference(t *testing.T) {
 	}
 }
 
-// customTestPartitioner lacks a SoA path, forcing WorldSim's synchronized
-// AoS-view fallback.
+// customTestPartitioner is a partitioner defined outside the package's
+// built-ins, wrapping AoSPartitioner.
 type customTestPartitioner struct{}
 
 func (customTestPartitioner) Name() string { return "custom-test" }
 
-func (customTestPartitioner) Loads(w *World, servers int) []float64 {
-	return AoSPartitioner{}.Loads(w, servers)
+func (customTestPartitioner) Loads(w *World, servers int, s *PartitionScratch) []float64 {
+	return AoSPartitioner{}.Loads(w, servers, s)
 }
 
-// TestWorldSimFallbackView pins the non-SoA partitioner fallback: a custom
-// partitioner sees a fully synchronized AoS view each tick.
-func TestWorldSimFallbackView(t *testing.T) {
+// TestWorldSimCustomPartitioner pins that WorldSim drives any Partitioner,
+// not only the built-ins: the wrapper reproduces the AoS reference run.
+func TestWorldSimCustomPartitioner(t *testing.T) {
 	cfg := DefaultWorldSimConfig(200, 6)
 	cfg.Ticks = 10
 	want, err := runWorldSimRef(cfg) // AoS partitioner, reference loop
@@ -212,13 +329,13 @@ func TestWorldSimFallbackView(t *testing.T) {
 		t.Fatal(err)
 	}
 	if *got != *want {
-		t.Fatalf("fallback diverged:\n got %+v\nwant %+v", got, want)
+		t.Fatalf("custom partitioner diverged:\n got %+v\nwant %+v", got, want)
 	}
 }
 
 // nearestPOI returns the closest point of interest to (x, y): the
 // reference form of nearestArea.
-func nearestPOI(w *World, x, y float64) (float64, float64) {
+func nearestPOI(w *refWorld, x, y float64) (float64, float64) {
 	bx, by, bestD := 0.0, 0.0, math.Inf(1)
 	for _, poi := range w.POIs {
 		dx, dy := x-poi[0], y-poi[1]
@@ -228,4 +345,16 @@ func nearestPOI(w *World, x, y float64) (float64, float64) {
 		}
 	}
 	return bx, by
+}
+
+// refMean is the mean WorldSim aggregated with before it used stats.Mean.
+func refMean(xs []float64) float64 {
+	if len(xs) == 0 {
+		return 0
+	}
+	s := 0.0
+	for _, v := range xs {
+		s += v
+	}
+	return s / float64(len(xs))
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math/rand"
 
-	"atlarge/internal/sim"
 	"atlarge/internal/stats"
 	"atlarge/internal/workload"
 )
@@ -327,14 +326,3 @@ func RunTable5(seed int64) ([]Table5Row, error) {
 	})
 	return rows, nil
 }
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-// JoinTimes extracts join timestamps from an arrival schedule, a convenience
-// for detector tests and examples.
-func JoinTimes(times []sim.Time) []sim.Time { return times }

@@ -260,9 +260,6 @@ func TestCompositeEnv(t *testing.T) {
 	if len(env.Clusters) != wantClusters {
 		t.Errorf("clusters = %d, want %d", len(env.Clusters), wantClusters)
 	}
-	if env.Provider == nil {
-		t.Error("composite env lost the cloud provider")
-	}
 	single := compositeEnv([]cluster.Kind{cluster.KindCluster})
 	if len(single.Clusters) != 1 {
 		t.Errorf("single env clusters = %d", len(single.Clusters))

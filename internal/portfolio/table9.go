@@ -97,9 +97,6 @@ func compositeEnv(kinds []cluster.Kind) *cluster.Environment {
 		if sub.InterLatency > env.InterLatency {
 			env.InterLatency = sub.InterLatency
 		}
-		if sub.Provider != nil && env.Provider == nil {
-			env.Provider = sub.Provider
-		}
 	}
 	return env
 }
