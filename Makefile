@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-short lint fmt vet bench bench-base bench-compare bench-e2e-test run-all determinism scenario-golden catalog-golden serve-smoke serve-load serve-restart-smoke sweep-resume-smoke trace-smoke dist-smoke stream-smoke loc clean
+.PHONY: all build test test-short lint fmt vet bench bench-base bench-compare bench-e2e-test run-all determinism fuzz scenario-golden catalog-golden serve-smoke serve-load serve-restart-smoke sweep-resume-smoke trace-smoke dist-smoke stream-smoke loc clean
 
 all: build lint test
 
@@ -67,6 +67,11 @@ run-all:
 # run by chance far more often than five.
 determinism:
 	$(GO) test -count=5 -run 'Determinism|Deterministic|Parity|Fingerprint' ./internal/p2p ./internal/mmog ./internal/sched ./internal/portfolio ./internal/workload ./internal/graphproc ./internal/biblio .
+
+# Fuzz the population merge queue against heap4 for 15 s past its committed
+# seed corpus (internal/workload/testdata/fuzz), which `make test` replays.
+fuzz:
+	$(GO) test -run '^$$' -fuzz '^FuzzMergeQueue$$' -fuzztime 15s ./internal/workload
 
 # End-to-end determinism check of the scenario engine through the CLI: each
 # committed golden sweep (one per pinned domain) must produce byte-identical

@@ -21,8 +21,9 @@ func main() {
 	skew := flag.String("skew", "zipf", "per-client rate skew (none, zipf, lognormal)")
 	shards := flag.Int("shards", 8, "generation goroutines")
 	// A materialized million-job trace costs gigabytes; the streamed form
-	// measures ~52 MiB (≈50 B/client). 128 MiB leaves headroom for GC timing
-	// while still failing fast on any O(jobs) regression.
+	// measures ~54 MiB (≈50 B/client, plus ~2 MiB of fixed merge-queue
+	// chunks over 8 shards). 128 MiB leaves headroom for GC timing while
+	// still failing fast on any O(jobs) regression.
 	budgetMB := flag.Uint64("budget-mb", 128, "peak heap budget in MiB")
 	flag.Parse()
 

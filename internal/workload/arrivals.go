@@ -146,11 +146,19 @@ func (d DiurnalArrivals) Times(n int, r *rand.Rand) []sim.Time { return times(d,
 
 // NextAfter implements ArrivalProcess. mult scales both the instantaneous
 // and the dominating rate, so the acceptance ratio — and hence the expected
-// number of thinning iterations — is independent of mult.
+// number of thinning iterations — is independent of mult. A dominating rate
+// of 0 (mult 0, or a product that underflows) never arrives, and neither
+// does a time that reaches +Inf: both return +Inf, as PoissonArrivals does.
 func (d DiurnalArrivals) NextAfter(t sim.Time, mult float64, r *rand.Rand) sim.Time {
 	maxRate := d.BaseRate * mult * (1 + d.Amplitude)
+	if maxRate == 0 {
+		return sim.Time(math.Inf(1))
+	}
 	for {
 		t += sim.Duration(r.ExpFloat64() / maxRate)
+		if math.IsInf(float64(t), 1) {
+			return t
+		}
 		phase := 2 * math.Pi * float64(t) / float64(d.Period)
 		rate := d.BaseRate * mult * (1 + d.Amplitude*math.Sin(phase))
 		if r.Float64() < rate/maxRate {
@@ -189,11 +197,18 @@ type FlashcrowdArrivals struct {
 // Times implements ArrivalProcess via thinning.
 func (f FlashcrowdArrivals) Times(n int, r *rand.Rand) []sim.Time { return times(f, n, r) }
 
-// NextAfter implements ArrivalProcess.
+// NextAfter implements ArrivalProcess. Like DiurnalArrivals it returns
+// +Inf when the dominating rate is 0 or the time reaches +Inf.
 func (f FlashcrowdArrivals) NextAfter(t sim.Time, mult float64, r *rand.Rand) sim.Time {
 	maxRate := f.BaseRate * mult * f.Spike
+	if maxRate == 0 {
+		return sim.Time(math.Inf(1))
+	}
 	for {
 		t += sim.Duration(r.ExpFloat64() / maxRate)
+		if math.IsInf(float64(t), 1) {
+			return t
+		}
 		rate := mult * f.RateAt(t)
 		if r.Float64() < rate/maxRate {
 			return t

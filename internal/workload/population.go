@@ -72,8 +72,9 @@ func normalizeSkew(s Skew) Skew {
 // one workload: each client draws a class from Mix, a rate multiplier from
 // Skew, and then submits jobs forever through its class's arrival process.
 // Source streams the merged, globally time-ordered result with O(Clients)
-// resident state — about 48 bytes per client — so a spec can declare 10^6
-// clients without materializing anything per job.
+// resident state — a 32-byte client record and a 16-byte merge-queue slot
+// per client, plus at most 131 queue chunks of 2 KiB — so a spec can
+// declare 10^6 clients without materializing anything per job.
 //
 // Determinism: client c's RNG stream depends only on (Seed, c), and merge
 // ties are broken by client ID, so the emitted stream is byte-identical at
@@ -149,6 +150,9 @@ func (p *Population) Validate() error {
 	if !positive(sk.S) || !positive(sk.Sigma) {
 		return fmt.Errorf("workload: population skew parameters must be > 0, got s=%v sigma=%v", sk.S, sk.Sigma)
 	}
+	if sk.Kind == "zipf" && math.Pow(float64(p.Clients), -sk.S) == 0 {
+		return &ZipfUnderflowError{Clients: p.Clients, S: sk.S}
+	}
 	if p.RateScale < 0 || math.IsNaN(p.RateScale) {
 		return fmt.Errorf("workload: population rate scale must be >= 0, got %v", p.RateScale)
 	}
@@ -158,12 +162,37 @@ func (p *Population) Validate() error {
 	return nil
 }
 
+// ZipfUnderflowError rejects a Zipf skew so steep that the last client's
+// rate weight, Clients^-S, underflows to 0: that client would never submit.
+type ZipfUnderflowError struct {
+	Clients int
+	S       float64
+}
+
+func (e *ZipfUnderflowError) Error() string {
+	return fmt.Sprintf("workload: zipf skew s=%v underflows client %d's rate weight to 0; lower s or the client count", e.S, e.Clients-1)
+}
+
 // Source builds the population's job stream. The stream is unbounded;
 // consumers take what they need (Collect with a max, or a streaming
 // simulator) and must Close it when done.
 func (p *Population) Source() (JobSource, error) {
-	if err := p.Validate(); err != nil {
+	cfg, err := p.config()
+	if err != nil {
 		return nil, err
+	}
+	name := p.name()
+	if p.Shards <= 1 {
+		return &populationSource{core: newMergeCores(cfg, [][2]int{{0, p.Clients}})[0], name: name}, nil
+	}
+	return newShardedSource(cfg, p.Clients, p.Shards, name), nil
+}
+
+// config validates the spec and resolves it into the shard-independent
+// configuration every merge core shares.
+func (p *Population) config() (popConfig, error) {
+	if err := p.Validate(); err != nil {
+		return popConfig{}, err
 	}
 	gens := make([]Generator, len(p.Mix))
 	cum := make([]float64, len(p.Mix))
@@ -174,7 +203,7 @@ func (p *Population) Source() (JobSource, error) {
 			gens[i].Arrivals = p.Arrival
 		}
 		if err := gens[i].Arrivals.Validate(); err != nil {
-			return nil, err
+			return popConfig{}, err
 		}
 		total += m.Weight
 		cum[i] = total
@@ -183,12 +212,7 @@ func (p *Population) Source() (JobSource, error) {
 	if rateScale == 0 {
 		rateScale = 1 / float64(p.Clients)
 	}
-	cfg := popConfig{gens: gens, cum: cum, skew: normalizeSkew(p.Skew), rateScale: rateScale, seed: p.Seed}
-	name := p.name()
-	if p.Shards <= 1 {
-		return &populationSource{core: newMergeCores(cfg, [][2]int{{0, p.Clients}})[0], name: name}, nil
-	}
-	return newShardedSource(cfg, p.Clients, p.Shards, name), nil
+	return popConfig{gens: gens, cum: cum, skew: normalizeSkew(p.Skew), rateScale: rateScale, seed: p.Seed}, nil
 }
 
 func (p *Population) name() string {
@@ -252,13 +276,13 @@ func nodeClient(n heap4.Node) uint32 { return uint32(n.Lo >> 32) }
 func nodeShard(n heap4.Node) uint32  { return uint32(n.Lo) }
 
 // mergeCore merges one contiguous client range [base, base+len(clients))
-// into a (submit, client)-ordered job stream: a heap of one cursor per
-// client, job bodies drawn at pop time into a reused scratch job.
+// into a (submit, client)-ordered job stream: a monotone queue of one cursor
+// per client, job bodies drawn at pop time into a reused scratch job.
 type mergeCore struct {
 	cfg     popConfig
 	clients []client
 	base    uint32
-	heap    []heap4.Node
+	queue   mergeQueue
 	src     clientSource
 	r       *rand.Rand
 	sc      genScratch
@@ -279,7 +303,7 @@ func newMergeCores(cfg popConfig, ranges [][2]int) []*mergeCore {
 			cfg:     cfg,
 			clients: make([]client, rg[1]-rg[0]),
 			base:    uint32(rg[0]),
-			heap:    make([]heap4.Node, rg[1]-rg[0]),
+			queue:   newMergeQueue(rg[1] - rg[0]),
 		}
 		if cfg.skew.Kind == "zipf" {
 			for j := range mc.clients {
@@ -309,7 +333,7 @@ func newMergeCores(cfg popConfig, ranges [][2]int) []*mergeCore {
 }
 
 // start draws every client's class, rate multiplier and first arrival and
-// heapifies the cursors; zipfNorm is the Zipf weights' unit-mean normaliser.
+// queues the cursors; zipfNorm is the Zipf weights' unit-mean normaliser.
 func (mc *mergeCore) start(zipfNorm float64) {
 	cfg := &mc.cfg
 	mc.r = rand.New(&mc.src)
@@ -338,17 +362,16 @@ func (mc *mergeCore) start(zipfNorm float64) {
 		}
 		c.mult = mult
 		c.next = cfg.gens[ci].Arrivals.NextAfter(0, mult, mc.r)
-		mc.heap[i] = mergeNode(c.next, uint32(id), 0)
+		mc.queue.push(mergeNode(c.next, uint32(id), 0))
 	}
-	heap4.Heapify(mc.heap)
 }
 
 // next pops the earliest client cursor, fills that client's next job into
 // the core scratch (local task IDs; global identity is assigned by the
-// caller via emitAs), advances the cursor, and restores the heap. The
-// stream is unbounded, so next always succeeds.
+// caller via emitAs), and queues the advanced cursor. The stream is
+// unbounded, so next always succeeds.
 func (mc *mergeCore) next() (*Job, uint32) {
-	client := nodeClient(mc.heap[0])
+	client := nodeClient(mc.queue.pop())
 	c := &mc.clients[client-mc.base]
 	mc.src.state = &c.rng
 	g := &mc.cfg.gens[c.class]
@@ -357,8 +380,7 @@ func (mc *mergeCore) next() (*Job, uint32) {
 	mc.job.Class = g.Class
 	g.fillJob(&mc.job, mc.r, &mc.sc)
 	c.next = g.Arrivals.NextAfter(c.next, c.mult, mc.r)
-	mc.heap[0] = mergeNode(c.next, client, 0)
-	heap4.FixTop(mc.heap)
+	mc.queue.push(mergeNode(c.next, client, 0))
 	return &mc.job, client
 }
 

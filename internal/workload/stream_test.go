@@ -1,7 +1,9 @@
 package workload
 
 import (
+	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"runtime"
@@ -442,5 +444,107 @@ func TestDeriveSeedSpreads(t *testing.T) {
 			}
 			seen[s] = true
 		}
+	}
+}
+
+// streamFingerprints are the FNV-1a folds of (ID, submit bits, task count)
+// over the first 2·10⁴ jobs of fingerprintPopulation(seed), recorded while
+// the client merge was still a 4-ary heap. Any change to the merge that
+// reorders, drops or alters a job moves them.
+var streamFingerprints = [...]uint64{0xc63e1ed042c80dc2, 0x4efabc32008c2d03, 0x0124a0df5db0a137, 0xa50190dbf04433ed}
+
+// fingerprintPopulation is the end-to-end stream benchmark's population
+// (2:1 synthetic/gaming mix, Zipf skew) at 10⁴ clients.
+func fingerprintPopulation(seed int64) *Population {
+	return &Population{
+		Clients: 10000,
+		Mix: []ClassShare{
+			{Class: ClassSynthetic, Weight: 2},
+			{Class: ClassGaming, Weight: 1},
+		},
+		Skew:   Skew{Kind: "zipf"},
+		Seed:   seed,
+		Shards: 1,
+	}
+}
+
+// TestPopulationStreamFingerprint pins the population stream's content,
+// folded the way the end-to-end stream benchmark folds it.
+func TestPopulationStreamFingerprint(t *testing.T) {
+	const jobs = 20000
+	for seed, want := range streamFingerprints {
+		src, err := fingerprintPopulation(int64(seed)).Source()
+		if err != nil {
+			t.Fatal(err)
+		}
+		fold := uint64(14695981039346656037)
+		for i := 0; i < jobs; i++ {
+			j := src.Next()
+			for _, v := range [3]uint64{uint64(j.ID), math.Float64bits(float64(j.Submit)), uint64(len(j.Tasks))} {
+				fold ^= v
+				fold *= 1099511628211
+			}
+		}
+		src.Close()
+		if fold != want {
+			t.Errorf("seed %d: fingerprint %#016x, want %#016x", seed, fold, want)
+		}
+	}
+}
+
+// TestThinningArrivalsZeroRate pins that the thinning processes never
+// arrive when their dominating rate is 0 or the time is already +Inf, as
+// PoissonArrivals does, instead of spinning on sin(+Inf) = NaN.
+func TestThinningArrivalsZeroRate(t *testing.T) {
+	inf := sim.Time(math.Inf(1))
+	for _, p := range []ArrivalProcess{
+		DiurnalArrivals{BaseRate: 0.2, Period: 86400, Amplitude: 0.9},
+		FlashcrowdArrivals{BaseRate: 0.2, StartAt: 10, Spike: 50, HalfLife: 5},
+	} {
+		r := rand.New(rand.NewSource(1))
+		for _, tc := range []struct {
+			at   sim.Time
+			mult float64
+		}{{0, 0}, {0, 5e-324}, {inf, 1}} {
+			if got := p.NextAfter(tc.at, tc.mult, r); got != inf {
+				t.Errorf("%s: NextAfter(%v, %v) = %v, want +Inf", p, tc.at, tc.mult, got)
+			}
+		}
+	}
+}
+
+// TestPopulationZeroRateClients is the regression test for Source hanging
+// when a client's rate multiplier is 0: Validate rejects a Zipf weight that
+// underflows, and clients whose multiplier underflows anyway (a subnormal
+// RateScale) stream +Inf submits instead of hanging.
+func TestPopulationZeroRateClients(t *testing.T) {
+	steep := &Population{Clients: 1000, Mix: SingleClass(ClassGaming), Skew: Skew{Kind: "zipf", S: 400}}
+	var zerr *ZipfUnderflowError
+	if err := steep.Validate(); !errors.As(err, &zerr) || zerr.Clients != 1000 || zerr.S != 400 {
+		t.Errorf("Validate = %v, want a *ZipfUnderflowError for 1000 clients at s=400", err)
+	}
+	if _, err := steep.Source(); !errors.As(err, &zerr) {
+		t.Errorf("Source error = %v, want a *ZipfUnderflowError", err)
+	}
+
+	tiny := &Population{Clients: 1000, Mix: SingleClass(ClassGaming), Skew: Skew{Kind: "zipf"}, RateScale: 5e-324}
+	done := make(chan sim.Time, 1)
+	go func() {
+		src, err := tiny.Source()
+		if err != nil {
+			t.Error(err)
+			done <- 0
+			return
+		}
+		defer src.Close()
+		done <- src.Next().Submit
+	}()
+	select {
+	case submit := <-done:
+		if !math.IsInf(float64(submit), 1) {
+			t.Errorf("first submit %v, want +Inf", submit)
+		}
+	case <-time.After(30 * time.Second):
+		t.Fatal("Source or Next hung on zero-rate clients")
 	}
 }
