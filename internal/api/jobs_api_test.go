@@ -5,6 +5,8 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -198,6 +200,29 @@ func TestJobsDurableRestart(t *testing.T) {
 	}
 	if got != want {
 		t.Error("recovered result bytes differ from the pre-restart result")
+	}
+}
+
+// TestJobsUnusableStateDir: a state dir that cannot be created refuses
+// every submission with a 500 naming the cause instead of accepting a job
+// it cannot persist, and RecoverJobs reports the same error.
+func TestJobsUnusableStateDir(t *testing.T) {
+	file := filepath.Join(t.TempDir(), "file")
+	if err := os.WriteFile(file, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	srv := New(Config{Parallelism: 2, StateDir: filepath.Join(file, "state")})
+	if _, _, err := srv.RecoverJobs(); err == nil {
+		t.Error("RecoverJobs on an unusable state dir returned no error")
+	}
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+	status, _, raw := postJob(t, ts.URL, jobBody(37))
+	if status != http.StatusInternalServerError || !strings.Contains(raw, "state dir") {
+		t.Fatalf("submit: status %d, body %s; want 500 naming the state dir", status, raw)
+	}
+	if _, list := get(t, ts.URL+"/v1/jobs"); list != "{\n  \"jobs\": []\n}\n" {
+		t.Errorf("job list after a refused submit = %q, want empty", list)
 	}
 }
 

@@ -6,6 +6,8 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+
+	"atlarge/internal/scenario"
 )
 
 // jobstore persists job specs, state, and results under the server's
@@ -53,31 +55,6 @@ func (st *jobstore) resultPath(id string) string {
 	return filepath.Join(st.dir, id, "result.json")
 }
 
-// writeFileAtomic lands content completely or not at all (temp + rename),
-// so a SIGKILL mid-write can never leave a torn document for recovery to
-// trip over.
-func writeFileAtomic(path string, data []byte) error {
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, "tmp-*")
-	if err != nil {
-		return err
-	}
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return err
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		os.Remove(tmp.Name())
-		return err
-	}
-	return nil
-}
-
 // saveRecord persists the job document atomically.
 func (st *jobstore) saveRecord(rec *jobRecord) error {
 	if err := os.MkdirAll(filepath.Join(st.dir, rec.ID), 0o755); err != nil {
@@ -87,7 +64,7 @@ func (st *jobstore) saveRecord(rec *jobRecord) error {
 	if err != nil {
 		return fmt.Errorf("api: persist job %s: %w", rec.ID, err)
 	}
-	if err := writeFileAtomic(st.recordPath(rec.ID), append(raw, '\n')); err != nil {
+	if err := scenario.WriteFileAtomic(st.recordPath(rec.ID), append(raw, '\n')); err != nil {
 		return fmt.Errorf("api: persist job %s: %w", rec.ID, err)
 	}
 	return nil
@@ -95,7 +72,7 @@ func (st *jobstore) saveRecord(rec *jobRecord) error {
 
 // saveResult persists the finished report bytes atomically.
 func (st *jobstore) saveResult(id string, result []byte) error {
-	if err := writeFileAtomic(st.resultPath(id), result); err != nil {
+	if err := scenario.WriteFileAtomic(st.resultPath(id), result); err != nil {
 		return fmt.Errorf("api: persist result %s: %w", id, err)
 	}
 	return nil

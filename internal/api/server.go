@@ -114,12 +114,13 @@ type runKey struct {
 // and misses, and an async job's result is byte-identical to the
 // synchronous sweep response for the same spec.
 type Server struct {
-	cfg   Config
-	cache *lruCache[runKey, atlarge.ExperimentResult]
-	mux   *http.ServeMux
-	stats *exec.Stats
-	adm   *admission
-	store *jobstore // nil without StateDir
+	cfg      Config
+	cache    *lruCache[runKey, atlarge.ExperimentResult]
+	mux      *http.ServeMux
+	stats    *exec.Stats
+	adm      *admission
+	store    *jobstore // nil without StateDir or when it is unusable
+	storeErr error     // why StateDir is unusable
 
 	// Distributed execution (Config.Workers): the dialed worker clients and
 	// the process-wide dist counters behind the atlarge_dist_* families.
@@ -208,14 +209,10 @@ func New(cfg Config) *Server {
 		sim.SetKernelObserver(func(k *sim.Kernel) { k.SetTracer(kprof) })
 	}
 	if cfg.StateDir != "" {
-		store, err := newJobstore(cfg.StateDir)
-		if err != nil {
-			// An unusable state dir surfaces on the first submission; the
-			// server still boots so read endpoints work.
-			s.store = nil
-		} else {
-			s.store = store
-		}
+		// An unusable state dir is kept as storeErr: RecoverJobs returns it
+		// and every submission is refused with it, while the server still
+		// boots so read endpoints work.
+		s.store, s.storeErr = newJobstore(cfg.StateDir)
 	}
 	s.initMetrics()
 
@@ -828,6 +825,12 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 // Errors (job limit, persistence failure) are written by launchJob itself;
 // the caller renders the success response from the returned job.
 func (s *Server) launchJob(w http.ResponseWriter, spec *scenario.Spec, cells []scenario.Scenario, opt scenario.Options) (_ *job, created, ok bool) {
+	if s.storeErr != nil {
+		// Refuse rather than silently accepting volatile work on a server
+		// that promised durability.
+		writeError(w, http.StatusInternalServerError, errInternal, "%v", s.storeErr)
+		return nil, false, false
+	}
 	seed, replicas := scenario.Effective(spec, opt)
 	id, err := scenario.RunHash(spec, seed, replicas)
 	if err != nil {
@@ -956,10 +959,11 @@ func (s *Server) persistOutcome(j *job) {
 // replica) tasks to a byte-identical result. Call it once, before serving
 // traffic. Interrupted jobs resume regardless of MaxJobs — they were
 // admitted before the restart. Returns the number of jobs resumed
-// (relaunched) and restored (terminal, re-listed).
+// (relaunched) and restored (terminal, re-listed), and the error that made
+// an unusable Config.StateDir refuse every submission.
 func (s *Server) RecoverJobs() (resumed, restored int, err error) {
 	if s.store == nil {
-		return 0, 0, nil
+		return 0, 0, s.storeErr
 	}
 	recs, listErr := s.store.list()
 	if listErr != nil {

@@ -14,7 +14,7 @@ func relDiff(a, b, floor float64) float64 {
 	return math.Abs(a-b) / den
 }
 
-// parityTrace reproduces the examples/autoscaling workload shape: a
+// parityTrace reproduces RunExperiment's workload shape: a
 // workflow-heavy scientific trace.
 func parityTrace(jobs int, seed int64) *workload.Trace {
 	r := rand.New(rand.NewSource(seed))

@@ -122,36 +122,42 @@ func (c *checkpoint) Load(id string) ([]MetricValue, bool) {
 	return tf.Metrics, true
 }
 
-// Store persists one completed task atomically (temp file + rename), so
-// concurrent workers and abrupt kills leave either a complete file or none.
-// The first failure is latched and surfaced through Err after the run.
+// Store persists one completed task atomically, so concurrent workers and
+// abrupt kills leave either a complete file or none. The first failure is
+// latched and surfaced through Err after the run.
 func (c *checkpoint) Store(id string, ms []MetricValue) {
 	raw, err := json.Marshal(taskFile{ID: id, Metrics: ms})
+	if err == nil {
+		err = WriteFileAtomic(c.taskPath(id), raw)
+	}
 	if err != nil {
 		c.setErr(err)
-		return
 	}
-	path := c.taskPath(id)
-	tmp, err := os.CreateTemp(c.dir, "tmp-*")
+}
+
+// WriteFileAtomic lands data at path completely or not at all: it writes a
+// temp file in the same directory and renames it over path, removing the
+// temp file on any error, so a SIGKILL mid-write can never leave a torn
+// document for a resume or a job recovery to trip over.
+func WriteFileAtomic(path string, data []byte) error {
+	tmp, err := os.CreateTemp(filepath.Dir(path), "tmp-*")
 	if err != nil {
-		c.setErr(err)
-		return
+		return err
 	}
-	if _, err := tmp.Write(raw); err != nil {
+	if _, err := tmp.Write(data); err != nil {
 		tmp.Close()
 		os.Remove(tmp.Name())
-		c.setErr(err)
-		return
+		return err
 	}
 	if err := tmp.Close(); err != nil {
 		os.Remove(tmp.Name())
-		c.setErr(err)
-		return
+		return err
 	}
 	if err := os.Rename(tmp.Name(), path); err != nil {
 		os.Remove(tmp.Name())
-		c.setErr(err)
+		return err
 	}
+	return nil
 }
 
 // setErr latches the first storage failure.

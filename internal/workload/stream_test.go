@@ -548,3 +548,49 @@ func TestPopulationZeroRateClients(t *testing.T) {
 		t.Fatal("Source or Next hung on zero-rate clients")
 	}
 }
+
+// TestPopulationHeapBudget is the streaming engine's memory contract:
+// draining 10⁶ jobs from 10⁶ clients keeps state O(clients), never O(jobs).
+// The stream keeps ~50 MiB live (≈50 B/client plus merge-queue chunks), so
+// 128 MiB fails any per-job leak. Dense IDs and non-decreasing submits are
+// checked at full scale on the way.
+func TestPopulationHeapBudget(t *testing.T) {
+	const n, budget = 1_000_000, 128 << 20 // clients and jobs; heap bytes
+	pop := &Population{Clients: n, Skew: Skew{Kind: "zipf"}, Seed: 42, Shards: 8,
+		Mix: []ClassShare{{Class: ClassSynthetic, Weight: 2}, {Class: ClassGaming, Weight: 1}}}
+	src, err := pop.Source()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer src.Close()
+
+	var ms runtime.MemStats
+	var peak uint64
+	sample := func() {
+		runtime.GC()
+		runtime.ReadMemStats(&ms)
+		peak = max(peak, ms.HeapAlloc)
+	}
+	sample()
+	var last sim.Time
+	for i := 1; i <= n; i++ {
+		j := src.Next()
+		if j == nil {
+			t.Fatalf("stream ran dry at job %d", i)
+		}
+		if j.ID != i {
+			t.Fatalf("job ID %d at position %d", j.ID, i)
+		}
+		if j.Submit < last {
+			t.Fatalf("job %d: submit %v < previous %v", i, j.Submit, last)
+		}
+		last = j.Submit
+		if i%50_000 == 0 {
+			sample()
+		}
+	}
+	t.Logf("peak heap %d MiB, budget %d MiB", peak>>20, budget>>20)
+	if peak > budget {
+		t.Errorf("peak heap %d MiB exceeds the %d MiB budget: per-job state is leaking", peak>>20, budget>>20)
+	}
+}
