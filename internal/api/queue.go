@@ -22,24 +22,17 @@ import (
 // exact refill time, and the queue check estimates drain time from the
 // recently observed task completion rate.
 type admission struct {
-	limiter  *rateLimiter // nil = no rate limiting
-	stats    *exec.Stats
-	maxQueue int64
-
-	// completion-rate tracker: completed-counter deltas sampled at least
-	// rateSampleMin apart, smoothed 50/50 with the previous estimate.
-	mu         sync.Mutex
-	lastSample time.Time
-	lastCount  int64
-	perSecond  float64
+	limiter     *rateLimiter // nil = no rate limiting
+	stats       *exec.Stats
+	maxQueue    int64
+	completions *rateTracker // smoothed task completion rate (tasks/second)
 }
 
 const rateSampleMin = 250 * time.Millisecond
 
-// rateTracker smooths a monotone counter into a per-second rate with the
-// same sampling discipline as admission.taskRate: resample when the last
-// sample is at least rateSampleMin old, then blend 50/50 with the previous
-// estimate. The source func reads the counter's current value.
+// rateTracker smooths a monotone counter into a per-second rate: resample
+// when the last sample is at least rateSampleMin old, then blend 50/50 with
+// the previous estimate. The source func reads the counter's current value.
 type rateTracker struct {
 	source func() float64
 
@@ -72,33 +65,19 @@ func (t *rateTracker) rate() float64 {
 }
 
 func newAdmission(limiter *rateLimiter, stats *exec.Stats, maxQueue int) *admission {
-	return &admission{limiter: limiter, stats: stats, maxQueue: int64(maxQueue), lastSample: time.Now()}
-}
-
-// taskRate returns the smoothed task completion rate (tasks/second),
-// resampling the shared counter when the last sample is old enough.
-func (a *admission) taskRate() float64 {
-	now := time.Now()
-	count := a.stats.Completed()
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	if dt := now.Sub(a.lastSample).Seconds(); dt >= rateSampleMin.Seconds() {
-		inst := float64(count-a.lastCount) / dt
-		if a.perSecond == 0 {
-			a.perSecond = inst
-		} else {
-			a.perSecond = 0.5*a.perSecond + 0.5*inst
-		}
-		a.lastSample, a.lastCount = now, count
+	return &admission{
+		limiter:     limiter,
+		stats:       stats,
+		maxQueue:    int64(maxQueue),
+		completions: newRateTracker(func() float64 { return float64(stats.Completed()) }),
 	}
-	return a.perSecond
 }
 
 // drainEstimate converts a backlog of tasks into whole seconds until the
 // pool has drained it, clamped to [1, 60]; with no observed completion rate
 // yet it guesses 5 seconds.
 func (a *admission) drainEstimate(backlog int64) int {
-	rate := a.taskRate()
+	rate := a.completions.rate()
 	if rate <= 0 {
 		return 5
 	}

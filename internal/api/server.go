@@ -292,7 +292,7 @@ func (s *Server) initMetrics() {
 		func() float64 { return float64(s.stats.Failed()) })
 	m.GaugeFunc("atlarge_tasks_per_second",
 		"Smoothed task completion rate (feeds Retry-After estimates).",
-		s.adm.taskRate)
+		s.adm.completions.rate)
 	jobs := m.GaugeVec("atlarge_jobs", "Jobs in the server's table, by state.", "state")
 	for _, state := range jobStates {
 		jobs.Set(func() float64 { return float64(s.countJobs(state)) }, state)

@@ -1,8 +1,7 @@
-// Package heap4 is the 4-ary min-heap of 16-byte value nodes shared by the
-// simulation kernel's event queue and the workload engine's cross-shard
-// merge. The per-client merge inside a population shard orders the same
-// Nodes with a monotone radix queue instead (internal/workload), since its
-// keys never go below the last one popped.
+// Package heap4 is the 4-ary min-heap of 16-byte value nodes behind the
+// simulation kernel's event queue. The workload engine's population merge
+// orders the same Nodes with a monotone radix queue instead
+// (internal/workload), since its keys never go below the last one popped.
 //
 // A Node is ordered by (Hi, Lo) as one unsigned 128-bit integer. Callers put
 // their primary key in Hi (a non-negative virtual time, via TimeKey) and a
@@ -106,10 +105,10 @@ func Pop(h []Node) (Node, []Node) {
 }
 
 // FixTop restores the heap order after the caller replaced h[0], the
-// replace-top step of a k-way merge such as the sharded population's. It
-// sifts with the classic early-exit down: Pop's bottom-up walk visits every
-// level even when the replacement settles high, and measured slower when
-// this heap still merged a million clients.
+// replace-top step of a k-way merge. It sifts with the classic early-exit
+// down: Pop's bottom-up walk visits every level even when the replacement
+// settles high, and measured slower when this heap still merged a million
+// clients.
 func FixTop(h []Node) { down(h, 0) }
 
 // up fills the hole at i with n, moving greater ancestors down into it.

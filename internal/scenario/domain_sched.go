@@ -204,7 +204,15 @@ func workloadAxes() map[string]AxisDef {
 			},
 		},
 		"clients": {
-			Check: func(v any) error { return checkInt(v, 1) },
+			Check: func(v any) error {
+				if err := checkInt(v, 1); err != nil {
+					return err
+				}
+				if v.(float64) > workload.MaxClients {
+					return fmt.Errorf("got %v, must be <= %d", v, workload.MaxClients)
+				}
+				return nil
+			},
 			Apply: func(sc *Scenario, v any) string {
 				sc.Workload.Clients = int(v.(float64))
 				sc.Workload.Trace = ""

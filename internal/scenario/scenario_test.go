@@ -405,6 +405,35 @@ func TestValidateRejectsTraceWithGeneratorSettings(t *testing.T) {
 	}
 }
 
+// TestValidateRejectsOversizedClients pins the population size cap on both
+// the base value and the sweep axis. A population allocates its client table
+// up front, so 5·10⁹ clients asked for one 160 GB block: a fatal runtime
+// error that no recover catches, which would kill the serving process.
+func TestValidateRejectsOversizedClients(t *testing.T) {
+	base := func(clients int) string {
+		return fmt.Sprintf(`{"version": 2, "name": "t", "domain": "sched", "policy": "sjf",
+			"workload": {"class": "gaming", "jobs": 10, "clients": %d}}`, clients)
+	}
+	swept := func(clients int) string {
+		return fmt.Sprintf(`{"version": 2, "name": "t", "domain": "sched", "policy": "sjf",
+			"workload": {"class": "gaming", "jobs": 10},
+			"sweep": {"clients": [10, %d]}}`, clients)
+	}
+	for _, over := range []int{workload.MaxClients + 1, 5_000_000_000} {
+		if err := specJSON(t, base(over)).Validate(); err == nil || !strings.Contains(err.Error(), "workload.clients: got") {
+			t.Errorf("base clients=%d accepted: %v", over, err)
+		}
+		if err := specJSON(t, swept(over)).Validate(); err == nil || !strings.Contains(err.Error(), "sweep.clients[1]: got") {
+			t.Errorf("swept clients=%d accepted: %v", over, err)
+		}
+	}
+	for _, spec := range []string{base(workload.MaxClients), swept(workload.MaxClients)} {
+		if err := specJSON(t, spec).Validate(); err != nil {
+			t.Errorf("clients=%d rejected: %v", workload.MaxClients, err)
+		}
+	}
+}
+
 // TestValidateRejectsAliasDuplicates pins that duplicate detection compares
 // resolved values, so alias spellings of one configuration collide.
 func TestValidateRejectsAliasDuplicates(t *testing.T) {

@@ -361,8 +361,8 @@ func (s *Spec) validateWorkloadSpec(bad func(string, ...any)) {
 			bad("workload.arrival: %v", err)
 		}
 	}
-	if w.Clients < 0 {
-		bad("workload.clients: got %d, must be >= 0 (0 means the single-generator path)", w.Clients)
+	if w.Clients < 0 || w.Clients > workload.MaxClients {
+		bad("workload.clients: got %d, must be 0 to %d (0 means the single-generator path)", w.Clients, workload.MaxClients)
 	}
 	if w.Skew != "" {
 		if _, err := workload.ParseSkew(w.Skew); err != nil {

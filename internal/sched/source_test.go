@@ -182,7 +182,6 @@ func TestRunSourceBoundedMemory(t *testing.T) {
 		// queueing dynamics intact.
 		RateScale: 100.0 / 10000,
 		Seed:      17,
-		Shards:    4,
 	}
 	src, err := pop.Source()
 	if err != nil {

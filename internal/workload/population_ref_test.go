@@ -24,8 +24,7 @@ type refMergeCore struct {
 	taskID  int
 }
 
-// newRefMergeCore is the single-range case of newMergeCores over the heap
-// merge.
+// newRefMergeCore is newPopulationSource over the heap merge.
 func newRefMergeCore(cfg popConfig, clients int) *refMergeCore {
 	mc := &refMergeCore{
 		cfg:     cfg,
@@ -69,7 +68,7 @@ func (mc *refMergeCore) start(zipfNorm float64) {
 		}
 		c.mult = mult
 		c.next = cfg.gens[ci].Arrivals.NextAfter(0, mult, mc.r)
-		mc.heap[i] = mergeNode(c.next, uint32(i), 0)
+		mc.heap[i] = mergeNode(c.next, uint32(i))
 	}
 	heap4.Heapify(mc.heap)
 }
@@ -86,7 +85,7 @@ func (mc *refMergeCore) next() *Job {
 	mc.job.Class = g.Class
 	g.fillJob(&mc.job, mc.r, &mc.sc)
 	c.next = g.Arrivals.NextAfter(c.next, c.mult, mc.r)
-	mc.heap[0] = mergeNode(c.next, client, 0)
+	mc.heap[0] = mergeNode(c.next, client)
 	heap4.FixTop(mc.heap)
 	mc.seq++
 	emitAs(&mc.job, mc.seq, mc.taskID)
@@ -118,7 +117,7 @@ func sameJob(a, b *Job) bool {
 
 // TestPopulationMergeParity pins the radix-queue merge job by job against
 // the heap merge across skews, mixes, arrival processes, client counts
-// around the queue's chunk (128) and bucket (129) sizes, and sharding.
+// around the queue's chunk (128) and bucket (129) sizes.
 func TestPopulationMergeParity(t *testing.T) {
 	mixes := map[string][]ClassShare{
 		"single": SingleClass(ClassGaming),
@@ -153,22 +152,15 @@ func TestPopulationMergeParity(t *testing.T) {
 							t.Fatal(err)
 						}
 						ref := newRefMergeCore(cfg, clients)
-						shards := []int{0, 3}
-						srcs := make([]JobSource, len(shards))
-						for i, n := range shards {
-							p := pop
-							p.Shards = n
-							if srcs[i], err = p.Source(); err != nil {
-								t.Fatal(err)
-							}
-							defer srcs[i].Close()
+						src, err := pop.Source()
+						if err != nil {
+							t.Fatal(err)
 						}
+						defer src.Close()
 						for j := 1; j <= jobs; j++ {
 							want := ref.next()
-							for i, src := range srcs {
-								if got := src.Next(); !sameJob(want, got) {
-									t.Fatalf("shards=%d: job %d differs:\n got %+v\nwant %+v", shards[i], j, got, want)
-								}
+							if got := src.Next(); !sameJob(want, got) {
+								t.Fatalf("job %d differs:\n got %+v\nwant %+v", j, got, want)
 							}
 						}
 					})

@@ -18,8 +18,8 @@ type JobSource interface {
 	Next() *Job
 	// Name describes the stream; Collect uses it as the Trace name.
 	Name() string
-	// Close releases the source's resources (shard goroutines, buffers). It
-	// is idempotent; Next must not be called after Close.
+	// Close releases the source's resources. It is idempotent; Next must
+	// not be called after Close.
 	Close()
 }
 

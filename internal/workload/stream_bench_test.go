@@ -38,30 +38,3 @@ func BenchmarkPopulationStream(b *testing.B) {
 		})
 	}
 }
-
-// BenchmarkPopulationStreamSharded measures the sharded pipeline at a million
-// clients, where generation parallelism matters.
-func BenchmarkPopulationStreamSharded(b *testing.B) {
-	pop := &Population{
-		Clients: 1000000,
-		Mix:     SingleClass(ClassSynthetic),
-		Skew:    Skew{Kind: "zipf"},
-		Seed:    1,
-		Shards:  8,
-	}
-	src, err := pop.Source()
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer src.Close()
-	for i := 0; i < 2000; i++ {
-		src.Next()
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if src.Next() == nil {
-			b.Fatal("stream ran dry")
-		}
-	}
-}

@@ -238,39 +238,6 @@ func testPopulation(skew string) *Population {
 	}
 }
 
-// TestPopulationShardIndependence is the determinism contract: the merged
-// stream must be byte-identical whether generated inline or on any number of
-// shard goroutines.
-func TestPopulationShardIndependence(t *testing.T) {
-	for _, skew := range []string{"none", "zipf", "lognormal"} {
-		t.Run(skew, func(t *testing.T) {
-			collect := func(shards int) *Trace {
-				pop := testPopulation(skew)
-				pop.Shards = shards
-				src, err := pop.Source()
-				if err != nil {
-					t.Fatal(err)
-				}
-				defer src.Close()
-				return Collect(src, 2000)
-			}
-			want := collect(0)
-			for _, shards := range []int{1, 2, 5, 8} {
-				got := collect(shards)
-				if len(got.Jobs) != len(want.Jobs) {
-					t.Fatalf("shards=%d: %d jobs, want %d", shards, len(got.Jobs), len(want.Jobs))
-				}
-				for i := range want.Jobs {
-					if !reflect.DeepEqual(want.Jobs[i], got.Jobs[i]) {
-						t.Fatalf("shards=%d: job %d differs:\n got %+v\nwant %+v",
-							shards, i, got.Jobs[i], want.Jobs[i])
-					}
-				}
-			}
-		})
-	}
-}
-
 // TestPopulationStreamWellFormed checks stream invariants across skews and an
 // arrival override: non-decreasing submits, dense job IDs, globally unique
 // contiguous task IDs, valid DAGs, classes drawn from the mix.
@@ -286,7 +253,6 @@ func TestPopulationStreamWellFormed(t *testing.T) {
 			Mix:     SingleClass(ClassSynthetic),
 			Arrival: GammaArrivals{Rate: 0.05, Shape: 0.5},
 			Seed:    3,
-			Shards:  4,
 		}},
 	}
 	for _, tc := range cases {
@@ -352,40 +318,12 @@ func TestPopulationSkewSpreadsRates(t *testing.T) {
 	ps := src.(*populationSource)
 	counts := make([]int, pop.Clients)
 	for i := 0; i < 20000; i++ {
-		_, client := ps.core.next()
+		_, client := ps.next()
 		counts[client]++
 	}
 	if counts[0] < 5*counts[50] {
 		t.Errorf("zipf skew too flat: client0=%d client50=%d", counts[0], counts[50])
 	}
-}
-
-// TestShardedSourceCloseReleasesGoroutines is the leak check for abandoned
-// sharded sources: Close must terminate all shard goroutines even while they
-// are blocked producing.
-func TestShardedSourceCloseReleasesGoroutines(t *testing.T) {
-	before := runtime.NumGoroutine()
-	for iter := 0; iter < 3; iter++ {
-		pop := testPopulation("zipf")
-		pop.Shards = 6
-		src, err := pop.Source()
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := 0; i < 100; i++ {
-			src.Next()
-		}
-		src.Close()
-		src.Close() // idempotent
-	}
-	deadline := time.Now().Add(5 * time.Second)
-	for time.Now().Before(deadline) {
-		if runtime.NumGoroutine() <= before {
-			return
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-	t.Errorf("goroutines leaked: %d before, %d after Close", before, runtime.NumGoroutine())
 }
 
 func TestPopulationValidate(t *testing.T) {
@@ -401,7 +339,7 @@ func TestPopulationValidate(t *testing.T) {
 		{"unknown class", func(p *Population) { p.Mix = []ClassShare{{Class: Class(99), Weight: 1}} }},
 		{"zero weight", func(p *Population) { p.Mix[0].Weight = 0 }},
 		{"negative rate scale", func(p *Population) { p.RateScale = -1 }},
-		{"negative shards", func(p *Population) { p.Shards = -1 }},
+		{"too many clients", func(p *Population) { p.Clients = MaxClients + 1 }},
 		{"unknown skew", func(p *Population) { p.Skew.Kind = "pareto" }},
 		{"negative zipf s", func(p *Population) { p.Skew = Skew{Kind: "zipf", S: -2} }},
 		{"bad arrival", func(p *Population) { p.Arrival = PoissonArrivals{Rate: 0} }},
@@ -462,9 +400,8 @@ func fingerprintPopulation(seed int64) *Population {
 			{Class: ClassSynthetic, Weight: 2},
 			{Class: ClassGaming, Weight: 1},
 		},
-		Skew:   Skew{Kind: "zipf"},
-		Seed:   seed,
-		Shards: 1,
+		Skew: Skew{Kind: "zipf"},
+		Seed: seed,
 	}
 }
 
@@ -556,7 +493,7 @@ func TestPopulationZeroRateClients(t *testing.T) {
 // checked at full scale on the way.
 func TestPopulationHeapBudget(t *testing.T) {
 	const n, budget = 1_000_000, 128 << 20 // clients and jobs; heap bytes
-	pop := &Population{Clients: n, Skew: Skew{Kind: "zipf"}, Seed: 42, Shards: 8,
+	pop := &Population{Clients: n, Skew: Skew{Kind: "zipf"}, Seed: 42,
 		Mix: []ClassShare{{Class: ClassSynthetic, Weight: 2}, {Class: ClassGaming, Weight: 1}}}
 	src, err := pop.Source()
 	if err != nil {
