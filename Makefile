@@ -69,12 +69,14 @@ run-all:
 determinism:
 	$(GO) test -count=5 -run 'Determinism|Deterministic|Parity|Fingerprint' ./internal/p2p ./internal/mmog ./internal/sched ./internal/portfolio ./internal/workload ./internal/graphproc ./internal/biblio .
 
-# Fuzz the population merge queue against heap4, then the scenario spec
-# boundary (parse, validate, expand), for 15 s each past their committed seed
-# corpora (testdata/fuzz in each package), which `make test` replays.
+# Fuzz the population merge queue against heap4, the scenario spec boundary
+# (parse, validate, expand), and the sched block queue against a flat slice,
+# for 15 s each past their committed seed corpora (testdata/fuzz in each
+# package), which `make test` replays.
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzMergeQueue$$' -fuzztime 15s ./internal/workload
 	$(GO) test -run '^$$' -fuzz '^FuzzSpecValidate$$' -fuzztime 15s ./internal/scenario
+	$(GO) test -run '^$$' -fuzz '^FuzzTaskQueue$$' -fuzztime 15s ./internal/sched
 
 # End-to-end determinism check of the scenario engine through the CLI: each
 # committed golden sweep (one per pinned domain) must produce byte-identical

@@ -1,9 +1,10 @@
 package graphproc
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"atlarge/internal/stats"
 )
@@ -244,7 +245,7 @@ func (b GranulaBreakdown) Total() float64 {
 }
 
 // RankEngines orders engines by total runtime over the whole sweep,
-// fastest first.
+// fastest first, and engines with equal totals by name.
 func (r *BenchmarkResult) RankEngines() []string {
 	totals := map[string]float64{}
 	for _, c := range r.Cells {
@@ -254,6 +255,8 @@ func (r *BenchmarkResult) RankEngines() []string {
 	for n := range totals {
 		names = append(names, n)
 	}
-	sort.Slice(names, func(i, j int) bool { return totals[names[i]] < totals[names[j]] })
+	slices.SortFunc(names, func(a, b string) int {
+		return cmp.Or(cmp.Compare(totals[a], totals[b]), cmp.Compare(a, b))
+	})
 	return names
 }

@@ -2,6 +2,7 @@ package graphproc
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -397,5 +398,22 @@ func TestRankEnginesCompleteness(t *testing.T) {
 	order := res.RankEngines()
 	if len(order) != len(cfg.Engines) {
 		t.Errorf("ranked %d engines, want %d", len(order), len(cfg.Engines))
+	}
+}
+
+// TestRankEnginesTiesByName checks that engines with equal totals rank by
+// name on every call, not in map order.
+func TestRankEnginesTiesByName(t *testing.T) {
+	res := &BenchmarkResult{Cells: []Cell{
+		{Engine: "zeta", RuntimeMS: 3},
+		{Engine: "alpha", RuntimeMS: 1},
+		{Engine: "alpha", RuntimeMS: 2},
+		{Engine: "fast", RuntimeMS: 1},
+	}}
+	want := []string{"fast", "alpha", "zeta"}
+	for i := 0; i < 50; i++ {
+		if got := res.RankEngines(); !slices.Equal(got, want) {
+			t.Fatalf("call %d: got %v, want %v", i, got, want)
+		}
 	}
 }

@@ -65,10 +65,11 @@ var overloadEnvs = map[int64][]cluster.Kind{
 
 // pinnedOverload holds, per policy and seed, an FNV-64a fold of the bits of
 // every per-job stat in completion order (jobs) and of every Result field
-// (result). The runs keep thousands of tasks queued, so they exercise the
-// dispatch paths that short queues never reach: the early stop of a cycle,
-// merging new arrivals into an ordered queue with equal keys, and
-// FairShare re-ordering jobs whose served work changed.
+// (result). The runs keep thousands of tasks queued over many queue blocks,
+// so they exercise the dispatch paths that short queues never reach:
+// stepping over blocks by their summaries, splitting and folding blocks,
+// merging new arrivals into an ordered queue with equal keys, and FairShare
+// re-ordering jobs whose served work changed.
 var pinnedOverload = []struct {
 	policy string
 	seed   int64
@@ -168,5 +169,25 @@ func TestOverloadFingerprints(t *testing.T) {
 				t.Errorf("%s seed %d: got {%q, %d, %#x, %#x}, want %#x/%#x", name, seed, name, seed, got[0], got[1], want[0], want[1])
 			}
 		}
+	}
+}
+
+// BenchmarkDispatchOverload runs the first overload case under each
+// registered policy: dispatch cycles over queues thousands of tasks long.
+func BenchmarkDispatchOverload(b *testing.B) {
+	tr := overloadTrace(1, 20)
+	for _, name := range PolicyNames() {
+		p, err := PolicyByName(name)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run("policy="+name, func(b *testing.B) {
+			b.ReportAllocs()
+			for b.Loop() {
+				if _, err := NewSimulator(compositeOf(overloadEnvs[1]...), tr, p, 1).Run(); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

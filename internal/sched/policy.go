@@ -21,8 +21,7 @@ type TaskState struct {
 	Task  *workload.Task
 	Ready sim.Time // when the task became eligible (deps satisfied)
 
-	js  *jobState // the run's bookkeeping for Job, shared by its tasks
-	pos int       // queue index when an ordering pass began (merge tie-break)
+	js *jobState // the run's bookkeeping for Job, shared by its tasks
 }
 
 // Policy declares the dispatch order of the eligible-task queue and its

@@ -60,29 +60,27 @@ type Simulator struct {
 	rand *rand.Rand // the "policy" stream, shuffled from by Random
 
 	// states holds the in-flight tasks; everything else refers to them by
-	// ref. cmpItems is cmp over queue items, built once per run.
-	states   stateArena
-	cmpItems func(a, b qitem) int
+	// ref. cmpMovers is cmp over movers, built once per run.
+	states    stateArena
+	cmpMovers func(a, b mover) int
 
-	// The queue of eligible tasks is qbuf[qhead:], so compaction may drop
-	// the front instead of moving the rest. Its first sorted tasks are in
-	// policy order as of the last ordering pass; later tasks arrived since.
-	// moved is the reusable buffer of tasks an ordering pass sorts and
-	// merges back.
-	qbuf   []qitem
-	qhead  int
+	// queue holds the eligible tasks. Its first sorted tasks are in policy
+	// order as of the last ordering pass; later tasks arrived since. moved
+	// is the reusable buffer of tasks an ordering pass sorts and merges
+	// back.
+	queue  taskQueue
 	sorted int
-	moved  []qitem
+	moved  []mover
 	// changed lists the jobs whose served work changed since the last
-	// ordering pass, for policies whose order reads it.
-	changed []*jobState
+	// ordering pass, for policies whose order reads it, and changedJobs
+	// holds their job-mask bits.
+	changed     []*jobState
+	changedJobs uint64
 
 	// widths counts queued tasks per CPU width, and minWidth is the
 	// narrowest queued width (MaxInt when empty). A cycle in which even
-	// minWidth fits nowhere places nothing; a cycle's scan stops once no
-	// unvisited width can fit. left is the per-cycle unvisited copy.
+	// minWidth fits nowhere places nothing.
 	widths   []int
-	left     []int
 	minWidth int
 
 	pendingDeps map[int]int     // task ID -> unfinished dep count
@@ -119,6 +117,7 @@ type jobState struct {
 	started bool
 	served  float64 // CPU-seconds completed, the FairShare key
 	changed bool    // served changed since the last ordering pass
+	bit     uint8   // the job's bit in queue-block job masks
 }
 
 // qitem is a queued task: its state's ref plus the two keys the dispatch
@@ -169,14 +168,15 @@ func (s *Simulator) run(next func() *workload.Job, chunk int) (*Result, error) {
 	s.random = s.policy.Random()
 	s.drift = !s.policy.StaticOrder() && !s.random
 	s.cmp = s.policy.Compare
-	s.cmpItems = func(a, b qitem) int { return s.cmp(s.states.at(a.ref), s.states.at(b.ref)) }
+	s.cmpMovers = func(a, b mover) int { return s.cmp(s.states.at(a.ref), s.states.at(b.ref)) }
 	s.rand = s.k.Rand("policy")
 	s.onDispatch = func(*sim.Kernel) {
 		s.dispatchPending = false
 		s.dispatch()
 	}
 	s.states.reset()
-	s.qbuf, s.qhead, s.sorted, s.changed = s.qbuf[:0], 0, 0, s.changed[:0]
+	s.queue.reset()
+	s.sorted, s.changed, s.changedJobs = 0, s.changed[:0], 0
 	s.widths, s.minWidth = s.widths[:0], math.MaxInt
 	s.pendingDeps = make(map[int]int)
 	s.dependents = make(map[int]depList)
@@ -240,18 +240,10 @@ func (s *Simulator) onJobArrive(job *workload.Job, js *jobState) {
 
 // enqueue appends a ready task and maintains the width counts.
 func (s *Simulator) enqueue(ref uint32) {
-	t := s.states.at(ref).Task
-	if len(s.qbuf) == cap(s.qbuf) && s.qhead > 0 {
-		// Reclaim the front that compaction dropped; grow as well when
-		// the live part fills more than half the buffer.
-		live := s.qbuf[s.qhead:]
-		if 2*s.qhead < cap(s.qbuf) {
-			s.qbuf = make([]qitem, 0, 2*cap(s.qbuf))
-		}
-		s.qbuf, s.qhead = append(s.qbuf[:0], live...), 0
-	}
+	st := s.states.at(ref)
+	t := st.Task
 	c := t.CPUs
-	s.qbuf = append(s.qbuf, qitem{fast: t.RuntimeEstimate / s.maxSpeed, cpus: int32(c), ref: ref})
+	s.queue.push(qitem{fast: t.RuntimeEstimate / s.maxSpeed, cpus: int32(c), ref: ref}, st.js.bit)
 	for len(s.widths) <= c {
 		s.widths = append(s.widths, 0)
 	}
@@ -273,8 +265,8 @@ func (s *Simulator) scheduleDispatch() {
 
 // dispatch orders the queue by policy and greedily places tasks.
 func (s *Simulator) dispatch() {
-	q := s.qbuf[s.qhead:]
-	if len(q) == 0 {
+	q := &s.queue
+	if q.n == 0 {
 		s.forgetChanged() // no queued task to re-order
 		return
 	}
@@ -295,76 +287,65 @@ func (s *Simulator) dispatch() {
 	now := s.k.Now()
 	var headReservation sim.Time
 	headSeen := false
-	// The scan stops once no unvisited task can fit: minLeft is the
-	// narrowest unvisited width, and the rest of the queue is kept as is.
-	left := append(s.left[:0], s.widths...)
-	minLeft := s.minWidth
-	kept, i := 0, 0
-	for ; i < len(q) && maxFree >= minLeft; i++ {
-		it := q[i]
-		cpus := int(it.cpus)
-		if left[cpus]--; left[cpus] == 0 && cpus == minLeft {
-			for minLeft < len(left) && left[minLeft] == 0 {
-				minLeft++
-			}
-			if minLeft == len(left) {
-				minLeft = math.MaxInt
-			}
-		}
-		if headSeen && now+it.fast > headReservation {
-			// Would delay the head's reservation even on the fastest
-			// machine: the placement below would be reverted.
-			q[kept] = it
-			kept++
+scan:
+	for bi := 0; bi < len(q.blocks); {
+		b := q.blocks[bi]
+		// A backfilling scan keeps every task of a block that is too wide
+		// or, past the EASY head, too long, so it steps over the block.
+		// Until the head is found every task is visited: the first that
+		// does not fit becomes the head.
+		if s.skip && (headSeen || !s.easy) &&
+			(b.minCPUs > maxFree || headSeen && now+b.minFast > headReservation) {
+			bi++
 			continue
 		}
-		if cpus > maxFree {
-			q[kept] = it
-			kept++
-			if s.easy && !headSeen {
-				headSeen = true
-				headReservation = s.reservationTime(cpus)
+		items := b.items[:b.n]
+		kept := 0
+		for i, it := range items {
+			cpus := int(it.cpus)
+			if headSeen && now+it.fast > headReservation {
+				// Would delay the head's reservation even on the fastest
+				// machine: the placement below would be reverted.
+				items[kept] = it
+				kept++
+				continue
 			}
-			if !s.skip {
-				i++
-				break
+			if cpus > maxFree {
+				items[kept] = it
+				kept++
+				if s.easy && !headSeen {
+					// Probing the reservation sorts estFinish in place, and
+					// later finishes depend on that order (see onTaskFinish).
+					headSeen = true
+					headReservation = s.reservationTime(cpus)
+				}
+				if !s.skip {
+					kept += copy(items[kept:], items[i+1:])
+					q.settle(bi, kept)
+					break scan
+				}
+				continue
 			}
-			continue
-		}
-		mi := s.place(cpus)
-		m := s.machines[mi]
-		if headSeen && now+s.states.at(it.ref).Task.RuntimeEstimate/sim.Duration(m.Speed) > headReservation {
-			// Would delay the head's reservation: put it back.
-			if err := m.Release(cpus); err != nil {
-				panic(err)
+			mi := s.place(cpus)
+			m := s.machines[mi]
+			if headSeen && now+s.states.at(it.ref).Task.RuntimeEstimate/sim.Duration(m.Speed) > headReservation {
+				// Would delay the head's reservation: put it back.
+				if err := m.Release(cpus); err != nil {
+					panic(err)
+				}
+				items[kept] = it
+				kept++
+				continue
 			}
-			q[kept] = it
-			kept++
-			continue
+			s.widths[cpus]--
+			s.start(it.ref, mi)
+			if m.Free()+cpus == maxFree {
+				maxFree = s.maxFree()
+			}
 		}
-		s.widths[cpus]--
-		s.start(it.ref, mi)
-		if m.Free()+cpus == maxFree {
-			maxFree = s.maxFree()
-		}
+		bi = q.settle(bi, kept)
 	}
-	if s.easy && !headSeen && i < len(q) {
-		// Had the scan gone on, its next task would have failed to fit and
-		// become the head, and probing its reservation sorts estFinish in
-		// place. Later finishes depend on that order (see onTaskFinish).
-		s.reservationTime(int(q[i].cpus))
-	}
-	// Close the gap between the kept prefix and the unvisited tail by
-	// moving whichever is shorter.
-	tail := len(q) - i
-	if kept < tail {
-		copy(q[i-kept:], q[:kept])
-		s.qhead += i - kept
-	} else {
-		copy(q[kept:], q[i:])
-		s.qbuf = s.qbuf[:s.qhead+kept+tail]
-	}
-	s.sorted, s.left = kept+tail, left
+	s.sorted = q.n
 	for s.minWidth < len(s.widths) && s.widths[s.minWidth] == 0 {
 		s.minWidth++
 	}
@@ -387,63 +368,73 @@ func (s *Simulator) maxFree() int {
 // comparator would give, touching only what changed since the last pass:
 // the tasks that arrived since (the queue past s.sorted) and, for a policy
 // that reads served work, the queued tasks of every job whose served work
-// changed. The rest stays in order; the moved tasks are stable-sorted and
-// merged back in, ties going to the earlier queue position.
+// changed. Only the blocks that hold such tasks are opened. The rest stays
+// in order; the moved tasks are stable-sorted and merged back in, ties going
+// to the earlier queue position.
 func (s *Simulator) order() {
-	q := s.qbuf[s.qhead:]
+	q := &s.queue
 	if s.random {
-		s.rand.Shuffle(len(q), func(i, j int) { q[i], q[j] = q[j], q[i] })
+		q.shuffle(s.rand)
 		return
 	}
-	moved := s.moved[:0]
-	head := s.sorted
-	byPos := len(s.changed) > 0
-	if byPos {
-		head = 0
-		for i, it := range q {
-			st := s.states.at(it.ref)
-			st.pos = i
-			if i < s.sorted && !st.js.changed {
-				q[head] = it
-				head++
-			} else {
-				moved = append(moved, it)
-			}
-		}
-		s.forgetChanged()
-	} else {
-		moved = append(moved, q[head:]...)
+	if s.sorted == q.n && s.changedJobs == 0 {
+		return
 	}
+	// pos is the index block bi began at when the pass began, and kept
+	// counts the tasks kept ahead of it. Without changed jobs only the tail
+	// past s.sorted moves, so the pass starts at the block holding s.sorted.
+	bi, pos := 0, 0
+	if s.changedJobs == 0 {
+		bi, pos = len(q.blocks), q.n
+		for pos > s.sorted {
+			bi--
+			pos -= q.blocks[bi].n
+		}
+	}
+	moved, kept := s.moved[:0], pos
+	for bi < len(q.blocks) {
+		b := q.blocks[bi]
+		open := b.jobs&s.changedJobs != 0
+		if pos+b.n <= s.sorted && !open {
+			pos, kept = pos+b.n, kept+b.n
+			bi++
+			continue
+		}
+		// An opened block's mask is rebuilt from the tasks it keeps. Other
+		// blocks keep their tasks ahead of s.sorted in place.
+		n := 0
+		if open {
+			b.jobs = 0
+		} else {
+			n = max(0, s.sorted-pos)
+		}
+		items := b.items[:b.n]
+		for i := n; i < len(items); i++ {
+			it := items[i]
+			js := s.states.at(it.ref).js
+			if pos+i < s.sorted && !js.changed {
+				items[n] = it
+				n++
+				b.jobs |= 1 << js.bit
+				continue
+			}
+			moved = append(moved, mover{qitem: it, rank: int32(kept + n), bit: js.bit})
+		}
+		pos, kept = pos+b.n, kept+n
+		bi = q.settle(bi, n)
+	}
+	s.forgetChanged()
 	if len(moved) > 0 {
-		slices.SortStableFunc(moved, s.cmpItems)
-		// Merge from the back: q[:head] holds the kept order, and each moved
-		// task lands after every kept task that does not sort after it.
-		before := func(x, y qitem) bool {
-			a, b := s.states.at(x.ref), s.states.at(y.ref)
-			c := s.cmp(a, b)
-			return c < 0 || c == 0 && byPos && a.pos < b.pos
-		}
-		for r := len(moved) - 1; r >= 0; r-- {
-			x := moved[r]
-			lo, hi := 0, head
-			if hi > 0 && !before(x, q[hi-1]) {
-				lo = hi
-			}
-			for lo < hi {
-				mid := int(uint(lo+hi) >> 1)
-				if before(x, q[mid]) {
-					hi = mid
-				} else {
-					lo = mid + 1
-				}
-			}
-			copy(q[lo+r+1:head+r+1], q[lo:head])
-			q[lo+r] = x
-			head = lo
-		}
+		slices.SortStableFunc(moved, s.cmpMovers)
+		// A moved task goes before a kept task it ties with iff the kept
+		// task was behind it when the pass began.
+		q.merge(moved, func(x mover, k int, y qitem) bool {
+			c := s.cmp(s.states.at(x.ref), s.states.at(y.ref))
+			return c < 0 || c == 0 && k >= int(x.rank)
+		})
 	}
 	s.moved = moved[:0]
-	s.sorted = len(q)
+	s.sorted = q.n
 }
 
 // forgetChanged empties the changed-jobs list.
@@ -452,7 +443,7 @@ func (s *Simulator) forgetChanged() {
 		js.changed = false
 	}
 	clear(s.changed)
-	s.changed = s.changed[:0]
+	s.changed, s.changedJobs = s.changed[:0], 0
 }
 
 // place claims cpus slots on the first machine (earlier clusters first) that
@@ -557,6 +548,7 @@ func (s *Simulator) onTaskFinish(ref uint32, mi int) {
 	if s.drift && !js.changed {
 		js.changed = true
 		s.changed = append(s.changed, js)
+		s.changedJobs |= 1 << js.bit
 	}
 
 	if l, ok := s.dependents[t.ID]; ok {

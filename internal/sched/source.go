@@ -101,7 +101,7 @@ func (s *Simulator) feedChunk() {
 		if len(states) == cap(states) {
 			states = make([]jobState, 0, f.chunk)
 		}
-		states = append(states, jobState{left: len(j.Tasks), cp: cp})
+		states = append(states, jobState{left: len(j.Tasks), cp: cp, bit: jobBit(j.ID)})
 		job, js := j, &states[len(states)-1]
 		buf = append(buf, sim.BatchEvent{
 			At: job.Submit, Name: "job-arrive",

@@ -204,7 +204,7 @@ func TestRunSourceBoundedMemory(t *testing.T) {
 		slots += len(sl)
 	}
 	for name, n := range map[string]int{
-		"queue":       len(s.qbuf) - s.qhead,
+		"queue":       s.queue.n,
 		"pendingDeps": len(s.pendingDeps),
 		"dependents":  len(s.dependents),
 		"changed":     len(s.changed),

@@ -88,11 +88,11 @@ func stopCase(seed int64) (env func() *cluster.Environment, tr *workload.Trace) 
 
 // pinnedStop holds, per policy, an FNV-64a fold of the bits of every
 // per-job stat (completion order) and every Result field over the 60
-// stopCase seeds. The values were recorded before the dispatch scan learnt
-// to stop once no unvisited task fits the largest free block, so they pin
-// that the earlier stop places exactly the same tasks — including EASY's
-// reservation probe of the first task it no longer visits, which sorts the
-// estimated finishes in place.
+// stopCase seeds. The values were recorded when the dispatch scan visited
+// every queued task, so they pin that stepping over whole queue blocks
+// places exactly the same tasks — including EASY's reservation probe of
+// the first task that does not fit, which sorts the estimated finishes in
+// place.
 var pinnedStop = map[string]uint64{
 	"FCFS":      0xb1f02c71266e16f9,
 	"GreedyBF":  0x521c56195547f6fb,
