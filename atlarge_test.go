@@ -1,6 +1,7 @@
 package atlarge
 
 import (
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -101,5 +102,40 @@ func TestBDCCycleViaPublicAPI(t *testing.T) {
 	}
 	if len(tr.Solutions) != 1 {
 		t.Errorf("solutions = %d", len(tr.Solutions))
+	}
+}
+
+// TestExperimentAllocBudget bounds the bytes one run of each counting
+// experiment allocates: fig1 and fig2 fold over a streamed corpus and tab5's
+// vicissitude windows count swarms as they are drawn, so none of them holds
+// a corpus or an ecosystem it only counts. It does not run in parallel,
+// since TotalAlloc counts every goroutine's allocations.
+func TestExperimentAllocBudget(t *testing.T) {
+	const mib = 1 << 20
+	for _, c := range []struct {
+		id     string
+		budget uint64
+	}{
+		{"fig1", 1 * mib},
+		{"fig2", 1 * mib},
+		{"tab5", 3 * mib},
+	} {
+		e, err := DefaultRegistry().Get(c.id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := e.Run(42); err != nil { // warm up
+			t.Fatal(err)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err = e.Run(42)
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := after.TotalAlloc - before.TotalAlloc; got > c.budget {
+			t.Errorf("%s allocated %.2f MiB, budget %.2f MiB", c.id, float64(got)/mib, float64(c.budget)/mib)
+		}
 	}
 }

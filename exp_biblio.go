@@ -33,7 +33,7 @@ func init() {
 func runFig1(seed int64) (*Report, error) {
 	cfg := biblio.DefaultCorpusConfig()
 	cfg.Seed = seed
-	corpus, err := biblio.Generate(cfg)
+	corpus, err := biblio.Corpus(cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -51,7 +51,7 @@ func runFig1(seed int64) (*Report, error) {
 func runFig2(seed int64) (*Report, error) {
 	cfg := biblio.DefaultCorpusConfig()
 	cfg.Seed = seed
-	corpus, err := biblio.Generate(cfg)
+	corpus, err := biblio.Corpus(cfg)
 	if err != nil {
 		return nil, err
 	}

@@ -230,6 +230,23 @@ func TestCostModels(t *testing.T) {
 	}
 }
 
+// TestMetricByName checks that every MetricNames key reads its own field.
+func TestMetricByName(t *testing.T) {
+	m := ElasticityMetrics{
+		AccuracyUnder: 1, AccuracyOver: 2, TimeshareUnder: 3, TimeshareOver: 4,
+		Instability: 5, Jitter: 6, MeanResponse: 7, MeanSlowdown: 8,
+		CoreSeconds: 9, DeadlineMissPct: 10,
+	}
+	for i, name := range MetricNames() {
+		if got := m.Metric(name); got != float64(i+1) {
+			t.Errorf("Metric(%q) = %v, want %v", name, got, i+1)
+		}
+	}
+	if got := m.Metric("no_such_metric"); got != 0 {
+		t.Errorf("Metric of an unknown name = %v, want 0", got)
+	}
+}
+
 func TestRankingsAndGrades(t *testing.T) {
 	results := map[string]ElasticityMetrics{
 		"good": {AccuracyUnder: 0.1, AccuracyOver: 0.1, MeanResponse: 10, MeanSlowdown: 1, CoreSeconds: 100},

@@ -237,8 +237,9 @@ func (v *vitroState) arrive(k *sim.Kernel, j *workload.Job) {
 // exact completion events.
 func (v *vitroState) dispatch(k *sim.Kernel) {
 	free := v.cores - v.usedCores
-	var stillReady []*vitroTask
-	for i, vt := range v.ready {
+	// The tasks left ready are filtered into v.ready in place.
+	kept := 0
+	for _, vt := range v.ready {
 		if vt.task.CPUs <= free {
 			free -= vt.task.CPUs
 			v.readyCores -= vt.task.CPUs
@@ -252,10 +253,12 @@ func (v *vitroState) dispatch(k *sim.Kernel) {
 			vt := vt
 			k.After(sim.Duration(vt.remaining), "task-done", func(k *sim.Kernel) { v.complete(k, vt) })
 		} else {
-			stillReady = append(stillReady, v.ready[i])
+			v.ready[kept] = vt
+			kept++
 		}
 	}
-	v.ready = stillReady
+	clear(v.ready[kept:])
+	v.ready = v.ready[:kept]
 }
 
 // complete finishes one task: dependents may become ready, the job may

@@ -34,19 +34,32 @@ func MetricNames() []string {
 	}
 }
 
-// AsMap returns the metrics keyed by MetricNames order.
-func (m ElasticityMetrics) AsMap() map[string]float64 {
-	return map[string]float64{
-		"accuracy_under":    m.AccuracyUnder,
-		"accuracy_over":     m.AccuracyOver,
-		"timeshare_under":   m.TimeshareUnder,
-		"timeshare_over":    m.TimeshareOver,
-		"instability":       m.Instability,
-		"jitter":            m.Jitter,
-		"mean_response":     m.MeanResponse,
-		"mean_slowdown":     m.MeanSlowdown,
-		"core_seconds":      m.CoreSeconds,
-		"deadline_miss_pct": m.DeadlineMissPct,
+// Metric returns the metric named by a MetricNames key, or 0 for any other
+// name.
+func (m ElasticityMetrics) Metric(name string) float64 {
+	switch name {
+	case "accuracy_under":
+		return m.AccuracyUnder
+	case "accuracy_over":
+		return m.AccuracyOver
+	case "timeshare_under":
+		return m.TimeshareUnder
+	case "timeshare_over":
+		return m.TimeshareOver
+	case "instability":
+		return m.Instability
+	case "jitter":
+		return m.Jitter
+	case "mean_response":
+		return m.MeanResponse
+	case "mean_slowdown":
+		return m.MeanSlowdown
+	case "core_seconds":
+		return m.CoreSeconds
+	case "deadline_miss_pct":
+		return m.DeadlineMissPct
+	default:
+		return 0
 	}
 }
 
@@ -175,8 +188,8 @@ func RankByMetric(results map[string]ElasticityMetrics, metric string) []string 
 		names = append(names, n)
 	}
 	sort.SliceStable(names, func(i, j int) bool {
-		a := results[names[i]].AsMap()[metric]
-		b := results[names[j]].AsMap()[metric]
+		a := results[names[i]].Metric(metric)
+		b := results[names[j]].Metric(metric)
 		if a != b {
 			return a < b
 		}
@@ -194,8 +207,8 @@ func AverageRank(results map[string]ElasticityMetrics) map[string]float64 {
 		// Assign average ranks to runs of equal metric values.
 		for i := 0; i < len(order); {
 			j := i
-			vi := results[order[i]].AsMap()[metric]
-			for j+1 < len(order) && results[order[j+1]].AsMap()[metric] == vi {
+			vi := results[order[i]].Metric(metric)
+			for j+1 < len(order) && results[order[j+1]].Metric(metric) == vi {
 				j++
 			}
 			avg := float64(i+j)/2 + 1
@@ -220,6 +233,7 @@ func HeadToHead(results map[string]ElasticityMetrics) map[string]map[string]int 
 		names = append(names, n)
 	}
 	sort.Strings(names)
+	metrics := MetricNames()
 	wins := make(map[string]map[string]int, len(names))
 	for _, a := range names {
 		wins[a] = make(map[string]int, len(names)-1)
@@ -227,9 +241,9 @@ func HeadToHead(results map[string]ElasticityMetrics) map[string]map[string]int 
 			if a == b {
 				continue
 			}
-			am, bm := results[a].AsMap(), results[b].AsMap()
-			for _, metric := range MetricNames() {
-				if am[metric] < bm[metric] {
+			am, bm := results[a], results[b]
+			for _, metric := range metrics {
+				if am.Metric(metric) < bm.Metric(metric) {
 					wins[a][b]++
 				}
 			}
@@ -248,7 +262,7 @@ func Grade(results map[string]ElasticityMetrics) map[string]float64 {
 	for _, metric := range metrics {
 		b := math.Inf(1)
 		for _, m := range results {
-			if v := m.AsMap()[metric]; v < b {
+			if v := m.Metric(metric); v < b {
 				b = v
 			}
 		}
@@ -258,10 +272,9 @@ func Grade(results map[string]ElasticityMetrics) map[string]float64 {
 	for name, m := range results {
 		logSum := 0.0
 		count := 0
-		am := m.AsMap()
 		for _, metric := range metrics {
 			b := best[metric]
-			v := am[metric]
+			v := m.Metric(metric)
 			// Shift scale-free metrics away from zero so ratios stay finite.
 			const eps = 1e-6
 			ratio := (v + eps) / (b + eps)

@@ -2,6 +2,7 @@ package biblio
 
 import (
 	"fmt"
+	"iter"
 	"sort"
 
 	"atlarge/internal/stats"
@@ -15,13 +16,13 @@ type KeywordCount struct {
 
 // Figure1 counts keyword presence in the Figure 1 venues over 2013–2017
 // (the paper's "start of 2013 to start of 2018" window).
-func Figure1(corpus []Publication) []KeywordCount {
+func Figure1(corpus iter.Seq[*Publication]) []KeywordCount {
 	venueSet := map[string]bool{}
 	for _, v := range Figure1Venues() {
 		venueSet[v] = true
 	}
 	counts := map[string]int{}
-	for _, p := range corpus {
+	for p := range corpus {
 		if !venueSet[p.Venue] || p.Year < 2013 || p.Year > 2017 {
 			continue
 		}
@@ -50,13 +51,13 @@ type BlockCount struct {
 }
 
 // Figure2 counts design articles per venue per 5-year block since 1980.
-func Figure2(corpus []Publication) []BlockCount {
+func Figure2(corpus iter.Seq[*Publication]) []BlockCount {
 	venueSet := map[string]bool{}
 	for _, v := range Figure2Venues() {
 		venueSet[v] = true
 	}
 	cell := map[string]map[int]int{}
-	for _, p := range corpus {
+	for p := range corpus {
 		if !venueSet[p.Venue] || !p.IsDesign || p.Year < 1980 {
 			continue
 		}

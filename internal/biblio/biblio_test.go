@@ -1,14 +1,16 @@
 package biblio
 
 import (
+	"iter"
+	"reflect"
 	"testing"
 )
 
-func genCorpus(t *testing.T) []Publication {
+func genCorpus(t *testing.T) iter.Seq[*Publication] {
 	t.Helper()
 	cfg := DefaultCorpusConfig()
 	cfg.ArticlesPerVenueYear = 20 // keep tests fast
-	corpus, err := Generate(cfg)
+	corpus, err := Corpus(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -16,17 +18,16 @@ func genCorpus(t *testing.T) []Publication {
 }
 
 func TestGenerateValidation(t *testing.T) {
-	if _, err := Generate(CorpusConfig{StartYear: 2000, EndYear: 1990, ArticlesPerVenueYear: 10}); err == nil {
+	if _, err := Corpus(CorpusConfig{StartYear: 2000, EndYear: 1990, ArticlesPerVenueYear: 10}); err == nil {
 		t.Error("inverted year range accepted")
 	}
-	if _, err := Generate(CorpusConfig{StartYear: 2000, EndYear: 2001}); err == nil {
+	if _, err := Corpus(CorpusConfig{StartYear: 2000, EndYear: 2001}); err == nil {
 		t.Error("zero volume accepted")
 	}
 }
 
 func TestCorpusRespectsVenueStarts(t *testing.T) {
-	corpus := genCorpus(t)
-	for _, p := range corpus {
+	for p := range genCorpus(t) {
 		if start := venueStart(p.Venue); p.Year < start {
 			t.Fatalf("%s published in %d before its start %d", p.Venue, p.Year, start)
 		}
@@ -34,8 +35,7 @@ func TestCorpusRespectsVenueStarts(t *testing.T) {
 }
 
 func TestFigure1OrderMatchesPaper(t *testing.T) {
-	corpus := genCorpus(t)
-	counts := Figure1(corpus)
+	counts := Figure1(genCorpus(t))
 	if len(counts) != len(KeywordWeights()) {
 		t.Fatalf("keywords counted = %d, want %d", len(counts), len(KeywordWeights()))
 	}
@@ -60,8 +60,7 @@ func TestFigure1OrderMatchesPaper(t *testing.T) {
 }
 
 func TestFigure2MarkedIncreaseSince2000(t *testing.T) {
-	corpus := genCorpus(t)
-	rows := Figure2(corpus)
+	rows := Figure2(genCorpus(t))
 	if len(rows) == 0 {
 		t.Fatal("no Figure 2 rows")
 	}
@@ -172,20 +171,15 @@ func TestAcceptRateNearTarget(t *testing.T) {
 func TestDeterminism(t *testing.T) {
 	cfg := DefaultCorpusConfig()
 	cfg.ArticlesPerVenueYear = 5
-	a, err := Generate(cfg)
+	a, err := collect(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Generate(cfg)
+	b, err := collect(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(a) != len(b) {
-		t.Fatalf("corpus sizes differ: %d vs %d", len(a), len(b))
-	}
-	for i := range a {
-		if a[i].Venue != b[i].Venue || a[i].IsDesign != b[i].IsDesign {
-			t.Fatal("corpus not deterministic")
-		}
+	if !reflect.DeepEqual(a, b) {
+		t.Fatalf("corpus not deterministic: %d vs %d publications", len(a), len(b))
 	}
 }

@@ -8,16 +8,15 @@ package biblio
 
 import (
 	"fmt"
+	"iter"
 	"math"
 	"math/rand"
 )
 
 // Publication is one article in the corpus.
 type Publication struct {
-	Venue string
-	Year  int
-	// Keywords from Generate is a window into an arena shared with other
-	// publications, capped at its length, so an append copies it.
+	Venue    string
+	Year     int
 	Keywords []string
 	IsDesign bool
 	Accepted bool
@@ -111,25 +110,20 @@ func venueStart(venue string) int {
 	}
 }
 
-// keywordChunk is the length of one keyword arena chunk of Generate.
-const keywordChunk = 4096
-
-// Generate builds the synthetic corpus over the union of the Figure 1 and
-// Figure 2 venues.
+// Corpus returns the synthetic corpus over the union of the Figure 1 and
+// Figure 2 venues as a sequence, after validating cfg. Each range over it
+// draws the corpus anew from cfg.Seed.
 //
-// Keywords are stored in shared arenas: each publication's Keywords is a
-// window into a chunk of keywordChunk strings, capped at its own length
-// with a 3-index slice, so appending to it copies the window instead of
-// overwriting the next publication's keywords. A publication without
-// keywords has a nil Keywords.
-func Generate(cfg CorpusConfig) ([]Publication, error) {
+// The sequence yields one reused Publication, whose fields and Keywords the
+// next draw overwrites: a caller that keeps a publication copies it and its
+// Keywords. A publication without keywords has an empty Keywords.
+func Corpus(cfg CorpusConfig) (iter.Seq[*Publication], error) {
 	if cfg.StartYear > cfg.EndYear {
 		return nil, fmt.Errorf("biblio: year range %d..%d", cfg.StartYear, cfg.EndYear)
 	}
 	if cfg.ArticlesPerVenueYear < 1 {
 		return nil, fmt.Errorf("biblio: volume %d", cfg.ArticlesPerVenueYear)
 	}
-	r := rand.New(rand.NewSource(cfg.Seed))
 	venues := map[string]bool{}
 	var venueList []string
 	for _, v := range append(Figure1Venues(), Figure2Venues()...) {
@@ -138,64 +132,55 @@ func Generate(cfg CorpusConfig) ([]Publication, error) {
 			venueList = append(venueList, v)
 		}
 	}
-	// Volume grows mildly over time (the field expanded).
-	volume := func(year int) float64 {
-		return float64(cfg.ArticlesPerVenueYear) * (0.5 + float64(year-1980)*0.02)
-	}
-	// A venue-year draws at most int(volume·1.2) articles.
-	bound := 0
-	for _, venue := range venueList {
-		for year := max(cfg.StartYear, venueStart(venue)); year <= cfg.EndYear; year++ {
-			bound += max(0, int(volume(year)*1.2)+1)
-		}
-	}
-	// Keyword presence probability scales with the reported prevalence;
-	// "design" presence correlates with design articles (0.95 for design
-	// articles, 0.14 otherwise — calibrated so the aggregate matches the
-	// Figure 1 rank of "design" just below "performance").
-	kw := KeywordWeights()
-	prob := make([]float64, len(kw))
-	var design int
-	for i, k := range kw {
-		prob[i] = k.Weight * 0.5
-		if k.Keyword == "design" {
-			design = i
-		}
-	}
-	corpus := make([]Publication, 0, bound)
-	var arena []string
-	for _, venue := range venueList {
-		for year := max(cfg.StartYear, venueStart(venue)); year <= cfg.EndYear; year++ {
-			n := int(volume(year) * (0.8 + 0.4*r.Float64()))
-			share := designShare(year)
-			for a := 0; a < n; a++ {
-				pub := Publication{
-					Venue:    venue,
-					Year:     year,
-					IsDesign: r.Float64() < share,
-					Accepted: true,
-				}
-				prob[design] = 0.14
-				if pub.IsDesign {
-					prob[design] = 0.95
-				}
-				if cap(arena)-len(arena) < len(kw) {
-					arena = make([]string, 0, keywordChunk)
-				}
-				first := len(arena)
-				for i, k := range kw {
-					if r.Float64() < prob[i] {
-						arena = append(arena, k.Keyword)
-					}
-				}
-				if last := len(arena); last > first {
-					pub.Keywords = arena[first:last:last]
-				}
-				corpus = append(corpus, pub)
+	return func(yield func(*Publication) bool) {
+		r := rand.New(rand.NewSource(cfg.Seed))
+		// Keyword presence probability scales with the reported prevalence;
+		// "design" presence correlates with design articles (0.95 for design
+		// articles, 0.14 otherwise — calibrated so the aggregate matches the
+		// Figure 1 rank of "design" just below "performance").
+		kw := KeywordWeights()
+		prob := make([]float64, len(kw))
+		var design int
+		for i, k := range kw {
+			prob[i] = k.Weight * 0.5
+			if k.Keyword == "design" {
+				design = i
 			}
 		}
-	}
-	return corpus, nil
+		keywords := make([]string, 0, len(kw))
+		var pub Publication
+		for _, venue := range venueList {
+			for year := max(cfg.StartYear, venueStart(venue)); year <= cfg.EndYear; year++ {
+				// Volume grows mildly over time (the field expanded).
+				volume := float64(cfg.ArticlesPerVenueYear) * (0.5 + float64(year-1980)*0.02)
+				n := int(volume * (0.8 + 0.4*r.Float64()))
+				share := designShare(year)
+				for a := 0; a < n; a++ {
+					isDesign := r.Float64() < share
+					prob[design] = 0.14
+					if isDesign {
+						prob[design] = 0.95
+					}
+					keywords = keywords[:0]
+					for i, k := range kw {
+						if r.Float64() < prob[i] {
+							keywords = append(keywords, k.Keyword)
+						}
+					}
+					pub = Publication{
+						Venue:    venue,
+						Year:     year,
+						Keywords: keywords,
+						IsDesign: isDesign,
+						Accepted: true,
+					}
+					if !yield(&pub) {
+						return
+					}
+				}
+			}
+		}
+	}, nil
 }
 
 // ReviewConfig parameterizes the Figure 3 review-score model.

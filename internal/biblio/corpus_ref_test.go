@@ -3,14 +3,13 @@ package biblio
 import (
 	"fmt"
 	"math/rand"
-	"reflect"
 	"slices"
 	"testing"
 )
 
-// refGenerate is the Generate that grew the corpus and each publication's
-// Keywords by append, kept as the reference the parity test compares
-// against.
+// refGenerate is the corpus generator that grew the corpus and each
+// publication's Keywords by append, kept as the reference the parity test
+// compares against.
 func refGenerate(cfg CorpusConfig) ([]Publication, error) {
 	if cfg.StartYear > cfg.EndYear {
 		return nil, fmt.Errorf("biblio: year range %d..%d", cfg.StartYear, cfg.EndYear)
@@ -70,47 +69,100 @@ func refGenerate(cfg CorpusConfig) ([]Publication, error) {
 	return corpus, nil
 }
 
+// collect materialises a corpus, copying each publication out of the
+// sequence's reused one. A publication without keywords gets a nil Keywords,
+// as refGenerate gives it.
+func collect(cfg CorpusConfig) ([]Publication, error) {
+	corpus, err := Corpus(cfg)
+	if err != nil {
+		return nil, err
+	}
+	var out []Publication
+	for p := range corpus {
+		c := *p
+		c.Keywords = nil
+		if len(p.Keywords) > 0 {
+			c.Keywords = slices.Clone(p.Keywords)
+		}
+		out = append(out, c)
+	}
+	return out, nil
+}
+
+// TestGenerateParity checks the streamed corpus against refGenerate
+// publication by publication, keywords included, and that both reject the
+// same configurations.
 func TestGenerateParity(t *testing.T) {
 	cfgs := []CorpusConfig{
-		DefaultCorpusConfig(),
 		{StartYear: 1980, EndYear: 2017, ArticlesPerVenueYear: 60, Seed: 42},
 		{StartYear: 2003, EndYear: 2005, ArticlesPerVenueYear: 1, Seed: 7},
 		{StartYear: 1950, EndYear: 2030, ArticlesPerVenueYear: 13, Seed: -3},
+		{StartYear: 2000, EndYear: 1990, ArticlesPerVenueYear: 10},
+		{StartYear: 2000, EndYear: 2001},
+	}
+	for seed := int64(0); seed < 20; seed++ {
+		cfg := DefaultCorpusConfig()
+		cfg.Seed = seed
+		cfgs = append(cfgs, cfg)
 	}
 	for _, cfg := range cfgs {
-		got, err := Generate(cfg)
-		if err != nil {
-			t.Fatal(err)
+		corpus, err := Corpus(cfg)
+		want, refErr := refGenerate(cfg)
+		if (err != nil) != (refErr != nil) {
+			t.Fatalf("%+v: error %v, reference error %v", cfg, err, refErr)
 		}
-		want, err := refGenerate(cfg)
 		if err != nil {
-			t.Fatal(err)
+			continue
 		}
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("%+v: corpus of %d publications differs from the reference's %d", cfg, len(got), len(want))
+		i := 0
+		for p := range corpus {
+			if i == len(want) {
+				t.Fatalf("%+v: corpus longer than the reference's %d publications", cfg, len(want))
+			}
+			if !samePublication(p, &want[i]) {
+				t.Fatalf("%+v: publication %d is %+v, want %+v", cfg, i, *p, want[i])
+			}
+			i++
+		}
+		if i != len(want) {
+			t.Fatalf("%+v: corpus of %d publications, the reference's %d", cfg, i, len(want))
 		}
 	}
 }
 
-// TestKeywordsAppendCopies checks that the arena windows are capped: an
-// append to one publication's keywords leaves its neighbours' intact.
-func TestKeywordsAppendCopies(t *testing.T) {
+// samePublication reports whether a and b are equal field by field, taking
+// an empty and a nil Keywords as equal.
+func samePublication(a, b *Publication) bool {
+	return a.Venue == b.Venue && a.Year == b.Year && a.IsDesign == b.IsDesign &&
+		a.Accepted == b.Accepted && a.Merit == b.Merit && a.Quality == b.Quality &&
+		a.Topic == b.Topic && slices.Equal(a.Keywords, b.Keywords)
+}
+
+// TestCorpusStopsEarly checks that a range which breaks off sees the
+// corpus's first publications, and that a second range draws it anew.
+func TestCorpusStopsEarly(t *testing.T) {
 	cfg := DefaultCorpusConfig()
-	cfg.ArticlesPerVenueYear = 20
-	corpus, err := Generate(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
 	want, err := refGenerate(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := range corpus {
-		corpus[i].Keywords = append(corpus[i].Keywords, "appended")
+	corpus, err := Corpus(cfg)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for i, p := range corpus {
-		if got := p.Keywords[:len(p.Keywords)-1]; !slices.Equal(got, want[i].Keywords) {
-			t.Fatalf("publication %d keywords %q after appends, want %q", i, got, want[i].Keywords)
+	for _, k := range []int{0, 1, 100} {
+		i := 0
+		for p := range corpus {
+			if i == k {
+				break
+			}
+			if !samePublication(p, &want[i]) {
+				t.Fatalf("range %d: publication %d is %+v, want %+v", k, i, *p, want[i])
+			}
+			i++
+		}
+		if i != k {
+			t.Fatalf("range stopping at %d saw %d publications", k, i)
 		}
 	}
 }

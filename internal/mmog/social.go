@@ -209,7 +209,13 @@ func DefaultToxicityModel() ToxicityModel {
 // Generate produces chat events for the matches.
 func (tm ToxicityModel) Generate(matches []Match) []ChatEvent {
 	r := rand.New(rand.NewSource(tm.Seed))
-	var events []ChatEvent
+	players := 0
+	for _, m := range matches {
+		players += len(m.Players)
+	}
+	// A player emits int(LinesPerPlayer·(0.5+u)) lines for some u < 1, at
+	// most int(1.5·LinesPerPlayer).
+	events := make([]ChatEvent, 0, players*max(0, int(1.5*tm.LinesPerPlayer)))
 	for _, m := range matches {
 		half := len(m.Players) / 2
 		for idx, p := range m.Players {

@@ -68,12 +68,35 @@ func DefaultEcosystemConfig() EcosystemConfig {
 
 // GenerateEcosystem builds a synthetic global ecosystem.
 func GenerateEcosystem(cfg EcosystemConfig) *Ecosystem {
-	r := rand.New(rand.NewSource(cfg.Seed))
 	eco := &Ecosystem{TrueContents: cfg.Contents}
+	eco.TruePeers = drawEcosystem(cfg,
+		func(id int, spam bool, n int) {
+			tr := Tracker{ID: id, Spam: spam}
+			if n > 0 {
+				tr.Swarms = make([]SwarmInfo, 0, n)
+			}
+			eco.Trackers = append(eco.Trackers, tr)
+		},
+		func(sw SwarmInfo) {
+			tr := &eco.Trackers[len(eco.Trackers)-1]
+			tr.Swarms = append(tr.Swarms, sw)
+		})
+	return eco
+}
+
+// drawEcosystem is the one draw loop of cfg's ecosystem. Before drawing a
+// tracker's swarms it calls tracker, unless nil, with the tracker's ID, spam
+// flag and swarm count n; then it calls swarm with each of the n swarms as
+// the tracker reports it. It returns the ground-truth number of real peers.
+func drawEcosystem(cfg EcosystemConfig, tracker func(id int, spam bool, n int), swarm func(SwarmInfo)) (truePeers int) {
+	r := rand.New(rand.NewSource(cfg.Seed))
 	swarmID := 0
 	for t := 0; t < cfg.Trackers; t++ {
-		tr := Tracker{ID: t + 1, Spam: r.Float64() < cfg.SpamFraction}
+		spam := r.Float64() < cfg.SpamFraction
 		n := cfg.SwarmsPerTracker/2 + r.Intn(cfg.SwarmsPerTracker+1)
+		if tracker != nil {
+			tracker(t+1, spam, n)
+		}
 		for s := 0; s < n; s++ {
 			swarmID++
 			content := zipfContent(r, cfg.Contents)
@@ -87,25 +110,24 @@ func GenerateEcosystem(cfg EcosystemConfig) *Ecosystem {
 			}
 			seeds := size / 3
 			leechers := size - seeds
-			if tr.Spam {
+			if spam {
 				// Spam trackers fabricate inflated numbers.
 				seeds *= 50
 				leechers *= 50
 			}
-			tr.Swarms = append(tr.Swarms, SwarmInfo{
+			swarm(SwarmInfo{
 				SwarmID:   swarmID,
 				ContentID: content,
 				Format:    format,
 				Seeds:     seeds,
 				Leechers:  leechers,
 			})
-			if !tr.Spam {
-				eco.TruePeers += size
+			if !spam {
+				truePeers += size
 			}
 		}
-		eco.Trackers = append(eco.Trackers, tr)
 	}
-	return eco
+	return truePeers
 }
 
 // zipfContent samples a content rank in [1,n] with exponent ~1.

@@ -201,7 +201,7 @@ func RunVicissitudeStudy(windows int, seed int64) *VicissitudeResult {
 	prev := ""
 	seen := map[string]bool{}
 	for w := 0; w < windows; w++ {
-		eco := GenerateEcosystem(EcosystemConfig{
+		cfg := EcosystemConfig{
 			Trackers:         60 + r.Intn(80),
 			SpamFraction:     0.05 + r.Float64()*0.1,
 			SwarmsPerTracker: 20 + r.Intn(50),
@@ -209,14 +209,14 @@ func RunVicissitudeStudy(windows int, seed int64) *VicissitudeResult {
 			AliasFormats:     []string{"avi", "mkv", "x264"},
 			MeanSwarmSize:    80 + r.Intn(120),
 			Seed:             seed + int64(w),
-		})
-		swarms, peers := 0, 0
-		for _, tr := range eco.Trackers {
-			swarms += len(tr.Swarms)
-			for _, sw := range tr.Swarms {
-				peers += sw.Seeds + sw.Leechers
-			}
 		}
+		// The window's volume counts are all the pipeline reads of its
+		// ecosystem, so the swarms are counted as they are drawn.
+		swarms, peers := 0, 0
+		drawEcosystem(cfg, nil, func(sw SwarmInfo) {
+			swarms++
+			peers += sw.Seeds + sw.Leechers
+		})
 		// Stage cost models: extract scales with raw samples, map with
 		// swarms, shuffle with key skew (alias cardinality proxy), reduce
 		// with distinct contents, load with output volume. Random
@@ -226,7 +226,7 @@ func RunVicissitudeStudy(windows int, seed int64) *VicissitudeResult {
 			"extract": float64(peers) / 1e4 * noise(),
 			"map":     float64(swarms) / 1e2 * noise(),
 			"shuffle": float64(peers) / 2e4 * (1 + 3*r.Float64()) * noise(),
-			"reduce":  float64(eco.TrueContents) / 1e2 * noise(),
+			"reduce":  float64(cfg.Contents) / 1e2 * noise(),
 			"load":    float64(swarms) / 2e2 * (1 + 2*r.Float64()) * noise(),
 		}
 		bn := pipelineStages[0]
