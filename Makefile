@@ -67,7 +67,7 @@ run-all:
 # process each: a result that follows map iteration order passes a single
 # run by chance far more often than five.
 determinism:
-	$(GO) test -count=5 -run 'Determinism|Deterministic|Parity|Fingerprint' ./internal/p2p ./internal/mmog ./internal/sched ./internal/portfolio ./internal/workload ./internal/graphproc ./internal/biblio ./internal/autoscale .
+	$(GO) test -count=5 -run 'Determinism|Deterministic|Parity|Fingerprint' ./internal/p2p ./internal/mmog ./internal/sched ./internal/portfolio ./internal/workload ./internal/graphproc ./internal/biblio ./internal/autoscale ./internal/scenario .
 
 # Fuzz the population merge queue against heap4, the scenario spec boundary
 # (parse, validate, expand), and the sched block queue against a flat slice,

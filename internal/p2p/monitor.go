@@ -189,36 +189,31 @@ func (m Monitor) Scrape(eco *Ecosystem) (*MonitorReport, error) {
 		n = 1
 	}
 	rep := &MonitorReport{TrackersScraped: n}
-	contentSwarms := make(map[int]int)
-	contentFormats := make(map[int]map[string]bool)
+	sample := idx[:n]
 
 	// Median swarm population across the sample, for spam detection.
 	var popByTracker []float64
-	sample := make([]Tracker, 0, n)
-	for _, i := range idx[:n] {
-		tr := eco.Trackers[i]
-		sample = append(sample, tr)
-		tot := 0
-		for _, sw := range tr.Swarms {
-			tot += sw.Seeds + sw.Leechers
-		}
-		if len(tr.Swarms) > 0 {
-			popByTracker = append(popByTracker, float64(tot)/float64(len(tr.Swarms)))
+	for _, i := range sample {
+		if avg, ok := meanSwarmPop(&eco.Trackers[i]); ok {
+			popByTracker = append(popByTracker, avg)
 		}
 	}
 	medianPop := median(popByTracker)
 
-	for _, tr := range sample {
-		avg := 0.0
-		if len(tr.Swarms) > 0 {
-			tot := 0
-			for _, sw := range tr.Swarms {
-				tot += sw.Seeds + sw.Leechers
+	// contents maps each content ID seen to its swarm count and the first
+	// format it was seen in; aliased marks a second, different format.
+	type contentSeen struct {
+		swarms  int
+		format  string
+		aliased bool
+	}
+	contents := make(map[int]contentSeen, eco.TrueContents)
+	for _, i := range sample {
+		tr := &eco.Trackers[i]
+		if m.FilterSpam && medianPop > 0 {
+			if avg, _ := meanSwarmPop(tr); avg > 10*medianPop {
+				continue // implausibly inflated: classified as spam
 			}
-			avg = float64(tot) / float64(len(tr.Swarms))
-		}
-		if m.FilterSpam && medianPop > 0 && avg > 10*medianPop {
-			continue // implausibly inflated: classified as spam
 		}
 		for _, sw := range tr.Swarms {
 			size := sw.Seeds + sw.Leechers
@@ -230,11 +225,14 @@ func (m Monitor) Scrape(eco *Ecosystem) (*MonitorReport, error) {
 			if size >= giantThreshold {
 				rep.GiantSwarms++
 			}
-			contentSwarms[sw.ContentID]++
-			if contentFormats[sw.ContentID] == nil {
-				contentFormats[sw.ContentID] = make(map[string]bool)
+			c, ok := contents[sw.ContentID]
+			if !ok {
+				c.format = sw.Format
+			} else if sw.Format != c.format {
+				c.aliased = true
 			}
-			contentFormats[sw.ContentID][sw.Format] = true
+			c.swarms++
+			contents[sw.ContentID] = c
 		}
 	}
 
@@ -242,18 +240,31 @@ func (m Monitor) Scrape(eco *Ecosystem) (*MonitorReport, error) {
 	if eco.TruePeers > 0 {
 		rep.Bias = (float64(rep.PeersEstimate) - float64(eco.TruePeers)) / float64(eco.TruePeers)
 	}
-	rep.ContentsSeen = len(contentSwarms)
+	rep.ContentsSeen = len(contents)
 	totalAlias := 0
-	for c, formats := range contentFormats {
-		if len(formats) >= 2 {
+	for _, c := range contents {
+		if c.aliased {
 			rep.AliasedContents++
 		}
-		totalAlias += contentSwarms[c]
+		totalAlias += c.swarms
 	}
 	if rep.ContentsSeen > 0 {
 		rep.MeanAliasFactor = float64(totalAlias) / float64(rep.ContentsSeen)
 	}
 	return rep, nil
+}
+
+// meanSwarmPop returns the mean reported population of tr's swarms; ok is
+// false for a tracker without swarms.
+func meanSwarmPop(tr *Tracker) (avg float64, ok bool) {
+	if len(tr.Swarms) == 0 {
+		return 0, false
+	}
+	tot := 0
+	for _, sw := range tr.Swarms {
+		tot += sw.Seeds + sw.Leechers
+	}
+	return float64(tot) / float64(len(tr.Swarms)), true
 }
 
 func median(xs []float64) float64 {

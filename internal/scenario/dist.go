@@ -6,9 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"path/filepath"
-	"strconv"
 
-	"atlarge"
 	"atlarge/internal/dist"
 	"atlarge/internal/exec"
 )
@@ -72,22 +70,18 @@ func WorkerBuilder() dist.Builder {
 		if err != nil {
 			return nil, err
 		}
-		plan := &exec.Plan[json.RawMessage]{}
-		for i := range cells {
-			sc := &cells[i]
-			for rep := 0; rep < j.Replicas; rep++ {
-				workloadSeed := atlarge.DeriveSeed(j.Seed, sc.WorkloadID(), rep)
-				simSeed := atlarge.DeriveSeed(j.Seed, sc.ID(), rep)
-				plan.Add(sc.ID()+"#"+strconv.Itoa(rep), func(context.Context) (json.RawMessage, error) {
-					ms, err := sc.domain.Run(sc, workloadSeed, simSeed)
-					if err != nil {
-						return nil, err
-					}
-					return json.Marshal(ms)
-				})
+		// These cells carry no trace memo, so each task builds its own
+		// trace: sharing on a worker would keep the traces of all of a
+		// claim's tasks alive at once and raise the worker's peak heap.
+		return layoutPlan(cells, j.Seed, j.Replicas, func(t planTask) func(context.Context) (json.RawMessage, error) {
+			return func(context.Context) (json.RawMessage, error) {
+				ms, err := t.cell.domain.Run(t.cell, t.workloadSeed, t.simSeed)
+				if err != nil {
+					return nil, err
+				}
+				return json.Marshal(ms)
 			}
-		}
-		return plan, nil
+		})
 	}
 }
 

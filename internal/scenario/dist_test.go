@@ -54,25 +54,40 @@ func renderAll(t *testing.T, s *Spec, cells []Scenario, opt Options) []byte {
 
 // TestDistributeByteIdentical is the subsystem's core guarantee: a sweep
 // distributed across worker processes renders byte-identically — text, JSON,
-// and CSV — to the in-process run, at any worker count.
+// and CSV — to the in-process run, at any worker count. Workers build a
+// trace per task while the in-process run shares them between cells, so
+// over every committed sched and autoscale spec this also checks that
+// sharing changes no report byte.
 func TestDistributeByteIdentical(t *testing.T) {
-	s := specJSON(t, validSweepSpec)
-	cells, err := Expand(s)
-	if err != nil {
-		t.Fatal(err)
+	specs := map[string]func(*testing.T) (*Spec, []Scenario){
+		"valid-sweep": func(t *testing.T) (*Spec, []Scenario) {
+			s := specJSON(t, validSweepSpec)
+			cells, err := Expand(s)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return s, cells
+		},
 	}
-	want := renderAll(t, s, cells, Options{Parallelism: 4})
-
-	for _, workers := range []int{1, 3} {
-		clients := startSweepWorkers(t, workers)
-		opt := Options{Parallelism: 2}
-		if err := Distribute(&opt, s, clients, &dist.Stats{}); err != nil {
-			t.Fatal(err)
-		}
-		got := renderAll(t, s, cells, opt)
-		if !bytes.Equal(got, want) {
-			t.Errorf("%d-worker distributed report differs from in-process run", workers)
-		}
+	for _, name := range committedTraceSpecs {
+		specs[name] = func(t *testing.T) (*Spec, []Scenario) { return loadCommitted(t, name) }
+	}
+	for name, load := range specs {
+		t.Run(name, func(t *testing.T) {
+			s, cells := load(t)
+			want := renderAll(t, s, cells, Options{Parallelism: 4})
+			for _, workers := range []int{1, 3} {
+				clients := startSweepWorkers(t, workers)
+				opt := Options{Parallelism: 2}
+				if err := Distribute(&opt, s, clients, &dist.Stats{}); err != nil {
+					t.Fatal(err)
+				}
+				got := renderAll(t, s, cells, opt)
+				if !bytes.Equal(got, want) {
+					t.Errorf("%d-worker distributed report differs from in-process run", workers)
+				}
+			}
+		})
 	}
 }
 

@@ -5,7 +5,9 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"strconv"
+	"sync"
 
 	"atlarge"
 	"atlarge/internal/exec"
@@ -87,34 +89,45 @@ func Effective(s *Spec, opt Options) (seed int64, replicas int) {
 // numbers), so their comparison measures the design change, not workload
 // sampling noise.
 //
+// Those cells also share the input itself: the unscaled trace of each
+// (workloadID, replica) is built once per run, and every cell gets its own
+// copy of the job headers to rescale to its load while the tasks stay
+// shared, read-only. A trace is dropped once the last task that needs it
+// has reported, so memory holds the traces with pending tasks plus one
+// header copy per running task. Tasks handed to Options.Stream run
+// elsewhere and build their own traces.
+//
 // Cancelling ctx stops the sweep cooperatively: unstarted tasks are
 // skipped and the context's error is returned. With Options.Checkpoint set,
 // completed tasks persist first, so a cancelled sweep resumes where it
 // stopped.
 func Run(ctx context.Context, s *Spec, cells []Scenario, opt Options) (*Report, error) {
+	return run(ctx, s, cells, opt, &traceMemo{})
+}
+
+// run is Run sharing traces through memo.
+func run(ctx context.Context, s *Spec, cells []Scenario, opt Options, memo *traceMemo) (*Report, error) {
 	d, err := s.domainImpl()
 	if err != nil {
 		return nil, err
 	}
 	seed, replicas := Effective(s, opt)
 
-	// One task per (cell, replica), cell-major, carrying its own seed pair;
-	// the index cell*replicas+rep is the positional slot aggregation reads.
-	plan := &exec.Plan[[]MetricValue]{}
-	seen := make(map[string]bool, len(cells))
+	// The memo rides on Run's own copy of the cells, so the caller's stay
+	// as they were.
+	cells = slices.Clone(cells)
 	for i := range cells {
-		sc := &cells[i]
-		if seen[sc.ID()] {
-			return nil, fmt.Errorf("scenario: duplicate cell %q (a sweep axis repeats a value?)", sc.ID())
+		cells[i].traces = memo
+	}
+	keys := make([]traceKey, 0, len(cells)*replicas)
+	plan, err := layoutPlan(cells, seed, replicas, func(t planTask) func(context.Context) ([]MetricValue, error) {
+		keys = append(keys, memo.reserve(t.workloadID, t.workloadSeed))
+		return func(context.Context) ([]MetricValue, error) {
+			return t.cell.domain.Run(t.cell, t.workloadSeed, t.simSeed)
 		}
-		seen[sc.ID()] = true
-		for rep := 0; rep < replicas; rep++ {
-			workloadSeed := atlarge.DeriveSeed(seed, sc.WorkloadID(), rep)
-			simSeed := atlarge.DeriveSeed(seed, sc.ID(), rep)
-			plan.Add(sc.ID()+"#"+strconv.Itoa(rep), func(context.Context) ([]MetricValue, error) {
-				return sc.domain.Run(sc, workloadSeed, simSeed)
-			})
-		}
+	})
+	if err != nil {
+		return nil, err
 	}
 
 	execOpt := exec.Options[[]MetricValue]{
@@ -146,6 +159,7 @@ func Run(ctx context.Context, s *Spec, cells []Scenario, opt Options) (*Report, 
 	errs := make([]error, plan.Len())
 	done := 0
 	for ev := range stream(ctx, plan, execOpt) {
+		memo.release(keys[ev.Index])
 		if ev.Err != nil {
 			errs[ev.Index] = ev.Err
 		} else {
@@ -278,74 +292,204 @@ func reportAxes(s *Spec) []Axis {
 	return out
 }
 
-// buildTrace resolves the scenario's workload for one replica seed: an
-// imported GWA trace, a streamed client population (clients > 0), or a
-// generated class (with optional arrival override), then rescaled to the
-// target offered load when one is set. It is shared by every domain that
-// drives a job-trace workload.
+// planTask is one (cell, replica) task of a sweep plan with its derived
+// seed pair.
+type planTask struct {
+	cell                  *Scenario
+	workloadID            string
+	workloadSeed, simSeed int64
+}
+
+// layoutPlan lays out one task per (cell, replica), cell-major, so the
+// index cell*replicas+rep is the positional slot aggregation reads. Task
+// IDs are "cellID#rep"; the workload seed is DeriveSeed(seed, WorkloadID,
+// rep) and the simulation seed DeriveSeed(seed, ID, rep). Run and
+// WorkerBuilder both lay out through it, so a task index means the same
+// (cell, replica) on a dist worker as on the dispatcher. body returns each
+// task's function.
+func layoutPlan[R any](cells []Scenario, seed int64, replicas int, body func(planTask) func(context.Context) (R, error)) (*exec.Plan[R], error) {
+	plan := &exec.Plan[R]{}
+	seen := make(map[string]bool, len(cells))
+	for i := range cells {
+		sc := &cells[i]
+		id := sc.ID()
+		if seen[id] {
+			return nil, fmt.Errorf("scenario: duplicate cell %q (a sweep axis repeats a value?)", id)
+		}
+		seen[id] = true
+		workloadID := sc.WorkloadID()
+		for rep := 0; rep < replicas; rep++ {
+			plan.Add(id+"#"+strconv.Itoa(rep), body(planTask{
+				cell:         sc,
+				workloadID:   workloadID,
+				workloadSeed: atlarge.DeriveSeed(seed, workloadID, rep),
+				simSeed:      atlarge.DeriveSeed(seed, id, rep),
+			}))
+		}
+	}
+	return plan, nil
+}
+
+// traceKey names one shared trace: a workload identity and the workload
+// seed of one replica.
+type traceKey struct {
+	workloadID string
+	seed       int64
+}
+
+// traceMemo shares the unscaled traces of one run between its cells. Run
+// reserves an entry for each task before the plan starts and releases it as
+// the task's event arrives; the entry is dropped when its last task has
+// reported, whether the task ran, was served from a checkpoint, or was
+// skipped.
+type traceMemo struct {
+	mu      sync.Mutex
+	entries map[traceKey]*traceEntry
+	// built, when non-nil, observes every trace the memo builds.
+	built func(traceKey, *workload.Trace)
+}
+
+// traceEntry is one shared trace, built on first use. The build error is
+// stored without a cell ID: each cell names itself when it reports it.
+type traceEntry struct {
+	once    sync.Once
+	tr      *workload.Trace
+	err     error
+	pending int
+}
+
+// reserve counts one more task that needs the (workloadID, seed) trace and
+// returns its key.
+func (m *traceMemo) reserve(workloadID string, seed int64) traceKey {
+	key := traceKey{workloadID: workloadID, seed: seed}
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if m.entries == nil {
+		m.entries = make(map[traceKey]*traceEntry)
+	}
+	e := m.entries[key]
+	if e == nil {
+		e = &traceEntry{}
+		m.entries[key] = e
+	}
+	e.pending++
+	return key
+}
+
+// release counts one task of key as done and drops the entry after the last.
+func (m *traceMemo) release(key traceKey) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if e := m.entries[key]; e != nil {
+		if e.pending--; e.pending == 0 {
+			delete(m.entries, key)
+		}
+	}
+}
+
+// trace returns the shared trace of key, building it on first use. Callers
+// must not write to it.
+func (m *traceMemo) trace(key traceKey, build func() (*workload.Trace, error)) (*workload.Trace, error) {
+	m.mu.Lock()
+	e := m.entries[key]
+	m.mu.Unlock()
+	if e == nil {
+		return nil, fmt.Errorf("scenario: workload %s (seed %d) was not reserved", key.workloadID, key.seed)
+	}
+	e.once.Do(func() {
+		e.tr, e.err = build()
+		if e.err == nil && m.built != nil {
+			m.built(key, e.tr)
+		}
+	})
+	return e.tr, e.err
+}
+
+// buildTrace resolves the scenario's workload for one replica seed and
+// rescales it to the target offered load when one is set. Inside Run the
+// unscaled trace comes from the run's memo and the cell rescales its own
+// copy of the job headers; on a dist worker the cell builds a private trace
+// and rescales it in place. It is shared by every
+// domain that drives a job-trace workload.
 func (sc *Scenario) buildTrace(seed int64, totalCores int) (*workload.Trace, error) {
 	var tr *workload.Trace
+	var err error
+	if sc.traces != nil {
+		tr, err = sc.traces.trace(traceKey{workloadID: sc.WorkloadID(), seed: seed},
+			func() (*workload.Trace, error) { return sc.baseTrace(seed) })
+		if err == nil {
+			tr = headerCopy(tr)
+		}
+	} else {
+		tr, err = sc.baseTrace(seed)
+	}
+	if err != nil {
+		return nil, fmt.Errorf("scenario: cell %s: %w", sc.ID(), err)
+	}
+	if sc.Workload.Load > 0 {
+		scaleToLoad(tr, sc.Workload.Load, totalCores)
+	}
+	return tr, nil
+}
+
+// baseTrace builds the scenario's unscaled workload for one replica seed:
+// an imported GWA trace, a streamed client population (clients > 0), or a
+// generated class (with optional arrival override). It reads only the
+// workload fields the Generative axes set, and its errors name no cell.
+func (sc *Scenario) baseTrace(seed int64) (*workload.Trace, error) {
 	if sc.Workload.Trace != "" {
-		var err error
-		tr, err = sc.spec.loadTrace()
-		if err != nil {
+		return sc.spec.loadTrace()
+	}
+	class, err := workload.ClassByName(sc.Workload.Class)
+	if err != nil {
+		return nil, err
+	}
+	var arrivals workload.ArrivalProcess
+	if a := sc.Workload.Arrival; a != nil {
+		if arrivals, err = workload.ArrivalsByName(a.Process, a.Params); err != nil {
 			return nil, err
 		}
-	} else if sc.Workload.Clients > 0 {
-		class, err := workload.ClassByName(sc.Workload.Class)
-		if err != nil {
-			return nil, fmt.Errorf("scenario: cell %s: %w", sc.ID(), err)
-		}
+	}
+	jobs := sc.Workload.Jobs
+	if jobs <= 0 {
+		jobs = defaultJobs
+	}
+	if sc.Workload.Clients > 0 {
 		skew, err := workload.ParseSkew(sc.Workload.Skew)
 		if err != nil {
-			return nil, fmt.Errorf("scenario: cell %s: %w", sc.ID(), err)
+			return nil, err
 		}
 		pop := &workload.Population{
 			Clients: sc.Workload.Clients,
 			Mix:     workload.SingleClass(class),
 			Skew:    skew,
 			Seed:    seed,
-		}
-		if a := sc.Workload.Arrival; a != nil {
-			ap, err := workload.ArrivalsByName(a.Process, a.Params)
-			if err != nil {
-				return nil, fmt.Errorf("scenario: cell %s: %w", sc.ID(), err)
-			}
-			pop.Arrival = ap
+			Arrival: arrivals,
 		}
 		src, err := pop.Source()
 		if err != nil {
-			return nil, fmt.Errorf("scenario: cell %s: %w", sc.ID(), err)
+			return nil, err
 		}
-		jobs := sc.Workload.Jobs
-		if jobs <= 0 {
-			jobs = defaultJobs
-		}
-		tr = workload.Collect(src, jobs)
-		src.Close()
-	} else {
-		class, err := workload.ClassByName(sc.Workload.Class)
-		if err != nil {
-			return nil, fmt.Errorf("scenario: cell %s: %w", sc.ID(), err)
-		}
-		gen := workload.StandardGenerator(class)
-		if a := sc.Workload.Arrival; a != nil {
-			ap, err := workload.ArrivalsByName(a.Process, a.Params)
-			if err != nil {
-				return nil, fmt.Errorf("scenario: cell %s: %w", sc.ID(), err)
-			}
-			gen.Arrivals = ap
-		}
-		jobs := sc.Workload.Jobs
-		if jobs <= 0 {
-			jobs = defaultJobs
-		}
-		tr = gen.Generate(jobs, rand.New(rand.NewSource(seed)))
+		defer src.Close()
+		return workload.Collect(src, jobs), nil
 	}
-	if sc.Workload.Load > 0 {
-		scaleToLoad(tr, sc.Workload.Load, totalCores)
+	gen := workload.StandardGenerator(class)
+	if arrivals != nil {
+		gen.Arrivals = arrivals
 	}
-	return tr, nil
+	return gen.Generate(jobs, rand.New(rand.NewSource(seed))), nil
+}
+
+// headerCopy returns a trace of copies of tr's job headers: the copies may
+// be rescaled freely while their Tasks and Deps stay shared with tr.
+func headerCopy(tr *workload.Trace) *workload.Trace {
+	headers := make([]workload.Job, len(tr.Jobs))
+	cp := &workload.Trace{Name: tr.Name, Jobs: make([]*workload.Job, len(tr.Jobs))}
+	for i, j := range tr.Jobs {
+		headers[i] = *j
+		cp.Jobs[i] = &headers[i]
+	}
+	return cp
 }
 
 // scaleToLoad rescales submission times so the offered load — total

@@ -76,8 +76,9 @@ type Spec struct {
 	// relative trace paths; empty when parsed from a reader.
 	dir string
 	// traceOnce/traceCache/traceErr memoize the parsed workload trace, so
-	// a sweep of N cells × R replicas reads and parses the file once; each
-	// run gets a deep copy (load rescaling mutates submission times).
+	// the file is read and parsed once per spec. Each call of loadTrace
+	// gets a deep copy: Run builds one per replica and shares it between
+	// cells, and a dist worker's cell rescales its copy in place.
 	traceOnce  sync.Once
 	traceCache *workload.Trace
 	traceErr   error
@@ -381,17 +382,18 @@ func (s *Spec) validateWorkloadSpec(bad func(string, ...any)) {
 
 // loadTrace returns a fresh deep copy of the spec's GWA trace; the file is
 // read and parsed once per spec, however many cells and replicas run it.
+// Its errors name no cell: buildTrace adds the cell that asked.
 func (s *Spec) loadTrace() (*workload.Trace, error) {
 	s.traceOnce.Do(func() {
 		f, err := os.Open(s.tracePath())
 		if err != nil {
-			s.traceErr = fmt.Errorf("scenario: %w", err)
+			s.traceErr = err
 			return
 		}
 		defer f.Close()
 		tr, err := trace.ReadJobs(f)
 		if err != nil {
-			s.traceErr = fmt.Errorf("scenario: %s: %w", s.tracePath(), err)
+			s.traceErr = fmt.Errorf("%s: %w", s.tracePath(), err)
 			return
 		}
 		s.traceCache = tr

@@ -20,6 +20,9 @@ type Param struct {
 type Scenario struct {
 	spec   *Spec
 	domain Domain
+	// traces, set on Run's copy of the cells, shares the run's unscaled
+	// traces between cells with the same workload (see buildTrace).
+	traces *traceMemo
 	// Workload/Cluster/Policy parameterize the sched and autoscale domains.
 	Workload WorkloadSpec
 	Cluster  ClusterSpec
