@@ -77,7 +77,7 @@ func (s *Scheduler) run(runs *windowRuns) (*Result, error) {
 	for w := range runs.windows {
 		chosen, simRuns := s.Selector.Select(s.Policies, runs.score(w), s.Seed+int64(w))
 		policy := s.Policies[chosen]
-		real := runs.get(chosen, w, false)
+		real := runs.get(chosen, w, false, nil)
 		if real.err != nil {
 			return nil, fmt.Errorf("portfolio: window %d with %s: %w", w, policy.Name(), real.err)
 		}
@@ -97,35 +97,21 @@ func (s *Scheduler) run(runs *windowRuns) (*Result, error) {
 	return res, nil
 }
 
-// staticBaselines simulates each policy on its own goroutine; window runs
-// already made by a portfolio run over the same windows are reused.
+// staticBaselines returns each policy's mean slowdown over its runs on the
+// windows; window runs already made by a portfolio run over the same
+// windows are reused.
 func (s *Scheduler) staticBaselines(runs *windowRuns) (map[string]float64, error) {
-	means := make([]float64, len(s.Policies))
-	errs := make([]error, len(s.Policies))
-	var wg sync.WaitGroup
-	for i, p := range s.Policies {
-		wg.Add(1)
-		go func(i int, p sched.Policy) {
-			defer wg.Done()
-			var all []float64
-			for w := range runs.windows {
-				r := runs.get(i, w, false)
-				if r.err != nil {
-					errs[i] = fmt.Errorf("portfolio: baseline %s window %d: %w", p.Name(), w, r.err)
-					return
-				}
-				all = append(all, r.slowdowns...)
-			}
-			means[i] = stats.Mean(all)
-		}(i, p)
-	}
-	wg.Wait()
 	out := make(map[string]float64, len(s.Policies))
 	for i, p := range s.Policies {
-		if errs[i] != nil {
-			return nil, errs[i]
+		var all []float64
+		for w := range runs.windows {
+			r := runs.get(i, w, false, nil)
+			if r.err != nil {
+				return nil, fmt.Errorf("portfolio: baseline %s window %d: %w", p.Name(), w, r.err)
+			}
+			all = append(all, r.slowdowns...)
 		}
-		out[p.Name()] = means[i]
+		out[p.Name()] = stats.Mean(all)
 	}
 	return out, nil
 }
@@ -195,8 +181,9 @@ func exactEstimates(tr *workload.Trace) bool {
 }
 
 // get returns the run of policy i on window w, from runtime estimates when
-// est is set, simulating it on first request.
-func (r *windowRuns) get(i, w int, est bool) *windowRun {
+// est is set, simulating it on first request: on sim, reset for the run,
+// or on a new simulator when sim is nil.
+func (r *windowRuns) get(i, w int, est bool, sim *sched.Simulator) *windowRun {
 	key := runKey{policy: i, window: w, est: est && !r.exact[w]}
 	r.mu.Lock()
 	run := r.runs[key]
@@ -213,7 +200,11 @@ func (r *windowRuns) get(i, w int, est bool) *windowRun {
 	}
 	r.mu.Unlock()
 	run.once.Do(func() {
-		sim := sched.NewSimulator(r.s.EnvFactory(), window, r.s.Policies[i], r.s.Seed+int64(w))
+		if sim == nil {
+			sim = sched.NewSimulator(r.s.EnvFactory(), window, r.s.Policies[i], r.s.Seed+int64(w))
+		} else {
+			sim.Reset(r.s.EnvFactory(), window, r.s.Policies[i], r.s.Seed+int64(w))
+		}
 		if !key.est {
 			sim.OnJob = func(js sched.JobStats) {
 				run.slowdowns = append(run.slowdowns, js.Slowdown)
@@ -230,7 +221,7 @@ func (r *windowRuns) get(i, w int, est bool) *windowRun {
 // nothing.
 func (r *windowRuns) score(w int) func(i int) float64 {
 	return func(i int) float64 {
-		run := r.get(i, w, true)
+		run := r.get(i, w, true, nil)
 		if run.err != nil || run.res.Completed == 0 {
 			return math.Inf(1)
 		}

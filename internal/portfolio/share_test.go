@@ -28,64 +28,70 @@ var pinnedTable9Runs = []struct {
 	{"Voinea'18 (BigData)", "FairShare,FairShare,GreedyBF,FairShare", 28, 0x4006e77d535fd9a6, 0x40a7e3fe5b9a95ae},
 }
 
-// TestTable9SharedWindowRuns runs every default Table 9 row the way
-// RunTable9 does, with the portfolio run and the static baselines sharing
-// window simulations. Choices, modeled cost and results must match the
-// unshared recording; each shared realized run must equal a fresh simulation
-// of its window; and exactly one simulation may run per (policy, window),
-// plus one per policy on estimates for windows whose estimates are inexact.
+// TestTable9SharedWindowRuns runs the default Table 9 through RunTable9's
+// simulation pool, where the portfolio run and the static baselines share
+// window simulations and each pool worker reuses one simulator. Choices,
+// modeled cost and results must match the unshared recording; each shared
+// realized run must equal a fresh simulation of its window; and the rows
+// must take 308 simulations in all: one per (policy, window), plus one per
+// policy on estimates for each window whose estimates are inexact.
 func TestTable9SharedWindowRuns(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs the default Table 9")
 	}
-	cfg := DefaultTable9Config()
 	specs := table9Specs()
 	if len(pinnedTable9Runs) != len(specs) {
 		t.Fatalf("%d pinned rows, want %d", len(pinnedTable9Runs), len(specs))
 	}
+	type seen struct {
+		res  *Result
+		runs *windowRuns
+	}
+	// The memos are counted after the pool, so runs the static baselines
+	// might add are counted too.
+	got := make([]seen, len(specs))
+	pool := newTable9Pool(DefaultTable9Config(), func(i int, res *Result, runs *windowRuns) {
+		got[i] = seen{res: res, runs: runs}
+	})
+	if _, err := pool.run(); err != nil {
+		t.Fatal(err)
+	}
+	total := 0
 	for i, spec := range specs {
-		pin := pinnedTable9Runs[i]
-		s, tr := table9Row(cfg, spec, i)
-		runs, err := s.windowRuns(tr)
-		if err != nil {
-			t.Fatal(err)
+		pin, g := pinnedTable9Runs[i], got[i]
+		if g.res == nil {
+			t.Fatalf("%s: row not computed", spec.study)
 		}
-		res, err := s.run(runs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := s.staticBaselines(runs); err != nil {
-			t.Fatal(err)
-		}
+		s := g.runs.s
 		var names []string
-		for _, c := range res.Choices {
+		for _, c := range g.res.Choices {
 			names = append(names, c.Policy)
 		}
 		if got := strings.Join(names, ","); spec.study != pin.study || got != pin.choices {
 			t.Errorf("%s: choices %s, want %s (%s)", spec.study, got, pin.choices, pin.study)
 		}
-		if res.TotalSimRuns != pin.totalSimRuns {
-			t.Errorf("%s: TotalSimRuns = %d, want %d", spec.study, res.TotalSimRuns, pin.totalSimRuns)
+		if g.res.TotalSimRuns != pin.totalSimRuns {
+			t.Errorf("%s: TotalSimRuns = %d, want %d", spec.study, g.res.TotalSimRuns, pin.totalSimRuns)
 		}
-		if sd, resp := math.Float64bits(res.MeanSlowdown), math.Float64bits(res.MeanResponse); sd != pin.meanSlowdown || resp != pin.meanResponse {
+		if sd, resp := math.Float64bits(g.res.MeanSlowdown), math.Float64bits(g.res.MeanResponse); sd != pin.meanSlowdown || resp != pin.meanResponse {
 			t.Errorf("%s: mean slowdown/response bits %#x/%#x, want %#x/%#x", spec.study, sd, resp, pin.meanSlowdown, pin.meanResponse)
 		}
-
-		wantRuns := 0
-		for w := range runs.windows {
-			wantRuns += len(s.Policies)
-			if !runs.exact[w] {
-				wantRuns += len(s.Policies)
+		want := 0
+		for w := range g.runs.windows {
+			want += len(s.Policies)
+			if !g.runs.exact[w] {
+				want += len(s.Policies)
 			}
 		}
-		if len(runs.runs) != wantRuns {
-			t.Errorf("%s: %d window simulations, want %d", spec.study, len(runs.runs), wantRuns)
+		if len(g.runs.runs) != want {
+			t.Errorf("%s: %d window simulations, want %d", spec.study, len(g.runs.runs), want)
 		}
+		total += len(g.runs.runs)
 
-		for w, c := range res.Choices {
+		for w, c := range g.res.Choices {
 			p := policyIndex(t, s.Policies, c.Policy)
-			shared := runs.get(p, w, false).res
-			fresh, err := sched.NewSimulator(s.EnvFactory(), runs.windows[w], s.Policies[p], s.Seed+int64(w)).Run()
+			shared := g.runs.get(p, w, false, nil).res
+			fresh, err := sched.NewSimulator(s.EnvFactory(), g.runs.windows[w], s.Policies[p], s.Seed+int64(w)).Run()
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -94,6 +100,9 @@ func TestTable9SharedWindowRuns(t *testing.T) {
 				t.Errorf("%s window %d: shared %s run %+v, fresh %+v", spec.study, w, c.Policy, *shared, *fresh)
 			}
 		}
+	}
+	if total != 308 {
+		t.Errorf("%d window simulations, want 308", total)
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"runtime"
 	"sync"
+	"sync/atomic"
 
 	"atlarge/internal/cluster"
 	"atlarge/internal/sched"
@@ -110,8 +111,8 @@ type Table9Config struct {
 	// environments so policies differentiate.
 	LoadFactor float64
 	Seed       int64
-	// Workers bounds the number of study rows simulated concurrently;
-	// <= 0 means GOMAXPROCS. Every row derives its own seed, so the
+	// Workers bounds the number of window simulations in flight; <= 0
+	// means GOMAXPROCS. Every simulation has its own derived seed, so the
 	// result is identical for any worker count.
 	Workers int
 }
@@ -123,42 +124,168 @@ func DefaultTable9Config() Table9Config {
 
 // RunTable9 reproduces the seven rows of Table 9: for each study row it runs
 // the portfolio scheduler against all static baselines and derives the
-// "PS is useful" verdict. Rows are independent simulations with per-row
-// seeds, so they execute on a bounded worker pool; results keep the spec
-// order regardless of scheduling.
+// "PS is useful" verdict. Every window simulation of every row, once on
+// runtimes and, where estimates are inexact, once on estimates, runs on one
+// pool of cfg.Workers goroutines, each reusing one simulator from run to
+// run. The pool takes the simulations in spec order and builds a row only
+// when it reaches it; once a row's simulations are done its portfolio run
+// and static baselines read them, and the row's windows are dropped.
+// Results keep the spec order regardless of scheduling.
 func RunTable9(cfg Table9Config) ([]Table9Row, error) {
+	return newTable9Pool(cfg, nil).run()
+}
+
+// table9Pool runs the window simulations of every Table 9 row. A single
+// cursor hands them out in spec order: row, window, policy, then runtimes
+// before estimates.
+type table9Pool struct {
+	cfg   Table9Config
+	specs []table9Spec
+	rows  []Table9Row
+	errs  []error
+	// onRow, when set, sees each row's portfolio result and window runs
+	// when the row is computed, on the worker that computes it.
+	onRow func(i int, res *Result, runs *windowRuns)
+
+	mu    sync.Mutex
+	built int         // rows the cursor has reached
+	items []table9Sim // the reached row's simulations not handed out yet
+}
+
+// table9Sim is one window simulation: policy i on window w of row, from
+// runtime estimates when est is set.
+type table9Sim struct {
+	row  *table9Pending
+	i, w int
+	est  bool
+}
+
+// table9Pending is a row whose simulations are not all done.
+type table9Pending struct {
+	i    int
+	runs *windowRuns
+	left atomic.Int32 // simulations not done yet
+}
+
+func newTable9Pool(cfg Table9Config, onRow func(int, *Result, *windowRuns)) *table9Pool {
 	specs := table9Specs()
-	rows := make([]Table9Row, len(specs))
-	errs := make([]error, len(specs))
-	workers := cfg.Workers
+	return &table9Pool{
+		cfg: cfg, specs: specs, onRow: onRow,
+		rows: make([]Table9Row, len(specs)), errs: make([]error, len(specs)),
+	}
+}
+
+func (p *table9Pool) run() ([]Table9Row, error) {
+	workers := p.cfg.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > len(specs) {
-		workers = len(specs)
-	}
 	var wg sync.WaitGroup
-	idx := make(chan int)
-	for w := 0; w < workers; w++ {
+	for range workers {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for i := range idx {
-				rows[i], errs[i] = runTable9Row(cfg, specs[i], i)
+			simulator := new(sched.Simulator)
+			for {
+				it, ok := p.next()
+				if !ok {
+					return
+				}
+				it.row.runs.get(it.i, it.w, it.est, simulator)
+				if it.row.left.Add(-1) == 0 {
+					p.finish(it.row)
+				}
 			}
 		}()
 	}
-	for i := range specs {
-		idx <- i
-	}
-	close(idx)
 	wg.Wait()
-	for _, err := range errs {
+	for _, err := range p.errs {
 		if err != nil {
 			return nil, err
 		}
 	}
-	return rows, nil
+	return p.rows, nil
+}
+
+// next hands out the next simulation, building rows as the cursor reaches
+// them; ok is false once every row's simulations are handed out.
+func (p *table9Pool) next() (it table9Sim, ok bool) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	for len(p.items) == 0 {
+		if p.built == len(p.specs) {
+			return table9Sim{}, false
+		}
+		p.reach(p.built)
+		p.built++
+	}
+	it, p.items = p.items[0], p.items[1:]
+	return it, true
+}
+
+// reach builds row i and queues its simulations. A row without any is
+// computed at once.
+func (p *table9Pool) reach(i int) {
+	s, tr := table9Row(p.cfg, p.specs[i], i)
+	runs, err := s.windowRuns(tr)
+	if err != nil {
+		p.errs[i] = fmt.Errorf("portfolio: row %s: %w", p.specs[i].study, err)
+		return
+	}
+	row := &table9Pending{i: i, runs: runs}
+	items := make([]table9Sim, 0, 2*len(runs.windows)*len(s.Policies))
+	for w := range runs.windows {
+		for pi := range s.Policies {
+			items = append(items, table9Sim{row: row, i: pi, w: w})
+			if !runs.exact[w] {
+				items = append(items, table9Sim{row: row, i: pi, w: w, est: true})
+			}
+		}
+	}
+	if len(items) == 0 {
+		p.finish(row)
+		return
+	}
+	row.left.Store(int32(len(items)))
+	p.items = items
+}
+
+// finish computes a row whose simulations are all done and drops its
+// windows.
+func (p *table9Pool) finish(row *table9Pending) {
+	p.rows[row.i], p.errs[row.i] = p.result(row)
+	row.runs = nil
+}
+
+// result runs row's portfolio and static baselines over its window runs and
+// derives the Table 9 row.
+func (p *table9Pool) result(row *table9Pending) (Table9Row, error) {
+	spec, s, runs := p.specs[row.i], row.runs.s, row.runs
+	res, err := s.run(runs)
+	if err != nil {
+		return Table9Row{}, fmt.Errorf("portfolio: row %s: %w", spec.study, err)
+	}
+	if p.onRow != nil {
+		p.onRow(row.i, res, runs)
+	}
+	baselines, err := s.staticBaselines(runs)
+	if err != nil {
+		return Table9Row{}, fmt.Errorf("portfolio: row %s baselines: %w", spec.study, err)
+	}
+
+	out := Table9Row{
+		Study:       spec.study,
+		Workload:    classesLabel(spec.classes),
+		Environment: kindsLabel(spec.envKinds),
+		Portfolio:   res.MeanSlowdown,
+		NewQuestion: spec.newQuestion,
+	}
+	out.BestStatic, out.WorstStatic = bestWorst(baselines, s.Policies, &out.BestPolicy, &out.WorstPolicy)
+	if out.BestStatic > 0 {
+		out.SelectionRegret = out.Portfolio/out.BestStatic - 1
+	}
+	out.Finding = verdict(out)
+	return out, nil
 }
 
 // table9Row builds study row i's trace (derived seed, compressed submits)
@@ -179,38 +306,6 @@ func table9Row(cfg Table9Config, spec table9Spec, i int) (*Scheduler, *workload.
 		EnvFactory: func() *cluster.Environment { return compositeEnv(spec.envKinds) },
 		Seed:       cfg.Seed + int64(i),
 	}, tr
-}
-
-// runTable9Row simulates one study row with its derived seed. The portfolio
-// run and the static baselines share their window simulations.
-func runTable9Row(cfg Table9Config, spec table9Spec, i int) (Table9Row, error) {
-	s, tr := table9Row(cfg, spec, i)
-	runs, err := s.windowRuns(tr)
-	if err != nil {
-		return Table9Row{}, fmt.Errorf("portfolio: row %s: %w", spec.study, err)
-	}
-	res, err := s.run(runs)
-	if err != nil {
-		return Table9Row{}, fmt.Errorf("portfolio: row %s: %w", spec.study, err)
-	}
-	baselines, err := s.staticBaselines(runs)
-	if err != nil {
-		return Table9Row{}, fmt.Errorf("portfolio: row %s baselines: %w", spec.study, err)
-	}
-
-	row := Table9Row{
-		Study:       spec.study,
-		Workload:    classesLabel(spec.classes),
-		Environment: kindsLabel(spec.envKinds),
-		Portfolio:   res.MeanSlowdown,
-		NewQuestion: spec.newQuestion,
-	}
-	row.BestStatic, row.WorstStatic = bestWorst(baselines, s.Policies, &row.BestPolicy, &row.WorstPolicy)
-	if row.BestStatic > 0 {
-		row.SelectionRegret = row.Portfolio/row.BestStatic - 1
-	}
-	row.Finding = verdict(row)
-	return row, nil
 }
 
 func classesLabel(cs []workload.Class) string {

@@ -71,9 +71,9 @@ func TestVerdictBands(t *testing.T) {
 	}
 }
 
-// TestRunTable9WorkersDeterministic pins the row-pool guarantee: any worker
-// count yields identical rows for the same config (per-row derived seeds,
-// order-indexed collection).
+// TestRunTable9WorkersDeterministic pins the simulation pool's guarantee:
+// any worker count, including more workers than rows, yields identical rows
+// for the same config (per-window derived seeds, order-indexed collection).
 func TestRunTable9WorkersDeterministic(t *testing.T) {
 	cfg := Table9Config{JobsPerRow: 21, WindowSize: 7, LoadFactor: 10, Seed: 3}
 	cfg.Workers = 1
@@ -81,17 +81,19 @@ func TestRunTable9WorkersDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg.Workers = 4
-	par, err := RunTable9(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(seq) != len(par) {
-		t.Fatalf("row counts differ: %d vs %d", len(seq), len(par))
-	}
-	for i := range seq {
-		if seq[i] != par[i] {
-			t.Errorf("row %d differs:\n  seq %+v\n  par %+v", i, seq[i], par[i])
+	for _, workers := range []int{2, 3, 16} {
+		cfg.Workers = workers
+		par, err := RunTable9(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(seq) != len(par) {
+			t.Fatalf("%d workers: row counts differ: %d vs %d", workers, len(seq), len(par))
+		}
+		for i := range seq {
+			if seq[i] != par[i] {
+				t.Errorf("%d workers: row %d differs:\n  seq %+v\n  par %+v", workers, i, seq[i], par[i])
+			}
 		}
 	}
 }

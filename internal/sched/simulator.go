@@ -152,9 +152,23 @@ type estSlot struct {
 	cpus int
 }
 
-// NewSimulator prepares a run. The trace is not mutated.
+// NewSimulator prepares a run of tr under p on env. The run claims env's
+// cores, so env must not be shared with another run. The trace is not
+// mutated. Reset moves the simulator on to a further run.
 func NewSimulator(env *cluster.Environment, tr *workload.Trace, p Policy, seed int64) *Simulator {
 	return &Simulator{env: env, trace: tr, policy: p, seed: seed}
+}
+
+// Reset re-points s at a new run, as NewSimulator would prepare it, and
+// clears OnJob. The buffers of earlier runs are kept, and the next run
+// clears and reuses them: the task state arena, the queue blocks, the
+// dependency maps and edges, the EASY estimate slots and the task-finish
+// records. Each run still builds its own kernel, and the trace is still not
+// mutated. env must not be shared, as for NewSimulator. A zero Simulator is
+// ready for Reset.
+func (s *Simulator) Reset(env *cluster.Environment, tr *workload.Trace, p Policy, seed int64) {
+	s.OnJob = nil
+	s.env, s.trace, s.policy, s.seed = env, tr, p, seed
 }
 
 // run executes the simulation with arrivals pulled from next (nil ends the
@@ -178,8 +192,11 @@ func (s *Simulator) run(next func() *workload.Job, chunk int) (*Result, error) {
 	s.queue.reset()
 	s.sorted, s.changed, s.changedJobs = 0, s.changed[:0], 0
 	s.widths, s.minWidth = s.widths[:0], math.MaxInt
-	s.pendingDeps = make(map[int]int)
-	s.dependents = make(map[int]depList)
+	if s.pendingDeps == nil {
+		s.pendingDeps, s.dependents = make(map[int]int), make(map[int]depList)
+	}
+	clear(s.pendingDeps)
+	clear(s.dependents)
 	s.depEdges, s.freeEdge = s.depEdges[:0], noEdge
 	s.machines = s.machines[:0]
 	s.machClusters = s.machClusters[:0]
@@ -191,7 +208,11 @@ func (s *Simulator) run(next func() *workload.Job, chunk int) (*Result, error) {
 			s.maxSpeed = max(s.maxSpeed, sim.Duration(m.Speed))
 		}
 	}
-	s.estFinish = make([][]estSlot, len(s.machines))
+	s.estFinish = slices.Grow(s.estFinish[:0], len(s.machines))[:len(s.machines)]
+	for i := range s.estFinish {
+		s.estFinish[i] = s.estFinish[i][:0]
+	}
+	s.dispatchPending = false
 	s.feedChunk()
 	var err error
 	if s.feed.err == nil {
