@@ -102,7 +102,8 @@ catalog-golden:
 
 # End-to-end smoke of `atlarge serve`: boot it on an ephemeral port, check
 # /v1/experiments matches the committed catalog golden, hit one /v1/run
-# twice (the second, cached response must be byte-identical), drive a job
+# twice (the second response, answered by the done run job, must be
+# byte-identical, and the job must be listed with kind "run"), drive a job
 # through the /v1/jobs resource (its result must equal the synchronous sweep
 # response, and an identical resubmission must dedup onto the same job), and
 # scrape /metrics.
@@ -121,6 +122,8 @@ serve-smoke:
 	curl -fsS "$$url/v1/run?ids=fig9&seed=7" > "$$tmp/run1.json"; \
 	curl -fsS "$$url/v1/run?ids=fig9&seed=7" > "$$tmp/run2.json"; \
 	cmp "$$tmp/run1.json" "$$tmp/run2.json"; \
+	curl -fsS "$$url/v1/jobs?state=done" | grep -q '"kind": "run"' \
+		|| { echo "serve-smoke: the fig9 run is not a done run job"; exit 1; }; \
 	printf '%s\n' '{"version": 2, "name": "smoke", "domain": "sched",' \
 		'"policy": "sjf", "workload": {"class": "syn", "jobs": 8},' \
 		'"cluster": {"machines": 2}, "seed": 7,' \
@@ -143,7 +146,7 @@ serve-smoke:
 	for m in atlarge_queue_depth atlarge_cache_hit_ratio atlarge_http_requests_total atlarge_jobs; do \
 		grep -q "$$m" "$$tmp/metrics.txt" || { echo "serve-smoke: /metrics missing $$m"; exit 1; }; \
 	done; \
-	echo "serve-smoke: OK (run cache, /v1/jobs, dedup, /metrics)"
+	echo "serve-smoke: OK (run jobs, /v1/jobs, dedup, /metrics)"
 
 # The 32-task sweep (4 policies × 4 loads × 2 replicas of 700 scientific
 # jobs) the dist, restart and resume smokes interrupt: ~2.4 s on one core of

@@ -5,7 +5,7 @@
 //
 //	atlarge list [-tag T] [--domains] [--format text|json]
 //	atlarge run [experiment ...] [--all] [--seed N] [--parallel P] [--replicas R] [--format text|json] [--progress] [--timeout D] [--trace-dir DIR] [--trace-wall]
-//	atlarge serve [--addr HOST:PORT] [--parallel P] [--cache N] [--rate R] [--burst B] [--queue-depth Q] [--max-jobs J] [--state-dir DIR] [--workers H1,H2] [--pprof] [--kernel-profile]
+//	atlarge serve [--addr HOST:PORT] [--parallel P] [--rate R] [--burst B] [--queue-depth Q] [--max-jobs J] [--state-dir DIR] [--workers H1,H2] [--pprof] [--kernel-profile]
 //	atlarge worker [--listen HOST:PORT] [--parallel P]
 //	atlarge trace <experiment-id> [--seed N] [--dir DIR] [--wall] [--events N]
 //	atlarge trace --spec <spec.json> [--cell ID] [--seed N] [--dir DIR] [--wall] [--events N]
@@ -26,15 +26,15 @@
 // worker pool) after a duration.
 //
 // serve exposes the same results over HTTP: GET /v1/experiments (catalog),
-// GET /v1/run?ids=&seed=&replicas= (typed results, LRU-cached per
-// (experiment, seed, replicas) so repeated queries skip the simulation),
-// GET /v1/run/stream (the same run as live NDJSON progress events),
-// POST /v1/scenario/sweep (a scenario spec as the request body, run
-// synchronously), and the async jobs resource: POST /v1/jobs submits
+// GET /v1/run?ids=&seed=&replicas= (typed results, one run job per
+// (experiment, seed, replicas), so repeated queries skip the simulation),
+// GET /v1/run/stream (the same run jobs as live NDJSON progress events),
+// POST /v1/scenario/sweep (a scenario spec as the request body, run as a
+// sweep job and awaited), and the jobs resource: POST /v1/jobs submits
 // {"kind": "sweep", "spec": {...}} and GET/DELETE /v1/jobs/{id} (plus
-// /result) steer it. Job IDs are the content hash of (spec, seed,
-// replicas), so identical submissions dedup onto one job. GET /metrics
-// exports Prometheus text-format server metrics. With --state-dir, jobs are
+// /result and /profile) steer sweep and run jobs alike. Job IDs derive
+// from the work, so identical requests dedup onto one job. GET /metrics
+// exports Prometheus text-format server metrics. With --state-dir, sweep jobs are
 // durable: an interrupted server re-lists finished jobs on restart and
 // resumes interrupted ones byte-identically from their checkpointed tasks.
 // --rate/--burst rate-limit work-submitting endpoints per client (keyed by
@@ -280,7 +280,6 @@ func runTo(w io.Writer, args []string) error {
 		var (
 			addr       = fs.String("addr", "127.0.0.1:8080", "listen address (host:port; port 0 picks a free port)")
 			parallel   = fs.Int("parallel", 0, "worker pool size behind the API (0 = GOMAXPROCS)")
-			cache      = fs.Int("cache", 256, "LRU result-cache capacity in (experiment, seed, replicas) entries")
 			rate       = fs.Float64("rate", 0, "per-client admission rate for work-submitting endpoints (requests/second; 0 = unlimited)")
 			burst      = fs.Int("burst", 0, "token-bucket burst per client (0 = max(1, ceil(rate)))")
 			queueDepth = fs.Int("queue-depth", 0, "pending-task bound before submissions get 429 + Retry-After (0 = 4096)")
@@ -295,7 +294,6 @@ func runTo(w io.Writer, args []string) error {
 		}
 		srv := api.New(api.Config{
 			Parallelism:   *parallel,
-			CacheSize:     *cache,
 			Rate:          *rate,
 			Burst:         *burst,
 			QueueDepth:    *queueDepth,

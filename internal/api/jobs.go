@@ -2,9 +2,12 @@ package api
 
 import (
 	"context"
+	"errors"
+	"fmt"
 	"sort"
 	"sync"
 
+	"atlarge"
 	"atlarge/internal/exec"
 )
 
@@ -16,37 +19,51 @@ const (
 	jobCancelled = "cancelled"
 )
 
-// jobKindSweep is the only job kind today: an asynchronous scenario sweep.
-// The /v1/jobs resource model is kind-extensible — the submit body names the
-// kind next to its spec — so future long-running work (trace imports,
-// distributed runs) slots in without new routes.
-const jobKindSweep = "sweep"
+// Job kinds. A sweep is a scenario sweep, submitted to POST /v1/jobs or run
+// synchronously by POST /v1/scenario/sweep; a run is one experiment at one
+// (seed, replicas), created by GET /v1/run and /v1/run/stream. The /v1/jobs
+// resource model is kind-extensible — the submit body names the kind next
+// to its spec — so future long-running work slots in without new routes.
+const (
+	jobKindSweep = "sweep"
+	jobKindRun   = "run"
+)
 
 // jobStates enumerates the valid states for the /v1/jobs?state= filter.
 var jobStates = []string{jobRunning, jobDone, jobFailed, jobCancelled}
 
-// job is one asynchronous unit of work: POST /v1/jobs creates it (or dedups
-// onto an existing one — the ID is the content hash of spec+seed+replicas),
-// the status/result/cancel endpoints observe and steer it, and with a state
-// directory configured it survives server restarts. Progress counters
-// stream in from the executor while the job runs.
+// job is one unit of work in the server's table: a request creates it (or
+// joins an existing one — the ID is the content hash of the work), the
+// status/result/cancel endpoints observe and steer it, and with a state
+// directory configured a sweep job survives server restarts. Progress
+// counters stream in from the executor while the job runs.
 type job struct {
 	id     string
 	kind   string
-	name   string // the spec's name, for humans listing jobs
+	name   string // the spec's name or the run's experiment, for humans listing jobs
+	seed   int64  // a run's base seed, the seed of its RunDocument
 	cancel context.CancelFunc
 
 	// exited is closed when the goroutine running the job returns; nil for
 	// jobs restored terminal from the state dir, which never run.
 	exited chan struct{}
 
-	mu     sync.Mutex
-	state  string
-	done   int
-	total  int
-	result []byte // final report JSON, byte-identical to the sync response
-	errMsg string
-	spans  jobSpans // incremental span aggregates for /v1/jobs/{id}/profile
+	mu      sync.Mutex
+	state   string
+	done    int
+	total   int
+	result  []byte                   // a sweep's report JSON, byte-identical to the sync response
+	exp     atlarge.ExperimentResult // a run's result, set before the job reads done
+	tasks   []string                 // a run's completed task IDs, replayed by streams
+	errMsg  string
+	spans   jobSpans      // incremental span aggregates for /v1/jobs/{id}/profile
+	changed chan struct{} // closed at the next change watchers see; nil until watched
+
+	// ephemeral marks a job no POST /v1/jobs submission holds: it lives only
+	// while a request waits on it. The zero value is a held job. Guarded,
+	// like waiters, by Server.jobMu.
+	ephemeral bool
+	waiters   int // requests waiting on the job
 }
 
 // jobSpans aggregates the executor task spans of one job incrementally —
@@ -161,21 +178,28 @@ func (j *job) profileDoc() jobProfileDoc {
 	return d
 }
 
-// progress records one streamed task completion.
-func (j *job) progress(done, total int) {
+// progress records one streamed task completion. A run also logs the
+// task's ID for streams to relay; it has at most MaxReplicas tasks.
+func (j *job) progress(done, total int, id string) {
 	j.mu.Lock()
+	defer j.mu.Unlock()
 	j.done, j.total = done, total
-	j.mu.Unlock()
+	if j.kind == jobKindRun {
+		j.tasks = append(j.tasks, id)
+		j.signalLocked()
+	}
 }
 
-// finish settles the job from its run outcome; a cancelled job stays
-// cancelled even if the runner surfaces the context error afterwards.
+// finish settles the job from its run outcome — a sweep's report bytes, or
+// a run's result set by finishRun — and wakes its watchers; a cancelled job
+// stays cancelled even if the runner surfaces the context error afterwards.
 func (j *job) finish(result []byte, err error) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if j.state == jobCancelled {
+	if j.state != jobRunning {
 		return
 	}
+	j.signalLocked()
 	if err != nil {
 		j.state = jobFailed
 		j.errMsg = err.Error()
@@ -185,18 +209,73 @@ func (j *job) finish(result []byte, err error) {
 	j.result = result
 }
 
+// finishRun settles a run job with its experiment's result.
+func (j *job) finishRun(res atlarge.ExperimentResult, err error) {
+	j.mu.Lock()
+	j.exp = res
+	j.mu.Unlock()
+	j.finish(nil, err)
+}
+
 // markCancelled flips a running job to cancelled and fires its context.
-func (j *job) markCancelled() bool {
+func (j *job) markCancelled() {
 	j.mu.Lock()
 	running := j.state == jobRunning
 	if running {
 		j.state = jobCancelled
+		j.signalLocked()
 	}
 	j.mu.Unlock()
 	if running {
 		j.cancel()
 	}
-	return running
+}
+
+// signalLocked wakes every watcher. Caller holds j.mu.
+func (j *job) signalLocked() {
+	if j.changed != nil {
+		close(j.changed)
+		j.changed = nil
+	}
+}
+
+// watch blocks until the job settles or ctx is done, handing each task ID
+// the job logs to each (when non-nil) — the ones already logged first, so a
+// settled run replays its tasks. It returns nil once the job is done, and
+// otherwise why it will never be.
+func (j *job) watch(ctx context.Context, each func(id string)) error {
+	seen := 0
+	for {
+		j.mu.Lock()
+		tasks, state, errMsg := j.tasks[seen:], j.state, j.errMsg
+		var changed chan struct{}
+		if state == jobRunning {
+			if j.changed == nil {
+				j.changed = make(chan struct{})
+			}
+			changed = j.changed
+		}
+		j.mu.Unlock()
+		seen += len(tasks)
+		if each != nil {
+			for _, id := range tasks {
+				each(id)
+			}
+		}
+		switch state {
+		case jobDone:
+			return nil
+		case jobFailed:
+			return errors.New(errMsg)
+		case jobCancelled:
+			return fmt.Errorf("job %s was cancelled", j.id)
+		}
+		select {
+		case <-changed:
+		case <-ctx.Done():
+			return ctx.Err()
+		}
+	}
 }
 
 // currentState reads the job's state.

@@ -13,6 +13,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"atlarge"
 )
 
 // TestServeLoad's load: loadClients clients each submit loadJobs sweep jobs,
@@ -33,8 +35,10 @@ const (
 // TestServeLoad load-tests the serving layer in-process and audits zero
 // dropped jobs (every accepted job, refused first or not, serves a result),
 // the /v1/run p99 bound, and /metrics against the clients' tally, refusals
-// included. With workers, the dist layer reconciles too: completions cover
-// every job task, none in flight or re-dispatched.
+// included. A poison client's experiment panics on every run; each of its
+// requests must fail alone with a 500 naming the panic. With workers, the
+// dist layer reconciles too: completions cover every job task, none in
+// flight or re-dispatched.
 func TestServeLoad(t *testing.T) {
 	t.Run("local", func(t *testing.T) { runServeLoad(t, 0) })
 	t.Run("workers=3", func(t *testing.T) { runServeLoad(t, 3) })
@@ -45,10 +49,16 @@ type loadTally struct {
 	ids       []string        // accepted jobs
 	refused   int             // POSTs refused with 429 job_limit
 	latencies []time.Duration // successful /v1/run queries
+	seeds     []int           // seeds of the successful /v1/run queries
 }
 
 func runServeLoad(t *testing.T, workers int) {
-	cfg := Config{Registry: testRegistry(t), Parallelism: loadParallel, MaxJobs: loadClients}
+	reg := testRegistry(t)
+	reg.MustRegister(atlarge.Experiment{
+		ID: "poison", Title: "poison", Order: 99,
+		Run: func(int64) (*atlarge.Report, error) { panic("poisoned experiment") },
+	})
+	cfg := Config{Registry: reg, Parallelism: loadParallel, MaxJobs: loadClients}
 	if workers > 0 {
 		cfg.Workers = startDistWorkers(t, workers)
 	}
@@ -60,8 +70,15 @@ func runServeLoad(t *testing.T, workers int) {
 	defer ts.Close()
 
 	tallies := make([]loadTally, loadClients)
-	errs := make(chan error, loadClients)
+	errs := make(chan error, loadClients+1)
 	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		if err := poisonClient(ts.URL); err != nil {
+			errs <- fmt.Errorf("poison client: %w", err)
+		}
+	}()
 	for c := range tallies {
 		wg.Add(1)
 		go func() {
@@ -80,8 +97,13 @@ func runServeLoad(t *testing.T, workers int) {
 	for _, tl := range tallies {
 		all.ids = append(all.ids, tl.ids...)
 		all.latencies = append(all.latencies, tl.latencies...)
+		all.seeds = append(all.seeds, tl.seeds...)
 		all.refused += tl.refused
 	}
+	// Every distinct seed queried made one run job per experiment of
+	// ids=alpha,beta; the poison job failed and is not done.
+	slices.Sort(all.seeds)
+	runKeys := 2 * len(slices.Compact(all.seeds))
 	t.Logf("%d job submissions refused at the job limit and retried", all.refused)
 
 	// Zero dropped jobs: only a done job serves a 200 result.
@@ -100,7 +122,7 @@ func runServeLoad(t *testing.T, workers int) {
 	// /metrics reconciles with the tally. The scrape is itself a request,
 	// so audit one snapshot. An atLeast check passes at got >= want.
 	m := scrapeMetrics(t, ts.URL)
-	runs, jobs := float64(loadClients*loadRounds), float64(len(all.ids))
+	runs, jobs := float64((loadClients+1)*loadRounds), float64(len(all.ids))
 	type check struct {
 		name      string
 		got, want float64
@@ -111,7 +133,7 @@ func runServeLoad(t *testing.T, workers int) {
 		{"requests_total POST /v1/jobs", sumSeries(m, `atlarge_http_requests_total{endpoint="POST /v1/jobs"`), jobs + float64(all.refused), false},
 		{"requests_total POST /v1/jobs 429", m[`atlarge_http_requests_total{endpoint="POST /v1/jobs",code="429"}`], float64(all.refused), false},
 		{"latency histogram count GET /v1/run", m[`atlarge_http_request_duration_seconds_count{endpoint="GET /v1/run"}`], runs, false},
-		{"jobs done gauge", m[`atlarge_jobs{state="done"}`], jobs, false},
+		{"jobs done gauge (sweep jobs and run keys)", m[`atlarge_jobs{state="done"}`], jobs + float64(runKeys), false},
 		{"jobs running gauge", m[`atlarge_jobs{state="running"}`], 0, false},
 		{"queue depth", m["atlarge_queue_depth"], 0, false},
 		{"tasks_completed_total (job tasks alone)", m["atlarge_tasks_completed_total"], jobs * loadJobTasks, true},
@@ -158,6 +180,27 @@ func loadClient(base string, c int, tl *loadTally) error {
 			return fmt.Errorf("/v1/run seed %d: status %d", seed, resp.StatusCode)
 		}
 		tl.latencies = append(tl.latencies, time.Since(start))
+		tl.seeds = append(tl.seeds, seed)
+	}
+	return nil
+}
+
+// poisonClient queries the panicking experiment every round and expects
+// each query to fail with a 500 whose envelope names the panic.
+func poisonClient(base string) error {
+	httpc := &http.Client{Timeout: 30 * time.Second}
+	for r := 0; r < loadRounds; r++ {
+		resp, err := httpc.Get(base + "/v1/run?ids=poison")
+		if err != nil {
+			return err
+		}
+		raw, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		var env errorEnvelope
+		_ = json.Unmarshal(raw, &env)
+		if resp.StatusCode != http.StatusInternalServerError || !strings.Contains(env.Error.Message, "poisoned experiment") {
+			return fmt.Errorf("/v1/run?ids=poison: status %d, body %s; want 500 naming the panic", resp.StatusCode, raw)
+		}
 	}
 	return nil
 }

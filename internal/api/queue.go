@@ -12,18 +12,19 @@ import (
 // /v1/scenario/sweep, /v1/jobs) behind two checks:
 //
 //  1. a per-client token bucket (Config.Rate/Burst, keyed by the
-//     X-Atlarge-Client header or the remote host), and
+//     X-Atlarge-Client header or the remote host), checked on every such
+//     request, and
 //  2. pending-task backpressure: when the executor's pending-task queue —
 //     shared across every plan the server runs — exceeds Config.QueueDepth,
-//     new work is refused with 429 instead of being accepted into a pool
-//     that cannot absorb it.
+//     a request that would create a job is refused with 429 instead of
+//     being accepted into a pool that cannot absorb it (the job table
+//     checks it; joining a job adds no work and is never refused).
 //
 // Both refusals carry a computed Retry-After: the rate limiter knows its
 // exact refill time, and the queue check estimates drain time from the
 // recently observed task completion rate.
 type admission struct {
 	limiter     *rateLimiter // nil = no rate limiting
-	stats       *exec.Stats
 	maxQueue    int64
 	completions *rateTracker // smoothed task completion rate (tasks/second)
 }
@@ -67,7 +68,6 @@ func (t *rateTracker) rate() float64 {
 func newAdmission(limiter *rateLimiter, stats *exec.Stats, maxQueue int) *admission {
 	return &admission{
 		limiter:     limiter,
-		stats:       stats,
 		maxQueue:    int64(maxQueue),
 		completions: newRateTracker(func() float64 { return float64(stats.Completed()) }),
 	}
@@ -91,17 +91,8 @@ func (a *admission) drainEstimate(backlog int64) int {
 	return secs
 }
 
-// admit runs both checks for one work-submitting request, writing the 429
-// envelope itself on refusal. Callers that would not enqueue anything (a
-// fully cache-served /v1/run) should call admitClient only.
-func (a *admission) admit(w http.ResponseWriter, r *http.Request) bool {
-	if !a.admitClient(w, r) {
-		return false
-	}
-	return a.admitQueue(w)
-}
-
-// admitClient is the token-bucket half of admission.
+// admitClient is the token-bucket half of admission, writing the 429
+// envelope itself on refusal.
 func (a *admission) admitClient(w http.ResponseWriter, r *http.Request) bool {
 	if a.limiter == nil {
 		return true
@@ -114,14 +105,10 @@ func (a *admission) admitClient(w http.ResponseWriter, r *http.Request) bool {
 	return true
 }
 
-// admitQueue is the backpressure half of admission.
-func (a *admission) admitQueue(w http.ResponseWriter) bool {
-	pending := a.stats.Pending()
-	if pending < a.maxQueue {
-		return true
-	}
+// refuseQueue writes the backpressure half's refusal for a queue found
+// holding pending tasks.
+func (a *admission) refuseQueue(w http.ResponseWriter, pending int64) {
 	retryAfter := a.drainEstimate(pending - a.maxQueue + 1)
 	writeRetryError(w, http.StatusTooManyRequests, errQueueFull, retryAfter,
 		"pending-task queue is full (%d tasks, bound %d); retry after %d s", pending, a.maxQueue, retryAfter)
-	return false
 }

@@ -1,3 +1,9 @@
+// Package api serves experiment and scenario results over HTTP — the
+// `atlarge serve` layer of the Results API v2. Results are machine-readable
+// typed documents, so they can feed programmatic design cycles. Every piece
+// of work the server runs is a job in one table keyed by the content of the
+// work, so repeated and concurrent identical queries share one execution
+// and its retained result.
 package api
 
 import (
@@ -31,12 +37,9 @@ type Config struct {
 	// Registry supplies the experiment catalog; nil means the default
 	// built-in catalog.
 	Registry *atlarge.Registry
-	// Parallelism bounds the worker pool behind /v1/run and sweeps; <= 0
-	// means GOMAXPROCS.
+	// Parallelism bounds the worker pool behind each job; <= 0 means
+	// GOMAXPROCS.
 	Parallelism int
-	// CacheSize caps the LRU result cache (entries, one per cached
-	// (experiment, seed, replicas) triple); <= 0 means 256.
-	CacheSize int
 	// MaxReplicas rejects run requests asking for more replicas; <= 0
 	// means 64.
 	MaxReplicas int
@@ -45,12 +48,14 @@ type Config struct {
 	// Values above 4096 (the scenario engine's own hard expansion bound)
 	// are clamped to it.
 	MaxCells int
-	// MaxJobs bounds concurrently running async jobs; <= 0 means 4.
+	// MaxJobs bounds the running jobs POST /v1/jobs submissions hold; work
+	// a request waits on is bounded by Rate and QueueDepth instead. <= 0
+	// means 4.
 	MaxJobs int
-	// KeepJobs bounds the finished-job history retained for status
-	// queries; the oldest finished jobs beyond it are evicted (their IDs
-	// are remembered, so fetching an evicted result is 410 result_evicted,
-	// not 404). <= 0 means 64.
+	// KeepJobs bounds the finished jobs retained — sweep reports and
+	// experiment run results alike; the oldest finished jobs beyond it are
+	// evicted (their IDs are remembered, so fetching an evicted result is
+	// 410 result_evicted, not 404). <= 0 means 256.
 	KeepJobs int
 	// Rate is the per-client admission rate for work-submitting endpoints
 	// (requests/second, token bucket keyed by X-Atlarge-Client or remote
@@ -59,13 +64,14 @@ type Config struct {
 	// Burst is the token bucket capacity; <= 0 means max(1, ceil(Rate)).
 	Burst int
 	// QueueDepth bounds the pending-task queue across all work the server
-	// is running: submissions that would push past it are refused with 429
-	// and a computed Retry-After. <= 0 means 4096.
+	// is running: once it is that deep, requests that would create a job
+	// are refused with 429 and a computed Retry-After. <= 0 means 4096.
 	QueueDepth int
-	// StateDir, when non-empty, makes jobs durable: specs and state
+	// StateDir, when non-empty, makes sweep jobs durable: specs and state
 	// persist under this directory (shared with the sweep checkpoint
 	// store, so a job's partial results live next to its record), and
-	// RecoverJobs resumes interrupted jobs after a restart.
+	// RecoverJobs resumes interrupted jobs after a restart. Run jobs stay
+	// in memory.
 	StateDir string
 	// Workers lists remote worker addresses ("host:port" or http URLs); when
 	// non-empty (and after ConnectWorkers succeeds), sweeps execute across
@@ -80,42 +86,36 @@ type Config struct {
 	KernelProfile bool
 }
 
-// runKey identifies one cached experiment result: results are cached per
-// experiment, not per request, so overlapping id sets share entries.
-type runKey struct {
-	id       string
-	seed     int64
-	replicas int
-}
-
 // Server is the HTTP face of the Results API:
 //
 //	GET    /v1/experiments                     the experiment catalog
-//	GET    /v1/run?ids=&seed=&replicas=        typed run results (LRU-cached)
-//	GET    /v1/run/stream?ids=&seed=&replicas= the same run as live NDJSON progress events
-//	POST   /v1/scenario/sweep?seed=&replicas=  expand + run a scenario spec body synchronously
+//	GET    /v1/run?ids=&seed=&replicas=        typed run results (one run job per experiment)
+//	GET    /v1/run/stream?ids=&seed=&replicas= the same run jobs' progress as live NDJSON events
+//	POST   /v1/scenario/sweep?seed=&replicas=  run a scenario spec body as a sweep job and wait
 //	POST   /v1/jobs                            submit async work ({"kind","spec","seed"?,"replicas"?})
-//	GET    /v1/jobs?state=                     list jobs, optionally filtered by state
+//	GET    /v1/jobs?state=                     list jobs of every kind, optionally filtered by state
 //	GET    /v1/jobs/{id}                       one job's resource document
-//	GET    /v1/jobs/{id}/result                the finished job's report (sync-identical bytes)
+//	GET    /v1/jobs/{id}/result                the finished job's result (sync-identical bytes)
 //	GET    /v1/jobs/{id}/profile               the job's execution profile (span aggregates)
 //	DELETE /v1/jobs/{id}                       cancel a running job mid-plan
 //	GET    /metrics                            Prometheus text-format server metrics
 //
-// Job IDs are the content hash of (spec, seed, replicas) — the same hash
-// the sweep checkpoint store uses — so identical sweeps submitted by
-// concurrent clients dedup onto one job, and with Config.StateDir set jobs
-// survive restarts: RecoverJobs re-lists finished jobs and resumes
-// interrupted ones byte-identically from their checkpointed tasks.
+// Every endpoint that runs work does so through one job table. A sweep
+// job's ID is the content hash of (spec, seed, replicas) — the same hash
+// the sweep checkpoint store uses — and a run job's names its (experiment,
+// seed, replicas), so identical work from concurrent clients dedups onto
+// one job and a finished job answers repeats until it is evicted. With
+// Config.StateDir set sweep jobs survive restarts: RecoverJobs re-lists
+// finished jobs and resumes interrupted ones byte-identically from their
+// checkpointed tasks.
 //
 // All responses are JSON; errors use the typed envelope
 // {"error": {"code", "message", "retry_after"?}}. Run results are
-// byte-identical for a fixed query at any parallelism and across cache hits
-// and misses, and an async job's result is byte-identical to the
-// synchronous sweep response for the same spec.
+// byte-identical for a fixed query at any parallelism and whether their
+// jobs ran or were joined, and a job's result is byte-identical to the
+// synchronous response for the same work.
 type Server struct {
 	cfg      Config
-	cache    *lruCache[runKey, atlarge.ExperimentResult]
 	mux      *http.ServeMux
 	stats    *exec.Stats
 	adm      *admission
@@ -128,13 +128,8 @@ type Server struct {
 	distClients []*dist.Client
 	distStats   *dist.Stats
 
-	// mu guards inflight (and makes the cache-lookup/flight-registration
-	// pair atomic): concurrent identical misses coalesce onto one flight
-	// instead of re-running the same simulation.
-	mu       sync.Mutex
-	inflight map[runKey]*flight
-
-	// jobMu guards the async job table and the evicted-ID memory.
+	// jobMu guards the job table, the evicted-ID memory and every job's
+	// waiters and hold.
 	jobMu        sync.Mutex
 	jobs         map[string]*job
 	jobOrder     []string
@@ -155,22 +150,12 @@ type Server struct {
 	kprof *obs.SharedProfile
 }
 
-// flight is one in-progress computation of a runKey; waiters block on done.
-type flight struct {
-	done chan struct{}
-	res  atlarge.ExperimentResult
-	err  error
-}
-
 // New returns a ready-to-serve Server. With Config.StateDir set, call
 // RecoverJobs before serving traffic to re-list and resume persisted jobs;
 // New itself never launches work.
 func New(cfg Config) *Server {
 	if cfg.Registry == nil {
 		cfg.Registry = atlarge.DefaultRegistry()
-	}
-	if cfg.CacheSize <= 0 {
-		cfg.CacheSize = 256
 	}
 	if cfg.MaxReplicas <= 0 {
 		cfg.MaxReplicas = 64
@@ -182,17 +167,15 @@ func New(cfg Config) *Server {
 		cfg.MaxJobs = 4
 	}
 	if cfg.KeepJobs <= 0 {
-		cfg.KeepJobs = 64
+		cfg.KeepJobs = 256
 	}
 	if cfg.QueueDepth <= 0 {
 		cfg.QueueDepth = 4096
 	}
 	s := &Server{
 		cfg:       cfg,
-		cache:     newLRU[runKey, atlarge.ExperimentResult](cfg.CacheSize),
 		mux:       http.NewServeMux(),
 		stats:     &exec.Stats{},
-		inflight:  make(map[runKey]*flight),
 		jobs:      make(map[string]*job),
 		evicted:   make(map[string]bool),
 		distStats: &dist.Stats{},
@@ -246,16 +229,6 @@ func (s *Server) ConnectWorkers(ctx context.Context) error {
 	return nil
 }
 
-// maybeDistribute routes a sweep's execution across the connected workers by
-// installing the dispatcher as the run's executor; a no-op without workers,
-// leaving the in-process pool in place.
-func (s *Server) maybeDistribute(opt *scenario.Options, spec *scenario.Spec) error {
-	if len(s.distClients) == 0 {
-		return nil
-	}
-	return scenario.Distribute(opt, spec, s.distClients, s.distStats)
-}
-
 // initMetrics registers the server's Prometheus instruments: saturation
 // signals (queue depth, running tasks, completion rate), cache
 // effectiveness, job-table state, and per-endpoint traffic and latency.
@@ -267,11 +240,11 @@ func (s *Server) initMetrics() {
 	s.mLatency = m.HistogramVec("atlarge_http_request_duration_seconds",
 		"HTTP request latency in seconds, by route pattern.", nil, "endpoint")
 	s.mCacheHits = m.Counter("atlarge_cache_hits_total",
-		"Run-result LRU cache hits.")
+		"Run lookups answered by a finished run job.")
 	s.mCacheMisses = m.Counter("atlarge_cache_misses_total",
-		"Run-result LRU cache misses.")
+		"Run lookups that created a run job.")
 	m.GaugeFunc("atlarge_cache_hit_ratio",
-		"Fraction of run-result cache lookups served from cache.", func() float64 {
+		"Fraction of run lookups answered by a finished run job.", func() float64 {
 			h, miss := float64(s.mCacheHits.Value()), float64(s.mCacheMisses.Value())
 			if h+miss == 0 {
 				return 0
@@ -461,144 +434,59 @@ func (s *Server) parseRunQuery(w http.ResponseWriter, r *http.Request) (ids []st
 
 func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	ids, seed, replicas, ok := s.parseRunQuery(w, r)
+	if !ok || !s.adm.admitClient(w, r) {
+		return
+	}
+	jobs, prior, ok := s.launch(w, s.runWorks(ids, seed, replicas), false)
 	if !ok {
 		return
 	}
-	if !s.adm.admitClient(w, r) {
-		return
-	}
-
-	// Serve each experiment from the (id, seed, replicas) cache. Misses
-	// either join an identical in-flight computation (so two concurrent
-	// queries for the slow tab9 simulate it once) or are claimed by this
-	// request and computed in one runner invocation, fanning out over the
-	// worker pool. Queue backpressure applies only when this request would
-	// actually enqueue work: fully cached (or coalesced) requests are
-	// served even under overload.
-	results := make(map[string]atlarge.ExperimentResult, len(ids))
-	owned := make(map[string]*flight)
-	joined := make(map[string]*flight)
-	s.mu.Lock()
-	wouldRun := false
-	for _, id := range ids {
-		key := runKey{id, seed, replicas}
-		if _, ok := s.cache.Get(key); ok {
-			continue
+	defer s.release(jobs)
+	doc := &atlarge.RunDocument{Seed: seed, Experiments: make([]atlarge.ExperimentResult, 0, len(jobs))}
+	for _, j := range jobs {
+		if err := j.watch(r.Context(), nil); err != nil {
+			writeError(w, http.StatusInternalServerError, errInternal, "%v", err)
+			return
 		}
-		if _, ok := s.inflight[key]; ok {
-			continue
-		}
-		wouldRun = true
-		break
+		doc.Experiments = append(doc.Experiments, j.exp)
 	}
-	if wouldRun && s.stats.Pending() >= int64(s.cfg.QueueDepth) {
-		s.mu.Unlock()
-		s.adm.admitQueue(w) // writes the 429 + Retry-After envelope
-		return
-	}
-	for _, id := range ids {
-		key := runKey{id, seed, replicas}
-		if res, ok := s.cache.Get(key); ok {
-			results[id] = res
+	hits := 0
+	for _, p := range prior {
+		switch p {
+		case jobDone:
+			hits++
 			s.mCacheHits.Inc()
-			continue
+		case "":
+			s.mCacheMisses.Inc()
 		}
-		if f, ok := s.inflight[key]; ok {
-			joined[id] = f
-			continue
-		}
-		s.mCacheMisses.Inc()
-		f := &flight{done: make(chan struct{})}
-		s.inflight[key] = f
-		owned[id] = f
 	}
-	s.mu.Unlock()
-
-	var runErr error
-	if len(owned) > 0 {
-		// Keyed off the owned set (not ids) so a duplicated id in the query
-		// runs once; result bytes are order-independent because seeds derive
-		// from (baseSeed, id, replica) alone.
-		toRun := make([]string, 0, len(owned))
-		for id := range owned {
-			toRun = append(toRun, id)
-		}
-		runner := &atlarge.Runner{
-			Registry:    s.cfg.Registry,
-			Parallelism: s.cfg.Parallelism,
-			Replicas:    replicas,
-			Stats:       s.stats,
-		}
-		runResults, err := runner.Run(toRun, seed)
-		runErr = err
-		byID := make(map[string]atlarge.ExperimentResult)
-		if runResults != nil {
-			for _, res := range atlarge.NewRunDocument(seed, runResults).Experiments {
-				byID[res.ID] = res
-			}
-		}
-		// Settle every owned flight — success or failure — before any
-		// early return, so joined waiters never block forever.
-		s.mu.Lock()
-		for id, f := range owned {
-			key := runKey{id, seed, replicas}
-			if res, ok := byID[id]; ok {
-				f.res = res
-				s.cache.Put(key, res)
-				results[id] = res
-			} else {
-				f.err = err
-				if f.err == nil {
-					f.err = fmt.Errorf("atlarge: experiment %s produced no result", id)
-				}
-				runErr = f.err
-			}
-			delete(s.inflight, key)
-			close(f.done)
-		}
-		s.mu.Unlock()
-	}
-	for id, f := range joined {
-		<-f.done
-		if f.err != nil && runErr == nil {
-			runErr = f.err
-		}
-		results[id] = f.res
-	}
-	if runErr != nil {
-		writeError(w, http.StatusInternalServerError, errInternal, "%v", runErr)
-		return
-	}
-
-	doc := &atlarge.RunDocument{Seed: seed}
-	for _, id := range ids {
-		doc.Experiments = append(doc.Experiments, results[id])
-	}
-	cacheState := "hit"
-	if misses := len(owned) + len(joined); misses == len(ids) {
+	cacheState := "partial"
+	switch hits {
+	case len(ids):
+		cacheState = "hit"
+	case 0:
 		cacheState = "miss"
-	} else if misses > 0 {
-		cacheState = "partial"
 	}
 	w.Header().Set("X-Atlarge-Cache", cacheState)
 	writeJSON(w, http.StatusOK, doc)
 }
 
-// handleRunStream is the live form of /v1/run: the same validated query,
-// but the response is NDJSON — one "plan" line, one "task" line per
-// (experiment, replica) completion as it streams out of the executor, and a
-// final "result" line carrying the full RunDocument (or an "error" line).
-// The connection's context cancels the run, so a client hanging up stops
-// the simulation instead of orphaning it.
+// handleRunStream is the live form of /v1/run: the same validated query and
+// the same run jobs, but the response is NDJSON — one "plan" line, one
+// "task" line per (experiment, replica) completion as the jobs log them,
+// relayed one job after another in request order (all of them run
+// meanwhile; a job's completions so far are replayed at once), and a final
+// "result" line carrying the full RunDocument (or an "error" line).
 func (s *Server) handleRunStream(w http.ResponseWriter, r *http.Request) {
 	ids, seed, replicas, ok := s.parseRunQuery(w, r)
+	if !ok || !s.adm.admitClient(w, r) {
+		return
+	}
+	jobs, _, ok := s.launch(w, s.runWorks(ids, seed, replicas), false)
 	if !ok {
 		return
 	}
-	// Streams always simulate live, so both admission checks apply.
-	if !s.adm.admit(w, r) {
-		return
-	}
+	defer s.release(jobs)
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.WriteHeader(http.StatusOK)
 	flusher, _ := w.(http.Flusher)
@@ -633,99 +521,126 @@ func (s *Server) handleRunStream(w http.ResponseWriter, r *http.Request) {
 		Error    string               `json:"error,omitempty"`
 	}
 
-	line(planEvent{Type: "plan", Total: len(ids) * replicas, Seed: seed, Replicas: replicas})
-	runner := &atlarge.Runner{
-		Registry:    s.cfg.Registry,
-		Parallelism: s.cfg.Parallelism,
-		Replicas:    replicas,
-		Stats:       s.stats,
-		Progress: func(done, total int, id string) {
+	total, done := len(ids)*replicas, 0
+	line(planEvent{Type: "plan", Total: total, Seed: seed, Replicas: replicas})
+	doc := &atlarge.RunDocument{Seed: seed}
+	for _, j := range jobs {
+		err := j.watch(r.Context(), func(id string) {
+			done++
 			line(taskEvent{Type: "task", ID: id, Done: done, Total: total})
-		},
-	}
-	results, err := runner.RunContext(r.Context(), ids, seed)
-	if err != nil {
-		line(resultEvent{Type: "error", Error: err.Error()})
-		return
-	}
-	doc := atlarge.NewRunDocument(seed, results)
-	// Streams feed the (id, seed, replicas) cache so subsequent /v1/run
-	// queries are answered without re-running.
-	for _, res := range doc.Experiments {
-		s.cache.Put(runKey{res.ID, seed, replicas}, res)
+		})
+		if err != nil {
+			line(resultEvent{Type: "error", Error: err.Error()})
+			return
+		}
+		doc.Experiments = append(doc.Experiments, j.exp)
 	}
 	line(resultEvent{Type: "result", Document: doc})
 }
 
-// boundSweep applies the replica and cell bounds shared by both sweep
-// entry points (sync and /v1/jobs), pinning the effective replica
-// count into opt and writing the error response itself on failure. The cell
-// bound is enforced from the sweep's axis cardinalities alone, before any
-// cell is materialized, so a degenerate spec cannot make the server
-// allocate its cross-product.
-func (s *Server) boundSweep(w http.ResponseWriter, spec *scenario.Spec, opt *scenario.Options) ([]scenario.Scenario, bool) {
-	// Pin the effective replica count (request, else spec, else 1) so the
-	// bound covers both sources — a spec body declaring a huge "replicas"
-	// must be rejected exactly like a huge request parameter.
-	if opt.Replicas <= 0 {
-		opt.Replicas = max(spec.Replicas, 1)
+// jobWork is one job a request asks the table for: the job's identity and
+// plan size, and what the job runner needs to run it — a sweep's spec and
+// cells, or a run's experiment (its name).
+type jobWork struct {
+	id, kind, name string
+	total          int
+	seed           int64 // effective seed
+	replicas       int   // effective replica count
+	spec           *scenario.Spec
+	cells          []scenario.Scenario
+}
+
+// runJobID names the run job of one (experiment, seed, replicas). The "run-"
+// prefix can never begin a sweep job's hex content hash, so the two kinds
+// share one ID space without colliding.
+func runJobID(exp string, seed int64, replicas int) string {
+	return "run-" + exp + "-s" + strconv.FormatInt(seed, 10) + "-r" + strconv.Itoa(replicas)
+}
+
+// runWorks is the run job of each requested experiment, in request order.
+func (s *Server) runWorks(ids []string, seed int64, replicas int) []jobWork {
+	works := make([]jobWork, len(ids))
+	for i, id := range ids {
+		works[i] = jobWork{id: runJobID(id, seed, replicas), kind: jobKindRun, name: id, total: replicas, seed: seed, replicas: replicas}
 	}
-	if opt.Replicas > s.cfg.MaxReplicas {
+	return works
+}
+
+// sweepWork applies the checks shared by both sweep entry points (sync and
+// /v1/jobs) — a usable state dir, the replica and cell bounds — and
+// resolves the sweep job, writing the error response itself on failure. The effective replica count (request, else
+// spec, else 1) is bounded, so a spec body declaring a huge "replicas" is
+// rejected exactly like a huge request parameter; the cell bound is
+// enforced from the sweep's axis cardinalities alone, before any cell is
+// materialized, so a degenerate spec cannot make the server allocate its
+// cross-product.
+func (s *Server) sweepWork(w http.ResponseWriter, spec *scenario.Spec, seed *int64, replicas int) (jobWork, bool) {
+	if s.storeErr != nil {
+		// Refuse rather than silently accepting volatile work on a server
+		// that promised durability.
+		writeError(w, http.StatusInternalServerError, errInternal, "%v", s.storeErr)
+		return jobWork{}, false
+	}
+	eff, replicas := scenario.Effective(spec, scenario.Options{Seed: seed, Replicas: replicas})
+	if replicas > s.cfg.MaxReplicas {
 		writeError(w, http.StatusBadRequest, errBadRequest, "replicas must be in 1..%d", s.cfg.MaxReplicas)
-		return nil, false
+		return jobWork{}, false
 	}
 	if size := scenario.SweepSize(spec); size > s.cfg.MaxCells {
 		writeError(w, http.StatusBadRequest, errBadRequest,
 			"sweep axis cardinalities multiply to more than this server's limit of %d cells; split the sweep", s.cfg.MaxCells)
-		return nil, false
+		return jobWork{}, false
 	}
 	cells, err := scenario.Expand(spec)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, errBadRequest, "%v", err)
-		return nil, false
+		return jobWork{}, false
 	}
-	return cells, true
+	id, err := scenario.RunHash(spec, eff, replicas)
+	if err != nil {
+		writeError(w, http.StatusInternalServerError, errInternal, "%v", err)
+		return jobWork{}, false
+	}
+	return jobWork{
+		id: id, kind: jobKindSweep, name: spec.Name, total: len(cells) * replicas,
+		seed: eff, replicas: replicas, spec: spec, cells: cells,
+	}, true
 }
 
 // parseSweepRequest validates a synchronous sweep request — body spec plus
 // seed/replicas query parameters — writing the error response itself on
 // failure.
-func (s *Server) parseSweepRequest(w http.ResponseWriter, r *http.Request) (*scenario.Spec, []scenario.Scenario, scenario.Options, bool) {
-	none := scenario.Options{}
+func (s *Server) parseSweepRequest(w http.ResponseWriter, r *http.Request) (jobWork, bool) {
 	r.Body = http.MaxBytesReader(w, r.Body, maxSpecBytes)
 	spec, err := scenario.Parse(r.Body)
 	if err != nil {
 		var tooBig *http.MaxBytesError
 		if errors.As(err, &tooBig) {
 			writeError(w, http.StatusRequestEntityTooLarge, errPayloadTooLarge, "spec body exceeds %d bytes", tooBig.Limit)
-			return nil, nil, none, false
+			return jobWork{}, false
 		}
 		writeError(w, http.StatusBadRequest, errBadRequest, "%v", err)
-		return nil, nil, none, false
+		return jobWork{}, false
 	}
 	q := r.URL.Query()
-	opt := scenario.Options{Parallelism: s.cfg.Parallelism}
+	var seed *int64
 	if raw := q.Get("seed"); raw != "" {
-		seed, err := strconv.ParseInt(raw, 10, 64)
+		v, err := strconv.ParseInt(raw, 10, 64)
 		if err != nil {
 			writeError(w, http.StatusBadRequest, errBadRequest, "bad seed: %v", err)
-			return nil, nil, none, false
+			return jobWork{}, false
 		}
-		opt.Seed = &seed
+		seed = &v
 	}
+	replicas := 0
 	if raw := q.Get("replicas"); raw != "" {
-		replicas, err := strconv.Atoi(raw)
+		replicas, err = strconv.Atoi(raw)
 		if err != nil || replicas < 1 {
 			writeError(w, http.StatusBadRequest, errBadRequest, "replicas must be in 1..%d", s.cfg.MaxReplicas)
-			return nil, nil, none, false
+			return jobWork{}, false
 		}
-		opt.Replicas = replicas
 	}
-	cells, ok := s.boundSweep(w, spec, &opt)
-	if !ok {
-		return nil, nil, none, false
-	}
-	return spec, cells, opt, true
+	return s.sweepWork(w, spec, seed, replicas)
 }
 
 func (s *Server) handleScenarioSweep(w http.ResponseWriter, r *http.Request) {
@@ -736,26 +651,23 @@ func (s *Server) handleScenarioSweep(w http.ResponseWriter, r *http.Request) {
 			"the async parameter is removed; submit asynchronous sweeps to POST /v1/jobs")
 		return
 	}
-	if !s.adm.admit(w, r) {
+	if !s.adm.admitClient(w, r) {
 		return
 	}
-	spec, cells, opt, ok := s.parseSweepRequest(w, r)
+	work, ok := s.parseSweepRequest(w, r)
 	if !ok {
 		return
 	}
-	opt.Stats = s.stats
-	if err := s.maybeDistribute(&opt, spec); err != nil {
+	jobs, _, ok := s.launch(w, []jobWork{work}, false)
+	if !ok {
+		return
+	}
+	defer s.release(jobs)
+	if err := jobs[0].watch(r.Context(), nil); err != nil {
 		writeError(w, http.StatusInternalServerError, errInternal, "%v", err)
 		return
 	}
-	rep, err := scenario.Run(r.Context(), spec, cells, opt)
-	if err != nil {
-		writeError(w, http.StatusInternalServerError, errInternal, "%v", err)
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(http.StatusOK)
-	_ = rep.WriteJSON(w)
+	s.writeJobResult(w, jobs[0])
 }
 
 // jobRequest is the body of POST /v1/jobs: a kind, its spec, and optional
@@ -768,7 +680,7 @@ type jobRequest struct {
 }
 
 func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
-	if !s.adm.admit(w, r) {
+	if !s.adm.admitClient(w, r) {
 		return
 	}
 	r.Body = http.MaxBytesReader(w, r.Body, maxSpecBytes)
@@ -785,7 +697,7 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if req.Kind != jobKindSweep {
-		writeError(w, http.StatusBadRequest, errBadRequest, "unknown job kind %q (known kinds: %s)", req.Kind, jobKindSweep)
+		writeError(w, http.StatusBadRequest, errBadRequest, "unknown job kind %q (submittable kinds: %s)", req.Kind, jobKindSweep)
 		return
 	}
 	if len(req.Spec) == 0 {
@@ -801,134 +713,201 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, errBadRequest, "%v", err)
 		return
 	}
-	opt := scenario.Options{Parallelism: s.cfg.Parallelism, Seed: req.Seed, Replicas: req.Replicas}
-	cells, ok := s.boundSweep(w, spec, &opt)
+	work, ok := s.sweepWork(w, spec, req.Seed, req.Replicas)
 	if !ok {
 		return
 	}
-	j, created, ok := s.launchJob(w, spec, cells, opt)
+	jobs, prior, ok := s.launch(w, []jobWork{work}, true)
 	if !ok {
 		return
 	}
 	status := http.StatusOK // deduped onto an existing job
-	if created {
+	if prior[0] == "" {
 		status = http.StatusAccepted
 	}
-	writeJSON(w, status, j.doc())
+	writeJSON(w, status, jobs[0].doc())
 }
 
-// launchJob registers and starts one async job, or dedups onto an existing
-// one: the job ID is scenario.RunHash(spec, seed, replicas) — the sweep
-// checkpoint key — so identical submissions share a single execution (and,
-// with a state dir, a single durable record). Failed and cancelled jobs do
-// not absorb resubmissions; a fresh attempt relaunches under the same ID.
-// Errors (job limit, persistence failure) are written by launchJob itself;
-// the caller renders the success response from the returned job.
-func (s *Server) launchJob(w http.ResponseWriter, spec *scenario.Spec, cells []scenario.Scenario, opt scenario.Options) (_ *job, created, ok bool) {
-	if s.storeErr != nil {
-		// Refuse rather than silently accepting volatile work on a server
-		// that promised durability.
-		writeError(w, http.StatusInternalServerError, errInternal, "%v", s.storeErr)
-		return nil, false, false
-	}
-	seed, replicas := scenario.Effective(spec, opt)
-	id, err := scenario.RunHash(spec, seed, replicas)
-	if err != nil {
-		writeError(w, http.StatusInternalServerError, errInternal, "%v", err)
-		return nil, false, false
-	}
-	total := len(cells) * replicas
-
+// launch resolves each work item to its job, all or none: it joins a
+// running or done job with the work's ID, or creates and starts one. Failed
+// and cancelled jobs do not absorb new requests; a fresh attempt relaunches
+// under the same ID. hold marks a POST /v1/jobs submission, which keeps its
+// job running with no request waiting; every other caller waits on the
+// returned jobs and must release them. prior is each job's state before
+// the call, or "" for a job this call created — or, for a submission, is
+// the first to hold.
+//
+// Refusals are written by launch itself, before anything is joined: a full
+// pending-task queue refuses requests that would create a job (joining one
+// never adds work), and MaxJobs refuses submissions that would take hold
+// of one more running job.
+func (s *Server) launch(w http.ResponseWriter, works []jobWork, hold bool) (jobs []*job, prior []string, ok bool) {
 	s.jobMu.Lock()
-	if existing, found := s.jobs[id]; found {
-		if st := existing.currentState(); st == jobRunning || st == jobDone {
-			s.jobMu.Unlock()
-			return existing, false, true
+	creates, holds := 0, 0
+	for i := range works {
+		if j, state := s.liveJobLocked(works[i].id); j == nil {
+			creates++
+		} else if hold && j.ephemeral && state == jobRunning {
+			holds++
 		}
 	}
-	running := 0
-	for _, j := range s.jobs {
-		if j.currentState() == jobRunning {
-			running++
-		}
-	}
-	if running >= s.cfg.MaxJobs {
+	if pending := s.stats.Pending(); creates > 0 && pending >= s.adm.maxQueue {
 		s.jobMu.Unlock()
-		retry := s.adm.drainEstimate(s.stats.Pending() + int64(total))
-		writeRetryError(w, http.StatusTooManyRequests, errJobLimit, retry,
-			"%d job(s) already running (limit %d); retry later or cancel one", running, s.cfg.MaxJobs)
-		return nil, false, false
+		s.adm.refuseQueue(w, pending)
+		return nil, nil, false
 	}
-	ctx, cancel := context.WithCancel(context.Background())
-	j := &job{id: id, kind: jobKindSweep, name: spec.Name, cancel: cancel, state: jobRunning, total: total, exited: make(chan struct{})}
-	if _, seen := s.jobs[id]; !seen {
-		s.jobOrder = append(s.jobOrder, id)
+	if hold && creates+holds > 0 {
+		if held := s.heldRunningLocked(); held >= s.cfg.MaxJobs {
+			s.jobMu.Unlock()
+			retry := s.adm.drainEstimate(s.stats.Pending() + int64(works[0].total))
+			writeRetryError(w, http.StatusTooManyRequests, errJobLimit, retry,
+				"%d job(s) already running (limit %d); retry later or cancel one", held, s.cfg.MaxJobs)
+			return nil, nil, false
+		}
 	}
-	s.jobs[id] = j
-	s.evictFinishedLocked()
+	jobs, prior = make([]*job, len(works)), make([]string, len(works))
+	for i := range works {
+		j, state := s.liveJobLocked(works[i].id)
+		if j == nil {
+			j = s.startJob(&works[i], !hold)
+			s.putLocked(j)
+		}
+		if hold {
+			if j.ephemeral {
+				state = ""
+			}
+			j.ephemeral = false
+		} else {
+			j.waiters++
+		}
+		jobs[i], prior[i] = j, state
+	}
 	s.jobMu.Unlock()
+	return jobs, prior, true
+}
 
-	if s.store != nil {
-		specJSON, err := json.Marshal(spec)
+// startJob starts the job of one work item on its own goroutine;
+// ephemeral marks a job no POST /v1/jobs submission holds.
+func (s *Server) startJob(work *jobWork, ephemeral bool) *job {
+	ctx, cancel := context.WithCancel(context.Background())
+	j := &job{
+		id: work.id, kind: work.kind, name: work.name, seed: work.seed, cancel: cancel,
+		state: jobRunning, total: work.total, exited: make(chan struct{}), ephemeral: ephemeral,
+	}
+	go s.runJob(ctx, j, work)
+	return j
+}
+
+// liveJobLocked returns the table's job under id and its state when that job
+// is running or done — the states a request joins — and nil otherwise.
+// Caller holds jobMu.
+func (s *Server) liveJobLocked(id string) (*job, string) {
+	j, ok := s.jobs[id]
+	if !ok {
+		return nil, ""
+	}
+	if st := j.currentState(); st == jobRunning || st == jobDone {
+		return j, st
+	}
+	return nil, ""
+}
+
+// heldRunningLocked counts the running jobs a POST /v1/jobs submission
+// holds. Caller holds jobMu.
+func (s *Server) heldRunningLocked() int {
+	n := 0
+	for _, j := range s.jobs {
+		if !j.ephemeral && j.currentState() == jobRunning {
+			n++
+		}
+	}
+	return n
+}
+
+// release ends one waiting request's interest in each of its jobs. A job
+// left running with no waiter and no POST hold is cancelled, so a client
+// hanging up stops work nobody else wants; a later identical request
+// relaunches it.
+func (s *Server) release(jobs []*job) {
+	s.jobMu.Lock()
+	defer s.jobMu.Unlock()
+	for _, j := range jobs {
+		j.waiters--
+		if j.waiters == 0 && j.ephemeral {
+			j.markCancelled()
+		}
+	}
+}
+
+// runJob is the one job runner: it executes a job's work — a run through
+// the experiment Runner, a sweep through scenario.Run (across the connected
+// workers, if any) — and settles the job, then closes j.exited: past that
+// point nothing writes to the job's state dir. With a state dir, a sweep's
+// record is written before it runs and its outcome after; a sweep that
+// cannot be made durable fails instead of running as volatile work.
+func (s *Server) runJob(ctx context.Context, j *job, work *jobWork) {
+	defer close(j.exited)
+	defer j.cancel()
+	if work.kind == jobKindRun {
+		runner := &atlarge.Runner{
+			Registry:     s.cfg.Registry,
+			Parallelism:  s.cfg.Parallelism,
+			Replicas:     work.replicas,
+			Stats:        s.stats,
+			Progress:     j.progress,
+			SpanObserver: j.observeSpan,
+		}
+		results, err := runner.RunContext(ctx, []string{work.name}, work.seed)
+		var res atlarge.ExperimentResult
 		if err == nil {
+			res = atlarge.NewRunDocument(work.seed, results).Experiments[0]
+		}
+		j.finishRun(res, err)
+		return
+	}
+	opt := scenario.Options{
+		Parallelism:  s.cfg.Parallelism,
+		Seed:         &work.seed, // the effective seed; RunHash stays j.id
+		Replicas:     work.replicas,
+		Stats:        s.stats,
+		Progress:     j.progress,
+		SpanObserver: j.observeSpan,
+	}
+	var err error
+	if s.store != nil {
+		opt.Checkpoint = s.store.dir
+		var specJSON []byte
+		if specJSON, err = json.Marshal(work.spec); err == nil {
 			err = s.store.saveRecord(&jobRecord{
-				ID: id, Kind: jobKindSweep, Name: spec.Name, Domain: spec.Domain,
-				Seed: seed, Replicas: replicas, Total: total,
+				ID: work.id, Kind: jobKindSweep, Name: work.name, Domain: work.spec.Domain,
+				Seed: work.seed, Replicas: work.replicas, Total: work.total,
 				State: jobRunning, Spec: specJSON,
 			})
 		}
-		if err != nil {
-			// Refuse rather than silently accepting volatile work on a
-			// server that promised durability.
-			cancel()
-			s.jobMu.Lock()
-			delete(s.jobs, id)
-			s.jobMu.Unlock()
-			writeError(w, http.StatusInternalServerError, errInternal, "%v", err)
-			return nil, false, false
-		}
-		opt.Checkpoint = s.store.dir
 	}
-	opt.Stats = s.stats
-	if err := s.maybeDistribute(&opt, spec); err != nil {
-		cancel()
-		s.jobMu.Lock()
-		delete(s.jobs, id)
-		s.jobMu.Unlock()
-		writeError(w, http.StatusInternalServerError, errInternal, "%v", err)
-		return nil, false, false
+	if err == nil && len(s.distClients) > 0 {
+		err = scenario.Distribute(&opt, work.spec, s.distClients, s.distStats)
 	}
-	go s.runJob(ctx, cancel, j, spec, cells, opt)
-	return j, true, true
-}
-
-// runJob executes one job's sweep and settles + persists its outcome, then
-// closes j.exited: past that point nothing writes to the job's state dir.
-func (s *Server) runJob(ctx context.Context, cancel context.CancelFunc, j *job, spec *scenario.Spec, cells []scenario.Scenario, opt scenario.Options) {
-	defer close(j.exited)
-	defer cancel()
-	opt.Progress = func(done, total int, id string) { j.progress(done, total) }
-	opt.SpanObserver = j.observeSpan
-	rep, err := scenario.Run(ctx, spec, cells, opt)
 	var result []byte
 	if err == nil {
-		var buf bytes.Buffer
-		if werr := rep.WriteJSON(&buf); werr != nil {
-			err = werr
-		} else {
-			result = buf.Bytes()
+		var rep *scenario.Report
+		if rep, err = scenario.Run(ctx, work.spec, work.cells, opt); err == nil {
+			var buf bytes.Buffer
+			if err = rep.WriteJSON(&buf); err == nil {
+				result = buf.Bytes()
+			}
 		}
 	}
 	j.finish(result, err)
 	s.persistOutcome(j)
 }
 
-// persistOutcome records a settled job's terminal state (and result bytes)
-// in the state dir; a no-op without one. Persistence failures here are
-// swallowed: the in-memory job still serves, only restart durability of
-// this outcome is lost.
+// persistOutcome records a settled sweep job's terminal state (and result
+// bytes) in the state dir; a no-op without one and for run jobs.
+// Persistence failures here are swallowed: the in-memory job still serves,
+// only restart durability of this outcome is lost.
 func (s *Server) persistOutcome(j *job) {
-	if s.store == nil {
+	if s.store == nil || j.kind == jobKindRun {
 		return
 	}
 	j.mu.Lock()
@@ -1018,33 +997,29 @@ func (s *Server) resumeJob(rec *jobRecord) error {
 	if err != nil {
 		return fmt.Errorf("api: recover job %s: %w", rec.ID, err)
 	}
-	ctx, cancel := context.WithCancel(context.Background())
-	j := &job{id: rec.ID, kind: rec.Kind, name: rec.Name, cancel: cancel, state: jobRunning, total: rec.Total, exited: make(chan struct{})}
-	s.addRecovered(j)
-	opt := scenario.Options{
-		Parallelism: s.cfg.Parallelism,
-		Replicas:    rec.Replicas,
-		Seed:        &rec.Seed, // the effective seed; RunHash stays rec.ID
-		Checkpoint:  s.store.dir,
-		Stats:       s.stats,
+	work := &jobWork{
+		id: rec.ID, kind: rec.Kind, name: rec.Name, total: rec.Total,
+		seed: rec.Seed, replicas: rec.Replicas, spec: spec, cells: cells,
 	}
-	if err := s.maybeDistribute(&opt, spec); err != nil {
-		return fmt.Errorf("api: recover job %s: %w", rec.ID, err)
-	}
-	go s.runJob(ctx, cancel, j, spec, cells, opt)
+	s.addRecovered(s.startJob(work, false))
 	return nil
 }
 
-// addRecovered inserts a recovered job into the table (first record wins on
-// a duplicate ID, which cannot happen with hash-named directories).
+// addRecovered enters a recovered job in the table.
 func (s *Server) addRecovered(j *job) {
 	s.jobMu.Lock()
 	defer s.jobMu.Unlock()
-	if _, ok := s.jobs[j.id]; ok {
-		return
+	s.putLocked(j)
+}
+
+// putLocked enters j in the table under its ID, replacing a failed or
+// cancelled predecessor, and evicts finished jobs beyond Config.KeepJobs.
+// Caller holds jobMu.
+func (s *Server) putLocked(j *job) {
+	if _, seen := s.jobs[j.id]; !seen {
+		s.jobOrder = append(s.jobOrder, j.id)
 	}
 	s.jobs[j.id] = j
-	s.jobOrder = append(s.jobOrder, j.id)
 	s.evictFinishedLocked()
 }
 
@@ -1151,11 +1126,16 @@ func (s *Server) handleJobResult(w http.ResponseWriter, r *http.Request) {
 	s.writeJobResult(w, j)
 }
 
-// writeJobResult serves a job's result bytes, or the typed not-ready error:
-// 409 job_running while work is in flight, 410 job_failed/job_cancelled for
-// terminal jobs that will never produce one.
+// writeJobResult serves a job's result — a sweep's report bytes, a run's
+// RunDocument — or the typed not-ready error: 409 job_running while work
+// is in flight, 410 job_failed/job_cancelled for terminal jobs that will
+// never produce one.
 func (s *Server) writeJobResult(w http.ResponseWriter, j *job) {
 	raw, ready := j.resultBytes()
+	if ready && j.kind == jobKindRun {
+		writeJSON(w, http.StatusOK, &atlarge.RunDocument{Seed: j.seed, Experiments: []atlarge.ExperimentResult{j.exp}})
+		return
+	}
 	if !ready {
 		st := j.doc()
 		switch st.State {

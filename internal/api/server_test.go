@@ -270,26 +270,3 @@ func TestServeScenarioSweepBodyLimit(t *testing.T) {
 		t.Errorf("oversized body: status %d, want 413 (%s)", resp.StatusCode, body)
 	}
 }
-
-func TestLRU(t *testing.T) {
-	c := newLRU[string, int](2)
-	c.Put("a", 1)
-	c.Put("b", 2)
-	if v, ok := c.Get("a"); !ok || v != 1 {
-		t.Fatalf("a = %d, %v", v, ok)
-	}
-	c.Put("c", 3) // evicts b (a was refreshed by the Get)
-	if _, ok := c.Get("b"); ok {
-		t.Error("b survived eviction")
-	}
-	if _, ok := c.Get("a"); !ok {
-		t.Error("a evicted despite recent use")
-	}
-	c.Put("a", 9)
-	if v, _ := c.Get("a"); v != 9 {
-		t.Errorf("refresh lost: %d", v)
-	}
-	if c.Len() != 2 {
-		t.Errorf("len = %d", c.Len())
-	}
-}

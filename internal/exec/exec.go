@@ -17,7 +17,9 @@ package exec
 
 import (
 	"context"
+	"fmt"
 	"runtime"
+	"runtime/debug"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -258,12 +260,39 @@ func runTask[R any](ctx context.Context, t *Task[R], index, worker int, epoch ti
 	if sp != nil {
 		sp.Start = time.Since(epoch)
 	}
-	ev.Result, ev.Err = t.Run(ctx)
+	ev.Result, ev.Err = runRecovered(ctx, t)
 	ev.Elapsed = time.Since(start)
 	if ev.Err == nil && cache != nil {
 		cache.Store(t.ID, ev.Result)
 	}
 	return ev
+}
+
+// PanicError is a task's panic, recovered by the executor and settled as
+// that task's error: one failing task never takes the other tasks — or the
+// process serving them — down with it.
+type PanicError struct {
+	// Task is the ID of the task that panicked.
+	Task string
+	// Value is what the task panicked with.
+	Value any
+	// Stack is the panicking goroutine's stack trace.
+	Stack []byte
+}
+
+func (e *PanicError) Error() string {
+	return fmt.Sprintf("exec: task %s panicked: %v", e.Task, e.Value)
+}
+
+// runRecovered runs one task, turning a panic into a *PanicError (the
+// result stays the zero value: t.Run never returned it).
+func runRecovered[R any](ctx context.Context, t *Task[R]) (r R, err error) {
+	defer func() {
+		if v := recover(); v != nil {
+			err = &PanicError{Task: t.ID, Value: v, Stack: debug.Stack()}
+		}
+	}()
+	return t.Run(ctx)
 }
 
 // Collect drains a plan's event stream into positional result and error

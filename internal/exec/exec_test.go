@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -107,6 +108,34 @@ func TestStreamTaskErrors(t *testing.T) {
 	}
 	if results[0] != 1 || results[2] != 3 {
 		t.Fatalf("results damaged: %v", results)
+	}
+}
+
+// TestStreamTaskPanic: a panicking task settles as a *PanicError carrying
+// the panic value and a stack, every other task still completes, and the
+// shared counters drain.
+func TestStreamTaskPanic(t *testing.T) {
+	stats := &Stats{}
+	p := squarePlan(6)
+	p.Add("poison", func(context.Context) (int, error) { panic("poisoned") })
+	results, errs := Run(context.Background(), p, Options[int]{Workers: 3, Stats: stats})
+	var pe *PanicError
+	if !errors.As(errs[6], &pe) || pe.Task != "poison" || pe.Value != "poisoned" || len(pe.Stack) == 0 {
+		t.Fatalf("errs[6] = %v, want a *PanicError for poison with a stack", errs[6])
+	}
+	if !strings.Contains(pe.Error(), "poisoned") {
+		t.Errorf("panic error %q does not name the panic value", pe.Error())
+	}
+	for i := 0; i < 6; i++ {
+		if errs[i] != nil || results[i] != i*i {
+			t.Errorf("task %d: result %d, err %v", i, results[i], errs[i])
+		}
+	}
+	if stats.Running() != 0 || stats.Pending() != 0 {
+		t.Errorf("counters did not drain: running %d pending %d", stats.Running(), stats.Pending())
+	}
+	if stats.Completed() != 6 || stats.Failed() != 1 {
+		t.Errorf("completed %d failed %d, want 6 and 1", stats.Completed(), stats.Failed())
 	}
 }
 

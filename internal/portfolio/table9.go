@@ -54,31 +54,28 @@ func table9Specs() []table9Spec {
 	}
 }
 
-// mixedTrace interleaves equal job counts from each class.
+// mixedTrace interleaves equal job counts from each class. The generated
+// traces are mixedTrace's own, so their jobs are renumbered in place: job
+// IDs run on across classes, and since a generated job's task IDs are
+// consecutive, one offset per job rebases its task IDs and deps alike.
 func mixedTrace(classes []workload.Class, jobsPerClass int, r *rand.Rand) *workload.Trace {
-	out := &workload.Trace{Name: "mixed"}
-	id := 0
+	out := &workload.Trace{Name: "mixed", Jobs: make([]*workload.Job, 0, len(classes)*jobsPerClass)}
 	taskID := 0
 	for _, c := range classes {
 		tr := workload.StandardGenerator(c).Generate(jobsPerClass, r)
 		for _, j := range tr.Jobs {
-			id++
-			nj := *j
-			nj.ID = id
-			nj.Tasks = append([]workload.Task(nil), j.Tasks...)
-			remap := make(map[int]int, len(nj.Tasks))
-			for k := range nj.Tasks {
-				taskID++
-				remap[nj.Tasks[k].ID] = taskID
-				nj.Tasks[k].ID = taskID
-				nj.Tasks[k].JobID = id
-			}
-			for k := range nj.Tasks {
-				for d := range nj.Tasks[k].Deps {
-					nj.Tasks[k].Deps[d] = remap[nj.Tasks[k].Deps[d]]
+			j.ID = len(out.Jobs) + 1
+			off := taskID + 1 - j.Tasks[0].ID
+			for k := range j.Tasks {
+				t := &j.Tasks[k]
+				t.ID += off
+				t.JobID = j.ID
+				for d := range t.Deps {
+					t.Deps[d] += off
 				}
 			}
-			out.Jobs = append(out.Jobs, &nj)
+			taskID += len(j.Tasks)
+			out.Jobs = append(out.Jobs, j)
 		}
 	}
 	out.SortBySubmit()
