@@ -77,6 +77,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzMergeQueue$$' -fuzztime 15s ./internal/workload
 	$(GO) test -run '^$$' -fuzz '^FuzzSpecValidate$$' -fuzztime 15s ./internal/scenario
 	$(GO) test -run '^$$' -fuzz '^FuzzTaskQueue$$' -fuzztime 15s ./internal/sched
+	$(GO) test -run '^$$' -fuzz '^FuzzClaim$$' -fuzztime 15s ./internal/dist
 
 # End-to-end determinism check of the scenario engine through the CLI: each
 # committed golden sweep (one per pinned domain) must produce byte-identical
@@ -157,9 +158,10 @@ SMOKE_SPEC = examples/scenarios/smoke-32.json
 # run the 32-task sweep across them while SIGKILLing one worker mid-flight,
 # and byte-compare the output against an in-process --parallel 8 run. Also
 # pins the single-worker path (CSV this time, so both renderers are
-# covered). The kill lands wherever it lands — the invariant is that the
-# dispatcher re-runs exactly the lost tasks and the merged output is
-# byte-identical regardless.
+# covered). The kill goes out as soon as the sweep's first --progress line
+# shows on stderr, while every worker still holds a claim; the sweep must
+# report re-dispatched tasks, or the target fails, since the worker loss it
+# checks did not happen.
 dist-smoke:
 	@set -e; tmp=$$(mktemp -d); \
 	trap 'kill "$$w1" "$$w2" "$$w3" 2>/dev/null || true; rm -rf "$$tmp"' EXIT; \
@@ -178,15 +180,18 @@ dist-smoke:
 	a1=$$(sed -n 's|.*http://||p' "$$tmp/w1.log"); \
 	a2=$$(sed -n 's|.*http://||p' "$$tmp/w2.log"); \
 	a3=$$(sed -n 's|.*http://||p' "$$tmp/w3.log"); \
-	( sleep 1.5; kill -9 "$$w3" 2>/dev/null ) & \
-	"$$tmp/atlarge" scenario sweep $(SMOKE_SPEC) --parallel 2 --format json \
-		--workers "$$a1,$$a2,$$a3" > "$$tmp/dist3.json" 2>"$$tmp/dist3.log"; \
+	"$$tmp/atlarge" scenario sweep $(SMOKE_SPEC) --parallel 2 --format json --progress \
+		--workers "$$a1,$$a2,$$a3" > "$$tmp/dist3.json" 2>"$$tmp/dist3.log" & sweep=$$!; \
+	for i in $$(seq 1 1000); do \
+		grep -q "scenario sweep: " "$$tmp/dist3.log" 2>/dev/null && break; sleep 0.01; \
+	done; \
+	kill -9 "$$w3"; \
+	wait "$$sweep"; \
 	cmp "$$tmp/dist3.json" "$$tmp/inprocess.json"; \
-	if grep -q "re-dispatched" "$$tmp/dist3.log"; then \
-		echo "dist-smoke: $$(cat "$$tmp/dist3.log")"; \
-	else \
-		echo "dist-smoke: WARNING: sweep finished before the kill cost any claims; byte-identity still checked"; \
-	fi; \
+	grep -q "re-dispatched" "$$tmp/dist3.log" || { \
+		echo "dist-smoke: FAIL: the killed worker cost no claims, so re-dispatch went unchecked:"; \
+		tr '\r' '\n' < "$$tmp/dist3.log"; exit 1; }; \
+	echo "dist-smoke: $$(grep "re-dispatched" "$$tmp/dist3.log")"; \
 	"$$tmp/atlarge" scenario sweep $(SMOKE_SPEC) --parallel 2 --format csv \
 		--workers "$$a1" > "$$tmp/dist1.csv"; \
 	cmp "$$tmp/dist1.csv" "$$tmp/inprocess.csv"; \

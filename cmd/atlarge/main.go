@@ -62,11 +62,11 @@
 //
 // worker serves the distributed-execution protocol (internal/dist): a
 // versioned handshake plus POST /v1/tasks:claim, which rebuilds a sweep plan
-// from the claimed job, runs a task range on the local pool, and streams one
-// NDJSON result line per task back with heartbeats in between. Point
+// from the claimed job, runs the listed tasks on the local pool, and streams
+// one NDJSON result line per task back with heartbeats in between. Point
 // `scenario sweep --workers host1:port,host2:port` or `serve --workers ...`
 // at a set of workers and the sweep fans out across them under lease-based
-// claims: a worker that dies mid-range is detected (broken stream or missed
+// claims: a worker that dies mid-claim is detected (broken stream or missed
 // heartbeats) and only its unfinished tasks are re-dispatched, never
 // dropping or duplicating a (cell, replica) result. Reports are
 // byte-identical to an in-process run at any worker count.

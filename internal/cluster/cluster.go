@@ -202,17 +202,24 @@ func NewHomogeneous(kind Kind, siteCount, machineCount, coreCount int) *Environm
 // CL is one 32-node cluster, G is 4 sites of 16 nodes, CD is a fixed base
 // pool of 8 nodes, MCD is 3 co-located clusters, GDC is 5 distant sites.
 func StandardEnvironment(kind Kind) *Environment {
+	sites, machines, cores := StandardShape(kind)
+	return NewHomogeneous(kind, sites, machines, cores)
+}
+
+// StandardShape returns the sites, machines per site and cores per machine
+// of the kind's standard environment.
+func StandardShape(kind Kind) (sites, machines, cores int) {
 	switch kind {
 	case KindCluster:
-		return NewHomogeneous(kind, 1, 32, 8)
+		return 1, 32, 8
 	case KindGrid:
-		return NewHomogeneous(kind, 4, 16, 8)
+		return 4, 16, 8
 	case KindCloud:
-		return NewHomogeneous(kind, 1, 8, 8)
+		return 1, 8, 8
 	case KindMultiCluster:
-		return NewHomogeneous(kind, 3, 16, 8)
+		return 3, 16, 8
 	case KindGeoDistributed:
-		return NewHomogeneous(kind, 5, 8, 8)
+		return 5, 8, 8
 	default:
 		panic(fmt.Sprintf("cluster: unknown kind %v", kind))
 	}

@@ -18,6 +18,24 @@ type Client struct {
 
 	base string
 	http *http.Client
+	// parallelism and procs are the worker's pool settings from the
+	// handshake (see Handshake).
+	parallelism, procs int
+}
+
+// slots is the local pool a claim with the given Parallel hint gets on the
+// worker, resolved the way the worker resolves it; 1 when the worker never
+// announced its settings.
+func (c *Client) slots(hint int) int {
+	switch {
+	case c.parallelism > 0:
+		return c.parallelism
+	case hint > 0:
+		return hint
+	case c.procs > 0:
+		return c.procs
+	}
+	return 1
 }
 
 // normalizeAddr accepts "host:port" or a full http URL.
@@ -71,6 +89,7 @@ func Dial(ctx context.Context, addr string) (*Client, error) {
 		return nil, fmt.Errorf("dist: worker %s: protocol mismatch: worker speaks %d, this build speaks %d",
 			c.Name, h.Protocol, ProtocolVersion)
 	}
+	c.parallelism, c.procs = h.Parallelism, h.Procs
 	return c, nil
 }
 

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -19,10 +20,6 @@ const (
 	// defaultWorkerFailures is how many consecutive claim failures retire a
 	// worker from the dispatch.
 	defaultWorkerFailures = 3
-	// claimsPerWorker sets the default claim granularity: enough claims per
-	// worker that losing one re-runs a fraction of the sweep, few enough
-	// that per-claim overhead (plan rebuild, HTTP round-trip) stays noise.
-	claimsPerWorker = 4
 )
 
 // DispatchOptions tunes one dispatcher.
@@ -31,10 +28,15 @@ type DispatchOptions struct {
 	Job Job
 	// Lease bounds per-line silence on claim streams; 0 means DefaultLease.
 	Lease time.Duration
-	// Chunk is the task-range size per claim; 0 picks
-	// ceil(tasks / (workers × claimsPerWorker)).
-	Chunk int
+	// Groups lists the plan's task indices in dispatch order, cut into
+	// groups of tasks that share an input (for sweeps: one trace). Claims
+	// walk the groups in order and never span two, so a worker that keeps
+	// an input between claims builds it once per group it serves. The
+	// groups must list every index of the plan exactly once; nil means one
+	// group in plan order.
+	Groups [][]int
 	// Parallel hints each worker's local pool size; 0 defers to the worker.
+	// Claims are sized for the pools the hint leads to (see planClaims).
 	Parallel int
 	// Stats, when non-nil, receives the distributed-layer counters (remote
 	// tasks in flight, re-dispatches, per-worker completions).
@@ -49,15 +51,15 @@ type DispatchOptions struct {
 // under any positional collector: one event per task, indexed by plan
 // position, in completion order.
 //
-// Execution: tasks not served by the plan's Cache are chunked into
-// contiguous ranges and queued; each live worker loops claiming ranges and
-// streaming results back. A failed claim (broken stream, lease expiry,
-// protocol violation) re-queues exactly the tasks the dispatcher has not
-// seen — completed work never re-runs, because re-claims carry the settled
-// indices in their skip set — and a worker that fails repeatedly is retired.
-// If every worker is retired with tasks outstanding, those tasks settle with
-// an error event each; a cancelled context settles them as skips, matching
-// exec.Stream's contract.
+// Execution: tasks not served by the plan's Cache are cut, in the order of
+// DispatchOptions.Groups, into claims that never span a group and shrink
+// toward the tail (see planClaims), and queued; each live worker loops
+// claiming task lists and streaming results back. A failed claim (broken
+// stream, lease expiry, protocol violation) re-queues exactly the tasks the
+// dispatcher has not seen as one claim — completed work never re-runs — and
+// a worker that fails repeatedly is retired. If every worker is retired
+// with tasks outstanding, those tasks settle with an error event each; a
+// cancelled context settles them as skips, matching exec.Stream's contract.
 type Dispatcher[R any] struct {
 	clients []*Client
 	opt     DispatchOptions
@@ -77,22 +79,17 @@ func NewDispatcher[R any](clients []*Client, opt DispatchOptions) (*Dispatcher[R
 	return &Dispatcher[R]{clients: clients, opt: opt}, nil
 }
 
-// claimRange is one queued unit of dispatch: the plan tasks [start, end),
-// minus whatever is already settled at claim time.
-type claimRange struct {
-	start, end int
-}
-
 // coord is the shared dispatch state: the settled set, the claim queue, and
-// the completion signal. The queue is a channel with capacity for every
-// initial claim; a range is re-queued at most once per pop (with its settled
-// tasks excluded), so occupancy never exceeds the initial claim count.
+// the completion signal. A queued claim is an ascending list of task
+// indices. The queue is a channel with capacity for every initial claim; a
+// claim is re-queued at most once per pop (with its settled tasks
+// excluded), so occupancy never exceeds the initial claim count.
 type coord struct {
 	mu        sync.Mutex
 	settled   []bool
 	remaining int
 
-	queue chan claimRange
+	queue chan []int
 	done  chan struct{} // closed when remaining hits 0
 }
 
@@ -112,19 +109,51 @@ func (c *coord) trySettle(i int) bool {
 	return true
 }
 
-// pendingIn snapshots the unsettled tasks of [start, end): the indices to
-// run and the settled ones as the claim's skip set.
-func (c *coord) pendingIn(start, end int) (toRun, skip []int) {
+// unsettled snapshots the tasks of the list not settled yet, in list order.
+func (c *coord) unsettled(tasks []int) []int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	for i := start; i < end; i++ {
-		if c.settled[i] {
-			skip = append(skip, i)
-		} else {
-			toRun = append(toRun, i)
+	var out []int
+	for _, i := range tasks {
+		if !c.settled[i] {
+			out = append(out, i)
 		}
 	}
-	return toRun, skip
+	return out
+}
+
+// planClaims cuts the pending tasks, walked in group order, into claims
+// that shrink toward the tail of the plan (factoring, Hummel, Schonberg &
+// Flynn, CACM 1992): each batch holds one claim per worker of
+// ceil(remaining / (2 × workers)) tasks, so a batch hands out about half of
+// what is left, but never fewer than slots, the local pool of the smallest
+// worker, since a worker runs one claim at a time and a shorter claim would
+// leave pool slots idle. Large early claims keep per-claim overhead low;
+// small late ones let the workers finish together. A claim stops at the end
+// of its group, so it never spans two inputs. Each claim is sorted
+// ascending, as the protocol requires.
+func planClaims(groups [][]int, workers, slots int) [][]int {
+	remaining := 0
+	for _, g := range groups {
+		remaining += len(g)
+	}
+	var claims [][]int
+	g, at := 0, 0 // the walk's position: groups[g][at:]
+	for remaining > 0 {
+		size := max((remaining+2*workers-1)/(2*workers), slots)
+		for w := 0; w < workers && remaining > 0; w++ {
+			for at == len(groups[g]) {
+				g, at = g+1, 0
+			}
+			n := min(size, len(groups[g])-at)
+			claim := groups[g][at : at+n : at+n]
+			slices.Sort(claim)
+			claims = append(claims, claim)
+			at += n
+			remaining -= n
+		}
+	}
+	return claims
 }
 
 // Stream executes the plan across the dispatcher's workers and returns the
@@ -155,43 +184,44 @@ func settleEvent[R any](eopt exec.Options[R], out chan<- exec.Event[R], ev exec.
 func (d *Dispatcher[R]) run(ctx context.Context, p *exec.Plan[R], eopt exec.Options[R], out chan<- exec.Event[R]) {
 	defer close(out)
 	n := p.Len()
+	groups := d.opt.Groups
+	if groups == nil {
+		all := make([]int, n)
+		for i := range all {
+			all[i] = i
+		}
+		groups = [][]int{all}
+	}
 	c := &coord{settled: make([]bool, n), remaining: n, done: make(chan struct{})}
 
 	// The shared content-addressed cache (the sweep checkpoint store) is
 	// consulted up front: overlapping sweeps from concurrent clients dedup
 	// here, and a resumed sweep only dispatches its missing tail.
-	var pending []int
-	for i := 0; i < n; i++ {
-		if eopt.Cache != nil {
+	if eopt.Cache != nil {
+		for i := 0; i < n; i++ {
 			if r, ok := eopt.Cache.Load(p.Tasks[i].ID); ok {
 				c.trySettle(i)
 				settleEvent(eopt, out, exec.Event[R]{Index: i, ID: p.Tasks[i].ID, Result: r, Cached: true})
-				continue
 			}
 		}
-		pending = append(pending, i)
+	}
+	pending := make([][]int, 0, len(groups))
+	for _, g := range groups {
+		if g = c.unsettled(g); len(g) > 0 {
+			pending = append(pending, g)
+		}
 	}
 	if len(pending) == 0 {
 		return
 	}
-
-	// Chunk the pending tasks into contiguous claims. Cached holes inside a
-	// range land in the claim's skip set when it is sent.
-	chunk := d.opt.Chunk
-	if chunk <= 0 {
-		chunk = (len(pending) + len(d.clients)*claimsPerWorker - 1) / (len(d.clients) * claimsPerWorker)
+	slots := d.clients[0].slots(d.opt.Parallel)
+	for _, client := range d.clients[1:] {
+		slots = min(slots, client.slots(d.opt.Parallel))
 	}
-	if chunk < 1 {
-		chunk = 1
-	}
-	var claims []claimRange
-	for at := 0; at < len(pending); at += chunk {
-		hi := min(at+chunk, len(pending))
-		claims = append(claims, claimRange{start: pending[at], end: pending[hi-1] + 1})
-	}
-	c.queue = make(chan claimRange, len(claims))
-	for _, cr := range claims {
-		c.queue <- cr
+	claims := planClaims(pending, len(d.clients), slots)
+	c.queue = make(chan []int, len(claims))
+	for _, cl := range claims {
+		c.queue <- cl
 	}
 
 	var wg sync.WaitGroup
@@ -237,8 +267,8 @@ func (d *Dispatcher[R]) workerLoop(ctx context.Context, c *coord, client *Client
 			return
 		case <-c.done:
 			return
-		case cr := <-c.queue:
-			missing, err := d.runClaim(ctx, c, client, cr, p, eopt, out)
+		case tasks := <-c.queue:
+			missing, err := d.runClaim(ctx, c, client, tasks, p, eopt, out)
 			if ctx.Err() != nil {
 				return
 			}
@@ -247,13 +277,13 @@ func (d *Dispatcher[R]) workerLoop(ctx context.Context, c *coord, client *Client
 				continue
 			}
 			// The claim is lost (wholly or partially): queue exactly the
-			// unobserved tasks again. Capacity is guaranteed — re-queues are
-			// one-for-one with pops.
+			// unobserved tasks again, as one claim. Capacity is guaranteed —
+			// re-queues are one-for-one with pops.
 			if len(missing) > 0 {
 				if d.opt.Stats != nil {
 					d.opt.Stats.redispatched.Add(int64(len(missing)))
 				}
-				c.queue <- claimRange{start: missing[0], end: missing[len(missing)-1] + 1}
+				c.queue <- missing
 			}
 			failures++
 			if failures >= d.opt.MaxWorkerFailures {
@@ -273,8 +303,8 @@ func (d *Dispatcher[R]) workerLoop(ctx context.Context, c *coord, client *Client
 // runClaim executes one claim against one worker and returns the tasks it
 // was responsible for that remain unsettled, plus the stream error if the
 // claim did not terminate healthily.
-func (d *Dispatcher[R]) runClaim(ctx context.Context, c *coord, client *Client, cr claimRange, p *exec.Plan[R], eopt exec.Options[R], out chan<- exec.Event[R]) ([]int, error) {
-	toRun, skip := c.pendingIn(cr.start, cr.end)
+func (d *Dispatcher[R]) runClaim(ctx context.Context, c *coord, client *Client, tasks []int, p *exec.Plan[R], eopt exec.Options[R], out chan<- exec.Event[R]) ([]int, error) {
+	toRun := c.unsettled(tasks)
 	if len(toRun) == 0 {
 		return nil, nil
 	}
@@ -293,16 +323,13 @@ func (d *Dispatcher[R]) runClaim(ctx context.Context, c *coord, client *Client, 
 	creq := &ClaimRequest{
 		Protocol:        ProtocolVersion,
 		Job:             d.opt.Job,
-		Start:           cr.start,
-		End:             cr.end,
-		Skip:            skip,
+		Tasks:           toRun,
 		Parallel:        d.opt.Parallel,
 		HeartbeatMillis: int(d.opt.Lease.Milliseconds() / 5),
 	}
 	err := client.Claim(ctx, creq, d.opt.Lease, func(m *Message) error {
-		if m.Index < cr.start || m.Index >= cr.end {
-			return fmt.Errorf("dist: worker %s: task index %d outside claim [%d, %d)",
-				client.Name, m.Index, cr.start, cr.end)
+		if _, ok := slices.BinarySearch(toRun, m.Index); !ok {
+			return fmt.Errorf("dist: worker %s: task index %d is not in its claim", client.Name, m.Index)
 		}
 		if m.ID != p.Tasks[m.Index].ID {
 			return fmt.Errorf("dist: worker %s: task %d identity mismatch: worker ran %q, plan holds %q (version skew?)",
@@ -315,7 +342,7 @@ func (d *Dispatcher[R]) runClaim(ctx context.Context, c *coord, client *Client, 
 			return fmt.Errorf("dist: worker %s: task %s result: %w", client.Name, m.ID, err)
 		}
 		if !c.trySettle(m.Index) {
-			return nil // settled by an earlier partial claim of this range
+			return nil // a repeated line for a task already settled
 		}
 		settledHere++
 		if ev.Err == nil && eopt.Cache != nil {
@@ -329,14 +356,7 @@ func (d *Dispatcher[R]) runClaim(ctx context.Context, c *coord, client *Client, 
 		return nil
 	})
 
-	var missing []int
-	c.mu.Lock()
-	for _, i := range toRun {
-		if !c.settled[i] {
-			missing = append(missing, i)
-		}
-	}
-	c.mu.Unlock()
+	missing := c.unsettled(toRun)
 	if err == nil && len(missing) > 0 {
 		err = fmt.Errorf("dist: worker %s: claim finished but left %d of %d tasks unsettled",
 			client.Name, len(missing), len(toRun))

@@ -178,8 +178,8 @@ func TestDispatcherTaskErrors(t *testing.T) {
 
 // flakyWorker speaks the protocol but dies mid-claim: it streams `limit`
 // genuine results, then aborts the connection — the shape of a worker
-// process killed mid-range.
-func flakyWorker(t *testing.T, limit int) *Client {
+// process killed mid-claim. record, when non-nil, sees each claim's tasks.
+func flakyWorker(t *testing.T, limit int, record func([]int)) *Client {
 	t.Helper()
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /v1/handshake", func(rw http.ResponseWriter, r *http.Request) {
@@ -195,18 +195,14 @@ func flakyWorker(t *testing.T, limit int) *Client {
 		if err != nil {
 			panic(http.ErrAbortHandler)
 		}
-		skip := make(map[int]bool)
-		for _, i := range req.Skip {
-			skip[i] = true
+		if record != nil {
+			record(req.Tasks)
 		}
 		flusher, _ := rw.(http.Flusher)
 		mw := newMsgWriter(rw, func() { flusher.Flush() })
 		mw.Write(&Message{Type: MsgClaim})
 		sent := 0
-		for i := req.Start; i < req.End; i++ {
-			if skip[i] {
-				continue
-			}
+		for _, i := range req.Tasks {
 			if sent == limit {
 				break
 			}
@@ -233,12 +229,12 @@ func flakyWorker(t *testing.T, limit int) *Client {
 	return c
 }
 
-// TestDispatcherRedispatchOnWorkerDeath: a worker that keeps dying mid-range
+// TestDispatcherRedispatchOnWorkerDeath: a worker that keeps dying mid-claim
 // costs only re-dispatches — the results it did deliver are kept, the rest
 // re-run elsewhere, and nothing is dropped or duplicated.
 func TestDispatcherRedispatchOnWorkerDeath(t *testing.T) {
 	const n = 30
-	clients := append(startWorkers(t, 1), flakyWorker(t, 2))
+	clients := append(startWorkers(t, 1), flakyWorker(t, 2, nil))
 	dstats := &Stats{}
 	d, err := NewDispatcher[testResult](clients, DispatchOptions{
 		Job:   mustJob(t, testJob{N: n}),
@@ -283,7 +279,7 @@ func hungWorker(t *testing.T) *Client {
 }
 
 // TestDispatcherLeaseExpiry: a hung worker (silent stream, no heartbeats) is
-// abandoned after one lease of silence and its range re-dispatched; the sweep
+// abandoned after one lease of silence and its claim re-dispatched; the sweep
 // still completes with every result exactly once.
 func TestDispatcherLeaseExpiry(t *testing.T) {
 	const n = 12
@@ -414,7 +410,7 @@ func TestDispatcherCancellation(t *testing.T) {
 // produces a claim error naming the refusal, not a hang or a bogus result.
 func TestClaimRefusedIsError(t *testing.T) {
 	clients := startWorkers(t, 1)
-	creq := &ClaimRequest{Protocol: ProtocolVersion, Job: Job{Kind: "nope"}, Start: 0, End: 1}
+	creq := &ClaimRequest{Protocol: ProtocolVersion, Job: Job{Kind: "nope"}, Tasks: []int{0}}
 	err := clients[0].Claim(context.Background(), creq, time.Second, func(*Message) error { return nil })
 	if err == nil || !strings.Contains(err.Error(), "refused") {
 		t.Fatalf("unknown-kind claim error = %v, want a refusal", err)

@@ -3,15 +3,17 @@
 //
 // The shape is a dispatcher/worker pair speaking NDJSON over HTTP: a worker
 // (`atlarge worker --listen`) exposes a versioned handshake and a claim
-// endpoint (POST /v1/tasks:claim) that accepts a task range of a job,
-// executes it on the worker's local pool, and streams one result or error
-// line per task back over the open response, interleaved with heartbeat
-// lines while tasks run. The dispatcher implements the executor's Stream
-// seam (exec.StreamFunc): it fans contiguous task ranges out to its workers
-// under lease-based claims, detects worker death (broken stream or a lease's
-// worth of silence), re-dispatches only the lost tasks, and emits ordinary
-// exec.Events — positionally indexed, so callers that collect positionally
-// produce output bytes identical to an in-process run at any worker count.
+// endpoint (POST /v1/tasks:claim) that accepts an explicit list of a job's
+// task indices, executes them on the worker's local pool, and streams one
+// result or error line per task back over the open response, interleaved
+// with heartbeat lines while tasks run. The dispatcher implements the
+// executor's Stream seam (exec.StreamFunc): it walks the plan in groups of
+// tasks that share an input, hands each worker claims that shrink toward the
+// tail of the plan under lease-based claims, detects worker death (broken
+// stream or a lease's worth of silence), re-dispatches only the lost tasks,
+// and emits ordinary exec.Events — positionally indexed, so callers that
+// collect positionally produce output bytes identical to an in-process run
+// at any worker count.
 //
 // The payloads on the wire are opaque JSON: the dispatcher is generic over
 // the result type and the worker rebuilds the executable plan from the job
@@ -32,7 +34,9 @@ import (
 // ProtocolVersion is the wire protocol generation. The handshake and every
 // claim carry it; a worker refuses mismatched claims so a mixed-version
 // deployment fails loudly at dispatch time instead of corrupting a sweep.
-const ProtocolVersion = 1
+// Generation 2 replaced the claim's range and skip set with an explicit
+// task list.
+const ProtocolVersion = 2
 
 // Job describes re-creatable work: an opaque spec document plus the
 // effective seed and replica count. A worker's Build func turns it into the
@@ -55,20 +59,25 @@ type Job struct {
 type Handshake struct {
 	Service  string `json:"service"`
 	Protocol int    `json:"protocol"`
+	// Parallelism is the worker's own bound on a claim's local pool, 0
+	// when the worker takes the claim's Parallel hint; Procs is the
+	// worker's GOMAXPROCS, the pool of a claim that neither side sizes.
+	// The dispatcher sizes its claims by them.
+	Parallelism int `json:"parallelism,omitempty"`
+	Procs       int `json:"procs,omitempty"`
 }
 
 // HandshakeService is the service name a worker announces.
 const HandshakeService = "atlarge-worker"
 
 // ClaimRequest is the body of POST /v1/tasks:claim: one lease over the
-// job's tasks [Start, End), minus the Skip set — re-dispatch after a partial
-// failure claims only the lost tasks, so completed work never re-runs.
+// listed tasks of the job. Tasks holds plan indices in strictly ascending
+// order; re-dispatch after a partial failure lists only the lost tasks, so
+// completed work never re-runs.
 type ClaimRequest struct {
 	Protocol int   `json:"protocol"`
 	Job      Job   `json:"job"`
-	Start    int   `json:"start"`
-	End      int   `json:"end"`
-	Skip     []int `json:"skip,omitempty"`
+	Tasks    []int `json:"tasks"`
 	// Parallel hints the worker's local pool size; the worker's own
 	// configuration wins when set. 0 leaves the choice to the worker.
 	Parallel int `json:"parallel,omitempty"`

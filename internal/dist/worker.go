@@ -3,9 +3,10 @@ package dist
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
-	"sort"
+	"runtime"
 	"sync"
 	"time"
 
@@ -19,11 +20,11 @@ const defaultHeartbeat = time.Second
 // Builder resolves a job document into the executable plan of raw-JSON
 // tasks. It must be deterministic: the same job yields the same task IDs in
 // the same order on every worker and on the dispatcher, or result indices
-// would disagree across processes.
+// would disagree across processes. The worker calls it once per claim.
 type Builder func(job Job) (*exec.Plan[json.RawMessage], error)
 
 // Worker serves the dist protocol: a versioned handshake plus the claim
-// endpoint that executes task ranges and streams results back as NDJSON.
+// endpoint that executes the listed tasks and streams results back as NDJSON.
 // One Worker handles any number of concurrent claims; each claim runs on its
 // own bounded local pool.
 type Worker struct {
@@ -45,18 +46,40 @@ func (w *Worker) Handler() http.Handler {
 
 func (w *Worker) handleHandshake(rw http.ResponseWriter, r *http.Request) {
 	rw.Header().Set("Content-Type", "application/json")
-	raw, _ := json.Marshal(Handshake{Service: HandshakeService, Protocol: ProtocolVersion})
+	raw, _ := json.Marshal(Handshake{
+		Service:     HandshakeService,
+		Protocol:    ProtocolVersion,
+		Parallelism: max(w.Parallelism, 0),
+		Procs:       runtime.GOMAXPROCS(0),
+	})
 	rw.Write(append(raw, '\n'))
 }
 
 // claimError refuses a claim before any task runs: a JSON error body with a
-// non-200 status, so dispatch-time mistakes (bad range, unknown kind,
+// non-200 status, so dispatch-time mistakes (bad task list, unknown kind,
 // protocol skew) are not conflated with mid-stream worker death.
 func claimError(rw http.ResponseWriter, status int, format string, args ...any) {
 	rw.Header().Set("Content-Type", "application/json")
 	rw.WriteHeader(status)
 	raw, _ := json.Marshal(map[string]string{"error": fmt.Sprintf(format, args...)})
 	rw.Write(append(raw, '\n'))
+}
+
+// checkTasks refuses a task list that is empty, unsorted or repeats an
+// index; the bounds need the plan and are checked after the build.
+func checkTasks(tasks []int) error {
+	if len(tasks) == 0 {
+		return errors.New("claim lists no tasks")
+	}
+	for k := 1; k < len(tasks); k++ {
+		switch {
+		case tasks[k] == tasks[k-1]:
+			return fmt.Errorf("claim lists task %d twice", tasks[k])
+		case tasks[k] < tasks[k-1]:
+			return fmt.Errorf("claim task list is not ascending: %d follows %d", tasks[k], tasks[k-1])
+		}
+	}
+	return nil
 }
 
 func (w *Worker) handleClaim(rw http.ResponseWriter, r *http.Request) {
@@ -76,33 +99,29 @@ func (w *Worker) handleClaim(rw http.ResponseWriter, r *http.Request) {
 		claimError(rw, http.StatusBadRequest, "unknown job kind %q", req.Job.Kind)
 		return
 	}
+	if err := checkTasks(req.Tasks); err != nil {
+		claimError(rw, http.StatusBadRequest, "%v", err)
+		return
+	}
 	plan, err := build(req.Job)
 	if err != nil {
 		claimError(rw, http.StatusBadRequest, "build plan: %v", err)
 		return
 	}
-	if req.Start < 0 || req.End > plan.Len() || req.Start >= req.End {
-		claimError(rw, http.StatusBadRequest,
-			"bad range [%d, %d) over a %d-task plan", req.Start, req.End, plan.Len())
-		return
-	}
-
-	// The claimed sub-plan: [Start, End) minus the skip set, each sub-task
-	// remembering its index in the job's full plan.
-	skip := make(map[int]bool, len(req.Skip))
-	for _, i := range req.Skip {
-		skip[i] = true
-	}
-	var indices []int
-	for i := req.Start; i < req.End; i++ {
-		if !skip[i] {
-			indices = append(indices, i)
+	// The list ascends, so its ends bound every index.
+	for _, i := range []int{req.Tasks[0], req.Tasks[len(req.Tasks)-1]} {
+		if i < 0 || i >= plan.Len() {
+			claimError(rw, http.StatusBadRequest, "task index %d outside the %d-task plan", i, plan.Len())
+			return
 		}
 	}
-	sort.Ints(indices)
-	sub := &exec.Plan[json.RawMessage]{}
-	for _, i := range indices {
-		sub.Tasks = append(sub.Tasks, plan.Tasks[i])
+
+	// The claimed sub-plan, each sub-task remembering its index in the
+	// job's full plan.
+	indices := req.Tasks
+	sub := &exec.Plan[json.RawMessage]{Tasks: make([]exec.Task[json.RawMessage], len(indices))}
+	for k, i := range indices {
+		sub.Tasks[k] = plan.Tasks[i]
 	}
 
 	rw.Header().Set("Content-Type", "application/x-ndjson")

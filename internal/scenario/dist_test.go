@@ -54,10 +54,10 @@ func renderAll(t *testing.T, s *Spec, cells []Scenario, opt Options) []byte {
 
 // TestDistributeByteIdentical is the subsystem's core guarantee: a sweep
 // distributed across worker processes renders byte-identically — text, JSON,
-// and CSV — to the in-process run, at any worker count. Workers build a
-// trace per task while the in-process run shares them between cells, so
-// over every committed sched and autoscale spec this also checks that
-// sharing changes no report byte.
+// and CSV — to the in-process run, at any worker count. Workers share traces
+// through their own long-lived memo, across claims, so over every committed
+// sched and autoscale spec this also checks that neither way of sharing
+// changes a report byte.
 func TestDistributeByteIdentical(t *testing.T) {
 	specs := map[string]func(*testing.T) (*Spec, []Scenario){
 		"valid-sweep": func(t *testing.T) (*Spec, []Scenario) {
@@ -116,7 +116,7 @@ func TestDistributeSeedReplicaOverrides(t *testing.T) {
 
 // flakySweepWorker speaks the real protocol with real sweep results but dies
 // (connection abort) after `limit` tasks of every claim — a worker process
-// SIGKILLed mid-range.
+// SIGKILLed mid-claim.
 func flakySweepWorker(t *testing.T, limit int) *dist.Client {
 	t.Helper()
 	build := WorkerBuilder()
@@ -134,10 +134,6 @@ func flakySweepWorker(t *testing.T, limit int) *dist.Client {
 		if err != nil {
 			panic(http.ErrAbortHandler)
 		}
-		skip := make(map[int]bool)
-		for _, i := range req.Skip {
-			skip[i] = true
-		}
 		flusher, _ := rw.(http.Flusher)
 		write := func(v any) {
 			raw, _ := json.Marshal(v)
@@ -146,10 +142,7 @@ func flakySweepWorker(t *testing.T, limit int) *dist.Client {
 		}
 		write(&dist.Message{Type: dist.MsgClaim})
 		sent := 0
-		for i := req.Start; i < req.End; i++ {
-			if skip[i] {
-				continue
-			}
+		for _, i := range req.Tasks {
 			if sent == limit {
 				break
 			}
@@ -184,8 +177,8 @@ func TestDistributeWorkerDeathByteIdentical(t *testing.T) {
 	}
 	want := renderAll(t, s, cells, Options{Parallelism: 4})
 
-	// The sweep chunks to single-task claims at this size, so the dying
-	// worker must fail before its first result for the claim to be lost.
+	// The dying worker fails before its first result, so every claim it
+	// takes is lost, whatever its size.
 	clients := append(startSweepWorkers(t, 1), flakySweepWorker(t, 0))
 	dstats := &dist.Stats{}
 	opt := Options{Parallelism: 2}

@@ -176,6 +176,19 @@ func (sc *Scenario) engineConfig() (autoscale.EngineConfig, error) {
 	return cfg, nil
 }
 
+// widest reports the cell's machine width: the provider pools its VMs'
+// cores. The engines boot whole VMs while capacity is below
+// autoscale.max_cores and release single idle cores, so capacity can sit
+// at max_cores - 1 and then gain one VM: no task wider than
+// max_cores + core_per_vm - 1 can start.
+func (autoscaleDomain) widest(sc *Scenario) (string, int) {
+	cfg, err := sc.engineConfig()
+	if err != nil {
+		return "", 0
+	}
+	return "autoscale.max_cores + core_per_vm - 1", cfg.MaxCores + cfg.CorePerVM - 1
+}
+
 // Run executes one autoscale cell: generate (or import) the workload under
 // the paired workload seed, then run the autoscaler on the event-driven
 // engine and emit the elasticity metrics.

@@ -345,25 +345,43 @@ func (schedDomain) Run(sc *Scenario, workloadSeed, simSeed int64) ([]MetricValue
 // standard shape, with any of sites/machines/cores overridden. The factory
 // rebuilds fresh environments for the portfolio scheduler's what-if probes.
 func (sc *Scenario) buildEnv() (*cluster.Environment, func() *cluster.Environment, error) {
+	kind, sites, machines, cores, err := sc.envShape()
+	if err != nil {
+		return nil, nil, fmt.Errorf("scenario: cell %s: %w", sc.ID(), err)
+	}
+	factory := func() *cluster.Environment { return cluster.NewHomogeneous(kind, sites, machines, cores) }
+	return factory(), factory, nil
+}
+
+// envShape resolves the cell's cluster kind and its sites, machines per
+// site and cores per machine.
+func (sc *Scenario) envShape() (kind cluster.Kind, sites, machines, cores int, err error) {
 	kindName := sc.Cluster.Kind
 	if kindName == "" {
 		kindName = "CL"
 	}
-	kind, err := cluster.KindByName(kindName)
+	if kind, err = cluster.KindByName(kindName); err != nil {
+		return kind, 0, 0, 0, err
+	}
+	sites, machines, cores = cluster.StandardShape(kind)
+	if sc.Cluster.Sites > 0 {
+		sites = sc.Cluster.Sites
+	}
+	if sc.Cluster.Machines > 0 {
+		machines = sc.Cluster.Machines
+	}
+	if sc.Cluster.Cores > 0 {
+		cores = sc.Cluster.Cores
+	}
+	return kind, sites, machines, cores, nil
+}
+
+// widest reports the cell's machine width: every machine has cluster.cores
+// cores.
+func (schedDomain) widest(sc *Scenario) (string, int) {
+	_, _, _, cores, err := sc.envShape()
 	if err != nil {
-		return nil, nil, fmt.Errorf("scenario: cell %s: %w", sc.ID(), err)
+		return "", 0
 	}
-	std := cluster.StandardEnvironment(kind)
-	sites, machines, cores := sc.Cluster.Sites, sc.Cluster.Machines, sc.Cluster.Cores
-	if sites == 0 {
-		sites = len(std.Clusters)
-	}
-	if machines == 0 {
-		machines = len(std.Clusters[0].Machines)
-	}
-	if cores == 0 {
-		cores = std.Clusters[0].Machines[0].Cores
-	}
-	factory := func() *cluster.Environment { return cluster.NewHomogeneous(kind, sites, machines, cores) }
-	return factory(), factory, nil
+	return "cluster.cores", cores
 }

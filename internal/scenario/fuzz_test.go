@@ -10,8 +10,8 @@ import (
 // FuzzSpecValidate drives arbitrary bytes through the spec boundary that
 // `scenario validate` and POST /v1/jobs expose: Parse, Validate, SweepSize
 // and, for a sweep within MaxCells, Expand. None of them may panic, Expand
-// must agree with Validate, and no expanded cell may ask for more clients
-// than a population accepts. The committed corpus (testdata/fuzz) holds the
+// must agree with Validate, no expanded cell may ask for more clients than a
+// population accepts, and none may draw tasks wider than its widest machine. The committed corpus (testdata/fuzz) holds the
 // example specs and the oversized-clients specs, base and swept.
 func FuzzSpecValidate(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -33,6 +33,12 @@ func FuzzSpecValidate(f *testing.F) {
 		for _, c := range cells {
 			if c.Workload.Clients > workload.MaxClients {
 				t.Fatalf("cell %v expands to %d clients, max %d", c.Params, c.Workload.Clients, workload.MaxClients)
+			}
+			if p, ok := c.domain.(placer); ok && c.Workload.Trace == "" {
+				class, _ := workload.ClassByName(c.Workload.Class)
+				if field, cores := p.widest(&c); workload.StandardGenerator(class).MaxTaskCPUs() > cores {
+					t.Fatalf("cell %v draws tasks wider than its %s of %d", c.Params, field, cores)
+				}
 			}
 		}
 	})

@@ -94,8 +94,8 @@ func Effective(s *Spec, opt Options) (seed int64, replicas int) {
 // copy of the job headers to rescale to its load while the tasks stay
 // shared, read-only. A trace is dropped once the last task that needs it
 // has reported, so memory holds the traces with pending tasks plus one
-// header copy per running task. Tasks handed to Options.Stream run
-// elsewhere and build their own traces.
+// header copy per running task. Tasks handed to Options.Stream run on dist
+// workers, which share traces through their own memo (see WorkerBuilder).
 //
 // Cancelling ctx stops the sweep cooperatively: unstarted tasks are
 // skipped and the context's error is returned. With Options.Checkpoint set,
@@ -121,7 +121,9 @@ func run(ctx context.Context, s *Spec, cells []Scenario, opt Options, memo *trac
 	}
 	keys := make([]traceKey, 0, len(cells)*replicas)
 	plan, err := layoutPlan(cells, seed, replicas, func(t planTask) func(context.Context) ([]MetricValue, error) {
-		keys = append(keys, memo.reserve(t.workloadID, t.workloadSeed))
+		key := traceKey{workloadID: t.workloadID, seed: t.workloadSeed}
+		memo.reserve(key)
+		keys = append(keys, key)
 		return func(context.Context) ([]MetricValue, error) {
 			return t.cell.domain.Run(t.cell, t.workloadSeed, t.simSeed)
 		}
@@ -331,20 +333,31 @@ func layoutPlan[R any](cells []Scenario, seed int64, replicas int, body func(pla
 }
 
 // traceKey names one shared trace: a workload identity and the workload
-// seed of one replica.
+// seed of one replica. On a dist worker, job (a digest of the job document)
+// keeps the traces of different jobs apart; it is empty inside Run.
 type traceKey struct {
+	job        string
 	workloadID string
 	seed       int64
 }
 
-// traceMemo shares the unscaled traces of one run between its cells. Run
-// reserves an entry for each task before the plan starts and releases it as
-// the task's event arrives; the entry is dropped when its last task has
-// reported, whether the task ran, was served from a checkpoint, or was
-// skipped.
+// traceMemo shares unscaled traces between cells. Each task that needs a
+// trace reserves its entry and releases it once done with it; the entry is
+// built on first use. Run's memo reserves every task before the plan starts
+// and releases each as its event arrives, so an entry is dropped when its
+// last task has reported, whether the task ran, was served from a
+// checkpoint, or was skipped. A dist worker's memo (keepIdle) lives as long
+// as the worker and its tasks reserve around their own runs; an entry whose
+// last running task releases it stays as the memo's one idle entry, so the
+// next claim of its group reuses it, until another entry goes idle or a
+// task needs a trace the memo lacks. The worker thus holds the traces of
+// its running tasks plus one, and no idle trace while it builds one.
 type traceMemo struct {
 	mu      sync.Mutex
 	entries map[traceKey]*traceEntry
+	// keepIdle keeps the last entry released to zero as idle.
+	keepIdle bool
+	idle     traceKey
 	// built, when non-nil, observes every trace the memo builds.
 	built func(traceKey, *workload.Trace)
 }
@@ -358,10 +371,8 @@ type traceEntry struct {
 	pending int
 }
 
-// reserve counts one more task that needs the (workloadID, seed) trace and
-// returns its key.
-func (m *traceMemo) reserve(workloadID string, seed int64) traceKey {
-	key := traceKey{workloadID: workloadID, seed: seed}
+// reserve counts one more task that needs key's trace.
+func (m *traceMemo) reserve(key traceKey) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if m.entries == nil {
@@ -369,22 +380,40 @@ func (m *traceMemo) reserve(workloadID string, seed int64) traceKey {
 	}
 	e := m.entries[key]
 	if e == nil {
+		m.dropIdleLocked()
 		e = &traceEntry{}
 		m.entries[key] = e
 	}
 	e.pending++
-	return key
 }
 
-// release counts one task of key as done and drops the entry after the last.
+// dropIdleLocked drops the idle entry unless it was reserved again since.
+func (m *traceMemo) dropIdleLocked() {
+	if e := m.entries[m.idle]; e != nil && e.pending == 0 {
+		delete(m.entries, m.idle)
+	}
+}
+
+// release counts one task of key as done. After the last, the entry is
+// dropped, or with keepIdle becomes the idle one in place of the previous.
 func (m *traceMemo) release(key traceKey) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if e := m.entries[key]; e != nil {
-		if e.pending--; e.pending == 0 {
-			delete(m.entries, key)
-		}
+	e := m.entries[key]
+	if e == nil {
+		return
 	}
+	if e.pending--; e.pending > 0 {
+		return
+	}
+	if !m.keepIdle {
+		delete(m.entries, key)
+		return
+	}
+	if m.idle != key {
+		m.dropIdleLocked()
+	}
+	m.idle = key
 }
 
 // trace returns the shared trace of key, building it on first use. Callers
@@ -406,16 +435,16 @@ func (m *traceMemo) trace(key traceKey, build func() (*workload.Trace, error)) (
 }
 
 // buildTrace resolves the scenario's workload for one replica seed and
-// rescales it to the target offered load when one is set. Inside Run the
-// unscaled trace comes from the run's memo and the cell rescales its own
-// copy of the job headers; on a dist worker the cell builds a private trace
-// and rescales it in place. It is shared by every
-// domain that drives a job-trace workload.
+// rescales it to the target offered load when one is set. The unscaled
+// trace comes from the memo of Run or of the dist worker, and the cell
+// rescales its own copy of the job headers; a cell without a memo builds a
+// private trace and rescales it in place. It is shared by every domain that
+// drives a job-trace workload.
 func (sc *Scenario) buildTrace(seed int64, totalCores int) (*workload.Trace, error) {
 	var tr *workload.Trace
 	var err error
 	if sc.traces != nil {
-		tr, err = sc.traces.trace(traceKey{workloadID: sc.WorkloadID(), seed: seed},
+		tr, err = sc.traces.trace(traceKey{job: sc.traceJob, workloadID: sc.WorkloadID(), seed: seed},
 			func() (*workload.Trace, error) { return sc.baseTrace(seed) })
 		if err == nil {
 			tr = headerCopy(tr)

@@ -567,3 +567,47 @@ func TestObjectiveUsesSweptPoliciesNotBase(t *testing.T) {
 		t.Errorf("unknown-policy error should mention portfolio: %v", err)
 	}
 }
+
+// TestValidateRefusesUnplaceableWork pins that no cell may draw tasks wider
+// than its widest machine: the business-critical class draws up to 15
+// cores, so it cannot run on 8-core machines (set, swept, or a kind's
+// standard shape) nor under an autoscale cap whose last VM cannot reach 15
+// cores, while 16-core machines take it, and so does a 14-core cap of
+// 4-core VMs, which the engine can overshoot to 17. The error names the
+// class and the bounding field.
+func TestValidateRefusesUnplaceableWork(t *testing.T) {
+	for _, tc := range []struct{ spec, want string }{
+		{`{"version": 1, "name": "bc", "policy": "fcfs", "workload": {"class": "bc", "jobs": 200},
+			"cluster": {"machines": 16, "cores": 8}}`,
+			`workload.class: "bc" draws tasks up to 15 cores wide, but cluster.cores allows 8`},
+		{`{"version": 1, "name": "bc", "policy": "fcfs", "workload": {"class": "bc"},
+			"cluster": {"machines": 16}, "sweep": {"cores": [16, 8]}}`,
+			`cluster.cores allows 8; no machine could ever run them (cell bc/cores=8)`},
+		{`{"version": 1, "name": "mix", "policy": "fcfs", "workload": {"class": "sci"},
+			"cluster": {"cores": 8}, "sweep": {"class": ["sci", "ce", "business-critical"]}}`,
+			`"business-critical" draws tasks up to 15 cores wide, but cluster.cores allows 8; no machine could ever run them (cell mix/class=business-critical)`},
+		{`{"version": 1, "name": "k", "policy": "fcfs", "workload": {"class": "bc"}, "sweep": {"kind": ["CL", "G"]}}`,
+			`(cell k/kind=CL)`},
+		{`{"version": 2, "name": "as", "domain": "autoscale", "workload": {"class": "bc"},
+			"autoscale": {"autoscaler": "React", "max_cores": 8}}`,
+			`"bc" draws tasks up to 15 cores wide, but autoscale.max_cores + core_per_vm - 1 allows 11`},
+		{`{"version": 2, "name": "as", "domain": "autoscale", "workload": {"class": "bc"},
+			"autoscale": {"autoscaler": "React", "max_cores": 12, "core_per_vm": 2}}`,
+			`autoscale.max_cores + core_per_vm - 1 allows 13`},
+	} {
+		err := specJSON(t, tc.spec).Validate()
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("spec %s: Validate = %v, want an error containing %q", tc.spec, err, tc.want)
+		}
+	}
+	for _, ok := range []string{
+		`{"version": 1, "name": "bc", "policy": "fcfs", "workload": {"class": "bc"}, "cluster": {"cores": 16}}`,
+		`{"version": 2, "name": "as", "domain": "autoscale", "workload": {"class": "bc"}, "autoscale": {"autoscaler": "React"}}`,
+		`{"version": 2, "name": "as", "domain": "autoscale", "workload": {"class": "bc"}, "autoscale": {"autoscaler": "React", "max_cores": 14, "core_per_vm": 4}}`,
+		`{"version": 1, "name": "ce", "policy": "fcfs", "workload": {"class": "ce"}, "sweep": {"kind": ["CL", "G", "CD", "MCD", "GDC"]}}`,
+	} {
+		if err := specJSON(t, ok).Validate(); err != nil {
+			t.Errorf("spec %s refused: %v", ok, err)
+		}
+	}
+}

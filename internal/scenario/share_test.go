@@ -117,7 +117,7 @@ var axisValues = map[string][]any{
 	"kind":       {"CL", "G", "MCD"},
 	"sites":      {1.0, 2.0},
 	"machines":   {2.0, 4.0},
-	"cores":      {2.0, 8.0},
+	"cores":      {4.0, 8.0},
 	"autoscaler": {"React", "Hist", "Token"},
 	"engine":     {"in-vitro", "in-silico"},
 	"boot_delay": {30.0, 90.0},

@@ -242,6 +242,13 @@ func (s *Spec) objective(d Domain) string {
 // finds as one joined error, so a malformed spec can be fixed in a single
 // pass.
 func (s *Spec) Validate() error {
+	_, err := s.validate()
+	return err
+}
+
+// validate is Validate returning the expanded cells of a valid spec, which
+// the placement check walks.
+func (s *Spec) validate() ([]Scenario, error) {
 	var problems []string
 	bad := func(format string, args ...any) {
 		problems = append(problems, fmt.Sprintf(format, args...))
@@ -258,6 +265,7 @@ func (s *Spec) Validate() error {
 		bad("replicas: got %d, must be >= 0 (0 means 1)", s.Replicas)
 	}
 
+	var cells []Scenario
 	d, err := s.domainImpl()
 	if err != nil {
 		// Without a resolvable domain no axis catalog or metric set exists;
@@ -272,12 +280,64 @@ func (s *Spec) Validate() error {
 		d.Validate(s, bad)
 		s.validateObjective(d, bad)
 		s.validateSweep(d, bad)
+		// Cells are only expanded from a spec that is otherwise valid.
+		if len(problems) == 0 {
+			cells = s.expand(d)
+			validatePlacement(d, cells, bad)
+		}
 	}
 
 	if len(problems) == 0 {
-		return nil
+		return cells, nil
 	}
-	return fmt.Errorf("scenario: invalid spec %q:\n  - %s", s.Name, strings.Join(problems, "\n  - "))
+	return nil, fmt.Errorf("scenario: invalid spec %q:\n  - %s", s.Name, strings.Join(problems, "\n  - "))
+}
+
+// placer is a domain whose cells place generated tasks on machines of a
+// bounded width.
+type placer interface {
+	// widest names the spec field that bounds the cell's machine width and
+	// returns that width.
+	widest(sc *Scenario) (field string, cores int)
+}
+
+// validatePlacement refuses work no machine can hold: a cell whose workload
+// class can draw a task wider than the widest machine would leave that task
+// queued forever, and the simulators would report the rest of the cell's
+// jobs as if the run had finished. Every cell is checked, so sweeps over
+// class, kind, cores or max_cores are covered; each distinct problem is
+// reported once, naming the first cell that has it.
+func validatePlacement(d Domain, cells []Scenario, bad func(string, ...any)) {
+	p, ok := d.(placer)
+	if !ok {
+		return
+	}
+	seen := make(map[string]bool)
+	for i := range cells {
+		sc := &cells[i]
+		if sc.Workload.Trace != "" {
+			continue
+		}
+		class, err := workload.ClassByName(sc.Workload.Class)
+		if err != nil {
+			continue
+		}
+		field, cores := p.widest(sc)
+		width := workload.StandardGenerator(class).MaxTaskCPUs()
+		if width <= cores || cores <= 0 {
+			continue
+		}
+		problem := fmt.Sprintf("workload.class: %q draws tasks up to %d cores wide, but %s allows %d; no machine could ever run them",
+			sc.Workload.Class, width, field, cores)
+		if seen[problem] {
+			continue
+		}
+		seen[problem] = true
+		if len(sc.Params) > 0 {
+			problem += fmt.Sprintf(" (cell %s)", sc.ID())
+		}
+		bad("%s", problem)
+	}
 }
 
 // errTrimPrefix drops the "scenario: " prefix when nesting registry errors

@@ -20,9 +20,11 @@ type Param struct {
 type Scenario struct {
 	spec   *Spec
 	domain Domain
-	// traces, set on Run's copy of the cells, shares the run's unscaled
-	// traces between cells with the same workload (see buildTrace).
-	traces *traceMemo
+	// traces, set on Run's copy of the cells and on a dist worker's, shares
+	// unscaled traces between cells with the same workload (see buildTrace);
+	// traceJob is the job part of the worker's trace keys.
+	traces   *traceMemo
+	traceJob string
 	// Workload/Cluster/Policy parameterize the sched and autoscale domains.
 	Workload WorkloadSpec
 	Cluster  ClusterSpec
@@ -189,13 +191,11 @@ func (s *Spec) validateSweep(d Domain, bad func(string, ...any)) {
 // name order, values in declared order. A spec without a sweep expands to the
 // single base scenario.
 func Expand(s *Spec) ([]Scenario, error) {
-	if err := s.Validate(); err != nil {
-		return nil, err
-	}
-	d, err := s.domainImpl()
-	if err != nil {
-		return nil, err
-	}
+	return s.validate()
+}
+
+// expand returns the cross-product of a valid spec's sweep axes.
+func (s *Spec) expand(d Domain) []Scenario {
 	axes := d.Axes()
 	base := Scenario{spec: s, domain: d, Workload: s.Workload, Cluster: s.Cluster, Policy: s.Policy}
 	if s.Autoscale != nil {
@@ -219,7 +219,7 @@ func Expand(s *Spec) ([]Scenario, error) {
 		}
 		cells = next
 	}
-	return cells, nil
+	return cells
 }
 
 // Single validates the spec and returns its base scenario; it rejects specs

@@ -2,6 +2,7 @@ package workload
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 
 	"atlarge/internal/sim"
@@ -160,6 +161,23 @@ func chainIntoLevels(job *Job, r *rand.Rand) {
 			job.Tasks[i].Deps = append(job.Tasks[i].Deps, job.Tasks[p].ID)
 		}
 	}
+}
+
+// MaxTaskCPUs returns the widest task the generator can draw: the largest
+// CPU count its TaskCPUs distribution rounds down to (at least 1), or 0 when
+// the distribution is unbounded.
+func (g Generator) MaxTaskCPUs() int {
+	var hi float64
+	switch d := g.TaskCPUs.(type) {
+	case sim.Constant:
+		hi = d.Value
+	case sim.Uniform:
+		// Samples fall in [Low, High).
+		hi = math.Nextafter(d.High, math.Inf(-1))
+	default:
+		return 0
+	}
+	return max(1, int(hi))
 }
 
 // StandardGenerator returns the calibrated generator for a workload class.

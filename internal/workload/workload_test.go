@@ -299,3 +299,26 @@ func TestChainIntoLevelsKeepsAcyclic(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestMaxTaskCPUs pins each class's widest task and checks it against
+// 20000 drawn tasks: none is wider, and the widest is drawn.
+func TestMaxTaskCPUs(t *testing.T) {
+	want := map[Class]int{
+		ClassSynthetic: 1, ClassScientific: 3, ClassComputerEngineering: 7, ClassBusinessCritical: 15,
+		ClassBigData: 3, ClassGaming: 1, ClassIndustrial: 1,
+	}
+	for class, width := range want {
+		g := StandardGenerator(class)
+		if got := g.MaxTaskCPUs(); got != width {
+			t.Errorf("%v: MaxTaskCPUs = %d, want %d", class, got, width)
+		}
+		r := rand.New(rand.NewSource(1))
+		widest := 0
+		for i := 0; i < 20000; i++ {
+			widest = max(widest, int(g.TaskCPUs.Sample(r)))
+		}
+		if max(widest, 1) != width {
+			t.Errorf("%v: widest of 20000 drawn tasks is %d, MaxTaskCPUs says %d", class, widest, width)
+		}
+	}
+}
