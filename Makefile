@@ -67,15 +67,17 @@ run-all:
 # process each: a result that follows map iteration order passes a single
 # run by chance far more often than five.
 determinism:
-	$(GO) test -count=5 -run 'Determinism|Deterministic|Parity|Fingerprint' ./internal/p2p ./internal/mmog ./internal/sched ./internal/portfolio ./internal/workload ./internal/graphproc ./internal/biblio ./internal/autoscale ./internal/scenario .
+	$(GO) test -count=5 -run 'Determinism|Deterministic|Parity|Fingerprint' ./internal/sim ./internal/p2p ./internal/mmog ./internal/sched ./internal/portfolio ./internal/workload ./internal/graphproc ./internal/biblio ./internal/autoscale ./internal/scenario .
 
 # Fuzz the population merge queue against heap4, the scenario spec boundary
-# (parse, validate, expand), and the sched block queue against a flat slice,
-# for 15 s each past their committed seed corpora (testdata/fuzz in each
-# package), which `make test` replays.
+# (parse, validate, expand), the sweep checkpoint loader, the sched block
+# queue against a flat slice and the dist claim endpoint, for 15 s each past
+# their committed seed corpora (testdata/fuzz in each package), which
+# `make test` replays.
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzMergeQueue$$' -fuzztime 15s ./internal/workload
 	$(GO) test -run '^$$' -fuzz '^FuzzSpecValidate$$' -fuzztime 15s ./internal/scenario
+	$(GO) test -run '^$$' -fuzz '^FuzzCheckpointLoad$$' -fuzztime 15s ./internal/scenario
 	$(GO) test -run '^$$' -fuzz '^FuzzTaskQueue$$' -fuzztime 15s ./internal/sched
 	$(GO) test -run '^$$' -fuzz '^FuzzClaim$$' -fuzztime 15s ./internal/dist
 
@@ -150,8 +152,9 @@ serve-smoke:
 	echo "serve-smoke: OK (run jobs, /v1/jobs, dedup, /metrics)"
 
 # The 32-task sweep (4 policies × 4 loads × 2 replicas of 700 scientific
-# jobs) the dist, restart and resume smokes interrupt: ~2.4 s on one core of
-# a 2.1 GHz Xeon, so a kill usually lands mid-flight.
+# jobs) the dist, restart and resume smokes interrupt: under 1 s on one core
+# of a 2.1 GHz Xeon, too short to interrupt on a timer, so each smoke
+# interrupts on the sweep's first sign of progress.
 SMOKE_SPEC = examples/scenarios/smoke-32.json
 
 # End-to-end smoke of distributed sweep execution: boot 3 worker processes,
@@ -198,11 +201,11 @@ dist-smoke:
 	echo "dist-smoke: OK (3-worker run with a mid-flight SIGKILL and 1-worker run both byte-identical to in-process)"
 
 # Restart-durability smoke of `atlarge serve --state-dir`: submit the 32-task
-# sweep as an async job, SIGKILL the server mid-flight, restart it on the
-# same state dir, and byte-compare the recovered job's result against an
-# uninterrupted CLI run. The kill lands
-# wherever it lands — resume must be byte-identical from ANY prefix of
-# completed work.
+# sweep as an async job, SIGKILL the server as soon as the job's first task
+# file shows in the state dir, restart it on the same state dir, and
+# byte-compare the recovered job's result against an uninterrupted CLI run.
+# The target fails when the kill found no task or every task checkpointed,
+# since then no partial resume was checked.
 serve-restart-smoke:
 	@set -e; tmp=$$(mktemp -d); \
 	trap 'kill "$$pid" 2>/dev/null || true; rm -rf "$$tmp"' EXIT; \
@@ -218,9 +221,15 @@ serve-restart-smoke:
 	curl -fsS -X POST --data-binary @"$$tmp/job.json" "$$url/v1/jobs" > "$$tmp/accept.json"; \
 	id=$$(sed -n 's/.*"id": "\([0-9a-f]*\)".*/\1/p' "$$tmp/accept.json" | head -1); \
 	test -n "$$id" || { echo "serve-restart-smoke: no job id"; cat "$$tmp/accept.json"; exit 1; }; \
-	sleep 1.5; \
+	for i in $$(seq 1 1000); do \
+		ls "$$tmp"/state/$$id/task-*.json > /dev/null 2>&1 && break; sleep 0.01; \
+	done; \
 	kill -9 "$$pid" 2>/dev/null; wait "$$pid" 2>/dev/null || true; \
-	echo "serve-restart-smoke: killed server with $$(ls "$$tmp"/state/$$id/task-*.json 2>/dev/null | wc -l)/32 tasks checkpointed"; \
+	n=$$(ls "$$tmp"/state/$$id/task-*.json 2>/dev/null | wc -l); \
+	echo "serve-restart-smoke: killed server with $$n/32 tasks checkpointed"; \
+	if [ "$$n" -eq 0 ] || [ "$$n" -ge 32 ]; then \
+		echo "serve-restart-smoke: FAIL: the kill found $$n/32 tasks checkpointed, so no partial resume was checked"; exit 1; \
+	fi; \
 	"$$tmp/atlarge" serve --addr 127.0.0.1:0 --parallel 2 --state-dir "$$tmp/state" > "$$tmp/serve2.log" 2>&1 & pid=$$!; \
 	for i in $$(seq 1 50); do \
 		grep -q "serving" "$$tmp/serve2.log" 2>/dev/null && break; sleep 0.2; \
@@ -237,21 +246,28 @@ serve-restart-smoke:
 	echo "serve-restart-smoke: OK (recovered job result byte-identical to uninterrupted run)"
 
 # End-to-end check of checkpoint/resume through the CLI: run the 32-task
-# sweep, kill it at roughly 50% via --timeout, resume from the checkpoint
-# directory, and byte-compare the final JSON against an uninterrupted
-# --parallel 1 run. The timeout lands wherever it lands — the
-# invariant under test is that resume is byte-identical from ANY prefix of
-# completed work (including none or all of it), so the target is
-# deterministic even though the kill point is not.
+# sweep, SIGKILL it as soon as its first --progress line shows on stderr,
+# resume from the checkpoint directory, and byte-compare the final JSON
+# against an uninterrupted --parallel 1 run. Resume must be byte-identical
+# from any prefix of completed work; the target fails when the kill found
+# no task or every task checkpointed, since then no partial resume was
+# checked.
 sweep-resume-smoke:
-	@set -e; tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
+	@set -e; tmp=$$(mktemp -d); \
+	trap 'kill -9 "$$sweep" 2>/dev/null || true; rm -rf "$$tmp"' EXIT; \
 	$(GO) build -o "$$tmp/atlarge" ./cmd/atlarge; \
 	"$$tmp/atlarge" scenario sweep $(SMOKE_SPEC) --parallel 1 --format json > "$$tmp/uninterrupted.json"; \
-	"$$tmp/atlarge" scenario sweep $(SMOKE_SPEC) --parallel 2 --format json \
-		--checkpoint "$$tmp/ckpt" --timeout 1s > /dev/null 2>"$$tmp/interrupt.log" \
-		&& { echo "sweep-resume-smoke: WARNING: sweep finished before the 1s kill; resume path still checked"; } \
-		|| grep -q "run interrupted" "$$tmp/interrupt.log"; \
-	echo "sweep-resume-smoke: interrupted with $$(ls "$$tmp"/ckpt/*/task-*.json 2>/dev/null | wc -l)/32 tasks checkpointed"; \
+	"$$tmp/atlarge" scenario sweep $(SMOKE_SPEC) --parallel 2 --format json --progress \
+		--checkpoint "$$tmp/ckpt" > /dev/null 2>"$$tmp/interrupt.log" & sweep=$$!; \
+	for i in $$(seq 1 1000); do \
+		grep -q "scenario sweep: " "$$tmp/interrupt.log" 2>/dev/null && break; sleep 0.01; \
+	done; \
+	kill -9 "$$sweep" 2>/dev/null || true; wait "$$sweep" 2>/dev/null || true; \
+	n=$$(ls "$$tmp"/ckpt/*/task-*.json 2>/dev/null | wc -l); \
+	echo "sweep-resume-smoke: interrupted with $$n/32 tasks checkpointed"; \
+	if [ "$$n" -eq 0 ] || [ "$$n" -ge 32 ]; then \
+		echo "sweep-resume-smoke: FAIL: the kill found $$n/32 tasks checkpointed, so no partial resume was checked"; exit 1; \
+	fi; \
 	"$$tmp/atlarge" scenario sweep $(SMOKE_SPEC) --parallel 8 --format json --checkpoint "$$tmp/ckpt" > "$$tmp/resumed.json"; \
 	cmp "$$tmp/resumed.json" "$$tmp/uninterrupted.json"; \
 	echo "sweep-resume-smoke: OK (resumed report byte-identical to uninterrupted run)"

@@ -43,6 +43,10 @@ type Scheduler struct {
 	WindowSize int
 	EnvFactory func() *cluster.Environment
 	Seed       int64
+	// Simulators lends the simulators the window simulations run on, so a
+	// run reuses the kernel and buffers of an earlier one. When nil, every
+	// window simulation runs on a new simulator.
+	Simulators *sched.FreeList
 }
 
 // Run executes the full trace.
@@ -77,7 +81,7 @@ func (s *Scheduler) run(runs *windowRuns) (*Result, error) {
 	for w := range runs.windows {
 		chosen, simRuns := s.Selector.Select(s.Policies, runs.score(w), s.Seed+int64(w))
 		policy := s.Policies[chosen]
-		real := runs.get(chosen, w, false, nil)
+		real := runs.get(chosen, w, false)
 		if real.err != nil {
 			return nil, fmt.Errorf("portfolio: window %d with %s: %w", w, policy.Name(), real.err)
 		}
@@ -105,7 +109,7 @@ func (s *Scheduler) staticBaselines(runs *windowRuns) (map[string]float64, error
 	for i, p := range s.Policies {
 		var all []float64
 		for w := range runs.windows {
-			r := runs.get(i, w, false, nil)
+			r := runs.get(i, w, false)
 			if r.err != nil {
 				return nil, fmt.Errorf("portfolio: baseline %s window %d: %w", p.Name(), w, r.err)
 			}
@@ -118,15 +122,17 @@ func (s *Scheduler) staticBaselines(runs *windowRuns) (map[string]float64, error
 
 // windowRuns is a trace cut into the scheduler's windows, with every window
 // simulation memoized: one run per (policy, window, runtimes or estimates),
-// on a fresh environment with seed Seed+window. A policy's run on a window is
-// both its static baseline there and, when the policy is chosen, the
-// portfolio's realized run; on a window whose runtime estimates are all
-// exact, the estimate run a selector scores is that same simulation too.
+// on a fresh environment with seed Seed+window and a simulator borrowed
+// from sims. A policy's run on a window is both its static baseline there
+// and, when the policy is chosen, the portfolio's realized run; on a window
+// whose runtime estimates are all exact, the estimate run a selector scores
+// is that same simulation too.
 // Runs may be requested concurrently.
 type windowRuns struct {
 	s       *Scheduler
 	windows []*workload.Trace
 	exact   []bool // every task's RuntimeEstimate equals its Runtime
+	sims    *sched.FreeList
 
 	mu   sync.Mutex
 	est  []*workload.Trace // estimate views, built on first use
@@ -156,7 +162,7 @@ func (s *Scheduler) windowRuns(tr *workload.Trace) (*windowRuns, error) {
 	}
 	sorted := &workload.Trace{Name: tr.Name, Jobs: append([]*workload.Job(nil), tr.Jobs...)}
 	sorted.SortBySubmit()
-	runs := &windowRuns{s: s, runs: make(map[runKey]*windowRun)}
+	runs := &windowRuns{s: s, sims: s.Simulators, runs: make(map[runKey]*windowRun)}
 	for lo := 0; lo < len(sorted.Jobs); lo += s.WindowSize {
 		hi := min(lo+s.WindowSize, len(sorted.Jobs))
 		window := &workload.Trace{Name: fmt.Sprintf("%s/w%d", tr.Name, len(runs.windows)), Jobs: sorted.Jobs[lo:hi]}
@@ -181,9 +187,8 @@ func exactEstimates(tr *workload.Trace) bool {
 }
 
 // get returns the run of policy i on window w, from runtime estimates when
-// est is set, simulating it on first request: on sim, reset for the run,
-// or on a new simulator when sim is nil.
-func (r *windowRuns) get(i, w int, est bool, sim *sched.Simulator) *windowRun {
+// est is set, simulating it on first request.
+func (r *windowRuns) get(i, w int, est bool) *windowRun {
 	key := runKey{policy: i, window: w, est: est && !r.exact[w]}
 	r.mu.Lock()
 	run := r.runs[key]
@@ -200,11 +205,9 @@ func (r *windowRuns) get(i, w int, est bool, sim *sched.Simulator) *windowRun {
 	}
 	r.mu.Unlock()
 	run.once.Do(func() {
-		if sim == nil {
-			sim = sched.NewSimulator(r.s.EnvFactory(), window, r.s.Policies[i], r.s.Seed+int64(w))
-		} else {
-			sim.Reset(r.s.EnvFactory(), window, r.s.Policies[i], r.s.Seed+int64(w))
-		}
+		sim := r.sims.Get()
+		defer r.sims.Put(sim)
+		sim.Reset(r.s.EnvFactory(), window, r.s.Policies[i], r.s.Seed+int64(w))
 		if !key.est {
 			sim.OnJob = func(js sched.JobStats) {
 				run.slowdowns = append(run.slowdowns, js.Slowdown)
@@ -221,7 +224,7 @@ func (r *windowRuns) get(i, w int, est bool, sim *sched.Simulator) *windowRun {
 // nothing.
 func (r *windowRuns) score(w int) func(i int) float64 {
 	return func(i int) float64 {
-		run := r.get(i, w, true, nil)
+		run := r.get(i, w, true)
 		if run.err != nil || run.res.Completed == 0 {
 			return math.Inf(1)
 		}

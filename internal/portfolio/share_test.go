@@ -90,7 +90,7 @@ func TestTable9SharedWindowRuns(t *testing.T) {
 
 		for w, c := range g.res.Choices {
 			p := policyIndex(t, s.Policies, c.Policy)
-			shared := g.runs.get(p, w, false, nil).res
+			shared := g.runs.get(p, w, false).res
 			fresh, err := sched.NewSimulator(s.EnvFactory(), g.runs.windows[w], s.Policies[p], s.Seed+int64(w)).Run()
 			if err != nil {
 				t.Fatal(err)

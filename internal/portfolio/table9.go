@@ -143,6 +143,9 @@ type table9Pool struct {
 	// onRow, when set, sees each row's portfolio result and window runs
 	// when the row is computed, on the worker that computes it.
 	onRow func(i int, res *Result, runs *windowRuns)
+	// sims lends every row's window simulations their simulators, so each
+	// worker's run reuses the kernel and buffers of an earlier one.
+	sims sched.FreeList
 
 	mu    sync.Mutex
 	built int         // rows the cursor has reached
@@ -182,13 +185,12 @@ func (p *table9Pool) run() ([]Table9Row, error) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			simulator := new(sched.Simulator)
 			for {
 				it, ok := p.next()
 				if !ok {
 					return
 				}
-				it.row.runs.get(it.i, it.w, it.est, simulator)
+				it.row.runs.get(it.i, it.w, it.est)
 				if it.row.left.Add(-1) == 0 {
 					p.finish(it.row)
 				}
@@ -224,6 +226,7 @@ func (p *table9Pool) next() (it table9Sim, ok bool) {
 // computed at once.
 func (p *table9Pool) reach(i int) {
 	s, tr := table9Row(p.cfg, p.specs[i], i)
+	s.Simulators = &p.sims
 	runs, err := s.windowRuns(tr)
 	if err != nil {
 		p.errs[i] = fmt.Errorf("portfolio: row %s: %w", p.specs[i].study, err)

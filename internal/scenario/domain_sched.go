@@ -290,7 +290,8 @@ func (schedDomain) Axes() map[string]AxisDef {
 }
 
 // Run executes one sched cell: build the environment and trace, then run the
-// named policy (or the portfolio scheduler) and emit its metrics.
+// named policy (or the portfolio scheduler) and emit its metrics. The
+// simulations run on simulators borrowed from the cell's memo.
 func (schedDomain) Run(sc *Scenario, workloadSeed, simSeed int64) ([]MetricValue, error) {
 	env, envFactory, err := sc.buildEnv()
 	if err != nil {
@@ -301,6 +302,7 @@ func (schedDomain) Run(sc *Scenario, workloadSeed, simSeed int64) ([]MetricValue
 		return nil, err
 	}
 
+	sims := sc.traces.simulators()
 	if isPortfolio(sc.Policy) {
 		ps := &portfolio.Scheduler{
 			Policies:   sched.DefaultPortfolio(),
@@ -308,6 +310,7 @@ func (schedDomain) Run(sc *Scenario, workloadSeed, simSeed int64) ([]MetricValue
 			WindowSize: 25,
 			EnvFactory: envFactory,
 			Seed:       simSeed,
+			Simulators: sims,
 		}
 		res, err := ps.Run(tr)
 		if err != nil {
@@ -326,7 +329,10 @@ func (schedDomain) Run(sc *Scenario, workloadSeed, simSeed int64) ([]MetricValue
 	if err != nil {
 		return nil, fmt.Errorf("scenario: cell %s: %w", sc.ID(), err)
 	}
-	res, err := sched.NewSimulator(env, tr, pol, simSeed).Run()
+	s := sims.Get()
+	defer sims.Put(s)
+	s.Reset(env, tr, pol, simSeed)
+	res, err := s.Run()
 	if err != nil {
 		return nil, fmt.Errorf("scenario: cell %s: %w", sc.ID(), err)
 	}

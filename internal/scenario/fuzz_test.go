@@ -2,6 +2,9 @@ package scenario
 
 import (
 	"bytes"
+	"encoding/json"
+	"os"
+	"reflect"
 	"testing"
 
 	"atlarge/internal/workload"
@@ -40,6 +43,41 @@ func FuzzSpecValidate(f *testing.F) {
 					t.Fatalf("cell %v draws tasks wider than its %s of %d", c.Params, field, cores)
 				}
 			}
+		}
+	})
+}
+
+// FuzzCheckpointLoad writes arbitrary bytes as the checkpoint file of task
+// id and loads it, as a resume does after a crash or a hand-edited
+// directory. Load must not panic, and it either misses or returns exactly
+// the metrics the file stores under id: a file stored under another ID
+// misses. A hit stored again must load back the same. The committed corpus
+// (testdata/fuzz) holds a valid file, a torn one, one under another ID,
+// non-JSON bytes and wrong metric types.
+func FuzzCheckpointLoad(f *testing.F) {
+	f.Fuzz(func(t *testing.T, raw []byte, id string) {
+		c := &checkpoint{dir: t.TempDir()}
+		if err := os.WriteFile(c.taskPath(id), raw, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		got, ok := c.Load(id)
+		if !ok {
+			return
+		}
+		var tf taskFile
+		if err := json.Unmarshal(raw, &tf); err != nil || tf.ID != id {
+			t.Fatalf("hit for %q on a file stored under %q (decode error %v)", id, tf.ID, err)
+		}
+		if !reflect.DeepEqual(got, tf.Metrics) {
+			t.Fatalf("hit returned %+v, the file stores %+v", got, tf.Metrics)
+		}
+		again := &checkpoint{dir: t.TempDir()}
+		again.Store(id, got)
+		if err := again.Err(); err != nil {
+			t.Fatal(err)
+		}
+		if back, ok := again.Load(id); !ok || !reflect.DeepEqual(back, got) {
+			t.Fatalf("stored hit loads back as %+v (hit %t), want %+v", back, ok, got)
 		}
 	})
 }

@@ -11,6 +11,7 @@ import (
 
 	"atlarge"
 	"atlarge/internal/exec"
+	"atlarge/internal/sched"
 	"atlarge/internal/sim"
 	"atlarge/internal/workload"
 )
@@ -352,6 +353,9 @@ type traceKey struct {
 // next claim of its group reuses it, until another entry goes idle or a
 // task needs a trace the memo lacks. The worker thus holds the traces of
 // its running tasks plus one, and no idle trace while it builds one.
+//
+// The memo also lends its sched cells their simulators (see simulators), so
+// the free list lives exactly as long as the run or the worker.
 type traceMemo struct {
 	mu      sync.Mutex
 	entries map[traceKey]*traceEntry
@@ -360,6 +364,17 @@ type traceMemo struct {
 	idle     traceKey
 	// built, when non-nil, observes every trace the memo builds.
 	built func(traceKey, *workload.Trace)
+	sims  sched.FreeList
+}
+
+// simulators returns the free list the memo's sched cells borrow their
+// simulators from. A cell without a memo gets nil, which lends a new
+// simulator each time.
+func (m *traceMemo) simulators() *sched.FreeList {
+	if m == nil {
+		return nil
+	}
+	return &m.sims
 }
 
 // traceEntry is one shared trace, built on first use. The build error is

@@ -4,12 +4,15 @@ import (
 	"context"
 	"crypto/sha256"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
 
+	"atlarge/internal/sim"
 	"atlarge/internal/workload"
 )
 
@@ -234,5 +237,108 @@ func TestSharedTraceErrorsNameTheirCell(t *testing.T) {
 				t.Errorf("failure %d of cell %s: names %s = %v: %s", i, own, id, named, line)
 			}
 		}
+	}
+}
+
+// TestRunAllocBudget bounds the bytes one Run of smoke-32 allocates on two
+// workers, after a warm-up run: its 32 cells build 2 traces, and each sched
+// cell borrows a simulator from the run's free list, so the run grows 2
+// simulators and their kernels, not 32. Without the free list it allocates
+// about 22 MiB. The test does not run in parallel, since TotalAlloc counts
+// every goroutine's allocations.
+func TestRunAllocBudget(t *testing.T) {
+	const mib = 1 << 20
+	const budget = 12 * mib
+	s, cells := loadCommitted(t, "smoke-32")
+	opt := Options{Parallelism: 2}
+	if _, err := Run(context.Background(), s, cells, opt); err != nil { // warm up
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := Run(context.Background(), s, cells, opt)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got > budget {
+		t.Errorf("Run of smoke-32 allocated %.2f MiB, budget %.2f MiB", float64(got)/mib, float64(budget)/mib)
+	}
+}
+
+// TestPortfolioCellReuseParity runs portfolio and static sched cells on
+// simulators borrowed from one memo's free list, dirtied by every earlier
+// run, and holds each task's metrics bit for bit against the same task on
+// new simulators (a cell without a memo), over seeds 0–9. The borrowed runs
+// must start far fewer kernels than they run simulations.
+func TestPortfolioCellReuseParity(t *testing.T) {
+	s := specJSON(t, `{
+		"version": 1, "name": "pf-reuse", "policy": "portfolio",
+		"workload": {"class": "sci", "jobs": 90},
+		"cluster": {"machines": 6},
+		"sweep": {"policy": ["portfolio", "sjf"], "load": [0.6, 1.1]}
+	}`)
+	cells, err := Expand(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	memo := &traceMemo{}
+	var (
+		mu      sync.Mutex
+		counted bool // count the kernel lives of borrowed runs
+		lives   int
+		kernels = map[*sim.Kernel]bool{}
+	)
+	sim.SetKernelObserver(func(k *sim.Kernel) {
+		mu.Lock()
+		defer mu.Unlock()
+		if counted {
+			lives++
+			kernels[k] = true
+		}
+	})
+	defer sim.SetKernelObserver(nil)
+	count := func(on bool) {
+		mu.Lock()
+		counted = on
+		mu.Unlock()
+	}
+	for seed := int64(0); seed < 10; seed++ {
+		var tasks []planTask
+		if _, err := layoutPlan(cells, seed, 2, func(pt planTask) func(context.Context) ([]MetricValue, error) {
+			tasks = append(tasks, pt)
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		for _, pt := range tasks {
+			fresh := *pt.cell
+			want, err := fresh.domain.Run(&fresh, pt.workloadSeed, pt.simSeed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			shared := *pt.cell
+			shared.traces = memo
+			key := traceKey{workloadID: pt.workloadID, seed: pt.workloadSeed}
+			memo.reserve(key)
+			count(true)
+			got, err := shared.domain.Run(&shared, pt.workloadSeed, pt.simSeed)
+			count(false)
+			memo.release(key)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(got) != len(want) {
+				t.Fatalf("seed %d, %s: %d metrics, fresh %d", seed, pt.cell.ID(), len(got), len(want))
+			}
+			for i := range got {
+				if got[i].Name != want[i].Name || math.Float64bits(got[i].Value) != math.Float64bits(want[i].Value) {
+					t.Fatalf("seed %d, %s: metric %+v, fresh %+v", seed, pt.cell.ID(), got[i], want[i])
+				}
+			}
+		}
+	}
+	if len(kernels) == 0 || len(kernels) > lives/10 {
+		t.Fatalf("borrowed runs started %d kernel lives on %d kernels", lives, len(kernels))
 	}
 }

@@ -4,9 +4,12 @@ import (
 	"fmt"
 	"math/rand"
 	"slices"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"atlarge/internal/cluster"
+	"atlarge/internal/sim"
 	"atlarge/internal/workload"
 )
 
@@ -134,13 +137,23 @@ func leftovers(s *Simulator) [8]int {
 // by a bad job mid-stream, and OnJob set on some runs and not on the next.
 // Each run must give the Result, error and OnJob stream of a fresh
 // NewSimulator bit for bit, and leave the same state behind; a stale OnJob
-// would grow an earlier run's stream, so the streams are compared last.
+// would grow an earlier run's stream, so the streams are compared last. The
+// reused simulator runs every step on one kernel, reset per run, and each
+// run's traced per-name event and stream counts must equal the fresh run's.
 func TestSimulatorResetParity(t *testing.T) {
 	steps := resetSteps(rand.New(rand.NewSource(11)), 30)
 	reused := new(Simulator)
 	got := make([][]JobStats, len(steps))
 	want := make([][]JobStats, len(steps))
+	var profiles []*sim.Profile // one per kernel life, in start order
+	sim.SetKernelObserver(func(k *sim.Kernel) {
+		p := sim.NewProfile()
+		k.SetTracer(p)
+		profiles = append(profiles, p)
+	})
+	defer sim.SetKernelObserver(nil)
 	var (
+		kernel              *sim.Kernel // the reused simulator's
 		policies, dagTraces = map[string]bool{}, map[bool]bool{}
 		kindCounts          = map[int]bool{}
 		gdc, onJobDropped   bool
@@ -162,8 +175,19 @@ func TestSimulatorResetParity(t *testing.T) {
 			fresh.OnJob = func(js JobStats) { want[i] = append(want[i], js) }
 			reused.OnJob = func(js JobStats) { got[i] = append(got[i], js) }
 		}
+		profiles = profiles[:0]
 		wantRes, wantErr := runStep(fresh, st, tr)
 		gotRes, gotErr := runStep(reused, st, tr)
+		if kernel == nil {
+			kernel = reused.k
+		}
+		if reused.k != kernel || len(profiles) != 2 {
+			t.Fatalf("step %d (%v): reused simulator runs on a new kernel, or %d kernel lives started, want 2",
+				i, st, len(profiles))
+		}
+		if g, w := profileCounts(profiles[1]), profileCounts(profiles[0]); !slices.Equal(g, w) {
+			t.Fatalf("step %d (%v): traced counts %v, fresh %v", i, st, g, w)
+		}
 		if gotErr != wantErr {
 			t.Fatalf("step %d (%v): error %q, fresh %q", i, st, gotErr, wantErr)
 		}
@@ -207,6 +231,77 @@ func TestSimulatorResetParity(t *testing.T) {
 	for k, v := range stopped {
 		if v == 0 {
 			t.Errorf("no stopped run leaves leftover %d behind (%v)", k, stopped)
+		}
+	}
+}
+
+// profileCounts renders a profile's per-name event counts and per-stream
+// access counts, leaving out the wall times.
+func profileCounts(p *sim.Profile) []string {
+	var out []string
+	for _, r := range p.Rows() {
+		out = append(out, fmt.Sprintf("%s %d/%d/%d", r.Name, r.Scheduled, r.Fired, r.Cancelled))
+	}
+	for _, r := range p.Streams() {
+		out = append(out, fmt.Sprintf("rand %s %d", r.Stream, r.Accesses))
+	}
+	return out
+}
+
+// TestFreeListConcurrentParity runs a seeded sequence of runs from four
+// goroutines on simulators borrowed from one FreeList. Each run must give
+// a fresh simulator's Result and error bit for bit; afterwards the list
+// holds no more simulators than ran at once, and none keeps its last run's
+// environment, trace, policy or arrival closures reachable.
+func TestFreeListConcurrentParity(t *testing.T) {
+	const workers = 4
+	steps := resetSteps(rand.New(rand.NewSource(5)), 24)
+	traces := make([]*workload.Trace, len(steps))
+	want := make([]*Result, len(steps))
+	wantErr := make([]string, len(steps))
+	for i, st := range steps {
+		traces[i] = resetTrace(st)
+		p, err := PolicyByName(st.policy)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[i], wantErr[i] = runStep(NewSimulator(compositeOf(st.kinds...), traces[i], p, st.seed), st, traces[i])
+	}
+
+	var l FreeList
+	var next atomic.Int32
+	var wg sync.WaitGroup
+	for range workers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := int(next.Add(1)) - 1; i < len(steps); i = int(next.Add(1)) - 1 {
+				st := steps[i]
+				p, err := PolicyByName(st.policy)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				s := l.Get()
+				s.Reset(compositeOf(st.kinds...), traces[i], p, st.seed)
+				got, gotErr := runStep(s, st, traces[i])
+				l.Put(s)
+				if gotErr != wantErr[i] || (got == nil) != (want[i] == nil) ||
+					got != nil && !slices.Equal(resultWords(got), resultWords(want[i])) {
+					t.Errorf("step %d (%v): result %+v, error %q; fresh %+v, %q", i, st, got, gotErr, want[i], wantErr[i])
+				}
+			}
+		}()
+	}
+	wg.Wait()
+
+	if n := len(l.free); n == 0 || n > workers {
+		t.Fatalf("free list holds %d simulators after %d workers", n, workers)
+	}
+	for _, s := range l.free {
+		if s.env != nil || s.trace != nil || s.policy != nil || s.feed.next != nil ||
+			slices.ContainsFunc(s.feed.batch[:cap(s.feed.batch)], func(b sim.BatchEvent) bool { return b.Fn != nil }) {
+			t.Fatal("an idle simulator keeps its last run reachable")
 		}
 	}
 }

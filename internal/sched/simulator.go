@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/rand"
 	"slices"
+	"sync"
 
 	"atlarge/internal/cluster"
 	"atlarge/internal/sim"
@@ -161,22 +162,67 @@ func NewSimulator(env *cluster.Environment, tr *workload.Trace, p Policy, seed i
 
 // Reset re-points s at a new run, as NewSimulator would prepare it, and
 // clears OnJob. The buffers of earlier runs are kept, and the next run
-// clears and reuses them: the task state arena, the queue blocks, the
-// dependency maps and edges, the EASY estimate slots and the task-finish
-// records. Each run still builds its own kernel, and the trace is still not
-// mutated. env must not be shared, as for NewSimulator. A zero Simulator is
-// ready for Reset.
+// clears and reuses them: the kernel (see sim.Kernel.Reset), the arrival
+// batch, the task state arena, the queue blocks, the dependency maps and
+// edges, the EASY estimate slots and the task-finish records. The trace is
+// not mutated, and env must not be shared, as for NewSimulator. A zero
+// Simulator is ready for Reset.
 func (s *Simulator) Reset(env *cluster.Environment, tr *workload.Trace, p Policy, seed int64) {
 	s.OnJob = nil
 	s.env, s.trace, s.policy, s.seed = env, tr, p, seed
 }
 
+// FreeList lends simulators to runs that may overlap, so each run reuses
+// the kernel and buffers of an earlier one. It holds at most as many
+// simulators as were ever lent at once, and it lives as long as its owner
+// (a sweep, a dist worker, a table), not the process. The zero FreeList is
+// empty and ready; a nil *FreeList lends a new simulator every time and
+// keeps none. It is safe for concurrent use.
+type FreeList struct {
+	mu   sync.Mutex
+	free []*Simulator
+}
+
+// Get lends a simulator, ready for Reset.
+func (l *FreeList) Get() *Simulator {
+	if l == nil {
+		return new(Simulator)
+	}
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	n := len(l.free)
+	if n == 0 {
+		return new(Simulator)
+	}
+	s := l.free[n-1]
+	l.free = l.free[:n-1]
+	return s
+}
+
+// Put takes back a simulator whose run is over. It drops the run's
+// environment, trace, policy and OnJob first, so an idle simulator keeps no
+// trace reachable.
+func (l *FreeList) Put(s *Simulator) {
+	if l == nil {
+		return
+	}
+	s.Reset(nil, nil, nil, 0)
+	s.feed.drop()
+	l.mu.Lock()
+	l.free = append(l.free, s)
+	l.mu.Unlock()
+}
+
 // run executes the simulation with arrivals pulled from next (nil ends the
 // stream), chunk arrivals per feed event, and returns the aggregate result.
 func (s *Simulator) run(next func() *workload.Job, chunk int) (*Result, error) {
-	s.k = sim.NewKernel(s.seed)
+	if s.k == nil {
+		s.k = sim.NewKernel(s.seed)
+	} else {
+		s.k.Reset(s.seed)
+	}
 	s.k.Reserve(chunk)
-	s.feed = feeder{next: next, chunk: chunk, batch: make([]sim.BatchEvent, 0, chunk)}
+	s.feed = feeder{next: next, chunk: chunk, batch: slices.Grow(s.feed.batch[:0], chunk)}
 	s.agg = aggregate{}
 	s.skip, s.easy = s.policy.AllowSkip(), s.policy.EasyReservation()
 	s.random = s.policy.Random()
@@ -629,11 +675,14 @@ func (s *Simulator) recordUtilization() {
 
 // RunAll runs the trace under every policy on fresh copies of the
 // environment and returns results keyed by policy name. The environment is
-// rebuilt per policy via envFactory so runs do not share machine state.
+// rebuilt per policy via envFactory so runs do not share machine state; the
+// runs share one simulator, reset per policy, and the trace is not mutated.
 func RunAll(envFactory func() *cluster.Environment, tr *workload.Trace, policies []Policy, seed int64) (map[string]*Result, error) {
 	out := make(map[string]*Result, len(policies))
+	s := new(Simulator)
 	for _, p := range policies {
-		res, err := NewSimulator(envFactory(), tr.Clone(), p, seed).Run()
+		s.Reset(envFactory(), tr, p, seed)
+		res, err := s.Run()
 		if err != nil {
 			return nil, fmt.Errorf("sched: policy %s: %w", p.Name(), err)
 		}

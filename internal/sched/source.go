@@ -117,11 +117,19 @@ func (s *Simulator) feedChunk() {
 	if f.carry == nil {
 		// The stream is drained. For Run the cursor and the buffer span the
 		// whole trace, and the buffer's closures would otherwise stay live
-		// after their arrivals fire, so release both.
-		f.next, f.batch = nil, nil
+		// after their arrivals fire, so release them.
+		f.drop()
 		return
 	}
 	s.k.At(f.last, "feed", func(k *sim.Kernel) { s.feedChunk() })
+}
+
+// drop lets go of the stream and of the closures in the batch buffer,
+// keeping the buffer's array for the next run.
+func (f *feeder) drop() {
+	b := f.batch[:cap(f.batch)]
+	clear(b)
+	*f = feeder{batch: b[:0]}
 }
 
 // aggregate folds per-job stats and the utilization series into the scalar

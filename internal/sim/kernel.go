@@ -21,6 +21,15 @@
 // alongside the slot index, so sift-up/down compare adjacent cache lines
 // without chasing pointers. Steady-state Schedule/Fire therefore allocates
 // nothing; cold start amortizes to O(log n) slab doublings.
+//
+// # Kernel lives
+//
+// A kernel serves one run per life. NewKernel starts the first life, and
+// Reset starts a further one on the same storage: the slab, the heap and the
+// named streams stay allocated, so a simulator that runs many short
+// simulations grows them once. Each life is indistinguishable from a new
+// kernel's: same event order, clock, counters and draws, and the kernel
+// observer sees every life.
 package sim
 
 import (
@@ -117,7 +126,9 @@ func (r EventRef) Cancel() {
 	if r.k == nil {
 		return
 	}
-	if e := &r.k.events[r.idx]; e.gen == r.gen {
+	// A Reset empties the slab but keeps every slot, so a reference from an
+	// earlier life indexes within capacity and meets a bumped generation.
+	if e := &r.k.events[:cap(r.k.events)][r.idx]; e.gen == r.gen {
 		e.dead = true
 	}
 }
@@ -128,7 +139,8 @@ var ErrStopped = errors.New("sim: stopped")
 
 // Kernel is a discrete-event simulation engine.
 //
-// The zero value is not usable; construct with NewKernel.
+// The zero value is not usable; construct with NewKernel. Reset readies a
+// used kernel for a further run, as NewKernel would, keeping its storage.
 type Kernel struct {
 	now      Time
 	heap     []heap4.Node // 4-ary min-heap ordered by (at, seq)
@@ -151,10 +163,42 @@ func NewKernel(seed int64) *Kernel {
 		seed:     seed,
 		freeHead: noEvent,
 	}
+	k.observe()
+	return k
+}
+
+// Reset readies k for a further run exactly as NewKernel(seed) would: the
+// clock, the sequence numbers, Stop, the horizon and the fired count start
+// over, pending events are dropped, references to earlier events cancel
+// nothing, and every named stream restarts from its seed-derived state. It
+// keeps the event slab, the heap and the streams, so a reused kernel grows
+// none of them again. Events fired so far are flushed into the process-wide
+// count first. The tracer is detached and the kernel observer is called, as
+// for a new kernel, so each life gets its own trace.
+func (k *Kernel) Reset(seed int64) {
+	k.flushFired()
+	for i := range k.events {
+		e := &k.events[i]
+		e.gen++
+		e.fn, e.name, e.dead = nil, "", false
+	}
+	k.events, k.heap = k.events[:0], k.heap[:0]
+	k.freeHead = noEvent
+	k.now, k.seq, k.stopped, k.horizon = 0, 0, false, 0
+	k.fired, k.flushed = 0, 0
+	k.seed = seed
+	for name, r := range k.streams {
+		r.Seed(streamSeed(seed, name))
+	}
+	k.tracer = nil
+	k.observe()
+}
+
+// observe hands the kernel, at the start of a life, to the kernel observer.
+func (k *Kernel) observe() {
 	if obs := kernelObserver.Load(); obs != nil {
 		(*obs)(k)
 	}
-	return k
 }
 
 // Now returns the current virtual time.
@@ -196,18 +240,23 @@ func (k *Kernel) Rand(stream string) *rand.Rand {
 	if r, ok := k.streams[stream]; ok {
 		return r
 	}
-	// Derive a sub-seed from the kernel seed and the stream name using FNV-1a.
-	var h uint64 = 14695981039346656037
-	for i := 0; i < len(stream); i++ {
-		h ^= uint64(stream[i])
-		h *= 1099511628211
-	}
-	r := rand.New(rand.NewSource(k.seed ^ int64(h)))
+	r := rand.New(rand.NewSource(streamSeed(k.seed, stream)))
 	if k.streams == nil {
 		k.streams = make(map[string]*rand.Rand)
 	}
 	k.streams[stream] = r
 	return r
+}
+
+// streamSeed derives the seed of a named stream from the kernel seed and the
+// name's FNV-1a hash.
+func streamSeed(seed int64, stream string) int64 {
+	var h uint64 = 14695981039346656037
+	for i := 0; i < len(stream); i++ {
+		h ^= uint64(stream[i])
+		h *= 1099511628211
+	}
+	return seed ^ int64(h)
 }
 
 // Reserve pre-sizes the event slab and heap for at least n concurrently
@@ -216,8 +265,10 @@ func (k *Kernel) Rand(stream string) *rand.Rand {
 // capacity is a no-op.
 func (k *Kernel) Reserve(n int) {
 	if n > cap(k.events) {
+		// Copy every slot, not only the live ones: slots past the length
+		// keep the generations a Reset bumped.
 		ne := make([]event, len(k.events), n)
-		copy(ne, k.events)
+		copy(ne[:cap(k.events)], k.events[:cap(k.events)])
 		k.events = ne
 	}
 	if n > cap(k.heap) {
@@ -450,12 +501,13 @@ func (k *Kernel) Run() error {
 			continue
 		}
 		// Traced path: the name must outlive recycle, and only this branch
-		// pays for the clock reads.
-		name := e.name
+		// pays for the clock reads. The event reports to the tracer it
+		// fired under, even if the handler detaches it or resets k.
+		name, tr := e.name, k.tracer
 		k.recycle(idx)
 		start := time.Now()
 		fn(k)
-		k.tracer.EventFired(name, at, time.Since(start))
+		tr.EventFired(name, at, time.Since(start))
 	}
 	if k.stopped {
 		return ErrStopped
@@ -498,11 +550,11 @@ func (k *Kernel) Step() (bool, error) {
 			fn(k)
 			return true, nil
 		}
-		name := e.name
+		name, tr := e.name, k.tracer
 		k.recycle(idx)
 		start := time.Now()
 		fn(k)
-		k.tracer.EventFired(name, at, time.Since(start))
+		tr.EventFired(name, at, time.Since(start))
 		return true, nil
 	}
 	return false, nil

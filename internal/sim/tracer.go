@@ -256,18 +256,19 @@ func Tee(tracers ...Tracer) Tracer {
 	return live
 }
 
-// kernelObserver, when set, is called once for every kernel NewKernel
-// returns. It is the process-level capture point tracing tools use to attach
-// tracers to kernels constructed deep inside simulators, without every
-// simulator having to thread a Tracer through its configuration. The
-// observer must be safe for concurrent calls — parallel sweep tasks
-// construct kernels concurrently.
+// kernelObserver, when set, is called once per kernel life: by NewKernel
+// and by Reset, after which the kernel has no tracer. It is the
+// process-level capture point tracing tools use to attach tracers to
+// kernels constructed deep inside simulators, without every simulator
+// having to thread a Tracer through its configuration, and a reused kernel
+// gets a fresh tracer per run. The observer must be safe for concurrent
+// calls — parallel sweep tasks start kernel lives concurrently.
 var kernelObserver atomic.Pointer[func(*Kernel)]
 
 // SetKernelObserver installs (or, with nil, removes) the process-wide
-// kernel-creation observer. Install before launching the run to trace and
-// remove it afterwards; installing while unrelated simulations are running
-// traces their kernels too.
+// kernel observer, called once per kernel life: NewKernel or Reset. Install
+// before launching the run to trace and remove it afterwards; installing
+// while unrelated simulations are running traces their kernels too.
 func SetKernelObserver(f func(*Kernel)) {
 	if f == nil {
 		kernelObserver.Store(nil)
