@@ -1,6 +1,7 @@
 package atlarge
 
 import (
+	"context"
 	"runtime"
 	"strings"
 	"testing"
@@ -138,12 +139,12 @@ func TestExperimentAllocBudget(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := e.Run(42); err != nil { // warm up
+		if _, err := e.Run(context.Background(), 42); err != nil { // warm up
 			t.Fatal(err)
 		}
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		_, err = e.Run(42)
+		_, err = e.Run(context.Background(), 42)
 		runtime.ReadMemStats(&after)
 		if err != nil {
 			t.Fatal(err)

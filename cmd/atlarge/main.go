@@ -334,8 +334,8 @@ func runTo(w io.Writer, args []string) error {
 			mux.Handle("/", srv)
 			handler = mux
 		}
-		// The listen line goes out before blocking so scripts (and `make
-		// serve-smoke`) can scrape the bound port even with --addr :0.
+		// The listen line goes out before blocking so scripts (and
+		// TestE2ESmoke32) can scrape the bound port even with --addr :0.
 		fmt.Fprintf(w, "serving Results API v2 on http://%s\n", ln.Addr())
 		return http.Serve(ln, handler)
 	case "worker":
@@ -355,8 +355,8 @@ func runTo(w io.Writer, args []string) error {
 		if err != nil {
 			return err
 		}
-		// The listen line goes out before blocking so scripts (and `make
-		// dist-smoke`) can scrape the bound port even with --listen :0.
+		// The listen line goes out before blocking so scripts (and
+		// TestE2ESmoke32) can scrape the bound port even with --listen :0.
 		fmt.Fprintf(w, "worker serving sweep tasks on http://%s\n", ln.Addr())
 		return http.Serve(ln, wk.Handler())
 	default:

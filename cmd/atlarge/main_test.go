@@ -3,12 +3,15 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
 	"atlarge"
+	"atlarge/internal/api"
 )
 
 func TestRunUsageErrors(t *testing.T) {
@@ -384,20 +387,23 @@ func TestRunAllJSONParallelParity(t *testing.T) {
 	}
 }
 
-// TestCatalogGolden pins `list --format json` against the committed catalog
-// golden (also enforced end-to-end by `make catalog-golden` in CI), so the
-// machine-readable catalog cannot drift silently.
+// TestCatalogGolden pins `list --format json` and the API's
+// /v1/experiments over the default registry against the committed catalog
+// golden, so the machine-readable catalog cannot drift silently. Regenerate
+// it after an intentional catalog change with
+// `go run ./cmd/atlarge list --format json > cmd/atlarge/testdata/catalog.golden.json`.
 func TestCatalogGolden(t *testing.T) {
-	var buf bytes.Buffer
-	if err := runTo(&buf, []string{"list", "--format", "json"}); err != nil {
-		t.Fatal(err)
-	}
 	golden, err := os.ReadFile(filepath.Join("testdata", "catalog.golden.json"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if buf.String() != string(golden) {
-		t.Errorf("catalog JSON differs from testdata/catalog.golden.json; regenerate it if the change is intentional:\n%s", buf.String())
+	if got := runOut(t, "list", "--format", "json"); got != string(golden) {
+		t.Errorf("catalog JSON differs from testdata/catalog.golden.json; regenerate it if the change is intentional:\n%s", got)
+	}
+	srv := httptest.NewServer(api.New(api.Config{}))
+	defer srv.Close()
+	if code, served := call(t, srv.URL+"/v1/experiments", ""); code != http.StatusOK || !bytes.Equal(served, golden) {
+		t.Errorf("GET /v1/experiments (status %d) differs from testdata/catalog.golden.json:\n%s", code, served)
 	}
 }
 

@@ -41,23 +41,32 @@ func TestTraceExperiment(t *testing.T) {
 	}
 }
 
-// TestTraceDeterministicReruns pins the smoke-test contract: tracing the
-// same target twice yields byte-identical virtual-time artifacts.
+// TestTraceDeterministicReruns pins the trace contract for an experiment
+// and a scenario cell: tracing the same target twice yields byte-identical
+// virtual-time artifacts, and trace.json is a valid Chrome trace.
 func TestTraceDeterministicReruns(t *testing.T) {
-	d1, d2 := t.TempDir(), t.TempDir()
-	traceTo(t, "tab7", "--seed", "7", "--dir", d1)
-	traceTo(t, "tab7", "--seed", "7", "--dir", d2)
-	for _, name := range []string{"trace.ndjson", "trace.json"} {
-		a, err := os.ReadFile(filepath.Join(d1, name))
-		if err != nil {
-			t.Fatal(err)
+	for _, target := range [][]string{
+		{"tab7", "--seed", "7"},
+		{"--spec", exampleSweepSpec, "--cell", "policy-vs-load/load=0.7,policy=sjf"},
+	} {
+		d1, d2 := t.TempDir(), t.TempDir()
+		traceTo(t, append(target, "--dir", d1)...)
+		traceTo(t, append(target, "--dir", d2)...)
+		for _, name := range []string{"trace.ndjson", "trace.json"} {
+			a, err := os.ReadFile(filepath.Join(d1, name))
+			if err != nil {
+				t.Fatal(err)
+			}
+			b, err := os.ReadFile(filepath.Join(d2, name))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(a, b) {
+				t.Errorf("trace %v: %s differs between identical traced runs", target, name)
+			}
 		}
-		b, err := os.ReadFile(filepath.Join(d2, name))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(a, b) {
-			t.Errorf("%s differs between identical traced runs", name)
+		if err := obs.ValidateChromeFile(filepath.Join(d1, "trace.json")); err != nil {
+			t.Errorf("trace %v: trace.json invalid: %v", target, err)
 		}
 	}
 }

@@ -90,14 +90,14 @@ func TestDeriveSeedBaseAvalanche(t *testing.T) {
 // wind down without leaking goroutines.
 func TestRunnerCancellation(t *testing.T) {
 	reg := NewRegistry()
-	reg.MustRegister(Experiment{ID: "quick", Order: 1, Run: func(seed int64) (*Report, error) {
+	reg.MustRegister(Experiment{ID: "quick", Order: 1, Run: func(_ context.Context, seed int64) (*Report, error) {
 		rep := NewReport("quick", "quick")
 		rep.AddMetric(Metric{Name: "x", Value: 1})
 		return rep, nil
 	}})
 	// A "hung" experiment: it never finishes on its own and only returns
 	// when the runner's context fires.
-	reg.MustRegister(Experiment{ID: "hang", Order: 2, RunContext: func(ctx context.Context, seed int64) (*Report, error) {
+	reg.MustRegister(Experiment{ID: "hang", Order: 2, Run: func(ctx context.Context, seed int64) (*Report, error) {
 		<-ctx.Done()
 		return nil, ctx.Err()
 	}})
@@ -143,14 +143,14 @@ func TestRunnerCancellationSkipsUnstarted(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	ran := 0
-	reg.MustRegister(Experiment{ID: "a", Order: 1, Run: func(seed int64) (*Report, error) {
+	reg.MustRegister(Experiment{ID: "a", Order: 1, Run: func(_ context.Context, seed int64) (*Report, error) {
 		ran++
 		cancel() // cancel while the first task is the only one started
 		rep := NewReport("a", "a")
 		rep.AddMetric(Metric{Name: "x", Value: 1})
 		return rep, nil
 	}})
-	reg.MustRegister(Experiment{ID: "b", Order: 2, Run: func(seed int64) (*Report, error) {
+	reg.MustRegister(Experiment{ID: "b", Order: 2, Run: func(_ context.Context, seed int64) (*Report, error) {
 		ran++
 		return NewReport("b", "b"), nil
 	}})

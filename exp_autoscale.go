@@ -1,6 +1,7 @@
 package atlarge
 
 import (
+	"context"
 	"sort"
 
 	"atlarge/internal/autoscale"
@@ -16,7 +17,7 @@ func init() {
 	})
 }
 
-func runAutoscale(seed int64) (*Report, error) {
+func runAutoscale(_ context.Context, seed int64) (*Report, error) {
 	cfg := autoscale.DefaultExperimentConfig()
 	cfg.Seed = seed
 	res, err := autoscale.RunExperiment(cfg)

@@ -1,6 +1,7 @@
 package atlarge
 
 import (
+	"context"
 	"sort"
 
 	"atlarge/internal/biblio"
@@ -30,7 +31,7 @@ func init() {
 	})
 }
 
-func runFig1(seed int64) (*Report, error) {
+func runFig1(_ context.Context, seed int64) (*Report, error) {
 	cfg := biblio.DefaultCorpusConfig()
 	cfg.Seed = seed
 	corpus, err := biblio.Corpus(cfg)
@@ -48,7 +49,7 @@ func runFig1(seed int64) (*Report, error) {
 	return rep, nil
 }
 
-func runFig2(seed int64) (*Report, error) {
+func runFig2(_ context.Context, seed int64) (*Report, error) {
 	cfg := biblio.DefaultCorpusConfig()
 	cfg.Seed = seed
 	corpus, err := biblio.Corpus(cfg)
@@ -90,7 +91,7 @@ func runFig2(seed int64) (*Report, error) {
 	return rep, nil
 }
 
-func runFig3(seed int64) (*Report, error) {
+func runFig3(_ context.Context, seed int64) (*Report, error) {
 	cfg := biblio.DefaultReviewConfig()
 	cfg.Seed = seed
 	reviews, err := biblio.GenerateReviews(cfg)

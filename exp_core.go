@@ -1,6 +1,7 @@
 package atlarge
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"strings"
@@ -18,7 +19,7 @@ func init() {
 	})
 }
 
-func runBDC(seed int64) (*Report, error) {
+func runBDC(_ context.Context, seed int64) (*Report, error) {
 	if err := core.ValidateCatalog(); err != nil {
 		return nil, err
 	}

@@ -1,6 +1,9 @@
 package atlarge
 
-import "sort"
+import (
+	"context"
+	"sort"
+)
 
 func init() {
 	defaultRegistry.MustRegister(Experiment{
@@ -12,7 +15,7 @@ func init() {
 	})
 }
 
-func runFig7(seed int64) (*Report, error) {
+func runFig7(_ context.Context, seed int64) (*Report, error) {
 	res, err := RunFigure7(6, 2, 0.06, 600, seed)
 	if err != nil {
 		return nil, err

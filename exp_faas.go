@@ -1,6 +1,10 @@
 package atlarge
 
-import "atlarge/internal/faas"
+import (
+	"context"
+
+	"atlarge/internal/faas"
+)
 
 func init() {
 	defaultRegistry.MustRegister(Experiment{
@@ -12,7 +16,7 @@ func init() {
 	})
 }
 
-func runTab7(seed int64) (*Report, error) {
+func runTab7(_ context.Context, seed int64) (*Report, error) {
 	rows, err := faas.RunTable7(seed)
 	if err != nil {
 		return nil, err

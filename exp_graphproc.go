@@ -1,6 +1,7 @@
 package atlarge
 
 import (
+	"context"
 	"sort"
 
 	"atlarge/internal/graphproc"
@@ -16,7 +17,7 @@ func init() {
 	})
 }
 
-func runTab8(seed int64) (*Report, error) {
+func runTab8(_ context.Context, seed int64) (*Report, error) {
 	cfg := graphproc.DefaultBenchmarkConfig()
 	cfg.Seed = seed
 	res, err := graphproc.RunBenchmark(cfg)

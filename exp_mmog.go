@@ -1,6 +1,10 @@
 package atlarge
 
-import "atlarge/internal/mmog"
+import (
+	"context"
+
+	"atlarge/internal/mmog"
+)
 
 func init() {
 	defaultRegistry.MustRegister(Experiment{
@@ -12,7 +16,7 @@ func init() {
 	})
 }
 
-func runTab6(seed int64) (*Report, error) {
+func runTab6(_ context.Context, seed int64) (*Report, error) {
 	rows := mmog.RunTable6(seed)
 	rep := NewReport("tab6", "Table 6: co-evolving problem-solutions in MMOG")
 	t := rep.AddTable("studies", "study", "feature", "finding")

@@ -1,6 +1,10 @@
 package atlarge
 
-import "atlarge/internal/p2p"
+import (
+	"context"
+
+	"atlarge/internal/p2p"
+)
 
 func init() {
 	defaultRegistry.MustRegister(Experiment{
@@ -12,7 +16,7 @@ func init() {
 	})
 }
 
-func runTab5(seed int64) (*Report, error) {
+func runTab5(_ context.Context, seed int64) (*Report, error) {
 	rows, err := p2p.RunTable5(seed)
 	if err != nil {
 		return nil, err

@@ -1,6 +1,10 @@
 package atlarge
 
-import "atlarge/internal/portfolio"
+import (
+	"context"
+
+	"atlarge/internal/portfolio"
+)
 
 func init() {
 	defaultRegistry.MustRegister(Experiment{
@@ -12,7 +16,7 @@ func init() {
 	})
 }
 
-func runTab9(seed int64) (*Report, error) {
+func runTab9(_ context.Context, seed int64) (*Report, error) {
 	cfg := portfolio.DefaultTable9Config()
 	cfg.Seed = seed
 	rows, err := portfolio.RunTable9(cfg)

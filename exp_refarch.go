@@ -1,6 +1,7 @@
 package atlarge
 
 import (
+	"context"
 	"strings"
 
 	"atlarge/internal/refarch"
@@ -12,7 +13,7 @@ func init() {
 		Title: "Figure 9: datacenter reference architecture coverage",
 		Tags:  []string{"figure", "refarch", "fast"},
 		Order: 50,
-		Run:   func(seed int64) (*Report, error) { return runFig9() },
+		Run:   func(context.Context, int64) (*Report, error) { return runFig9() },
 	})
 }
 

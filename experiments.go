@@ -13,5 +13,5 @@ func RunExperiment(id string, seed int64) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	return e.run(context.Background(), seed)
+	return e.Run(context.Background(), seed)
 }

@@ -1,6 +1,7 @@
 package api
 
 import (
+	"context"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
@@ -128,7 +129,7 @@ func blockingExperiment(id string, hook func(seed int64)) atlarge.Experiment {
 		ID:    id,
 		Title: "experiment " + id,
 		Order: 99,
-		Run: func(seed int64) (*atlarge.Report, error) {
+		Run: func(_ context.Context, seed int64) (*atlarge.Report, error) {
 			hook(seed)
 			rep := atlarge.NewReport(id, "experiment "+id)
 			rep.AddMetric(atlarge.Metric{Name: "value", Value: 1})

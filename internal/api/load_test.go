@@ -56,7 +56,7 @@ func runServeLoad(t *testing.T, workers int) {
 	reg := testRegistry(t)
 	reg.MustRegister(atlarge.Experiment{
 		ID: "poison", Title: "poison", Order: 99,
-		Run: func(int64) (*atlarge.Report, error) { panic("poisoned experiment") },
+		Run: func(context.Context, int64) (*atlarge.Report, error) { panic("poisoned experiment") },
 	})
 	cfg := Config{Registry: reg, Parallelism: loadParallel, MaxJobs: loadClients}
 	if workers > 0 {
@@ -149,8 +149,11 @@ func runServeLoad(t *testing.T, workers int) {
 			t.Errorf("metrics: %s = %v, client tally %v (at least: %t)", c.name, c.got, c.want, c.atLeast)
 		}
 	}
-	if ratio := m["atlarge_cache_hit_ratio"]; ratio < 0 || ratio > 1 {
-		t.Errorf("metrics: cache_hit_ratio = %v out of [0, 1]", ratio)
+	if ratio, ok := m["atlarge_cache_hit_ratio"]; !ok || ratio < 0 || ratio > 1 {
+		t.Errorf("metrics: cache_hit_ratio = %v (exported: %t), want one in [0, 1]", ratio, ok)
+	}
+	if _, ok := m["atlarge_queue_depth"]; !ok {
+		t.Error("metrics: atlarge_queue_depth not exported")
 	}
 }
 

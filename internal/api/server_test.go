@@ -1,6 +1,7 @@
 package api
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -26,7 +27,7 @@ func testRegistry(t *testing.T) *atlarge.Registry {
 			Title: "experiment " + id,
 			Tags:  []string{"fast"},
 			Order: (i + 1) * 10,
-			Run: func(seed int64) (*atlarge.Report, error) {
+			Run: func(_ context.Context, seed int64) (*atlarge.Report, error) {
 				rep := atlarge.NewReport(id, "experiment "+id)
 				rep.AddMetric(atlarge.Metric{Name: "value", Value: float64(seed % 1000)})
 				tb := rep.AddTable("rows", "label", "value")
@@ -218,7 +219,7 @@ func TestServeRunCoalescesConcurrentMisses(t *testing.T) {
 	reg := atlarge.NewRegistry()
 	reg.MustRegister(atlarge.Experiment{
 		ID: "slow", Title: "slow", Order: 1,
-		Run: func(seed int64) (*atlarge.Report, error) {
+		Run: func(_ context.Context, seed int64) (*atlarge.Report, error) {
 			runs.Add(1)
 			time.Sleep(50 * time.Millisecond)
 			rep := atlarge.NewReport("slow", "slow")

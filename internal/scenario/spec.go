@@ -77,8 +77,10 @@ type Spec struct {
 	dir string
 	// traceOnce/traceCache/traceErr memoize the parsed workload trace, so
 	// the file is read and parsed once per spec. Each call of loadTrace
-	// gets a deep copy: Run builds one per replica and shares it between
-	// cells, and a dist worker's cell rescales its copy in place.
+	// gets a deep copy: the trace memo of Run or of a dist worker builds
+	// one per replica and shares it between cells, each of which rescales
+	// a headerCopy of it, and a cell without a memo rescales its own copy
+	// in place.
 	traceOnce  sync.Once
 	traceCache *workload.Trace
 	traceErr   error

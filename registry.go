@@ -9,8 +9,11 @@ import (
 	"sync"
 )
 
-// RunFunc executes one experiment for a seed and returns its report.
-type RunFunc func(seed int64) (*Report, error)
+// RunFunc executes one experiment for a seed and returns its report. A
+// long-running experiment may honour ctx (Runner.RunContext cancellation and
+// deadlines) mid-simulation; one that ignores it runs to completion once
+// started, and cancellation then only skips tasks the pool has not claimed.
+type RunFunc func(ctx context.Context, seed int64) (*Report, error)
 
 // Experiment is a first-class descriptor of one reproducible paper artifact.
 // Artifacts register themselves (see the exp_*.go files) instead of being
@@ -28,21 +31,6 @@ type Experiment struct {
 	Order int
 	// Run produces the report for one seed.
 	Run RunFunc
-	// RunContext, when non-nil, is used instead of Run and receives the
-	// runner's context, so long-running experiments can honour cancellation
-	// (Runner.RunContext) and deadlines mid-simulation. Experiments that
-	// leave it nil run to completion once started; cancellation then only
-	// skips tasks the pool has not yet claimed.
-	RunContext func(ctx context.Context, seed int64) (*Report, error)
-}
-
-// run executes the experiment through its context-aware entry point when it
-// has one, and through the plain RunFunc otherwise.
-func (e Experiment) run(ctx context.Context, seed int64) (*Report, error) {
-	if e.RunContext != nil {
-		return e.RunContext(ctx, seed)
-	}
-	return e.Run(seed)
 }
 
 // HasTag reports whether the experiment carries the tag.
@@ -67,7 +55,7 @@ func (r *Registry) Register(e Experiment) error {
 	if e.ID == "" {
 		return fmt.Errorf("atlarge: register: empty experiment ID")
 	}
-	if e.Run == nil && e.RunContext == nil {
+	if e.Run == nil {
 		return fmt.Errorf("atlarge: register %q: nil run function", e.ID)
 	}
 	r.mu.Lock()

@@ -1,6 +1,7 @@
 package atlarge
 
 import (
+	"context"
 	"strings"
 	"testing"
 )
@@ -59,7 +60,7 @@ func TestRegistryUnknownError(t *testing.T) {
 
 func TestRegistryRegisterValidation(t *testing.T) {
 	r := NewRegistry()
-	run := func(seed int64) (*Report, error) { return &Report{ID: "x"}, nil }
+	run := func(context.Context, int64) (*Report, error) { return &Report{ID: "x"}, nil }
 	if err := r.Register(Experiment{Title: "no id", Run: run}); err == nil {
 		t.Error("empty ID accepted")
 	}
@@ -79,7 +80,7 @@ func TestRegistryRegisterValidation(t *testing.T) {
 
 func TestRegistryOrderAndTags(t *testing.T) {
 	r := NewRegistry()
-	run := func(seed int64) (*Report, error) { return &Report{}, nil }
+	run := func(context.Context, int64) (*Report, error) { return &Report{}, nil }
 	r.MustRegister(Experiment{ID: "b", Order: 2, Tags: []string{"even"}, Run: run})
 	r.MustRegister(Experiment{ID: "c", Order: 1, Tags: []string{"odd"}, Run: run})
 	r.MustRegister(Experiment{ID: "a", Order: 2, Tags: []string{"even"}, Run: run})

@@ -107,7 +107,7 @@ func (r *Runner) Run(ids []string, baseSeed int64) ([]Result, error) {
 // joined into the returned error) without aborting the other experiments.
 //
 // Cancelling ctx stops the run cooperatively: tasks not yet started are
-// skipped, in-flight experiments that honour ctx (Experiment.RunContext)
+// skipped, in-flight experiments that honour ctx (Experiment.Run)
 // return early, and every unfinished (experiment, replica) carries the
 // context's error in its Result and in the joined return error.
 func (r *Runner) RunContext(ctx context.Context, ids []string, baseSeed int64) ([]Result, error) {
@@ -134,7 +134,7 @@ func (r *Runner) RunContext(ctx context.Context, ids []string, baseSeed int64) (
 		for k := 0; k < replicas; k++ {
 			seed := DeriveSeed(baseSeed, e.ID, k)
 			plan.Add(e.ID+"#"+strconv.Itoa(k), func(ctx context.Context) (*Report, error) {
-				return e.run(ctx, seed)
+				return e.Run(ctx, seed)
 			})
 		}
 	}

@@ -1,6 +1,7 @@
 package atlarge
 
 import (
+	"context"
 	"fmt"
 	"reflect"
 	"strings"
@@ -151,12 +152,12 @@ func TestRunnerSingleReplicaNoAggregate(t *testing.T) {
 
 func TestRunnerExperimentFailure(t *testing.T) {
 	reg := NewRegistry()
-	reg.MustRegister(Experiment{ID: "ok", Order: 1, Run: func(seed int64) (*Report, error) {
+	reg.MustRegister(Experiment{ID: "ok", Order: 1, Run: func(_ context.Context, seed int64) (*Report, error) {
 		rep := NewReport("ok", "ok")
 		rep.AddMetric(Metric{Name: "x", Value: 1})
 		return rep, nil
 	}})
-	reg.MustRegister(Experiment{ID: "boom", Order: 2, Run: func(seed int64) (*Report, error) {
+	reg.MustRegister(Experiment{ID: "boom", Order: 2, Run: func(_ context.Context, seed int64) (*Report, error) {
 		return nil, fmt.Errorf("kaput")
 	}})
 	res, err := (&Runner{Registry: reg}).RunAll(1)
