@@ -114,8 +114,12 @@ func TestBDCCycleViaPublicAPI(t *testing.T) {
 // an earlier one instead of reallocating them (about 80 MiB a run without
 // any reuse, 16 MiB with simulators but not kernels reused); its case is
 // skipped under -short, where it would quadruple the package's time, and it
-// runs on two workers. The test does not run in parallel, since TotalAlloc
-// counts every goroutine's allocations.
+// runs on two workers. The autoscale engines keep a run's supply/demand
+// series as running sums and share one prepared trace, kernel and in-vitro
+// state across the experiment's 14 runs (about 4.3 MiB a run with the
+// series stored and all state rebuilt per run, 0.4 MiB without). The test
+// does not run in parallel, since TotalAlloc counts every goroutine's
+// allocations.
 func TestExperimentAllocBudget(t *testing.T) {
 	const mib = 1 << 20
 	for _, c := range []struct {
@@ -125,6 +129,7 @@ func TestExperimentAllocBudget(t *testing.T) {
 		{"fig1", 1 * mib},
 		{"fig2", 1 * mib},
 		{"tab5", 3 * mib},
+		{"autoscale", 1 * mib},
 		{"tab9", 10 * mib},
 	} {
 		if c.id == "tab9" {

@@ -107,8 +107,8 @@ func TestVitroEngineCompletesAllJobs(t *testing.T) {
 	if st.JobsDone != 10 {
 		t.Errorf("JobsDone = %d, want 10", st.JobsDone)
 	}
-	if len(st.Supply) == 0 || len(st.Supply) != len(st.Demand) {
-		t.Errorf("series lengths %d/%d", len(st.Supply), len(st.Demand))
+	if st.Series.Len() == 0 {
+		t.Error("no supply/demand samples")
 	}
 	if st.CoreSeconds <= 0 {
 		t.Errorf("CoreSeconds = %v", st.CoreSeconds)
@@ -165,13 +165,15 @@ func TestVitroRejectsCyclicTrace(t *testing.T) {
 
 func TestComputeMetricsBasics(t *testing.T) {
 	st := &RunStats{
-		Supply:      []int{0, 5, 10, 10, 5},
-		Demand:      []int{10, 10, 10, 5, 5},
-		Times:       []float64{0, 1, 2, 3, 4},
 		JobResponse: []float64{100, 200},
 		JobSlowdown: []float64{2, 4},
 		JobsDone:    2,
 		CoreSeconds: 30,
+	}
+	supply := []int{0, 5, 10, 10, 5}
+	demand := []int{10, 10, 10, 5, 5}
+	for i := range supply {
+		st.Series.Add(supply[i], demand[i])
 	}
 	m := ComputeMetrics(st)
 	if m.TimeshareUnder != 0.4 { // steps 0,1 under
@@ -200,12 +202,19 @@ func TestComputeMetricsEmpty(t *testing.T) {
 }
 
 func TestInstabilityDetectsOscillation(t *testing.T) {
-	osc := instability([]int{0, 5, 0, 5, 0, 5})
-	steady := instability([]int{0, 1, 2, 3, 4, 5})
+	instability := func(supply ...int) float64 {
+		var st RunStats
+		for _, x := range supply {
+			st.Series.Add(x, 0)
+		}
+		return ComputeMetrics(&st).Instability
+	}
+	osc := instability(0, 5, 0, 5, 0, 5)
+	steady := instability(0, 1, 2, 3, 4, 5)
 	if osc <= steady {
 		t.Errorf("instability(oscillating)=%v <= instability(monotone)=%v", osc, steady)
 	}
-	if instability([]int{1, 2}) != 0 {
+	if instability(1, 2) != 0 {
 		t.Error("short series instability should be 0")
 	}
 }

@@ -45,6 +45,12 @@ type ExperimentResult struct {
 func RunExperiment(cfg ExperimentConfig) (*ExperimentResult, error) {
 	r := rand.New(rand.NewSource(cfg.Seed))
 	tr := workload.StandardGenerator(workload.ClassScientific).Generate(cfg.Jobs, r)
+	// The 14 runs share one prepared trace, with its kernel and in-vitro
+	// state.
+	p, err := prepare(tr)
+	if err != nil {
+		return nil, err
+	}
 
 	res := &ExperimentResult{
 		Vitro:       make(map[string]ElasticityMetrics),
@@ -52,13 +58,13 @@ func RunExperiment(cfg ExperimentConfig) (*ExperimentResult, error) {
 		CostByModel: make(map[string]map[string]float64),
 	}
 	for _, as := range DefaultAutoscalers() {
-		vs, err := Run(DefaultVitroConfig(), as, tr)
+		vs, err := p.run(DefaultVitroConfig(), as)
 		if err != nil {
 			return nil, fmt.Errorf("autoscale: vitro %s: %w", as.Name(), err)
 		}
 		res.Vitro[as.Name()] = ComputeMetrics(vs)
 
-		ss, err := Run(DefaultSilicoConfig(), as, tr)
+		ss, err := p.run(DefaultSilicoConfig(), as)
 		if err != nil {
 			return nil, fmt.Errorf("autoscale: silico %s: %w", as.Name(), err)
 		}

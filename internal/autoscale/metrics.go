@@ -63,40 +63,75 @@ func (m ElasticityMetrics) Metric(name string) float64 {
 	}
 }
 
+// Series summarises a supply/demand series sampled once per Step: the
+// sample count, the peak demand, the under- and over-provisioning sums and
+// counts, the supply slope's sign flips and the supply and demand change
+// counts. That is all ComputeMetrics reads of the series, so a run keeps
+// O(1) state for it, whatever its horizon. The zero value is empty.
+type Series struct {
+	n              int
+	peak           int // largest demand
+	under, over    float64
+	tUnder, tOver  int
+	flips          int // interior points where the supply slope changes sign
+	supplyChanges  int
+	demandChanges  int
+	supply, demand int // the last sample
+	slope          int // sign of the last nonzero supply change
+}
+
+// Add appends one sample.
+func (s *Series) Add(supply, demand int) {
+	if s.n > 0 {
+		if supply != s.supply {
+			s.supplyChanges++
+			d := sign(supply - s.supply)
+			if s.slope != 0 && d != s.slope {
+				s.flips++
+			}
+			s.slope = d
+		}
+		if demand != s.demand {
+			s.demandChanges++
+		}
+	}
+	s.n++
+	s.supply, s.demand = supply, demand
+	if demand > s.peak {
+		s.peak = demand
+	}
+	if gap := demand - supply; gap > 0 {
+		s.under += float64(gap)
+		s.tUnder++
+	} else if gap < 0 {
+		s.over += float64(-gap)
+		s.tOver++
+	}
+}
+
+// Len returns the number of samples added.
+func (s *Series) Len() int { return s.n }
+
 // ComputeMetrics derives the ten metrics from a run.
 func ComputeMetrics(st *RunStats) ElasticityMetrics {
 	var m ElasticityMetrics
-	n := len(st.Supply)
-	if n == 0 {
+	s := &st.Series
+	if s.n == 0 {
 		return m
 	}
-	peak := 0
-	for _, d := range st.Demand {
-		if d > peak {
-			peak = d
-		}
-	}
+	n := float64(s.n)
+	peak := s.peak
 	if peak == 0 {
 		peak = 1
 	}
-	var under, over float64
-	var tUnder, tOver int
-	for i := 0; i < n; i++ {
-		gap := st.Demand[i] - st.Supply[i]
-		if gap > 0 {
-			under += float64(gap)
-			tUnder++
-		} else if gap < 0 {
-			over += float64(-gap)
-			tOver++
-		}
+	m.AccuracyUnder = s.under / n / float64(peak)
+	m.AccuracyOver = s.over / n / float64(peak)
+	m.TimeshareUnder = float64(s.tUnder) / n
+	m.TimeshareOver = float64(s.tOver) / n
+	if s.n >= 3 {
+		m.Instability = float64(s.flips) / float64(s.n-2)
 	}
-	m.AccuracyUnder = under / float64(n) / float64(peak)
-	m.AccuracyOver = over / float64(n) / float64(peak)
-	m.TimeshareUnder = float64(tUnder) / float64(n)
-	m.TimeshareOver = float64(tOver) / float64(n)
-	m.Instability = instability(st.Supply)
-	m.Jitter = math.Abs(changes(st.Supply)-changes(st.Demand)) / float64(n)
+	m.Jitter = math.Abs(float64(s.supplyChanges)-float64(s.demandChanges)) / n
 	m.MeanResponse = stats.Mean(st.JobResponse)
 	m.MeanSlowdown = stats.Mean(st.JobSlowdown)
 	m.CoreSeconds = st.CoreSeconds
@@ -104,37 +139,6 @@ func ComputeMetrics(st *RunStats) ElasticityMetrics {
 		m.DeadlineMissPct = 100 * float64(st.DeadlineMiss) / float64(st.JobsDone)
 	}
 	return m
-}
-
-// instability is the fraction of interior points where the supply slope
-// changes sign.
-func instability(xs []int) float64 {
-	if len(xs) < 3 {
-		return 0
-	}
-	flips := 0
-	prev := 0
-	for i := 1; i < len(xs); i++ {
-		d := sign(xs[i] - xs[i-1])
-		if d != 0 && prev != 0 && d != prev {
-			flips++
-		}
-		if d != 0 {
-			prev = d
-		}
-	}
-	return float64(flips) / float64(len(xs)-2)
-}
-
-// changes counts direction-ful steps in the series.
-func changes(xs []int) float64 {
-	c := 0
-	for i := 1; i < len(xs); i++ {
-		if xs[i] != xs[i-1] {
-			c++
-		}
-	}
-	return float64(c)
 }
 
 func sign(v int) int {

@@ -1,8 +1,9 @@
 package autoscale
 
-// This file preserves the historical fixed-timestep engines verbatim, as the
+// This file preserves the historical fixed-timestep engines, as the
 // test-only reference implementation for the event-driven engines in
-// engine.go. The parity tests (parity_test.go) prove that the kernel-based
+// engine.go. They keep their own task and job state types, and they record
+// the supply/demand series through Series.Add as the engines do. The parity tests (parity_test.go) prove that the kernel-based
 // engines reproduce these loops' RunStats within tolerance; the step loops
 // are compiled only into the test binary and are not part of the library.
 
@@ -13,6 +14,24 @@ import (
 
 	"atlarge/internal/workload"
 )
+
+// stepTask is the step loop's state of one task.
+type stepTask struct {
+	task      *workload.Task
+	job       *workload.Job
+	remaining float64
+	running   bool
+	depsLeft  int
+}
+
+// stepJob is the step loop's state of one fluid job.
+type stepJob struct {
+	job      *workload.Job
+	workLeft float64 // CPU-seconds
+	width    int     // max useful parallelism
+	started  bool
+	start    float64
+}
 
 // bootingVM tracks capacity that was requested but is not usable yet.
 type bootingVM struct {
@@ -48,10 +67,10 @@ func runVitroStep(cfg EngineConfig, as Autoscaler, tr *workload.Trace) (*RunStat
 		now        float64
 		nextEval   float64
 		arrived    int
-		tasks      = map[int]*vitroTask{} // task ID -> state
-		dependents = map[int][]int{}      // task ID -> dependent task IDs
-		ready      []*vitroTask
-		running    []*vitroTask
+		tasks      = map[int]*stepTask{} // task ID -> state
+		dependents = map[int][]int{}     // task ID -> dependent task IDs
+		ready      []*stepTask
+		running    []*stepTask
 		cores      int // booted cores
 		booting    []bootingVM
 		history    []int
@@ -73,7 +92,7 @@ func runVitroStep(cfg EngineConfig, as Autoscaler, tr *workload.Trace) (*RunStat
 			jobSubmit[j.ID] = float64(j.Submit)
 			for i := range j.Tasks {
 				t := &j.Tasks[i]
-				vt := &vitroTask{task: t, job: j, remaining: float64(t.Runtime), depsLeft: len(t.Deps)}
+				vt := &stepTask{task: t, job: j, remaining: float64(t.Runtime), depsLeft: len(t.Deps)}
 				tasks[t.ID] = vt
 				for _, d := range t.Deps {
 					dependents[d] = append(dependents[d], t.ID)
@@ -148,7 +167,7 @@ func runVitroStep(cfg EngineConfig, as Autoscaler, tr *workload.Trace) (*RunStat
 
 		// Dispatch ready tasks FCFS onto free cores.
 		free := cores - usedCores
-		var stillReady []*vitroTask
+		var stillReady []*stepTask
 		for _, vt := range ready {
 			if vt.task.CPUs <= free {
 				free -= vt.task.CPUs
@@ -164,14 +183,12 @@ func runVitroStep(cfg EngineConfig, as Autoscaler, tr *workload.Trace) (*RunStat
 		ready = stillReady
 
 		// Record series.
-		st.Times = append(st.Times, now)
-		st.Supply = append(st.Supply, cores+bootingCores(booting))
-		st.Demand = append(st.Demand, demand)
+		st.Series.Add(cores+bootingCores(booting), demand)
 		st.CoreSeconds += float64(cores) * cfg.Step
 
 		// Advance running tasks.
 		now += cfg.Step
-		var stillRunning []*vitroTask
+		var stillRunning []*stepTask
 		for _, rt := range running {
 			rt.remaining -= cfg.Step
 			if rt.remaining > 1e-9 {
@@ -199,7 +216,7 @@ func runVitroStep(cfg EngineConfig, as Autoscaler, tr *workload.Trace) (*RunStat
 
 // soonEligibleStep counts cores of tasks whose last dependency finishes within
 // horizon, estimated from step-quantized remaining runtimes.
-func soonEligibleStep(running []*vitroTask, dependents map[int][]int, tasks map[int]*vitroTask, horizon float64) int {
+func soonEligibleStep(running []*stepTask, dependents map[int][]int, tasks map[int]*stepTask, horizon float64) int {
 	cores := 0
 	for _, rt := range running {
 		if rt.remaining > horizon {
@@ -227,7 +244,7 @@ func runSilicoStep(cfg EngineConfig, as Autoscaler, tr *workload.Trace) (*RunSta
 		now      float64
 		nextEval float64
 		arrived  int
-		active   []*silicoJob
+		active   []*stepJob
 		cores    int
 		booting  []bootingVM
 		history  []int
@@ -237,7 +254,7 @@ func runSilicoStep(cfg EngineConfig, as Autoscaler, tr *workload.Trace) (*RunSta
 		for arrived < len(jobs) && float64(jobs[arrived].Submit) <= now {
 			j := jobs[arrived]
 			arrived++
-			active = append(active, &silicoJob{job: j, workLeft: j.TotalWork(), width: silicoWidth(j)})
+			active = append(active, &stepJob{job: j, workLeft: j.TotalWork(), width: silicoWidth(j)})
 		}
 
 		var stillBooting []bootingVM
@@ -292,14 +309,12 @@ func runSilicoStep(cfg EngineConfig, as Autoscaler, tr *workload.Trace) (*RunSta
 			}
 		}
 
-		st.Times = append(st.Times, now)
-		st.Supply = append(st.Supply, cores+bootingCores(booting))
-		st.Demand = append(st.Demand, demand)
+		st.Series.Add(cores+bootingCores(booting), demand)
 		st.CoreSeconds += float64(cores) * cfg.Step
 
 		// Share cores proportionally by width, capped per job.
 		available := float64(cores)
-		var stillActive []*silicoJob
+		var stillActive []*stepJob
 		for _, sj := range active {
 			if !sj.started {
 				sj.started = true

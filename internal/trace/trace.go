@@ -10,6 +10,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"strconv"
 	"strings"
 
@@ -54,7 +55,10 @@ func WriteJobs(w io.Writer, tr *workload.Trace) error {
 	return cw.Error()
 }
 
-// ReadJobs decodes a GWA-style CSV back into a workload trace.
+// ReadJobs decodes a GWA-style CSV back into a workload trace. It refuses,
+// naming the line, a malformed field, a submit time, runtime, estimate or
+// deadline that is not a finite, non-negative number, and fewer than one
+// CPU, as well as a trace that fails Validate.
 func ReadJobs(r io.Reader) (*workload.Trace, error) {
 	cr := csv.NewReader(r)
 	rows, err := cr.ReadAll()
@@ -77,7 +81,7 @@ func ReadJobs(r io.Reader) (*workload.Trace, error) {
 		if err != nil {
 			return nil, fmt.Errorf("trace: line %d job_id: %w", ln+2, err)
 		}
-		submit, err := strconv.ParseFloat(row[1], 64)
+		submit, err := parseSeconds(row[1])
 		if err != nil {
 			return nil, fmt.Errorf("trace: line %d submit: %w", ln+2, err)
 		}
@@ -89,11 +93,14 @@ func ReadJobs(r io.Reader) (*workload.Trace, error) {
 		if err != nil {
 			return nil, fmt.Errorf("trace: line %d cpus: %w", ln+2, err)
 		}
-		runtime, err := strconv.ParseFloat(row[4], 64)
+		if cpus < 1 {
+			return nil, fmt.Errorf("trace: line %d cpus: %d, want at least 1", ln+2, cpus)
+		}
+		runtime, err := parseSeconds(row[4])
 		if err != nil {
 			return nil, fmt.Errorf("trace: line %d runtime: %w", ln+2, err)
 		}
-		estimate, err := strconv.ParseFloat(row[5], 64)
+		estimate, err := parseSeconds(row[5])
 		if err != nil {
 			return nil, fmt.Errorf("trace: line %d estimate: %w", ln+2, err)
 		}
@@ -111,7 +118,7 @@ func ReadJobs(r io.Reader) (*workload.Trace, error) {
 		if err != nil {
 			return nil, fmt.Errorf("trace: line %d class: %w", ln+2, err)
 		}
-		deadline, err := strconv.ParseFloat(row[8], 64)
+		deadline, err := parseSeconds(row[8])
 		if err != nil {
 			return nil, fmt.Errorf("trace: line %d deadline: %w", ln+2, err)
 		}
@@ -146,6 +153,19 @@ func ReadJobs(r io.Reader) (*workload.Trace, error) {
 }
 
 func formatF(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
+
+// parseSeconds parses a time or duration in seconds: a finite,
+// non-negative number.
+func parseSeconds(field string) (float64, error) {
+	v, err := strconv.ParseFloat(field, 64)
+	if err != nil {
+		return 0, err
+	}
+	if math.IsNaN(v) || math.IsInf(v, 0) || v < 0 {
+		return 0, fmt.Errorf("%q is not a finite, non-negative number of seconds", field)
+	}
+	return v, nil
+}
 
 // P2PRecord is one row of the Peer-to-Peer Trace Archive.
 type P2PRecord struct {

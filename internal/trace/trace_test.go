@@ -56,6 +56,26 @@ func TestReadJobsErrors(t *testing.T) {
 	if _, err := ReadJobs(strings.NewReader(cyclic)); err == nil {
 		t.Error("self-dependent task accepted")
 	}
+	// A bad number on line 3 (the second task row) is refused by line.
+	const header = "job_id,submit_s,task_id,cpus,runtime_s,estimate_s,deps,class,deadline_s\n"
+	const good = "1,0,1,1,10,10,,1,0\n"
+	for _, c := range []struct{ name, row, field string }{
+		{"NaN submit", "2,NaN,1,1,10,10,,1,0", "submit"},
+		{"negative submit", "2,-1,1,1,10,10,,1,0", "submit"},
+		{"negative cpus", "2,0,1,-3,10,10,,1,0", "cpus"},
+		{"zero cpus", "2,0,1,0,10,10,,1,0", "cpus"},
+		{"negative runtime", "2,0,1,1,-10,10,,1,0", "runtime"},
+		{"infinite runtime", "2,0,1,1,Inf,10,,1,0", "runtime"},
+		{"NaN estimate", "2,0,1,1,10,NaN,,1,0", "estimate"},
+		{"negative estimate", "2,0,1,1,10,-1,,1,0", "estimate"},
+		{"infinite deadline", "2,0,1,1,10,10,,1,+Inf", "deadline"},
+		{"negative deadline", "2,0,1,1,10,10,,1,-5", "deadline"},
+	} {
+		_, err := ReadJobs(strings.NewReader(header + good + c.row + "\n"))
+		if want := "line 3 " + c.field; err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("%s: error %v, want one naming %q", c.name, err, want)
+		}
+	}
 }
 
 func TestP2PRoundTrip(t *testing.T) {

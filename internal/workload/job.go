@@ -174,6 +174,13 @@ func (j *Job) CheckDAG(sc *DAGScratch) (sim.Duration, error) {
 	return cp, nil
 }
 
+// Index returns the position in Tasks of the task with the given ID, in the
+// job this scratch last checked without error.
+func (sc *DAGScratch) Index(id int) (int, bool) {
+	i, ok := sc.pos[id]
+	return int(i), ok
+}
+
 // visit finishes task i after every task it depends on.
 func (sc *DAGScratch) visit(j *Job, i int32) error {
 	switch sc.state[i] {
