@@ -71,9 +71,10 @@ determinism:
 
 # Fuzz the population merge queue against heap4, the scenario spec boundary
 # (parse, validate, expand), the sweep checkpoint loader, the sched block
-# queue against a flat slice, the dist claim endpoint and the GWA trace
-# import, for 15 s each past their committed seed corpora (testdata/fuzz in
-# each package), which `make test` replays.
+# queue against a flat slice, the dist claim endpoint, the GWA trace import
+# and the MMOG social network against its map reference, for 15 s each past
+# their committed seed corpora (testdata/fuzz in each package), which
+# `make test` replays.
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzMergeQueue$$' -fuzztime 15s ./internal/workload
 	$(GO) test -run '^$$' -fuzz '^FuzzSpecValidate$$' -fuzztime 15s ./internal/scenario
@@ -81,6 +82,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzTaskQueue$$' -fuzztime 15s ./internal/sched
 	$(GO) test -run '^$$' -fuzz '^FuzzClaim$$' -fuzztime 15s ./internal/dist
 	$(GO) test -run '^$$' -fuzz '^FuzzReadJobs$$' -fuzztime 15s ./internal/trace
+	$(GO) test -run '^$$' -fuzz '^FuzzSocialNetwork$$' -fuzztime 15s ./internal/mmog
 
 # Added, removed and net Go lines between BASE and the working tree (tracked
 # and staged files), split into non-test files and _test.go files; a renamed

@@ -107,17 +107,19 @@ func TestBDCCycleViaPublicAPI(t *testing.T) {
 }
 
 // TestExperimentAllocBudget bounds the bytes one run of each counting
-// experiment allocates: fig1 and fig2 fold over a streamed corpus and tab5's
-// vicissitude windows count swarms as they are drawn, so none of them holds
-// a corpus or an ecosystem it only counts. tab9's window simulations borrow
-// simulators from one free list, so a run reuses the kernel and buffers of
-// an earlier one instead of reallocating them (about 80 MiB a run without
-// any reuse, 16 MiB with simulators but not kernels reused); its case is
-// skipped under -short, where it would quadruple the package's time, and it
-// runs on two workers. The autoscale engines keep a run's supply/demand
-// series as running sums and share one prepared trace, kernel and in-vitro
-// state across the experiment's 14 runs (about 4.3 MiB a run with the
-// series stored and all state rebuilt per run, 0.4 MiB without). The test
+// experiment allocates: fig1 and fig2 replay the corpus's draws into
+// counts and tab5's vicissitude windows count swarms as they are drawn, so
+// none of them holds a corpus or an ecosystem it only counts. tab9's window
+// simulations borrow simulators from one free list, so a run reuses the
+// kernel and buffers of an earlier one instead of reallocating them (about
+// 80 MiB a run without any reuse, 16 MiB with simulators but not kernels
+// reused); its case is skipped under -short, where it would quadruple the
+// package's time, and it runs on two workers. The autoscale engines keep a
+// run's supply/demand series as running sums and share one prepared trace,
+// kernel and in-vitro state across the experiment's 14 runs (about 4.3 MiB
+// a run with the series stored and all state rebuilt per run, 0.38 MiB
+// without), and their Hist and Reg autoscalers work in one scratch buffer
+// per run instead of allocating at every evaluation (0.29 MiB). The test
 // does not run in parallel, since TotalAlloc counts every goroutine's
 // allocations.
 func TestExperimentAllocBudget(t *testing.T) {
@@ -129,7 +131,7 @@ func TestExperimentAllocBudget(t *testing.T) {
 		{"fig1", 1 * mib},
 		{"fig2", 1 * mib},
 		{"tab5", 3 * mib},
-		{"autoscale", 1 * mib},
+		{"autoscale", mib * 35 / 100},
 		{"tab9", 10 * mib},
 	} {
 		if c.id == "tab9" {

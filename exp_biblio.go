@@ -34,14 +34,14 @@ func init() {
 func runFig1(_ context.Context, seed int64) (*Report, error) {
 	cfg := biblio.DefaultCorpusConfig()
 	cfg.Seed = seed
-	corpus, err := biblio.Corpus(cfg)
+	counts, err := biblio.Figure1(cfg)
 	if err != nil {
 		return nil, err
 	}
 	rep := NewReport("fig1", "Figure 1: keyword presence in top systems venues (2013-2018)")
 	t := rep.AddTable("keywords", "keyword", "articles")
 	total := 0
-	for _, kc := range biblio.Figure1(corpus) {
+	for _, kc := range counts {
 		t.AddRow(Label(kc.Keyword), Count(kc.Count))
 		total += kc.Count
 	}
@@ -52,12 +52,11 @@ func runFig1(_ context.Context, seed int64) (*Report, error) {
 func runFig2(_ context.Context, seed int64) (*Report, error) {
 	cfg := biblio.DefaultCorpusConfig()
 	cfg.Seed = seed
-	corpus, err := biblio.Corpus(cfg)
+	rows, err := biblio.Figure2(cfg)
 	if err != nil {
 		return nil, err
 	}
 	rep := NewReport("fig2", "Figure 2: design articles per venue per 5-year block since 1980")
-	rows := biblio.Figure2(corpus)
 	byVenue := map[string][]biblio.BlockCount{}
 	var venues []string
 	for _, r := range rows {

@@ -9,6 +9,7 @@ package autoscale
 
 import (
 	"math"
+	"sort"
 
 	"atlarge/internal/stats"
 )
@@ -30,6 +31,21 @@ type Observation struct {
 	BootDelay float64
 	// EvalInterval is the autoscaler invocation period in virtual seconds.
 	EvalInterval float64
+	// Scratch, when not nil, is a buffer the autoscaler may use for its
+	// working values and grow; the engine keeps one per run.
+	Scratch *[]float64
+}
+
+// floats returns n float64s of obs.Scratch, growing it when it is too
+// short, or new ones when the observation has no scratch.
+func (obs Observation) floats(n int) []float64 {
+	if obs.Scratch == nil {
+		return make([]float64, n)
+	}
+	if cap(*obs.Scratch) < n {
+		*obs.Scratch = make([]float64, n)
+	}
+	return (*obs.Scratch)[:n]
 }
 
 // Autoscaler decides the target number of cores.
@@ -124,11 +140,12 @@ func (h Hist) Target(obs Observation) int {
 	if len(hist) == 0 {
 		return obs.Demand
 	}
-	xs := make([]float64, len(hist))
+	xs := obs.floats(len(hist))
 	for i, v := range hist {
 		xs[i] = float64(v)
 	}
-	return clampMin(int(math.Ceil(stats.Percentile(xs, p))), 0)
+	sort.Float64s(xs)
+	return clampMin(int(math.Ceil(stats.PercentileSorted(xs, p))), 0)
 }
 
 // Reg predicts demand one boot-delay ahead with a linear fit over recent
@@ -157,8 +174,8 @@ func (g Reg) Target(obs Observation) int {
 	if len(hist) < 3 {
 		return obs.Demand
 	}
-	xs := make([]float64, len(hist))
-	ys := make([]float64, len(hist))
+	buf := obs.floats(2 * len(hist))
+	xs, ys := buf[:len(hist)], buf[len(hist):]
 	for i, v := range hist {
 		xs[i] = float64(i)
 		ys[i] = float64(v)

@@ -264,6 +264,7 @@ type vitroState struct {
 	cores      int // booted cores
 	booting    int // cores requested but not usable yet
 	history    []int
+	scratch    []float64 // the autoscaler's Observation.Scratch
 
 	// The handlers, bound once per prepared trace instead of once per
 	// event: doneFn[pos] completes the task at position pos.
@@ -293,6 +294,7 @@ func runVitro(cfg EngineConfig, as Autoscaler, p *prepared, st *RunStats) (*RunS
 		cfg: cfg, as: as, st: st, p: p,
 		tasks: v.tasks, jobs: v.jobs, ready: v.ready[:0], running: v.running[:0],
 		arriveFn: v.arriveFn, evalFn: v.evalFn, bootFn: v.bootFn, sampleFn: v.sampleFn, doneFn: v.doneFn,
+		scratch: v.scratch,
 	}
 	if cfg.BootFailureRate > 0 {
 		v.failRand = rand.New(rand.NewSource(cfg.Seed ^ 0x5eed))
@@ -413,6 +415,7 @@ func (v *vitroState) eval(k *sim.Kernel) {
 		Demand:       demand,
 		Supply:       v.cores + v.booting,
 		History:      v.history,
+		Scratch:      &v.scratch,
 		BootDelay:    v.cfg.BootDelay,
 		EvalInterval: v.cfg.EvalInterval,
 	}
@@ -541,6 +544,7 @@ type silicoState struct {
 	cores   int
 	booting int
 	history []int
+	scratch []float64 // the autoscaler's Observation.Scratch
 
 	// The handlers, bound once per run instead of once per event.
 	completeFn, evalFn, bootFn, sampleFn sim.Handler
@@ -688,6 +692,7 @@ func (s *silicoState) eval(k *sim.Kernel) {
 		Demand:       demand,
 		Supply:       s.cores + s.booting,
 		History:      s.history,
+		Scratch:      &s.scratch,
 		BootDelay:    s.cfg.BootDelay,
 		EvalInterval: s.cfg.EvalInterval,
 	}

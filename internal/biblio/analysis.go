@@ -2,7 +2,6 @@ package biblio
 
 import (
 	"fmt"
-	"iter"
 	"sort"
 
 	"atlarge/internal/stats"
@@ -15,24 +14,18 @@ type KeywordCount struct {
 }
 
 // Figure1 counts keyword presence in the Figure 1 venues over 2013–2017
-// (the paper's "start of 2013 to start of 2018" window).
-func Figure1(corpus iter.Seq[*Publication]) []KeywordCount {
-	venueSet := map[string]bool{}
-	for _, v := range Figure1Venues() {
-		venueSet[v] = true
+// (the paper's "start of 2013 to start of 2018" window) in the corpus of
+// cfg, most frequent first; a keyword no article lists has no bar.
+func Figure1(cfg CorpusConfig) ([]KeywordCount, error) {
+	c, err := countCorpus(cfg)
+	if err != nil {
+		return nil, err
 	}
-	counts := map[string]int{}
-	for p := range corpus {
-		if !venueSet[p.Venue] || p.Year < 2013 || p.Year > 2017 {
-			continue
+	var out []KeywordCount
+	for i, k := range KeywordWeights() {
+		if n := c.keywords[i]; n > 0 {
+			out = append(out, KeywordCount{Keyword: k.Keyword, Count: n})
 		}
-		for _, k := range p.Keywords {
-			counts[k]++
-		}
-	}
-	out := make([]KeywordCount, 0, len(counts))
-	for k, c := range counts {
-		out = append(out, KeywordCount{Keyword: k, Count: c})
 	}
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].Count != out[j].Count {
@@ -40,7 +33,7 @@ func Figure1(corpus iter.Seq[*Publication]) []KeywordCount {
 		}
 		return out[i].Keyword < out[j].Keyword
 	})
-	return out
+	return out, nil
 }
 
 // BlockCount is one (venue, 5-year block) cell of Figure 2.
@@ -50,36 +43,23 @@ type BlockCount struct {
 	Designs    int
 }
 
-// Figure2 counts design articles per venue per 5-year block since 1980.
-func Figure2(corpus iter.Seq[*Publication]) []BlockCount {
-	venueSet := map[string]bool{}
-	for _, v := range Figure2Venues() {
-		venueSet[v] = true
-	}
-	cell := map[string]map[int]int{}
-	for p := range corpus {
-		if !venueSet[p.Venue] || !p.IsDesign || p.Year < 1980 {
-			continue
-		}
-		block := 1980 + (p.Year-1980)/5*5
-		if cell[p.Venue] == nil {
-			cell[p.Venue] = map[int]int{}
-		}
-		cell[p.Venue][block]++
+// Figure2 counts design articles per venue per 5-year block since 1980 in
+// the corpus of cfg, venue by venue in Figure2Venues order; a block without
+// design articles has no cell.
+func Figure2(cfg CorpusConfig) ([]BlockCount, error) {
+	c, err := countCorpus(cfg)
+	if err != nil {
+		return nil, err
 	}
 	var out []BlockCount
-	for _, v := range Figure2Venues() {
-		blocks := cell[v]
-		var starts []int
-		for b := range blocks {
-			starts = append(starts, b)
-		}
-		sort.Ints(starts)
-		for _, b := range starts {
-			out = append(out, BlockCount{Venue: v, BlockStart: b, Designs: blocks[b]})
+	for v, venue := range Figure2Venues() {
+		for b, n := range c.designs[v] {
+			if n > 0 {
+				out = append(out, BlockCount{Venue: venue, BlockStart: 1980 + 5*b, Designs: n})
+			}
 		}
 	}
-	return out
+	return out, nil
 }
 
 // Figure2Trend reports, per venue, whether design-article counts in the
@@ -172,7 +152,7 @@ func Figure3(reviews []Publication) (map[string]map[Aspect]stats.Violin, error) 
 			if len(xs) == 0 {
 				return nil, fmt.Errorf("biblio: category %q/%s empty", cat.Name, aspect)
 			}
-			v, err := stats.NewViolin(cat.Name, xs, 40)
+			v, err := stats.NewViolin(cat.Name, xs)
 			if err != nil {
 				return nil, fmt.Errorf("biblio: %q/%s: %w", cat.Name, aspect, err)
 			}

@@ -1,33 +1,39 @@
 package biblio
 
 import (
-	"iter"
 	"reflect"
 	"testing"
 )
 
-func genCorpus(t *testing.T) iter.Seq[*Publication] {
-	t.Helper()
+// testCorpus is the default corpus at a lower volume, to keep tests fast.
+func testCorpus() CorpusConfig {
 	cfg := DefaultCorpusConfig()
-	cfg.ArticlesPerVenueYear = 20 // keep tests fast
-	corpus, err := Corpus(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return corpus
+	cfg.ArticlesPerVenueYear = 20
+	return cfg
 }
 
 func TestGenerateValidation(t *testing.T) {
-	if _, err := Corpus(CorpusConfig{StartYear: 2000, EndYear: 1990, ArticlesPerVenueYear: 10}); err == nil {
-		t.Error("inverted year range accepted")
-	}
-	if _, err := Corpus(CorpusConfig{StartYear: 2000, EndYear: 2001}); err == nil {
-		t.Error("zero volume accepted")
+	for _, cfg := range []CorpusConfig{
+		{StartYear: 2000, EndYear: 1990, ArticlesPerVenueYear: 10}, // inverted year range
+		{StartYear: 2000, EndYear: 2001},                           // zero volume
+	} {
+		if _, err := Figure1(cfg); err == nil {
+			t.Errorf("Figure1 accepted %+v", cfg)
+		}
+		if _, err := Figure2(cfg); err == nil {
+			t.Errorf("Figure2 accepted %+v", cfg)
+		}
 	}
 }
 
+// TestCorpusRespectsVenueStarts checks the reference corpus that
+// TestFigureCountsParity holds the figures to.
 func TestCorpusRespectsVenueStarts(t *testing.T) {
-	for p := range genCorpus(t) {
+	corpus, err := refCorpus(testCorpus())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for p := range corpus {
 		if start := venueStart(p.Venue); p.Year < start {
 			t.Fatalf("%s published in %d before its start %d", p.Venue, p.Year, start)
 		}
@@ -35,7 +41,10 @@ func TestCorpusRespectsVenueStarts(t *testing.T) {
 }
 
 func TestFigure1OrderMatchesPaper(t *testing.T) {
-	counts := Figure1(genCorpus(t))
+	counts, err := Figure1(testCorpus())
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(counts) != len(KeywordWeights()) {
 		t.Fatalf("keywords counted = %d, want %d", len(counts), len(KeywordWeights()))
 	}
@@ -60,7 +69,10 @@ func TestFigure1OrderMatchesPaper(t *testing.T) {
 }
 
 func TestFigure2MarkedIncreaseSince2000(t *testing.T) {
-	rows := Figure2(genCorpus(t))
+	rows, err := Figure2(testCorpus())
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(rows) == 0 {
 		t.Fatal("no Figure 2 rows")
 	}
@@ -171,15 +183,17 @@ func TestAcceptRateNearTarget(t *testing.T) {
 func TestDeterminism(t *testing.T) {
 	cfg := DefaultCorpusConfig()
 	cfg.ArticlesPerVenueYear = 5
-	a, err := collect(cfg)
+	fig1a, err := Figure1(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := collect(cfg)
+	fig2a, err := Figure2(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(a, b) {
-		t.Fatalf("corpus not deterministic: %d vs %d publications", len(a), len(b))
+	fig1b, _ := Figure1(cfg)
+	fig2b, _ := Figure2(cfg)
+	if !reflect.DeepEqual(fig1a, fig1b) || !reflect.DeepEqual(fig2a, fig2b) {
+		t.Fatal("figure counts not deterministic")
 	}
 }

@@ -8,9 +8,9 @@ package biblio
 
 import (
 	"fmt"
-	"iter"
 	"math"
 	"math/rand"
+	"slices"
 )
 
 // Publication is one article in the corpus.
@@ -110,77 +110,118 @@ func venueStart(venue string) int {
 	}
 }
 
-// Corpus returns the synthetic corpus over the union of the Figure 1 and
-// Figure 2 venues as a sequence, after validating cfg. Each range over it
-// draws the corpus anew from cfg.Seed.
-//
-// The sequence yields one reused Publication, whose fields and Keywords the
-// next draw overwrites: a caller that keeps a publication copies it and its
-// Keywords. A publication without keywords has an empty Keywords.
-func Corpus(cfg CorpusConfig) (iter.Seq[*Publication], error) {
+// validate rejects a config that describes no corpus.
+func (cfg CorpusConfig) validate() error {
 	if cfg.StartYear > cfg.EndYear {
-		return nil, fmt.Errorf("biblio: year range %d..%d", cfg.StartYear, cfg.EndYear)
+		return fmt.Errorf("biblio: year range %d..%d", cfg.StartYear, cfg.EndYear)
 	}
 	if cfg.ArticlesPerVenueYear < 1 {
-		return nil, fmt.Errorf("biblio: volume %d", cfg.ArticlesPerVenueYear)
+		return fmt.Errorf("biblio: volume %d", cfg.ArticlesPerVenueYear)
 	}
-	venues := map[string]bool{}
-	var venueList []string
-	for _, v := range append(Figure1Venues(), Figure2Venues()...) {
-		if !venues[v] {
-			venues[v] = true
-			venueList = append(venueList, v)
+	return nil
+}
+
+// draw returns the source's next value as rand.Rand.Float64 takes it,
+// scaled by 2⁶³: the float64 of an Int63, drawn again when it rounds up to
+// 2⁶³. Division by 2⁶³ is exact, so draw(src) < p·2⁶³ exactly when
+// Float64() < p.
+func draw(src rand.Source) float64 {
+	for {
+		if x := float64(src.Int63()); x != 1<<63 {
+			return x
 		}
 	}
-	return func(yield func(*Publication) bool) {
-		r := rand.New(rand.NewSource(cfg.Seed))
-		// Keyword presence probability scales with the reported prevalence;
-		// "design" presence correlates with design articles (0.95 for design
-		// articles, 0.14 otherwise — calibrated so the aggregate matches the
-		// Figure 1 rank of "design" just below "performance").
-		kw := KeywordWeights()
-		prob := make([]float64, len(kw))
-		var design int
+}
+
+// threshold is p·2⁶³, the bound a draw is compared with for probability p.
+func threshold(p float64) float64 { return p * (1 << 63) }
+
+// corpusCounts is what Figures 1 and 2 read of the corpus.
+type corpusCounts struct {
+	// keywords[i] counts the Figure 1 venues' articles of 2013–2017 that
+	// list keyword i of KeywordWeights.
+	keywords []int
+	// designs[v][b] counts the design articles of Figure 2 venue v in the
+	// 5-year block 1980+5b.
+	designs [][]int
+}
+
+// countCorpus replays the synthetic corpus of cfg and counts what Figures 1
+// and 2 read; it builds no publication. The corpus spans the union of the
+// Figure 1 and Figure 2 venues, each once in first-listed order, and each
+// venue's years from max(StartYear, venueStart) to EndYear. From one
+// rand.Source seeded with cfg.Seed it draws, each draw as rand.Rand.Float64
+// would, a venue-year's volume, then per article its design flag and one
+// presence draw per keyword in KeywordWeights order. A draw no figure reads
+// just advances the source.
+func countCorpus(cfg CorpusConfig) (*corpusCounts, error) {
+	if err := cfg.validate(); err != nil {
+		return nil, err
+	}
+	// Keyword presence probability scales with the reported prevalence;
+	// "design" presence correlates with design articles (0.95 for design
+	// articles, 0.14 otherwise — calibrated so the aggregate matches the
+	// Figure 1 rank of "design" just below "performance"). kwT[1] holds the
+	// thresholds of a design article, kwT[0] of any other.
+	kw := KeywordWeights()
+	var kwT [2][]float64
+	for d, designP := range []float64{0.14, 0.95} {
+		kwT[d] = make([]float64, len(kw))
 		for i, k := range kw {
-			prob[i] = k.Weight * 0.5
+			p := k.Weight * 0.5
 			if k.Keyword == "design" {
-				design = i
+				p = designP
 			}
+			kwT[d][i] = threshold(p)
 		}
-		keywords := make([]string, 0, len(kw))
-		var pub Publication
-		for _, venue := range venueList {
-			for year := max(cfg.StartYear, venueStart(venue)); year <= cfg.EndYear; year++ {
-				// Volume grows mildly over time (the field expanded).
-				volume := float64(cfg.ArticlesPerVenueYear) * (0.5 + float64(year-1980)*0.02)
-				n := int(volume * (0.8 + 0.4*r.Float64()))
-				share := designShare(year)
-				for a := 0; a < n; a++ {
-					isDesign := r.Float64() < share
-					prob[design] = 0.14
-					if isDesign {
-						prob[design] = 0.95
+	}
+	fig1, fig2 := Figure1Venues(), Figure2Venues()
+	c := &corpusCounts{keywords: make([]int, len(kw)), designs: make([][]int, len(fig2))}
+	for v := range c.designs {
+		c.designs[v] = make([]int, max(0, (cfg.EndYear-1980)/5+1))
+	}
+	var venues []string
+	for _, v := range append(fig1, fig2...) {
+		if !slices.Contains(venues, v) {
+			venues = append(venues, v)
+		}
+	}
+	src := rand.NewSource(cfg.Seed)
+	for _, venue := range venues {
+		var designs []int
+		if v := slices.Index(fig2, venue); v >= 0 {
+			designs = c.designs[v]
+		}
+		inFig1 := slices.Contains(fig1, venue)
+		for year := max(cfg.StartYear, venueStart(venue)); year <= cfg.EndYear; year++ {
+			// Volume grows mildly over time (the field expanded).
+			volume := float64(cfg.ArticlesPerVenueYear) * (0.5 + float64(year-1980)*0.02)
+			n := int(volume * (0.8 + 0.4*(draw(src)/(1<<63))))
+			shareT := threshold(designShare(year))
+			countKw := inFig1 && year >= 2013 && year <= 2017
+			for a := 0; a < n; a++ {
+				d := 0
+				if draw(src) < shareT {
+					d = 1
+				}
+				if designs != nil {
+					designs[(year-1980)/5] += d
+				}
+				if !countKw {
+					for range kw {
+						draw(src)
 					}
-					keywords = keywords[:0]
-					for i, k := range kw {
-						if r.Float64() < prob[i] {
-							keywords = append(keywords, k.Keyword)
-						}
-					}
-					pub = Publication{
-						Venue:    venue,
-						Year:     year,
-						Keywords: keywords,
-						IsDesign: isDesign,
-						Accepted: true,
-					}
-					if !yield(&pub) {
-						return
+					continue
+				}
+				for i, t := range kwT[d] {
+					if draw(src) < t {
+						c.keywords[i]++
 					}
 				}
 			}
 		}
-	}, nil
+	}
+	return c, nil
 }
 
 // ReviewConfig parameterizes the Figure 3 review-score model.

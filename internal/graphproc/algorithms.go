@@ -87,10 +87,9 @@ func BFS(g *Graph, src int) ([]float64, *Profile, error) {
 	}
 	dist[src] = 0
 	prof := &Profile{Algorithm: AlgoBFS, Dataset: g.Name}
-	frontier := []int32{int32(src)}
+	frontier, next := []int32{int32(src)}, []int32(nil)
 	for level := 1; len(frontier) > 0; level++ {
 		var edges int64
-		var next []int32
 		for _, v := range frontier {
 			for _, u := range g.Neighbors(int(v)) {
 				edges++
@@ -103,7 +102,7 @@ func BFS(g *Graph, src int) ([]float64, *Profile, error) {
 		prof.Iterations++
 		prof.ActivePerIter = append(prof.ActivePerIter, int64(len(frontier)))
 		prof.EdgesPerIter = append(prof.EdgesPerIter, edges)
-		frontier = next
+		frontier, next = next, frontier[:0]
 	}
 	return dist, prof, nil
 }
@@ -160,14 +159,13 @@ func WCC(g *Graph) ([]float64, *Profile, error) {
 		label[i] = float64(i)
 	}
 	prof := &Profile{Algorithm: AlgoWCC, Dataset: g.Name}
-	active := make([]bool, g.N)
+	active, nextActive := make([]bool, g.N), make([]bool, g.N)
 	nActive := int64(g.N)
 	for i := range active {
 		active[i] = true
 	}
 	for nActive > 0 {
 		var edges int64
-		nextActive := make([]bool, g.N)
 		var nNext int64
 		for v := 0; v < g.N; v++ {
 			if !active[v] {
@@ -193,7 +191,8 @@ func WCC(g *Graph) ([]float64, *Profile, error) {
 		prof.Iterations++
 		prof.ActivePerIter = append(prof.ActivePerIter, nActive)
 		prof.EdgesPerIter = append(prof.EdgesPerIter, edges)
-		active = nextActive
+		active, nextActive = nextActive, active
+		clear(nextActive)
 		nActive = nNext
 	}
 	return label, prof, nil
@@ -263,7 +262,9 @@ func CDLP(g *Graph, iters int) ([]float64, *Profile, error) {
 // for each neighbor, the neighbors it shares with the vertex;
 // compute-heavy (the ComputeUnits term dominates). Shared neighbors are
 // counted as a multiset intersection: a target listed a times by the
-// vertex and b times by the neighbor counts min(a, b) times.
+// vertex and b times by the neighbor counts min(a, b) times. A neighbor
+// listed c times is intersected once and counted c times; its work is
+// still added c times, term by term, so ComputeUnits keeps its bits.
 func LCC(g *Graph) ([]float64, *Profile, error) {
 	out := make([]float64, g.N)
 	prof := &Profile{Algorithm: AlgoLCC, Dataset: g.Name, Iterations: 1}
@@ -280,17 +281,26 @@ func LCC(g *Graph) ([]float64, *Profile, error) {
 			mult[x]++
 		}
 		links := 0
-		for _, u := range nb {
+		// Adjacency lists are sorted, so the copies of a neighbor are
+		// consecutive: nb[k:k+c] are the c copies of u.
+		for k := 0; k < d; {
+			u := nb[k]
+			c := int(mult[u])
 			nu := g.Neighbors(int(u))
+			shared := 0
 			for i := 0; i < len(nu); {
 				x, j := nu[i], i+1
 				for j < len(nu) && nu[j] == x {
 					j++
 				}
-				links += min(int(mult[x]), j-i)
+				shared += min(int(mult[x]), j-i)
 				i = j
 			}
-			work += float64(d + len(nu))
+			links += c * shared
+			for range c {
+				work += float64(d + len(nu))
+			}
+			k += c
 		}
 		for _, x := range nb {
 			mult[x] = 0
@@ -316,11 +326,12 @@ func SSSP(g *Graph, src int) ([]float64, *Profile, error) {
 	}
 	dist[src] = 0
 	prof := &Profile{Algorithm: AlgoSSSP, Dataset: g.Name}
-	frontier := []int32{int32(src)}
+	frontier, next := []int32{int32(src)}, []int32(nil)
+	// inNext marks the vertices of next; it is cleared through next once
+	// next becomes the frontier.
+	inNext := make([]bool, g.N)
 	for len(frontier) > 0 && prof.Iterations < g.N {
 		var edges int64
-		inNext := make(map[int32]bool)
-		var next []int32
 		for _, v := range frontier {
 			nb := g.Neighbors(int(v))
 			wt := g.EdgeWeights(int(v))
@@ -342,7 +353,10 @@ func SSSP(g *Graph, src int) ([]float64, *Profile, error) {
 		prof.Iterations++
 		prof.ActivePerIter = append(prof.ActivePerIter, int64(len(frontier)))
 		prof.EdgesPerIter = append(prof.EdgesPerIter, edges)
-		frontier = next
+		for _, u := range next {
+			inNext[u] = false
+		}
+		frontier, next = next, frontier[:0]
 	}
 	return dist, prof, nil
 }

@@ -144,6 +144,126 @@ func refLCC(g *Graph) ([]float64, *Profile, error) {
 	return out, prof, nil
 }
 
+// refBFS, refWCC and refSSSP are the bodies that allocated per superstep
+// (a fresh frontier, active array or membership map each round), kept as
+// the references the parity tests compare against.
+func refBFS(g *Graph, src int) ([]float64, *Profile, error) {
+	if src < 0 || src >= g.N {
+		return nil, nil, fmt.Errorf("graphproc: bfs source %d out of range", src)
+	}
+	dist := make([]float64, g.N)
+	for i := range dist {
+		dist[i] = math.Inf(1)
+	}
+	dist[src] = 0
+	prof := &Profile{Algorithm: AlgoBFS, Dataset: g.Name}
+	frontier := []int32{int32(src)}
+	for level := 1; len(frontier) > 0; level++ {
+		var edges int64
+		var next []int32
+		for _, v := range frontier {
+			for _, u := range g.Neighbors(int(v)) {
+				edges++
+				if math.IsInf(dist[u], 1) {
+					dist[u] = float64(level)
+					next = append(next, u)
+				}
+			}
+		}
+		prof.Iterations++
+		prof.ActivePerIter = append(prof.ActivePerIter, int64(len(frontier)))
+		prof.EdgesPerIter = append(prof.EdgesPerIter, edges)
+		frontier = next
+	}
+	return dist, prof, nil
+}
+
+func refWCC(g *Graph) ([]float64, *Profile, error) {
+	label := make([]float64, g.N)
+	for i := range label {
+		label[i] = float64(i)
+	}
+	prof := &Profile{Algorithm: AlgoWCC, Dataset: g.Name}
+	active := make([]bool, g.N)
+	nActive := int64(g.N)
+	for i := range active {
+		active[i] = true
+	}
+	for nActive > 0 {
+		var edges int64
+		nextActive := make([]bool, g.N)
+		var nNext int64
+		for v := 0; v < g.N; v++ {
+			if !active[v] {
+				continue
+			}
+			for _, u := range g.Neighbors(v) {
+				edges++
+				if label[v] < label[u] {
+					label[u] = label[v]
+					if !nextActive[u] {
+						nextActive[u] = true
+						nNext++
+					}
+				} else if label[u] < label[v] {
+					label[v] = label[u]
+					if !nextActive[v] {
+						nextActive[v] = true
+						nNext++
+					}
+				}
+			}
+		}
+		prof.Iterations++
+		prof.ActivePerIter = append(prof.ActivePerIter, nActive)
+		prof.EdgesPerIter = append(prof.EdgesPerIter, edges)
+		active = nextActive
+		nActive = nNext
+	}
+	return label, prof, nil
+}
+
+func refSSSP(g *Graph, src int) ([]float64, *Profile, error) {
+	if src < 0 || src >= g.N {
+		return nil, nil, fmt.Errorf("graphproc: sssp source %d out of range", src)
+	}
+	dist := make([]float64, g.N)
+	for i := range dist {
+		dist[i] = math.Inf(1)
+	}
+	dist[src] = 0
+	prof := &Profile{Algorithm: AlgoSSSP, Dataset: g.Name}
+	frontier := []int32{int32(src)}
+	for len(frontier) > 0 && prof.Iterations < g.N {
+		var edges int64
+		inNext := make(map[int32]bool)
+		var next []int32
+		for _, v := range frontier {
+			nb := g.Neighbors(int(v))
+			wt := g.EdgeWeights(int(v))
+			for i, u := range nb {
+				edges++
+				w := 1.0
+				if wt != nil {
+					w = float64(wt[i])
+				}
+				if d := dist[v] + w; d < dist[u] {
+					dist[u] = d
+					if !inNext[u] {
+						inNext[u] = true
+						next = append(next, u)
+					}
+				}
+			}
+		}
+		prof.Iterations++
+		prof.ActivePerIter = append(prof.ActivePerIter, int64(len(frontier)))
+		prof.EdgesPerIter = append(prof.EdgesPerIter, edges)
+		frontier = next
+	}
+	return dist, prof, nil
+}
+
 // intersectCount counts common elements of two sorted int32 slices.
 func intersectCount(a, b []int32) int {
 	i, j, c := 0, 0, 0
@@ -310,4 +430,52 @@ func TestLCCParity(t *testing.T) {
 			t.Errorf("%s (N=%d): profile %+v, reference %+v", g.Name, g.N, gotProf, wantProf)
 		}
 	}
+}
+
+// checkTraversalParity runs algo and its reference over the four dataset
+// kinds at seeds 0–9, weighted at odd seeds, from source vertex seed, plus
+// the multigraph, and requires bit-equal results and equal profiles.
+func checkTraversalParity(t *testing.T, algo, ref func(*Graph, int) ([]float64, *Profile, error)) {
+	t.Helper()
+	var gs []*Graph
+	for _, kind := range []DatasetKind{DatasetRMAT, DatasetUniform, DatasetLattice, DatasetSmallWorld} {
+		for seed := int64(0); seed < 10; seed++ {
+			g, err := Generate(kind, 600, seed, seed%2 == 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			gs = append(gs, g)
+		}
+	}
+	multi := parityGraphs(t)
+	gs = append(gs, multi[len(multi)-1])
+	for i, g := range gs {
+		src := i % 10
+		got, gotProf, err := algo(g, src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, wantProf, err := ref(g, src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for v := range want {
+			if math.Float64bits(got[v]) != math.Float64bits(want[v]) {
+				t.Fatalf("%s graph %d: vertex %d value %v, reference %v", g.Name, i, v, got[v], want[v])
+			}
+		}
+		if !reflect.DeepEqual(gotProf, wantProf) {
+			t.Fatalf("%s graph %d: profile %+v, reference %+v", g.Name, i, gotProf, wantProf)
+		}
+	}
+}
+
+func TestBFSParity(t *testing.T) { checkTraversalParity(t, BFS, refBFS) }
+
+func TestSSSPParity(t *testing.T) { checkTraversalParity(t, SSSP, refSSSP) }
+
+func TestWCCParity(t *testing.T) {
+	wcc := func(g *Graph, _ int) ([]float64, *Profile, error) { return WCC(g) }
+	ref := func(g *Graph, _ int) ([]float64, *Profile, error) { return refWCC(g) }
+	checkTraversalParity(t, wcc, ref)
 }

@@ -48,17 +48,12 @@ func BuildSocialNetwork(matches []Match) *SocialNetwork {
 		}
 		matchStart = append(matchStart, int32(len(slotID)))
 	}
-	players := slices.Clone(slotID)
-	slices.Sort(players)
-	players = slices.Compact(players)
+	players, rowOf := numberRows(slotID)
 	n := len(players)
 	// Player→match index: byRow[slotOff[r]:slotOff[r+1]] are the slots of
 	// row r in match order.
-	rowOf := make([]int32, slots)
 	slotOff := make([]int32, n+1)
-	for s, id := range slotID {
-		r, _ := slices.BinarySearch(players, id)
-		rowOf[s] = int32(r)
+	for _, r := range rowOf {
 		slotOff[r+1]++
 	}
 	for r := 0; r < n; r++ {
@@ -98,6 +93,47 @@ func BuildSocialNetwork(matches []Match) *SocialNetwork {
 		sn.off[r+1] = int32(len(sn.nbr))
 	}
 	return sn
+}
+
+// numberRows returns the distinct IDs in ids in ascending order and the
+// row, the position in that order, of each entry of ids. When every ID lies
+// in [0, 4·len(ids)), as MatchModel's player IDs do, one dense ID→row array
+// numbers them; other IDs are sorted and each is binary-searched.
+func numberRows(ids []int) (players []int, rowOf []int32) {
+	rowOf = make([]int32, len(ids))
+	if len(ids) == 0 {
+		return nil, rowOf
+	}
+	if hi := slices.Max(ids); slices.Min(ids) >= 0 && hi < 4*len(ids) {
+		// row[id] is 1 for a seen ID until it holds the ID's row.
+		row := make([]int32, hi+1)
+		n := 0
+		for _, id := range ids {
+			if row[id] == 0 {
+				row[id] = 1
+				n++
+			}
+		}
+		players = make([]int, 0, n)
+		for id, seen := range row {
+			if seen != 0 {
+				row[id] = int32(len(players))
+				players = append(players, id)
+			}
+		}
+		for s, id := range ids {
+			rowOf[s] = row[id]
+		}
+		return players, rowOf
+	}
+	players = slices.Clone(ids)
+	slices.Sort(players)
+	players = slices.Compact(players)
+	for s, id := range ids {
+		r, _ := slices.BinarySearch(players, id)
+		rowOf[s] = int32(r)
+	}
+	return players, rowOf
 }
 
 // row returns the neighbour rows of row r.

@@ -1,6 +1,7 @@
 package mmog
 
 import (
+	"fmt"
 	"maps"
 	"math"
 	"slices"
@@ -106,29 +107,37 @@ func parityMatches() [][]Match {
 
 func TestSocialNetworkParity(t *testing.T) {
 	for i, matches := range parityMatches() {
-		got, want := BuildSocialNetwork(matches), refBuildSocialNetwork(matches)
-		if got.Nodes() != want.Nodes() || got.Edges() != want.Edges() {
-			t.Fatalf("set %d: %d nodes, %d edges; reference %d, %d", i, got.Nodes(), got.Edges(), want.Nodes(), want.Edges())
-		}
-		if g, w := got.DegreeDistribution(), want.DegreeDistribution(); !slices.Equal(g, w) {
-			t.Fatalf("set %d: degree distribution differs from the reference", i)
-		}
-		for a, nb := range want.Adj {
-			for b, c := range nb {
-				if g := got.CoPlays(a, b); g != c {
-					t.Fatalf("set %d: CoPlays(%d, %d) = %d, reference %d", i, a, b, g, c)
-				}
+		checkSocialParity(t, fmt.Sprintf("set %d", i), matches)
+	}
+}
+
+// checkSocialParity fails tb unless BuildSocialNetwork and the reference
+// agree on matches: node and edge counts, degree distribution, every
+// co-play count, and the clustering coefficient's bits.
+func checkSocialParity(tb testing.TB, name string, matches []Match) {
+	tb.Helper()
+	got, want := BuildSocialNetwork(matches), refBuildSocialNetwork(matches)
+	if got.Nodes() != want.Nodes() || got.Edges() != want.Edges() {
+		tb.Fatalf("%s: %d nodes, %d edges; reference %d, %d", name, got.Nodes(), got.Edges(), want.Nodes(), want.Edges())
+	}
+	if g, w := got.DegreeDistribution(), want.DegreeDistribution(); !slices.Equal(g, w) {
+		tb.Fatalf("%s: degree distribution differs from the reference", name)
+	}
+	for a, nb := range want.Adj {
+		for b, c := range nb {
+			if g := got.CoPlays(a, b); g != c {
+				tb.Fatalf("%s: CoPlays(%d, %d) = %d, reference %d", name, a, b, g, c)
 			}
 		}
-		for _, pair := range [][2]int{{11, 5}, {7, 12}, {99, 5}, {5, 99}} {
-			if g := got.CoPlays(pair[0], pair[1]); g != want.Adj[pair[0]][pair[1]] {
-				t.Fatalf("set %d: CoPlays(%d, %d) = %d, reference %d", i, pair[0], pair[1], g, want.Adj[pair[0]][pair[1]])
-			}
+	}
+	for _, pair := range [][2]int{{11, 5}, {7, 12}, {99, 5}, {5, 99}} {
+		if g := got.CoPlays(pair[0], pair[1]); g != want.Adj[pair[0]][pair[1]] {
+			tb.Fatalf("%s: CoPlays(%d, %d) = %d, reference %d", name, pair[0], pair[1], g, want.Adj[pair[0]][pair[1]])
 		}
-		g, w := got.ClusteringCoefficient(), want.ClusteringCoefficient()
-		if math.Float64bits(g) != math.Float64bits(w) {
-			t.Fatalf("set %d: clustering %v, reference %v", i, g, w)
-		}
+	}
+	g, w := got.ClusteringCoefficient(), want.ClusteringCoefficient()
+	if math.Float64bits(g) != math.Float64bits(w) {
+		tb.Fatalf("%s: clustering %v, reference %v", name, g, w)
 	}
 }
 

@@ -103,10 +103,12 @@ func Percentile(xs []float64, p float64) float64 {
 		return math.NaN()
 	}
 	s := sorted(xs)
-	return percentileSorted(s, p)
+	return PercentileSorted(s, p)
 }
 
-func percentileSorted(s []float64, p float64) float64 {
+// PercentileSorted is Percentile of s, which is sorted ascending and not
+// empty.
+func PercentileSorted(s []float64, p float64) float64 {
 	if len(s) == 1 {
 		return s[0]
 	}
@@ -129,15 +131,6 @@ func percentileSorted(s []float64, p float64) float64 {
 // Median returns the 50th percentile.
 func Median(xs []float64) float64 { return Percentile(xs, 50) }
 
-// IQR returns the interquartile range (P75 - P25).
-func IQR(xs []float64) float64 {
-	if len(xs) == 0 {
-		return math.NaN()
-	}
-	s := sorted(xs)
-	return percentileSorted(s, 75) - percentileSorted(s, 25)
-}
-
 // FiveNum is a five-number summary plus mean, the core of a box/violin plot.
 type FiveNum struct {
 	Min, Q1, Median, Q3, Max float64
@@ -153,9 +146,9 @@ func Summarize(xs []float64) (FiveNum, error) {
 	s := sorted(xs)
 	return FiveNum{
 		Min:    s[0],
-		Q1:     percentileSorted(s, 25),
-		Median: percentileSorted(s, 50),
-		Q3:     percentileSorted(s, 75),
+		Q1:     PercentileSorted(s, 25),
+		Median: PercentileSorted(s, 50),
+		Q3:     PercentileSorted(s, 75),
 		Max:    s[len(s)-1],
 		Mean:   Mean(xs),
 		N:      len(xs),

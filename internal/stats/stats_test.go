@@ -58,8 +58,8 @@ func TestPercentileMedianIQR(t *testing.T) {
 	if got := Median([]float64{1, 2, 3, 4}); got != 2.5 {
 		t.Errorf("Median even = %v, want 2.5", got)
 	}
-	if got := IQR(xs); got != 2 {
-		t.Errorf("IQR = %v, want 2", got)
+	if got := PercentileSorted(xs, 75) - PercentileSorted(xs, 25); got != 2 {
+		t.Errorf("interquartile range = %v, want 2", got)
 	}
 	if !math.IsNaN(Percentile(nil, 50)) {
 		t.Error("Percentile(empty) should be NaN")
@@ -184,7 +184,7 @@ func TestViolin(t *testing.T) {
 	for i := range xs {
 		xs[i] = r.NormFloat64()*0.5 + 2.5
 	}
-	v, err := NewViolin("design", xs, 50)
+	v, err := NewViolin("design", xs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,33 +197,8 @@ func TestViolin(t *testing.T) {
 	if v.WhiskerLo > v.Q1 || v.WhiskerHi < v.Q3 {
 		t.Errorf("whiskers inside IQR: [%v,%v] vs [%v,%v]", v.WhiskerLo, v.WhiskerHi, v.Q1, v.Q3)
 	}
-	if len(v.DensityX) != 50 || len(v.DensityY) != 50 {
-		t.Errorf("density lengths %d/%d", len(v.DensityX), len(v.DensityY))
-	}
-	// Density integrates to ~1.
-	area := 0.0
-	for i := 1; i < len(v.DensityX); i++ {
-		dx := v.DensityX[i] - v.DensityX[i-1]
-		area += (v.DensityY[i] + v.DensityY[i-1]) / 2 * dx
-	}
-	if math.Abs(area-1) > 0.1 {
-		t.Errorf("KDE area = %v, want ~1", area)
-	}
-	if _, err := NewViolin("x", nil, 10); err != ErrEmpty {
+	if _, err := NewViolin("x", nil); err != ErrEmpty {
 		t.Errorf("NewViolin(empty) err = %v", err)
-	}
-}
-
-func TestSilvermanBandwidth(t *testing.T) {
-	if got := SilvermanBandwidth([]float64{5}); got != 1 {
-		t.Errorf("bandwidth of single point = %v, want fallback 1", got)
-	}
-	if got := SilvermanBandwidth([]float64{3, 3, 3, 3}); got != 1 {
-		t.Errorf("bandwidth of constant data = %v, want fallback 1", got)
-	}
-	xs := []float64{1, 2, 3, 4, 5, 6, 7, 8}
-	if got := SilvermanBandwidth(xs); got <= 0 {
-		t.Errorf("bandwidth = %v, want > 0", got)
 	}
 }
 

@@ -1,34 +1,21 @@
 package stats
 
-import "math"
-
 // Violin is the full description of one violin in a violin plot, as used for
 // Figure 3 of the paper: mean (star), median (white dot), IQR (thick bar),
-// whiskers at 1.5×IQR clipped to the data range, plus a kernel-density
-// profile for the violin body.
+// whiskers at 1.5×IQR clipped to the data range. Figure 3 reports these
+// summaries; no report draws the violin body, so no density is estimated.
 type Violin struct {
-	Category   string
-	N          int
-	Mean       float64
-	Median     float64
-	Q1, Q3     float64
-	WhiskerLo  float64 // max(min(xs), Q1 - 1.5*IQR)
-	WhiskerHi  float64 // min(max(xs), Q3 + 1.5*IQR)
-	DensityX   []float64
-	DensityY   []float64
-	PeakFactor float64 // max density relative to uniform density over range
+	Category  string
+	N         int
+	Mean      float64
+	Median    float64
+	Q1, Q3    float64
+	WhiskerLo float64 // max(min(xs), Q1 - 1.5*IQR)
+	WhiskerHi float64 // min(max(xs), Q3 + 1.5*IQR)
 }
 
-// NewViolin computes the violin summary of xs over points density-evaluation
-// points. The density uses a Gaussian kernel with Silverman's rule-of-thumb
-// bandwidth.
-func NewViolin(category string, xs []float64, points int) (Violin, error) {
-	if len(xs) == 0 {
-		return Violin{}, ErrEmpty
-	}
-	if points < 2 {
-		points = 2
-	}
+// NewViolin computes the violin summary of xs.
+func NewViolin(category string, xs []float64) (Violin, error) {
 	fn, err := Summarize(xs)
 	if err != nil {
 		return Violin{}, err
@@ -42,7 +29,7 @@ func NewViolin(category string, xs []float64, points int) (Violin, error) {
 	if hi > fn.Max {
 		hi = fn.Max
 	}
-	v := Violin{
+	return Violin{
 		Category:  category,
 		N:         fn.N,
 		Mean:      fn.Mean,
@@ -51,62 +38,5 @@ func NewViolin(category string, xs []float64, points int) (Violin, error) {
 		Q3:        fn.Q3,
 		WhiskerLo: lo,
 		WhiskerHi: hi,
-	}
-	v.DensityX, v.DensityY = KDE(xs, points)
-	rangeW := fn.Max - fn.Min
-	if rangeW > 0 {
-		uniform := 1 / rangeW
-		v.PeakFactor = Max(v.DensityY) / uniform
-	}
-	return v, nil
-}
-
-// KDE evaluates a Gaussian kernel density estimate of xs at points evenly
-// spaced locations spanning the data range (padded by one bandwidth on each
-// side). It returns the evaluation locations and densities.
-func KDE(xs []float64, points int) (locs, dens []float64) {
-	if len(xs) == 0 || points < 2 {
-		return nil, nil
-	}
-	h := SilvermanBandwidth(xs)
-	if h <= 0 {
-		h = 1e-9
-	}
-	lo, hi := Min(xs)-h, Max(xs)+h
-	locs = make([]float64, points)
-	dens = make([]float64, points)
-	step := (hi - lo) / float64(points-1)
-	norm := 1 / (float64(len(xs)) * h * math.Sqrt(2*math.Pi))
-	for i := 0; i < points; i++ {
-		x := lo + float64(i)*step
-		locs[i] = x
-		d := 0.0
-		for _, xi := range xs {
-			u := (x - xi) / h
-			d += math.Exp(-0.5 * u * u)
-		}
-		dens[i] = d * norm
-	}
-	return locs, dens
-}
-
-// SilvermanBandwidth returns Silverman's rule-of-thumb KDE bandwidth:
-// 0.9 * min(sd, IQR/1.34) * n^(-1/5).
-func SilvermanBandwidth(xs []float64) float64 {
-	if len(xs) < 2 {
-		return 1
-	}
-	sd := StdDev(xs)
-	iqr := IQR(xs) / 1.34
-	a := sd
-	if iqr > 0 && iqr < a {
-		a = iqr
-	}
-	if a <= 0 {
-		a = sd
-	}
-	if a <= 0 {
-		return 1
-	}
-	return 0.9 * a * math.Pow(float64(len(xs)), -0.2)
+	}, nil
 }
