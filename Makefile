@@ -71,16 +71,19 @@ determinism:
 
 # Fuzz the population merge queue against heap4, the scenario spec boundary
 # (parse, validate, expand), the sweep checkpoint loader, the sched block
-# queue against a flat slice, the dist claim endpoint, the GWA trace import
-# and the MMOG social network against its map reference, for 15 s each past
-# their committed seed corpora (testdata/fuzz in each package), which
-# `make test` replays.
+# queue against a flat slice, the dist claim endpoint, the dist protocol line
+# decoder, the GWA trace import and the MMOG social network against its map
+# reference, for 15 s each past their committed seed corpora (testdata/fuzz
+# in each package), which `make test` replays. FuzzMsgReader's corpus holds
+# 64 KiB lines, and minimising a new input grown from one takes longer than
+# the whole 15 s at the default -fuzzminimizetime, so it minimises for 1 s.
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzMergeQueue$$' -fuzztime 15s ./internal/workload
 	$(GO) test -run '^$$' -fuzz '^FuzzSpecValidate$$' -fuzztime 15s ./internal/scenario
 	$(GO) test -run '^$$' -fuzz '^FuzzCheckpointLoad$$' -fuzztime 15s ./internal/scenario
 	$(GO) test -run '^$$' -fuzz '^FuzzTaskQueue$$' -fuzztime 15s ./internal/sched
 	$(GO) test -run '^$$' -fuzz '^FuzzClaim$$' -fuzztime 15s ./internal/dist
+	$(GO) test -run '^$$' -fuzz '^FuzzMsgReader$$' -fuzztime 15s -fuzzminimizetime 1s ./internal/dist
 	$(GO) test -run '^$$' -fuzz '^FuzzReadJobs$$' -fuzztime 15s ./internal/trace
 	$(GO) test -run '^$$' -fuzz '^FuzzSocialNetwork$$' -fuzztime 15s ./internal/mmog
 

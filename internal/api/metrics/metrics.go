@@ -235,13 +235,15 @@ type Sample struct {
 	Value  float64
 }
 
-// snapshotFunc registers a labeled family whose complete series set is
-// produced by a callback at scrape time. It serves families whose label
-// values are not known at registration (e.g. per-event-name kernel
-// aggregates): the callback returns every current series, and the renderer
-// sorts them by label values so the output stays deterministic.
-func (r *Registry) snapshotFunc(name, help, typ string, labels []string, fn func() []Sample) {
-	r.add(name, help, typ, func(w io.Writer, name string) {
+// CounterSnapshotFunc registers a labeled counter family whose complete
+// series set is produced by a callback at scrape time. It serves families
+// whose label values are not known at registration (e.g. per-event-name
+// kernel aggregates): the callback returns every current series, and the
+// renderer sorts them by label values so the output stays deterministic.
+// The callback must return monotonically non-decreasing values per label
+// tuple.
+func (r *Registry) CounterSnapshotFunc(name, help string, labels []string, fn func() []Sample) {
+	r.add(name, help, "counter", func(w io.Writer, name string) {
 		samples := append([]Sample(nil), fn()...) // sort a copy, not the source's slice
 		sort.Slice(samples, func(i, j int) bool {
 			return strings.Join(samples[i].Labels, "\x00") < strings.Join(samples[j].Labels, "\x00")
@@ -253,19 +255,6 @@ func (r *Registry) snapshotFunc(name, help, typ string, labels []string, fn func
 			fmt.Fprintf(w, "%s%s %s\n", name, labelPairs(labels, s.Labels), formatFloat(s.Value))
 		}
 	})
-}
-
-// CounterSnapshotFunc registers a labeled counter family rendered from a
-// snapshot callback at scrape time (see snapshotFunc). The callback must
-// return monotonically non-decreasing values per label tuple.
-func (r *Registry) CounterSnapshotFunc(name, help string, labels []string, fn func() []Sample) {
-	r.snapshotFunc(name, help, "counter", labels, fn)
-}
-
-// GaugeSnapshotFunc registers a labeled gauge family rendered from a
-// snapshot callback at scrape time (see snapshotFunc).
-func (r *Registry) GaugeSnapshotFunc(name, help string, labels []string, fn func() []Sample) {
-	r.snapshotFunc(name, help, "gauge", labels, fn)
 }
 
 // DefBuckets are latency histogram bounds in seconds, spanning sub-ms cache
@@ -302,9 +291,6 @@ func (h *Histogram) Observe(v float64) {
 	}
 }
 
-// Count returns the number of observed samples.
-func (h *Histogram) Count() uint64 { return h.count.Load() }
-
 // render writes the bucket/sum/count series, with extra leading label pairs.
 func (h *Histogram) render(w io.Writer, name string, labelNames, labelValues []string) {
 	// Fresh slices for the le pair: appending to the caller's (shared)
@@ -323,15 +309,6 @@ func (h *Histogram) render(w io.Writer, name string, labelNames, labelValues []s
 	fmt.Fprintf(w, "%s_sum%s %s\n", name, labelPairs(labelNames, labelValues),
 		formatFloat(math.Float64frombits(h.sum.Load())))
 	fmt.Fprintf(w, "%s_count%s %d\n", name, labelPairs(labelNames, labelValues), h.count.Load())
-}
-
-// Histogram registers an unlabeled histogram; nil buckets mean DefBuckets.
-func (r *Registry) Histogram(name, help string, buckets []float64) *Histogram {
-	h := newHistogram(buckets)
-	r.add(name, help, "histogram", func(w io.Writer, name string) {
-		h.render(w, name, nil, nil)
-	})
-	return h
 }
 
 // HistogramVec is a family of histograms distinguished by label values,

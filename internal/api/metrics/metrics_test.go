@@ -50,25 +50,22 @@ func TestWriteFormat(t *testing.T) {
 // sum/count lines.
 func TestHistogram(t *testing.T) {
 	r := New()
-	h := r.Histogram("latency_seconds", "Latency.", []float64{0.25, 1})
+	h := r.HistogramVec("latency_seconds", "Latency.", []float64{0.25, 1}, "endpoint").With("/x")
 	// Exact binary fractions, so the rendered sum is exact too.
 	for _, v := range []float64{0.125, 0.25, 0.5, 2} {
 		h.Observe(v)
 	}
 	out := render(t, r)
 	for _, want := range []string{
-		`latency_seconds_bucket{le="0.25"} 2`, // 0.125 and the boundary 0.25
-		`latency_seconds_bucket{le="1"} 3`,
-		`latency_seconds_bucket{le="+Inf"} 4`,
-		`latency_seconds_sum 2.875`,
-		`latency_seconds_count 4`,
+		`latency_seconds_bucket{endpoint="/x",le="0.25"} 2`, // 0.125 and the boundary 0.25
+		`latency_seconds_bucket{endpoint="/x",le="1"} 3`,
+		`latency_seconds_bucket{endpoint="/x",le="+Inf"} 4`,
+		`latency_seconds_sum{endpoint="/x"} 2.875`,
+		`latency_seconds_count{endpoint="/x"} 4`,
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("output missing %q:\n%s", want, out)
 		}
-	}
-	if h.Count() != 4 {
-		t.Errorf("Count = %d", h.Count())
 	}
 }
 
@@ -143,16 +140,12 @@ func TestSnapshotFunc(t *testing.T) {
 	}
 	r.CounterSnapshotFunc("events_total", "Events by name.", []string{"event"},
 		func() []Sample { return samples })
-	r.GaugeSnapshotFunc("event_rate", "Event rate by name.", []string{"event"},
-		func() []Sample { return samples[:1] })
 
 	out := render(t, r)
 	for _, want := range []string{
 		"# TYPE events_total counter",
 		`events_total{event="arrive"} 7`,
 		`events_total{event="tick"} 3`,
-		"# TYPE event_rate gauge",
-		`event_rate{event="tick"} 3`,
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("output missing %q:\n%s", want, out)

@@ -86,7 +86,7 @@ type RunStats struct {
 
 // Run executes the trace under the autoscaler and returns statistics.
 // The run ends when all jobs complete. Either engine rejects a trace with a
-// job that fails workload.Job.ValidateDAG, or with a submit time or task
+// job that fails workload.Job.CheckDAG, or with a submit time or task
 // runtime that is not a finite, non-negative number: the kernel cannot
 // schedule it before time 0, and no run could finish it at infinity.
 func Run(cfg EngineConfig, as Autoscaler, tr *workload.Trace) (*RunStats, error) {

@@ -42,6 +42,3 @@ func KindByName(name string) (EngineKind, error) {
 		return 0, fmt.Errorf("autoscale: unknown engine %q (known: in-vitro, in-silico)", name)
 	}
 }
-
-// KindNames returns the canonical engine-kind names.
-func KindNames() []string { return []string{InVitro.String(), InSilico.String()} }

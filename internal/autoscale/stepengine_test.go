@@ -58,7 +58,7 @@ func runVitroStep(cfg EngineConfig, as Autoscaler, tr *workload.Trace) (*RunStat
 	jobs := append([]*workload.Job(nil), tr.Jobs...)
 	sort.SliceStable(jobs, func(i, j int) bool { return jobs[i].Submit < jobs[j].Submit })
 	for _, j := range jobs {
-		if err := j.ValidateDAG(); err != nil {
+		if _, err := j.CheckDAG(new(workload.DAGScratch)); err != nil {
 			return nil, fmt.Errorf("autoscale: %w", err)
 		}
 	}

@@ -9,7 +9,6 @@
 package cluster
 
 import (
-	"errors"
 	"fmt"
 
 	"atlarge/internal/sim"
@@ -56,9 +55,6 @@ type Machine struct {
 
 // Free returns the number of unclaimed slots.
 func (m *Machine) Free() int { return m.Cores - m.used }
-
-// Used returns the number of claimed slots.
-func (m *Machine) Used() int { return m.used }
 
 // Claim reserves n slots. It returns an error when insufficient slots are
 // free.
@@ -116,23 +112,6 @@ func (c *Cluster) Utilization() float64 {
 		return 0
 	}
 	return float64(total-c.FreeCores()) / float64(total)
-}
-
-// ErrNoCapacity is returned when a placement cannot be satisfied.
-var ErrNoCapacity = errors.New("cluster: no capacity")
-
-// FirstFit claims n slots on the first machine with room and returns that
-// machine.
-func (c *Cluster) FirstFit(n int) (*Machine, error) {
-	for _, m := range c.Machines {
-		if m.Free() >= n {
-			if err := m.Claim(n); err != nil {
-				return nil, err
-			}
-			return m, nil
-		}
-	}
-	return nil, ErrNoCapacity
 }
 
 // Environment is a complete Table 9 execution environment: one or more

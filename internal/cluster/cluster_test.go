@@ -11,8 +11,8 @@ func TestMachineClaimRelease(t *testing.T) {
 	if err := m.Claim(5); err != nil {
 		t.Fatalf("Claim(5): %v", err)
 	}
-	if m.Free() != 3 || m.Used() != 5 {
-		t.Errorf("Free/Used = %d/%d", m.Free(), m.Used())
+	if m.Free() != 3 || m.used != 5 {
+		t.Errorf("Free/used = %d/%d", m.Free(), m.used)
 	}
 	if err := m.Claim(4); err == nil {
 		t.Error("over-claim succeeded")
@@ -39,7 +39,7 @@ func TestMachineInvariantProperty(t *testing.T) {
 			} else {
 				_ = m.Release((-n) % 17)
 			}
-			if m.Used() < 0 || m.Used() > m.Cores {
+			if m.used < 0 || m.used > m.Cores {
 				return false
 			}
 		}
@@ -58,19 +58,11 @@ func TestClusterAggregates(t *testing.T) {
 	if c.TotalCores() != 8 || c.FreeCores() != 8 {
 		t.Errorf("Total/Free = %d/%d", c.TotalCores(), c.FreeCores())
 	}
-	if _, err := c.FirstFit(3); err != nil {
-		t.Fatalf("FirstFit: %v", err)
+	if err := c.Machines[0].Claim(3); err != nil {
+		t.Fatalf("Claim: %v", err)
 	}
 	if got := c.Utilization(); math.Abs(got-3.0/8) > 1e-12 {
 		t.Errorf("Utilization = %v, want 0.375", got)
-	}
-	// 3 used on m1 (1 free), m2 has 4 free: a 4-core request must go to m2.
-	m, err := c.FirstFit(4)
-	if err != nil || m.ID != 2 {
-		t.Errorf("FirstFit(4) = %v,%v, want machine 2", m, err)
-	}
-	if _, err := c.FirstFit(2); err != ErrNoCapacity {
-		t.Errorf("FirstFit over capacity err = %v, want ErrNoCapacity", err)
 	}
 	empty := &Cluster{}
 	if empty.Utilization() != 0 {

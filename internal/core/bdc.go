@@ -237,73 +237,3 @@ func (cy *Cycle) Run(ctx *Context) (*Trace, error) {
 	tr.Failures = ctx.Failures
 	return tr, nil
 }
-
-// DisseminationKind is a §3.6 output channel.
-type DisseminationKind int
-
-// The three dissemination channels.
-const (
-	DisseminateArticle  DisseminationKind = iota + 1
-	DisseminateSoftware                   // FOSS
-	DisseminateData                       // FAIR / FOAD
-)
-
-// String implements fmt.Stringer.
-func (k DisseminationKind) String() string {
-	switch k {
-	case DisseminateArticle:
-		return "peer-reviewed article"
-	case DisseminateSoftware:
-		return "free open-access software"
-	case DisseminateData:
-		return "FAIR/free open-access data"
-	default:
-		return fmt.Sprintf("DisseminationKind(%d)", int(k))
-	}
-}
-
-// FAIRChecklist is the Wilkinson et al. FAIR criteria for data artifacts.
-type FAIRChecklist struct {
-	Findable      bool
-	Accessible    bool
-	Interoperable bool
-	Reusable      bool
-}
-
-// Complete reports whether all four criteria hold.
-func (c FAIRChecklist) Complete() bool {
-	return c.Findable && c.Accessible && c.Interoperable && c.Reusable
-}
-
-// Missing lists unmet criteria.
-func (c FAIRChecklist) Missing() []string {
-	var out []string
-	if !c.Findable {
-		out = append(out, "findable")
-	}
-	if !c.Accessible {
-		out = append(out, "accessible")
-	}
-	if !c.Interoperable {
-		out = append(out, "interoperable")
-	}
-	if !c.Reusable {
-		out = append(out, "reusable")
-	}
-	return out
-}
-
-// NewDisseminationCycle builds the mini-BDC of §3.6 for one channel: smaller
-// versions of the framework itself, with the design and analysis stages
-// wired to the produce/review functions.
-func NewDisseminationCycle(kind DisseminationKind, produce, review StageFunc, budget int) *Cycle {
-	return &Cycle{
-		Name: kind.String(),
-		Stages: map[Stage]StageFunc{
-			StageFormulateRequirements: func(*Context) error { return nil },
-			StageDesign:                produce,
-			StageExperimentalAnalysis:  review,
-		},
-		Stop: StoppingCriteria{SatisficeAfter: 1, MaxIterations: budget},
-	}
-}

@@ -5,34 +5,6 @@ import (
 	"testing"
 )
 
-func TestReasoningModeKnownsUnknowns(t *testing.T) {
-	tests := []struct {
-		mode         ReasoningMode
-		knowns       int
-		unknownFirst Element
-	}{
-		{Deduction, 2, ElementOutcome},
-		{Induction, 2, ElementHow},
-		{NormalAbduction, 2, ElementWhat},
-		{DesignAbduction, 1, ElementWhat},
-		{Unreasoning, 0, ElementWhat},
-	}
-	for _, tt := range tests {
-		t.Run(tt.mode.String(), func(t *testing.T) {
-			if got := len(tt.mode.Knowns()); got != tt.knowns {
-				t.Errorf("knowns = %d, want %d", got, tt.knowns)
-			}
-			unknowns := tt.mode.Unknowns()
-			if len(unknowns)+len(tt.mode.Knowns()) != 3 {
-				t.Errorf("knowns+unknowns != 3")
-			}
-			if len(unknowns) > 0 && unknowns[0] != tt.unknownFirst {
-				t.Errorf("first unknown = %v, want %v", unknowns[0], tt.unknownFirst)
-			}
-		})
-	}
-}
-
 func TestClassify(t *testing.T) {
 	tests := []struct {
 		what, how, outcome bool
@@ -96,9 +68,6 @@ func TestCatalogsMatchPaper(t *testing.T) {
 func TestProblemCatalogs(t *testing.T) {
 	if got := len(ProblemArchetypes()); got != 5 {
 		t.Errorf("archetypes = %d, want 5", got)
-	}
-	if got := len(ProblemSources()); got != 3 {
-		t.Errorf("sources = %d, want 3", got)
 	}
 }
 
@@ -344,43 +313,6 @@ func TestHierarchicalSubCycle(t *testing.T) {
 	}
 	if tr.Stop != StopSatisficed {
 		t.Errorf("stop = %v", tr.Stop)
-	}
-}
-
-func TestDisseminationCycle(t *testing.T) {
-	drafts := 0
-	cy := NewDisseminationCycle(DisseminateArticle,
-		func(ctx *Context) error {
-			drafts++
-			ctx.AddSolution(Artifact{Name: "draft", Satisficing: drafts >= 2})
-			return nil
-		},
-		func(*Context) error { return nil },
-		10,
-	)
-	tr, err := cy.Run(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tr.Stop != StopSatisficed || drafts != 2 {
-		t.Errorf("dissemination stop = %v after %d drafts", tr.Stop, drafts)
-	}
-	if DisseminateData.String() == "" || DisseminateSoftware.String() == "" {
-		t.Error("kind strings empty")
-	}
-}
-
-func TestFAIRChecklist(t *testing.T) {
-	full := FAIRChecklist{Findable: true, Accessible: true, Interoperable: true, Reusable: true}
-	if !full.Complete() || len(full.Missing()) != 0 {
-		t.Error("complete checklist misreported")
-	}
-	partial := FAIRChecklist{Findable: true}
-	if partial.Complete() {
-		t.Error("partial checklist complete")
-	}
-	if got := partial.Missing(); len(got) != 3 {
-		t.Errorf("missing = %v", got)
 	}
 }
 

@@ -127,21 +127,6 @@ func ProblemArchetypes() []ProblemArchetype {
 	}
 }
 
-// ProblemSource is one of the three §3.4 sources for finding problems.
-type ProblemSource struct {
-	Index int // S1..S3
-	Text  string
-}
-
-// ProblemSources returns the §3.4 source catalog.
-func ProblemSources() []ProblemSource {
-	return []ProblemSource{
-		{1, "peer-reviewed qualitative and quantitative studies of ecosystems and their systems"},
-		{2, "discussion with experts and analysis of best practices (reports, blogs, books)"},
-		{3, "own thought and lab experiments on technology trends and limitations"},
-	}
-}
-
 // ProblemKind classifies a design problem's structure (§2.4).
 type ProblemKind int
 

@@ -3,9 +3,8 @@
 // (Figure 5), the framework overview (Table 1), the eight core principles of
 // MCS design (Table 2), the ten challenges (Table 3), the problem-finding
 // catalog (§3.4), the Basic Design Cycle and hierarchical Overall Process
-// with skippable stages and five stopping criteria (§3.5, Figure 8), the
-// dissemination processes (§3.6), and the Altshuller creativity levels used
-// to assess designs (§5.1).
+// with skippable stages and five stopping criteria (§3.5, Figure 8), and the
+// Altshuller creativity levels used to assess designs (§5.1).
 package core
 
 import "fmt"
@@ -65,39 +64,6 @@ func (m ReasoningMode) String() string {
 	default:
 		return fmt.Sprintf("ReasoningMode(%d)", int(m))
 	}
-}
-
-// Knowns returns the elements given (known) in the mode's equation.
-func (m ReasoningMode) Knowns() []Element {
-	switch m {
-	case Deduction:
-		return []Element{ElementWhat, ElementHow}
-	case Induction:
-		return []Element{ElementWhat, ElementOutcome}
-	case NormalAbduction:
-		return []Element{ElementHow, ElementOutcome}
-	case DesignAbduction:
-		return []Element{ElementOutcome}
-	case Unreasoning:
-		return nil
-	default:
-		return nil
-	}
-}
-
-// Unknowns returns the elements the mode must produce.
-func (m ReasoningMode) Unknowns() []Element {
-	known := map[Element]bool{}
-	for _, e := range m.Knowns() {
-		known[e] = true
-	}
-	var out []Element
-	for _, e := range []Element{ElementWhat, ElementHow, ElementOutcome} {
-		if !known[e] {
-			out = append(out, e)
-		}
-	}
-	return out
 }
 
 // Classify returns the reasoning mode that matches the given knowledge

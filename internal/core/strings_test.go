@@ -33,22 +33,11 @@ func TestStringers(t *testing.T) {
 			t.Errorf("CreativityLevel(%d) empty string", l)
 		}
 	}
-	for _, k := range []DisseminationKind{DisseminateArticle, DisseminateSoftware, DisseminateData, DisseminationKind(99)} {
-		if k.String() == "" {
-			t.Errorf("DisseminationKind(%d) empty string", k)
-		}
-	}
 	if !strings.Contains(Stage(99).String(), "99") {
 		t.Error("unknown stage string")
 	}
 	if !strings.Contains(StopReason(99).String(), "99") {
 		t.Error("unknown stop reason string")
-	}
-	if got := Unreasoning.Knowns(); got != nil {
-		t.Errorf("Unreasoning knowns = %v", got)
-	}
-	if got := ReasoningMode(99).Knowns(); got != nil {
-		t.Errorf("unknown mode knowns = %v", got)
 	}
 }
 

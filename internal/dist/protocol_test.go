@@ -143,3 +143,47 @@ func TestProtocolRejectsGarbageLine(t *testing.T) {
 		t.Fatal("garbage line accepted")
 	}
 }
+
+// FuzzMsgReader feeds arbitrary bytes to the line decoder, which reads a
+// network peer's stream. Any input must yield messages and then io.EOF or
+// an error, never a panic; every message, framed again by msgWriter, must
+// read back equal, its result payload compacted and HTML-escaped as
+// json.Marshal writes a json.RawMessage. The committed corpus
+// (testdata/fuzz/FuzzMsgReader) holds an empty stream, one and two valid
+// lines, a trailing fragment, invalid JSON, lines of exactly the 64 KiB read
+// buffer and one byte past it, a CRLF ending, and a long result with a '<'
+// that the writer escapes.
+func FuzzMsgReader(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		mr := newMsgReader(bytes.NewReader(data))
+		for n := 0; ; n++ {
+			m, err := mr.Read()
+			if err != nil {
+				return // io.EOF or a decode error ends the stream
+			}
+			if n > len(data) {
+				t.Fatalf("%d messages from %d bytes", n, len(data))
+			}
+			want := *m
+			if want.Result != nil {
+				var compact, escaped bytes.Buffer
+				if err := json.Compact(&compact, want.Result); err != nil {
+					t.Fatalf("message %d: decoded result %q is not JSON: %v", n, want.Result, err)
+				}
+				json.HTMLEscape(&escaped, compact.Bytes())
+				want.Result = escaped.Bytes()
+			}
+			var line bytes.Buffer
+			if err := newMsgWriter(&line, nil).Write(m); err != nil {
+				t.Fatalf("message %d: reframe %+v: %v", n, m, err)
+			}
+			got, err := newMsgReader(&line).Read()
+			if err != nil {
+				t.Fatalf("message %d: reframed line %q: %v", n, line.String(), err)
+			}
+			if !reflect.DeepEqual(*got, want) {
+				t.Fatalf("message %d round-tripped wrong:\n got %+v\nwant %+v", n, *got, want)
+			}
+		}
+	})
+}

@@ -36,7 +36,7 @@ func TestFirstInvocationIsCold(t *testing.T) {
 	if err := p.Run(); err != nil {
 		t.Fatal(err)
 	}
-	ivs := p.Invocations()
+	ivs := p.done
 	if len(ivs) != 1 {
 		t.Fatalf("invocations = %d", len(ivs))
 	}
@@ -64,7 +64,7 @@ func TestWarmReuseWithinKeepAlive(t *testing.T) {
 	if err := p.Run(); err != nil {
 		t.Fatal(err)
 	}
-	ivs := p.Invocations()
+	ivs := p.done
 	if len(ivs) != 2 {
 		t.Fatalf("invocations = %d", len(ivs))
 	}
@@ -92,7 +92,7 @@ func TestColdAfterKeepAliveExpiry(t *testing.T) {
 	if err := p.Run(); err != nil {
 		t.Fatal(err)
 	}
-	ivs := p.Invocations()
+	ivs := p.done
 	if !ivs[1].Cold {
 		t.Error("invocation after expiry was warm")
 	}
@@ -113,7 +113,7 @@ func TestConcurrencyCapQueues(t *testing.T) {
 	if err := p.Run(); err != nil {
 		t.Fatal(err)
 	}
-	ivs := p.Invocations()
+	ivs := p.done
 	if len(ivs) != 3 {
 		t.Fatalf("invocations = %d, want 3 (queued work served)", len(ivs))
 	}

@@ -33,7 +33,7 @@ func TestPlatformInvariantsProperty(t *testing.T) {
 		if err := p.Run(); err != nil {
 			return false
 		}
-		ivs := p.Invocations()
+		ivs := p.done
 		if len(ivs) != n {
 			return false
 		}
@@ -82,7 +82,7 @@ func TestWorkflowStepConservationProperty(t *testing.T) {
 		if err := p.Run(); err != nil {
 			return false
 		}
-		return got.Steps == width*depth && len(p.Invocations()) == width*depth
+		return got.Steps == width*depth && len(p.done) == width*depth
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Error(err)

@@ -112,9 +112,6 @@ func (p *Platform) Register(fn Function) error {
 	return nil
 }
 
-// Invocations returns completed invocations.
-func (p *Platform) Invocations() []Invocation { return p.done }
-
 // ScheduleInvocation registers an invocation arrival; onDone (optional) runs
 // at completion — the hook the workflow engine uses for chaining.
 func (p *Platform) ScheduleInvocation(at sim.Time, fn string, onDone func(Invocation)) error {

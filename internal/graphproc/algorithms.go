@@ -22,24 +22,6 @@ type Profile struct {
 	ComputeUnits float64
 }
 
-// TotalActive sums active vertices over supersteps.
-func (p *Profile) TotalActive() int64 {
-	var s int64
-	for _, v := range p.ActivePerIter {
-		s += v
-	}
-	return s
-}
-
-// TotalEdges sums scanned edges over supersteps.
-func (p *Profile) TotalEdges() int64 {
-	var s int64
-	for _, v := range p.EdgesPerIter {
-		s += v
-	}
-	return s
-}
-
 // Algorithm names; the "A" of the PAD triangle (the Graphalytics six).
 const (
 	AlgoBFS      = "BFS"

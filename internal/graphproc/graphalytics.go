@@ -1,10 +1,8 @@
 package graphproc
 
 import (
-	"cmp"
 	"fmt"
 	"math"
-	"slices"
 
 	"atlarge/internal/stats"
 )
@@ -200,63 +198,4 @@ func AnalyzeHPAD(r *BenchmarkResult, engines []Engine) (*HPADReport, error) {
 		}
 	}
 	return rep, nil
-}
-
-// GranulaBreakdown is the fine-grained phase analysis of one cell: how the
-// modeled runtime divides across supersteps and cost components.
-type GranulaBreakdown struct {
-	Engine    string
-	Algorithm string
-	Dataset   string
-	EdgeMS    float64
-	ActiveMS  float64
-	BarrierMS float64
-	ComputeMS float64
-	// PerStepMS is the per-superstep total, for the timeline view.
-	PerStepMS []float64
-}
-
-// Breakdown computes the Granula-style decomposition of a cell.
-func Breakdown(e Engine, p *Profile, m int) GranulaBreakdown {
-	workers := float64(e.Workers)
-	if workers < 1 {
-		workers = 1
-	}
-	b := GranulaBreakdown{Engine: e.Name, Algorithm: p.Algorithm, Dataset: p.Dataset}
-	for i := 0; i < p.Iterations; i++ {
-		edges := float64(p.EdgesPerIter[i])
-		if e.FullSweep {
-			edges = float64(m)
-		}
-		em := edges * e.PerEdge / workers
-		am := float64(p.ActivePerIter[i]) * e.PerActive / workers
-		b.EdgeMS += em
-		b.ActiveMS += am
-		b.BarrierMS += e.PerStep
-		b.PerStepMS = append(b.PerStepMS, em+am+e.PerStep)
-	}
-	b.ComputeMS = p.ComputeUnits * e.PerCompute / workers
-	return b
-}
-
-// Total returns the breakdown's total milliseconds.
-func (b GranulaBreakdown) Total() float64 {
-	return b.EdgeMS + b.ActiveMS + b.BarrierMS + b.ComputeMS
-}
-
-// RankEngines orders engines by total runtime over the whole sweep,
-// fastest first, and engines with equal totals by name.
-func (r *BenchmarkResult) RankEngines() []string {
-	totals := map[string]float64{}
-	for _, c := range r.Cells {
-		totals[c.Engine] += c.RuntimeMS
-	}
-	names := make([]string, 0, len(totals))
-	for n := range totals {
-		names = append(names, n)
-	}
-	slices.SortFunc(names, func(a, b string) int {
-		return cmp.Or(cmp.Compare(totals[a], totals[b]), cmp.Compare(a, b))
-	})
-	return names
 }

@@ -2,7 +2,6 @@ package graphproc
 
 import (
 	"math"
-	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -365,55 +364,5 @@ func TestHPADAddsWinners(t *testing.T) {
 	homog := []Engine{{Name: "a", Workers: 1}, {Name: "b", Workers: 2}}
 	if _, err := AnalyzeHPAD(res, homog); err == nil {
 		t.Error("HPAD without H engines accepted")
-	}
-}
-
-func TestGranulaBreakdownMatchesRuntime(t *testing.T) {
-	g, err := Generate(DatasetRMAT, 500, 5, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, prof, err := PageRank(g, 0.85, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, e := range StandardEngines() {
-		b := Breakdown(e, prof, g.M())
-		if math.Abs(b.Total()-e.Runtime(prof, g.M())) > 1e-9 {
-			t.Errorf("engine %s: breakdown total %v != runtime %v", e.Name, b.Total(), e.Runtime(prof, g.M()))
-		}
-		if len(b.PerStepMS) != prof.Iterations {
-			t.Errorf("engine %s: %d step entries for %d iterations", e.Name, len(b.PerStepMS), prof.Iterations)
-		}
-	}
-}
-
-func TestRankEnginesCompleteness(t *testing.T) {
-	cfg := DefaultBenchmarkConfig()
-	cfg.VertexCount = 400
-	res, err := RunBenchmark(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	order := res.RankEngines()
-	if len(order) != len(cfg.Engines) {
-		t.Errorf("ranked %d engines, want %d", len(order), len(cfg.Engines))
-	}
-}
-
-// TestRankEnginesTiesByName checks that engines with equal totals rank by
-// name on every call, not in map order.
-func TestRankEnginesTiesByName(t *testing.T) {
-	res := &BenchmarkResult{Cells: []Cell{
-		{Engine: "zeta", RuntimeMS: 3},
-		{Engine: "alpha", RuntimeMS: 1},
-		{Engine: "alpha", RuntimeMS: 2},
-		{Engine: "fast", RuntimeMS: 1},
-	}}
-	want := []string{"fast", "alpha", "zeta"}
-	for i := 0; i < 50; i++ {
-		if got := res.RankEngines(); !slices.Equal(got, want) {
-			t.Fatalf("call %d: got %v, want %v", i, got, want)
-		}
 	}
 }

@@ -104,13 +104,6 @@ func Pop(h []Node) (Node, []Node) {
 	return top, h
 }
 
-// FixTop restores the heap order after the caller replaced h[0], the
-// replace-top step of a k-way merge. It sifts with the classic early-exit
-// down: Pop's bottom-up walk visits every level even when the replacement
-// settles high, and measured slower when this heap still merged a million
-// clients.
-func FixTop(h []Node) { down(h, 0) }
-
 // up fills the hole at i with n, moving greater ancestors down into it.
 func up(h []Node, i int, n Node) {
 	for i > 0 {

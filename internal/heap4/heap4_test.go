@@ -8,7 +8,7 @@ import (
 )
 
 // TestHeapMatchesSortedReference drives the heap and a sorted-slice
-// reference through the same random interleavings of Push, Pop, FixTop and
+// reference through the same random interleavings of Push, Pop and
 // Heapify, with heavy ties in Hi so Lo decides most comparisons, and
 // requires every popped node to equal the reference minimum.
 func TestHeapMatchesSortedReference(t *testing.T) {
@@ -51,23 +51,13 @@ func TestHeapMatchesSortedReference(t *testing.T) {
 				n := node()
 				h = Push(h, n)
 				insert(n)
-			case c < 7:
+			case c < 9:
 				if len(h) == 0 {
 					continue
 				}
 				var got Node
 				got, h = Pop(h)
 				check("Pop", got)
-			case c < 9:
-				if len(h) == 0 {
-					continue
-				}
-				// Replace-top: the old minimum leaves, a fresh node enters.
-				check("FixTop", h[0])
-				n := node()
-				h[0] = n
-				FixTop(h)
-				insert(n)
 			default:
 				// Append a run without order, then rebuild.
 				for k := r.Intn(20); k > 0; k-- {

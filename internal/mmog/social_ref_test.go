@@ -5,7 +5,6 @@ import (
 	"maps"
 	"math"
 	"slices"
-	"sort"
 	"testing"
 
 	"atlarge/internal/stats"
@@ -46,15 +45,6 @@ func (sn *refSocialNetwork) Edges() int {
 		n += len(nb)
 	}
 	return n / 2
-}
-
-func (sn *refSocialNetwork) DegreeDistribution() []float64 {
-	out := make([]float64, 0, len(sn.Adj))
-	for _, nb := range sn.Adj {
-		out = append(out, float64(len(nb)))
-	}
-	sort.Float64s(out)
-	return out
 }
 
 // ClusteringCoefficient is the reference body with one change: it visits
@@ -112,27 +102,31 @@ func TestSocialNetworkParity(t *testing.T) {
 }
 
 // checkSocialParity fails tb unless BuildSocialNetwork and the reference
-// agree on matches: node and edge counts, degree distribution, every
-// co-play count, and the clustering coefficient's bits.
+// agree on matches: node and edge counts, the players in ascending order,
+// every player's neighbours in ascending order with their co-play counts,
+// and the clustering coefficient's bits.
 func checkSocialParity(tb testing.TB, name string, matches []Match) {
 	tb.Helper()
 	got, want := BuildSocialNetwork(matches), refBuildSocialNetwork(matches)
 	if got.Nodes() != want.Nodes() || got.Edges() != want.Edges() {
 		tb.Fatalf("%s: %d nodes, %d edges; reference %d, %d", name, got.Nodes(), got.Edges(), want.Nodes(), want.Edges())
 	}
-	if g, w := got.DegreeDistribution(), want.DegreeDistribution(); !slices.Equal(g, w) {
-		tb.Fatalf("%s: degree distribution differs from the reference", name)
+	if !slices.Equal(got.players, slices.Sorted(maps.Keys(want.Adj))) {
+		tb.Fatalf("%s: players differ from the reference's, in ascending order", name)
 	}
-	for a, nb := range want.Adj {
-		for b, c := range nb {
-			if g := got.CoPlays(a, b); g != c {
-				tb.Fatalf("%s: CoPlays(%d, %d) = %d, reference %d", name, a, b, g, c)
-			}
+	for r, a := range got.players {
+		row, wantNb := got.row(int32(r)), slices.Sorted(maps.Keys(want.Adj[a]))
+		if len(row) != len(wantNb) {
+			tb.Fatalf("%s: player %d has %d neighbours, reference %d", name, a, len(row), len(wantNb))
 		}
-	}
-	for _, pair := range [][2]int{{11, 5}, {7, 12}, {99, 5}, {5, 99}} {
-		if g := got.CoPlays(pair[0], pair[1]); g != want.Adj[pair[0]][pair[1]] {
-			tb.Fatalf("%s: CoPlays(%d, %d) = %d, reference %d", name, pair[0], pair[1], g, want.Adj[pair[0]][pair[1]])
+		for i, nb := range row {
+			b := got.players[nb]
+			if b != wantNb[i] {
+				tb.Fatalf("%s: neighbour %d of player %d is %d, reference %d", name, i, a, b, wantNb[i])
+			}
+			if c := int(got.cnt[got.off[r]+int32(i)]); c != want.Adj[a][b] {
+				tb.Fatalf("%s: co-plays of %d and %d = %d, reference %d", name, a, b, c, want.Adj[a][b])
+			}
 		}
 	}
 	g, w := got.ClusteringCoefficient(), want.ClusteringCoefficient()

@@ -174,12 +174,6 @@ func maxFitting(fits func(n int) bool) int {
 	return lo
 }
 
-// MaxSupportedPlayers finds the largest entity count (by doubling then
-// bisecting) for which the maximum per-server load stays within budget.
-func MaxSupportedPlayers(p Partitioner, servers int, budget float64, seed int64) int {
-	return newScalabilityWorld(seed).maxPlayers(p, servers, budget)
-}
-
 // ScalabilityRow is one line of the AoS scalability experiment.
 type ScalabilityRow struct {
 	Technique  string

@@ -74,13 +74,6 @@ func (c *Collector) Install() (restore func()) {
 	return func() { sim.SetKernelObserver(nil) }
 }
 
-// Kernels returns the number of kernels captured so far.
-func (c *Collector) Kernels() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.captures)
-}
-
 // TaskRef names one plan task for trace attribution: its position in the
 // plan and its stable ID (experiment or cell, "#replica"-suffixed).
 type TaskRef struct {

@@ -25,7 +25,7 @@ func runChurnSwarm(t testing.TB, churn float64, peers int, seed int64) (int, int
 	if err := sw.Run(300000, 10); err != nil {
 		t.Fatal(err)
 	}
-	return len(sw.Records()), sw.Aborts()
+	return len(sw.Records()), sw.aborts
 }
 
 func TestChurnCausesAborts(t *testing.T) {
@@ -66,7 +66,7 @@ func TestChurnConservationProperty(t *testing.T) {
 		if err := sw.Run(200000, 10); err != nil {
 			return false
 		}
-		return len(sw.Records())+sw.Aborts() <= peers
+		return len(sw.Records())+sw.aborts <= peers
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 15}); err != nil {
 		t.Error(err)

@@ -92,7 +92,7 @@ func swarmFingerprint(t *testing.T, cfg SwarmConfig, times []sim.Time, horizon s
 			math.Float64bits(float64(r.JoinAt)), math.Float64bits(float64(r.DoneAt)),
 			math.Float64bits(r.Duration), r.Group)
 	}
-	fmt.Fprintf(&b, "aborts %d", sw.Aborts())
+	fmt.Fprintf(&b, "aborts %d", sw.aborts)
 	return b.String()
 }
 

@@ -142,9 +142,6 @@ func (s *Swarm) Kernel() *sim.Kernel { return s.k }
 // Records returns completed downloads.
 func (s *Swarm) Records() []DownloadRecord { return s.records }
 
-// Aborts returns the number of peers that churned out before completing.
-func (s *Swarm) Aborts() int { return s.aborts }
-
 // sampleClass draws a peer class by its population fraction.
 func (s *Swarm) sampleClass() PeerClass {
 	u := s.k.Rand("class").Float64()

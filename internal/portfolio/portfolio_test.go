@@ -50,81 +50,16 @@ func TestEstimateTraceSwapsRuntimes(t *testing.T) {
 func TestExhaustiveSelectsAPolicy(t *testing.T) {
 	tr := genTrace(t, workload.ClassSynthetic, 20, 1)
 	policies := sched.DefaultPortfolio()
-	chosen, runs := Exhaustive{}.Select(policies, scoreOn(t, tr, policies, 1), 1)
+	chosen, runs := selectExhaustive(len(policies), scoreOn(t, tr, policies, 1))
 	if chosen < 0 || chosen >= len(policies) {
 		t.Fatal("no policy chosen")
 	}
 	if runs != len(policies) {
 		t.Errorf("simRuns = %d, want %d", runs, len(policies))
 	}
-}
-
-func TestActiveSetLimitsSimulations(t *testing.T) {
-	tr := genTrace(t, workload.ClassSynthetic, 20, 1)
-	policies := sched.DefaultPortfolio()
-	as := NewActiveSet(2, 0)
-	_, runs1 := as.Select(policies, scoreOn(t, tr, policies, 1), 1)
-	if runs1 != len(policies) {
-		t.Errorf("first round simRuns = %d, want full set %d", runs1, len(policies))
-	}
-	_, runs2 := as.Select(policies, scoreOn(t, tr, policies, 2), 2)
-	if runs2 != 2 {
-		t.Errorf("second round simRuns = %d, want K=2", runs2)
-	}
-}
-
-func TestActiveSetRefresh(t *testing.T) {
-	tr := genTrace(t, workload.ClassSynthetic, 15, 1)
-	policies := sched.DefaultPortfolio()
-	as := NewActiveSet(2, 3)
-	_, _ = as.Select(policies, scoreOn(t, tr, policies, 1), 1) // round 1: full
-	_, r2 := as.Select(policies, scoreOn(t, tr, policies, 2), 2)
-	_, r3 := as.Select(policies, scoreOn(t, tr, policies, 3), 3) // round 3: refresh
-	if r2 != 2 {
-		t.Errorf("round 2 = %d sims, want 2", r2)
-	}
-	if r3 != len(policies) {
-		t.Errorf("refresh round = %d sims, want %d", r3, len(policies))
-	}
-}
-
-func TestQLearningNeverSimulates(t *testing.T) {
-	policies := sched.DefaultPortfolio()
-	q := NewQLearning(0.1, 0.5)
-	totalSims, scored := 0, 0
-	score := func(int) float64 { scored++; return 1 }
-	for i := 0; i < 20; i++ {
-		p, sims := q.Select(policies, score, int64(i))
-		totalSims += sims
-		q.Observe(policies[p], 2.0)
-	}
-	if totalSims != 0 || scored != 0 {
-		t.Errorf("q-learning reported %d simulations and scored %d, want 0", totalSims, scored)
-	}
-}
-
-func TestQLearningExploresAllThenExploits(t *testing.T) {
-	policies := sched.DefaultPortfolio()
-	q := NewQLearning(0, 0.5) // no epsilon exploration
-	seen := map[string]bool{}
-	// First len(policies) rounds must try every policy once.
-	for i := 0; i < len(policies); i++ {
-		i, _ := q.Select(policies, nil, 1)
-		p := policies[i]
-		seen[p.Name()] = true
-		// Make FCFS look best, everything else bad.
-		if p.Name() == "FCFS" {
-			q.Observe(p, 1.0)
-		} else {
-			q.Observe(p, 10.0)
-		}
-	}
-	if len(seen) != len(policies) {
-		t.Fatalf("explored %d distinct policies, want %d", len(seen), len(policies))
-	}
-	p, _ := q.Select(policies, nil, 1)
-	if policies[p].Name() != "FCFS" {
-		t.Errorf("exploit chose %s, want FCFS", policies[p].Name())
+	scores := []float64{3, 1, 2, 1}
+	if chosen, _ := selectExhaustive(len(scores), func(i int) float64 { return scores[i] }); chosen != 1 {
+		t.Errorf("chose %d among tied minima 1 and 3, want the lowest index 1", chosen)
 	}
 }
 
@@ -132,7 +67,6 @@ func TestSchedulerRunCompletes(t *testing.T) {
 	tr := genTrace(t, workload.ClassScientific, 60, 3)
 	s := &Scheduler{
 		Policies:   sched.DefaultPortfolio(),
-		Selector:   Exhaustive{},
 		WindowSize: 20,
 		EnvFactory: smallEnvFactory,
 		Seed:       1,
@@ -154,7 +88,7 @@ func TestSchedulerRunCompletes(t *testing.T) {
 
 func TestSchedulerRejectsBadConfig(t *testing.T) {
 	tr := genTrace(t, workload.ClassSynthetic, 5, 1)
-	s := &Scheduler{Selector: Exhaustive{}, WindowSize: 10, EnvFactory: smallEnvFactory}
+	s := &Scheduler{WindowSize: 10, EnvFactory: smallEnvFactory}
 	if _, err := s.Run(tr); err == nil {
 		t.Error("empty policy set accepted")
 	}
@@ -169,7 +103,6 @@ func TestPortfolioBeatsWorstStatic(t *testing.T) {
 	tr := genTrace(t, workload.ClassScientific, 80, 5)
 	s := &Scheduler{
 		Policies:   sched.DefaultPortfolio(),
-		Selector:   Exhaustive{},
 		WindowSize: 20,
 		EnvFactory: smallEnvFactory,
 		Seed:       5,
@@ -178,7 +111,11 @@ func TestPortfolioBeatsWorstStatic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	base, err := s.StaticBaselines(tr)
+	runs, err := s.windowRuns(tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	base, err := s.staticBaselines(runs)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -21,7 +21,6 @@ type WindowChoice struct {
 
 // Result aggregates a portfolio-scheduling run.
 type Result struct {
-	Selector       string
 	Choices        []WindowChoice
 	MeanSlowdown   float64 // over all jobs
 	MeanResponse   float64
@@ -30,16 +29,15 @@ type Result struct {
 }
 
 // Scheduler is a periodic portfolio scheduler: it partitions the incoming
-// trace into windows of WindowSize jobs and, per window, asks the Selector
-// for a policy, executes the window under it, and feeds back the realized
-// quality.
+// trace into windows of WindowSize jobs and, per window, simulates every
+// policy on the window's runtime estimates and executes the window under the
+// best one.
 //
 // Executing windows on a fresh environment approximates the carried-over
 // queue state; the approximation is acceptable because selection happens at
 // low-utilization boundaries in the original studies.
 type Scheduler struct {
 	Policies   []sched.Policy
-	Selector   Selector
 	WindowSize int
 	EnvFactory func() *cluster.Environment
 	Seed       int64
@@ -58,28 +56,16 @@ func (s *Scheduler) Run(tr *workload.Trace) (*Result, error) {
 	return s.run(runs)
 }
 
-// StaticBaselines runs every individual policy over the same windowed
-// execution (same window boundaries, same seeds) and returns the mean
-// slowdown per policy. This isolates the value of *selection* from the value
-// of any single policy.
-func (s *Scheduler) StaticBaselines(tr *workload.Trace) (map[string]float64, error) {
-	runs, err := s.windowRuns(tr)
-	if err != nil {
-		return nil, err
-	}
-	return s.staticBaselines(runs)
-}
-
 func (s *Scheduler) run(runs *windowRuns) (*Result, error) {
 	if len(s.Policies) == 0 {
 		return nil, fmt.Errorf("portfolio: empty policy set")
 	}
-	res := &Result{Selector: s.Selector.Name()}
+	res := &Result{}
 	var allSlowdowns, allResponses []float64
 	picked := make(map[string]bool)
 
 	for w := range runs.windows {
-		chosen, simRuns := s.Selector.Select(s.Policies, runs.score(w), s.Seed+int64(w))
+		chosen, simRuns := selectExhaustive(len(s.Policies), runs.score(w))
 		policy := s.Policies[chosen]
 		real := runs.get(chosen, w, false)
 		if real.err != nil {
@@ -87,7 +73,6 @@ func (s *Scheduler) run(runs *windowRuns) (*Result, error) {
 		}
 		allSlowdowns = append(allSlowdowns, real.slowdowns...)
 		allResponses = append(allResponses, real.responses...)
-		s.Selector.Observe(policy, real.res.MeanSlowdown)
 
 		res.Choices = append(res.Choices, WindowChoice{
 			Window: w, Policy: policy.Name(), SimRuns: simRuns, Realized: real.res.MeanSlowdown,
@@ -101,9 +86,11 @@ func (s *Scheduler) run(runs *windowRuns) (*Result, error) {
 	return res, nil
 }
 
-// staticBaselines returns each policy's mean slowdown over its runs on the
-// windows; window runs already made by a portfolio run over the same
-// windows are reused.
+// staticBaselines runs every individual policy over the same windowed
+// execution (same window boundaries, same seeds) and returns the mean
+// slowdown per policy, which isolates the value of selection from the value
+// of any single policy. Window runs already made by a portfolio run over the
+// same windows are reused.
 func (s *Scheduler) staticBaselines(runs *windowRuns) (map[string]float64, error) {
 	out := make(map[string]float64, len(s.Policies))
 	for i, p := range s.Policies {
@@ -219,7 +206,7 @@ func (r *windowRuns) get(i, w int, est bool) *windowRun {
 	return run
 }
 
-// score is the selectors' view of window w: policy i's mean bounded slowdown
+// score is selection's view of window w: policy i's mean bounded slowdown
 // on the window's runtime estimates, +Inf when that run fails or completes
 // nothing.
 func (r *windowRuns) score(w int) func(i int) float64 {

@@ -301,7 +301,6 @@ func table9Row(cfg Table9Config, spec table9Spec, i int) (*Scheduler, *workload.
 	}
 	return &Scheduler{
 		Policies:   sched.DefaultPortfolio(),
-		Selector:   Exhaustive{},
 		WindowSize: cfg.WindowSize,
 		EnvFactory: func() *cluster.Environment { return compositeEnv(spec.envKinds) },
 		Seed:       cfg.Seed + int64(i),

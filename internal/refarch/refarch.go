@@ -263,14 +263,3 @@ func ValidateMapping(r *Registry, m EcosystemMapping) error {
 	}
 	return nil
 }
-
-// LayerHistogram counts mapping components per layer.
-func LayerHistogram(r *Registry, m EcosystemMapping) map[Layer]int {
-	out := make(map[Layer]int)
-	for _, name := range m.Components {
-		if c, ok := r.Get(name); ok {
-			out[c.Layer]++
-		}
-	}
-	return out
-}

@@ -306,7 +306,6 @@ func (schedDomain) Run(sc *Scenario, workloadSeed, simSeed int64) ([]MetricValue
 	if isPortfolio(sc.Policy) {
 		ps := &portfolio.Scheduler{
 			Policies:   sched.DefaultPortfolio(),
-			Selector:   portfolio.Exhaustive{},
 			WindowSize: 25,
 			EnvFactory: envFactory,
 			Seed:       simSeed,

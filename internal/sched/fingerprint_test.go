@@ -184,7 +184,9 @@ func BenchmarkDispatchOverload(b *testing.B) {
 		b.Run("policy="+name, func(b *testing.B) {
 			b.ReportAllocs()
 			for b.Loop() {
-				if _, err := NewSimulator(compositeOf(overloadEnvs[1]...), tr, p, 1).Run(); err != nil {
+				s := new(Simulator)
+				s.Reset(compositeOf(overloadEnvs[1]...), tr, p, 1)
+				if _, err := s.Run(); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -48,7 +48,7 @@ func TestSimulatorInvariantsProperty(t *testing.T) {
 			if js.Wait < 0 || js.Start < js.Submit || js.Finish < js.Start {
 				return false
 			}
-			cp := byID[js.JobID].CriticalPath()
+			cp, _ := byID[js.JobID].CheckDAG(new(workload.DAGScratch))
 			if float64(js.Response) < float64(cp)-1e-9 {
 				return false // finished faster than physically possible
 			}
@@ -91,11 +91,14 @@ func TestMoreCoresNeverHurtMakespan(t *testing.T) {
 	tr := g.Generate(40, r)
 	small := cluster.NewHomogeneous(cluster.KindCluster, 1, 2, 8)
 	big := cluster.NewHomogeneous(cluster.KindCluster, 1, 4, 8)
-	resSmall, err := NewSimulator(small, tr, GreedyBackfill(), 1).Run()
+	s := new(Simulator)
+	s.Reset(small, tr, GreedyBackfill(), 1)
+	resSmall, err := s.Run()
 	if err != nil {
 		t.Fatal(err)
 	}
-	resBig, err := NewSimulator(big, tr, GreedyBackfill(), 1).Run()
+	s.Reset(big, tr, GreedyBackfill(), 1)
+	resBig, err := s.Run()
 	if err != nil {
 		t.Fatal(err)
 	}

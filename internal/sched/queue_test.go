@@ -139,7 +139,8 @@ func TestQueueInvariants(t *testing.T) {
 			t.Fatal(err)
 		}
 		for seed := int64(1); seed <= 3; seed++ {
-			s := NewSimulator(compositeOf(overloadEnvs[seed]...), overloadTrace(seed, 20), p, seed)
+			s := new(Simulator)
+			s.Reset(compositeOf(overloadEnvs[seed]...), overloadTrace(seed, 20), p, seed)
 			var bad error
 			most := 0
 			s.OnJob = func(JobStats) {

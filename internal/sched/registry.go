@@ -56,17 +56,3 @@ func PolicyNames() []string {
 	sort.Strings(out)
 	return out
 }
-
-// PortfolioByNames builds a policy set from canonical names; it is the
-// name-driven counterpart of DefaultPortfolio.
-func PortfolioByNames(names []string) ([]Policy, error) {
-	out := make([]Policy, len(names))
-	for i, name := range names {
-		p, err := PolicyByName(name)
-		if err != nil {
-			return nil, err
-		}
-		out[i] = p
-	}
-	return out, nil
-}

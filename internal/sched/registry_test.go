@@ -78,16 +78,3 @@ func TestPolicyNamesCoverPortfolio(t *testing.T) {
 		}
 	}
 }
-
-func TestPortfolioByNames(t *testing.T) {
-	ps, err := PortfolioByNames([]string{"sjf", "fcfs"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ps) != 2 || ps[0].Name() != "SJF" || ps[1].Name() != "FCFS" {
-		t.Errorf("PortfolioByNames = %v", ps)
-	}
-	if _, err := PortfolioByNames([]string{"sjf", "nope"}); err == nil {
-		t.Error("unknown portfolio member accepted")
-	}
-}

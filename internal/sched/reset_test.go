@@ -136,7 +136,7 @@ func leftovers(s *Simulator) [8]int {
 // three environment kinds, sizes going large, small, large, runs stopped
 // by a bad job mid-stream, and OnJob set on some runs and not on the next.
 // Each run must give the Result, error and OnJob stream of a fresh
-// NewSimulator bit for bit, and leave the same state behind; a stale OnJob
+// simulator bit for bit, and leave the same state behind; a stale OnJob
 // would grow an earlier run's stream, so the streams are compared last. The
 // reused simulator runs every step on one kernel, reset per run, and each
 // run's traced per-name event and stream counts must equal the fresh run's.
@@ -165,7 +165,8 @@ func TestSimulatorResetParity(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		fresh := NewSimulator(compositeOf(st.kinds...), tr, pf, st.seed)
+		fresh := new(Simulator)
+		fresh.Reset(compositeOf(st.kinds...), tr, pf, st.seed)
 		pr, err := PolicyByName(st.policy)
 		if err != nil {
 			t.Fatal(err)
@@ -265,7 +266,9 @@ func TestFreeListConcurrentParity(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want[i], wantErr[i] = runStep(NewSimulator(compositeOf(st.kinds...), traces[i], p, st.seed), st, traces[i])
+		fresh := new(Simulator)
+		fresh.Reset(compositeOf(st.kinds...), traces[i], p, st.seed)
+		want[i], wantErr[i] = runStep(fresh, st, traces[i])
 	}
 
 	var l FreeList

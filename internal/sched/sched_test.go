@@ -17,7 +17,8 @@ func tinyEnv() *cluster.Environment {
 // runWithStats runs tr and returns the per-job stats the OnJob hook
 // reports, in completion order.
 func runWithStats(env *cluster.Environment, tr *workload.Trace, p Policy, seed int64) (*Result, []JobStats, error) {
-	s := NewSimulator(env, tr, p, seed)
+	s := new(Simulator)
+	s.Reset(env, tr, p, seed)
 	var jobs []JobStats
 	s.OnJob = func(js JobStats) { jobs = append(jobs, js) }
 	res, err := s.Run()
@@ -204,7 +205,9 @@ func TestDeadlineAccounting(t *testing.T) {
 	j2 := mkJob(2, 0, 4, 100) // must wait 100 -> response 200
 	j2.Deadline = 150
 	tr := &workload.Trace{Jobs: []*workload.Job{j1, j2}}
-	res, err := NewSimulator(tinyEnv(), tr, FCFS(), 1).Run()
+	s := new(Simulator)
+	s.Reset(tinyEnv(), tr, FCFS(), 1)
+	res, err := s.Run()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,7 +220,9 @@ func TestUtilizationBounds(t *testing.T) {
 	r := rand.New(rand.NewSource(2))
 	tr := workload.StandardGenerator(workload.ClassSynthetic).Generate(50, r)
 	env := cluster.NewHomogeneous(cluster.KindCluster, 1, 4, 8)
-	res, err := NewSimulator(env, tr, GreedyBackfill(), 1).Run()
+	s := new(Simulator)
+	s.Reset(env, tr, GreedyBackfill(), 1)
+	res, err := s.Run()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -235,38 +240,35 @@ func TestAllPoliciesCompleteAllJobs(t *testing.T) {
 	factory := func() *cluster.Environment {
 		return cluster.NewHomogeneous(cluster.KindCluster, 1, 8, 8)
 	}
-	results, err := RunAll(factory, tr, DefaultPortfolio(), 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(results) != 7 {
-		t.Fatalf("got %d results", len(results))
-	}
-	for name, res := range results {
+	s := new(Simulator)
+	for _, p := range DefaultPortfolio() {
+		s.Reset(factory(), tr, p, 7)
+		res, err := s.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
 		if res.Completed != 40 {
-			t.Errorf("policy %s completed %d/40 jobs", name, res.Completed)
+			t.Errorf("policy %s completed %d/40 jobs", p.Name(), res.Completed)
 		}
 		if res.MeanSlowdown < 1 {
-			t.Errorf("policy %s mean slowdown %v < 1", name, res.MeanSlowdown)
+			t.Errorf("policy %s mean slowdown %v < 1", p.Name(), res.MeanSlowdown)
 		}
 	}
 }
 
-func TestRunAllDeterministic(t *testing.T) {
+func TestRandomPolicyDeterministic(t *testing.T) {
 	r := rand.New(rand.NewSource(3))
 	tr := workload.StandardGenerator(workload.ClassSynthetic).Generate(30, r)
-	factory := func() *cluster.Environment {
-		return cluster.NewHomogeneous(cluster.KindCluster, 1, 2, 8)
+	run := func() *Result {
+		s := new(Simulator)
+		s.Reset(cluster.NewHomogeneous(cluster.KindCluster, 1, 2, 8), tr, RandomOrder(), 5)
+		res, err := s.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
 	}
-	a, err := RunAll(factory, tr, []Policy{RandomOrder()}, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := RunAll(factory, tr, []Policy{RandomOrder()}, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a["Random"].MeanResponse != b["Random"].MeanResponse {
+	if run().MeanResponse != run().MeanResponse {
 		t.Error("Random policy not deterministic for fixed seed")
 	}
 }
@@ -283,7 +285,9 @@ func TestCloneTraceIsolation(t *testing.T) {
 func TestInvalidDAGRejected(t *testing.T) {
 	job := &workload.Job{ID: 1, Tasks: []workload.Task{{ID: 1, Deps: []int{1}, CPUs: 1, Runtime: 1}}}
 	tr := &workload.Trace{Jobs: []*workload.Job{job}}
-	if _, err := NewSimulator(tinyEnv(), tr, FCFS(), 1).Run(); err == nil {
+	s := new(Simulator)
+	s.Reset(tinyEnv(), tr, FCFS(), 1)
+	if _, err := s.Run(); err == nil {
 		t.Error("cyclic job accepted")
 	}
 }

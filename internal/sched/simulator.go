@@ -153,20 +153,13 @@ type estSlot struct {
 	cpus int
 }
 
-// NewSimulator prepares a run of tr under p on env. The run claims env's
-// cores, so env must not be shared with another run. The trace is not
-// mutated. Reset moves the simulator on to a further run.
-func NewSimulator(env *cluster.Environment, tr *workload.Trace, p Policy, seed int64) *Simulator {
-	return &Simulator{env: env, trace: tr, policy: p, seed: seed}
-}
-
-// Reset re-points s at a new run, as NewSimulator would prepare it, and
-// clears OnJob. The buffers of earlier runs are kept, and the next run
-// clears and reuses them: the kernel (see sim.Kernel.Reset), the arrival
-// batch, the task state arena, the queue blocks, the dependency maps and
-// edges, the EASY estimate slots and the task-finish records. The trace is
-// not mutated, and env must not be shared, as for NewSimulator. A zero
-// Simulator is ready for Reset.
+// Reset prepares a run of tr under p on env and clears OnJob; a zero
+// Simulator is ready for it, and it is the one way to point a simulator at
+// a run. The run claims env's cores, so env must not be shared with another
+// run. The trace is not mutated. The buffers of earlier runs are kept, and
+// the next run clears and reuses them: the kernel (see sim.Kernel.Reset),
+// the arrival batch, the task state arena, the queue blocks, the dependency
+// maps and edges, the EASY estimate slots and the task-finish records.
 func (s *Simulator) Reset(env *cluster.Environment, tr *workload.Trace, p Policy, seed int64) {
 	s.OnJob = nil
 	s.env, s.trace, s.policy, s.seed = env, tr, p, seed
@@ -671,22 +664,4 @@ func (s *Simulator) finishJob(job *workload.Job, state *jobState) {
 
 func (s *Simulator) recordUtilization() {
 	s.agg.recordUtil(s.k.Now(), s.env.Utilization())
-}
-
-// RunAll runs the trace under every policy on fresh copies of the
-// environment and returns results keyed by policy name. The environment is
-// rebuilt per policy via envFactory so runs do not share machine state; the
-// runs share one simulator, reset per policy, and the trace is not mutated.
-func RunAll(envFactory func() *cluster.Environment, tr *workload.Trace, policies []Policy, seed int64) (map[string]*Result, error) {
-	out := make(map[string]*Result, len(policies))
-	s := new(Simulator)
-	for _, p := range policies {
-		s.Reset(envFactory(), tr, p, seed)
-		res, err := s.Run()
-		if err != nil {
-			return nil, fmt.Errorf("sched: policy %s: %w", p.Name(), err)
-		}
-		out[p.Name()] = res
-	}
-	return out, nil
 }

@@ -88,7 +88,9 @@ func TestRunSourceMatchesRun(t *testing.T) {
 					t.Fatal(err)
 				}
 				env := cluster.NewHomogeneous(cluster.KindCluster, 1, 4, 8)
-				res, err := runs[mode](NewSimulator(env, tr, p, 1))
+				s := new(Simulator)
+				s.Reset(env, tr, p, 1)
+				res, err := runs[mode](s)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -190,8 +192,9 @@ func TestRunSourceBoundedMemory(t *testing.T) {
 	defer src.Close()
 
 	env := cluster.NewHomogeneous(cluster.KindCluster, 2, 32, 16)
-	s := NewSimulator(env, nil, GreedyBackfill(), 1)
-	counted := &taskCounter{JobSource: workload.Take(src, jobs)}
+	s := new(Simulator)
+	s.Reset(env, nil, GreedyBackfill(), 1)
+	counted := &taskCounter{JobSource: src, left: jobs}
 	res, err := s.RunSource(counted)
 	if err != nil {
 		t.Fatal(err)
@@ -223,13 +226,19 @@ func TestRunSourceBoundedMemory(t *testing.T) {
 	}
 }
 
-// taskCounter counts the tasks of the jobs its source emits.
+// taskCounter emits the first left jobs of its source and counts their
+// tasks.
 type taskCounter struct {
 	workload.JobSource
+	left  int
 	tasks int
 }
 
 func (c *taskCounter) Next() *workload.Job {
+	if c.left <= 0 {
+		return nil
+	}
+	c.left--
 	j := c.JobSource.Next()
 	if j != nil {
 		c.tasks += len(j.Tasks)
@@ -261,7 +270,9 @@ func TestRunSourceRejectsOutOfOrder(t *testing.T) {
 		mkJob(2, 50, 1, 10),
 	}}
 	env := cluster.NewHomogeneous(cluster.KindCluster, 1, 1, 4)
-	_, err := NewSimulator(env, nil, FCFS(), 1).RunSource(src)
+	s := new(Simulator)
+	s.Reset(env, nil, FCFS(), 1)
+	_, err := s.RunSource(src)
 	if err == nil {
 		t.Fatal("out-of-order stream accepted")
 	}
@@ -271,7 +282,9 @@ func TestRunSourceRejectsInvalidDAG(t *testing.T) {
 	bad := mkJob(1, 0, 1, 10)
 	bad.Tasks[0].Deps = []int{999}
 	env := cluster.NewHomogeneous(cluster.KindCluster, 1, 1, 4)
-	_, err := NewSimulator(env, nil, FCFS(), 1).RunSource(&listSource{jobs: []*workload.Job{bad}})
+	s := new(Simulator)
+	s.Reset(env, nil, FCFS(), 1)
+	_, err := s.RunSource(&listSource{jobs: []*workload.Job{bad}})
 	if err == nil {
 		t.Fatal("invalid DAG accepted")
 	}
@@ -280,7 +293,9 @@ func TestRunSourceRejectsInvalidDAG(t *testing.T) {
 // TestRunSourceEmpty checks the zero-job stream produces a sane empty result.
 func TestRunSourceEmpty(t *testing.T) {
 	env := cluster.NewHomogeneous(cluster.KindCluster, 1, 1, 4)
-	res, err := NewSimulator(env, nil, FCFS(), 1).RunSource(&listSource{})
+	s := new(Simulator)
+	s.Reset(env, nil, FCFS(), 1)
+	res, err := s.RunSource(&listSource{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -302,7 +317,9 @@ func TestRunSourceChunking(t *testing.T) {
 		}
 	}
 	env := cluster.NewHomogeneous(cluster.KindCluster, 1, 4, 8)
-	res, err := NewSimulator(env, nil, FCFS(), 1).RunSource(&listSource{jobs: jobs})
+	s := new(Simulator)
+	s.Reset(env, nil, FCFS(), 1)
+	res, err := s.RunSource(&listSource{jobs: jobs})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -161,7 +161,9 @@ func TestRunAllocsDoNotScaleWithTasks(t *testing.T) {
 		allocs := func(k int) float64 {
 			tr := scaledTasks(200, 4, k)
 			return testing.AllocsPerRun(5, func() {
-				if _, err := NewSimulator(env(), tr, p, 1).Run(); err != nil {
+				s := new(Simulator)
+				s.Reset(env(), tr, p, 1)
+				if _, err := s.Run(); err != nil {
 					t.Fatal(err)
 				}
 			})

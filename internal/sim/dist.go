@@ -164,60 +164,3 @@ func (g Gamma) Sample(r *rand.Rand) float64 {
 func (g Gamma) Mean() float64 { return g.Shape * g.Scale }
 
 func (g Gamma) String() string { return fmt.Sprintf("gamma(k=%g,θ=%g)", g.Shape, g.Scale) }
-
-// Normal is the normal distribution truncated at zero (negative samples are
-// clamped to 0), used for noisy service times.
-type Normal struct{ Mu, Sigma float64 }
-
-// Sample implements Dist.
-func (n Normal) Sample(r *rand.Rand) float64 {
-	v := n.Mu + n.Sigma*r.NormFloat64()
-	if v < 0 {
-		return 0
-	}
-	return v
-}
-
-// Mean implements Dist.
-func (n Normal) Mean() float64 { return n.Mu }
-
-func (n Normal) String() string { return fmt.Sprintf("normal(μ=%g,σ=%g)", n.Mu, n.Sigma) }
-
-// Zipf generates integer ranks 1..N with exponent S; rank popularity follows
-// a power law. It models content popularity in P2P and MMOG analytics.
-type Zipf struct {
-	N int
-	S float64
-}
-
-// Sample implements Dist; the value is the sampled rank as a float64 in
-// [1, N].
-func (z Zipf) Sample(r *rand.Rand) float64 {
-	// Inverse-CDF sampling over the finite harmonic mass.
-	total := 0.0
-	for i := 1; i <= z.N; i++ {
-		total += 1 / math.Pow(float64(i), z.S)
-	}
-	u := r.Float64() * total
-	acc := 0.0
-	for i := 1; i <= z.N; i++ {
-		acc += 1 / math.Pow(float64(i), z.S)
-		if u <= acc {
-			return float64(i)
-		}
-	}
-	return float64(z.N)
-}
-
-// Mean implements Dist.
-func (z Zipf) Mean() float64 {
-	num, den := 0.0, 0.0
-	for i := 1; i <= z.N; i++ {
-		p := 1 / math.Pow(float64(i), z.S)
-		num += float64(i) * p
-		den += p
-	}
-	return num / den
-}
-
-func (z Zipf) String() string { return fmt.Sprintf("zipf(n=%d,s=%g)", z.N, z.S) }

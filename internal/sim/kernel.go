@@ -50,9 +50,6 @@ type Time float64
 // Duration is a span of virtual time in seconds.
 type Duration = Time
 
-// Seconds converts a standard library duration to virtual seconds.
-func Seconds(d time.Duration) Duration { return Duration(d.Seconds()) }
-
 // Handler is a callback invoked when an event fires. The kernel passes itself
 // so handlers can schedule follow-up events.
 type Handler func(k *Kernel)
@@ -212,9 +209,6 @@ func (k *Kernel) Seed() int64 { return k.seed }
 // SetTracer attaches t to the kernel (nil detaches). Only events scheduled,
 // fired, or discarded after the call are observed.
 func (k *Kernel) SetTracer(t Tracer) { k.tracer = t }
-
-// EventsFired reports how many events have been executed so far.
-func (k *Kernel) EventsFired() uint64 { return k.fired }
 
 // flushFired folds events fired since the last flush into the process-wide
 // counter; called once per Run/Step return so the per-event path stays free

@@ -86,8 +86,8 @@ func TestKernelCancel(t *testing.T) {
 	if fired {
 		t.Error("cancelled event fired")
 	}
-	if k.EventsFired() != 0 {
-		t.Errorf("EventsFired = %d, want 0", k.EventsFired())
+	if k.fired != 0 {
+		t.Errorf("EventsFired = %d, want 0", k.fired)
 	}
 }
 
@@ -250,8 +250,6 @@ func TestDistMeans(t *testing.T) {
 		{LogNormal{Mu: 1, Sigma: 0.5}, 0.05},
 		{Pareto{Xm: 1, Alpha: 3}, 0.05},
 		{Weibull{Lambda: 2, K: 1.5}, 0.05},
-		{Normal{Mu: 10, Sigma: 1}, 0.05},
-		{Zipf{N: 10, S: 1.2}, 0.1},
 	}
 	for _, tt := range tests {
 		t.Run(tt.d.String(), func(t *testing.T) {
@@ -278,7 +276,6 @@ func TestDistSamplesNonNegativeProperty(t *testing.T) {
 		LogNormal{Mu: 0, Sigma: 1},
 		Pareto{Xm: 0.5, Alpha: 1.1},
 		Weibull{Lambda: 1, K: 0.7},
-		Normal{Mu: 0.1, Sigma: 5},
 	}
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
@@ -293,17 +290,6 @@ func TestDistSamplesNonNegativeProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestZipfRanksInRange(t *testing.T) {
-	z := Zipf{N: 5, S: 1.0}
-	r := rand.New(rand.NewSource(9))
-	for i := 0; i < 1000; i++ {
-		v := z.Sample(r)
-		if v < 1 || v > 5 || v != math.Trunc(v) {
-			t.Fatalf("zipf sample %v out of range or non-integer", v)
-		}
 	}
 }
 
@@ -322,42 +308,6 @@ func TestRecorder(t *testing.T) {
 	}
 	names := rec.Names()
 	if len(names) != 2 || names[0] != "other" || names[1] != "util" {
-		t.Errorf("Names = %v", names)
-	}
-	// Piecewise-constant integral: 0.5 for 10s, 1.0 for 10s, 0.0 for 10s over 30s.
-	got := rec.TimeWeightedMean("util", 30)
-	want := (0.5*10 + 1.0*10 + 0*10) / 30
-	if math.Abs(got-want) > 1e-12 {
-		t.Errorf("TimeWeightedMean = %v, want %v", got, want)
-	}
-}
-
-func TestRecorderTimeWeightedMeanEdge(t *testing.T) {
-	var rec Recorder
-	if got := rec.TimeWeightedMean("missing", 10); got != 0 {
-		t.Errorf("empty series mean = %v, want 0", got)
-	}
-	rec.Record("s", 5, 3)
-	if got := rec.TimeWeightedMean("s", 5); got != 0 {
-		t.Errorf("degenerate interval mean = %v, want 0", got)
-	}
-	if got := rec.TimeWeightedMean("s", 15); got != 3 {
-		t.Errorf("single-sample mean = %v, want 3", got)
-	}
-}
-
-func TestCounter(t *testing.T) {
-	var c Counter
-	c.Add("jobs", 2)
-	c.Add("jobs", 3)
-	c.Add("fails", 1)
-	if got := c.Get("jobs"); got != 5 {
-		t.Errorf("Get(jobs) = %d, want 5", got)
-	}
-	if got := c.Get("absent"); got != 0 {
-		t.Errorf("Get(absent) = %d, want 0", got)
-	}
-	if names := c.Names(); len(names) != 2 || names[0] != "fails" {
 		t.Errorf("Names = %v", names)
 	}
 }

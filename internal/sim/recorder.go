@@ -53,55 +53,3 @@ func (r *Recorder) Names() []string {
 
 // Len returns the number of observations in the named series.
 func (r *Recorder) Len(name string) int { return len(r.series[name]) }
-
-// TimeWeightedMean integrates a piecewise-constant signal represented by the
-// named series (each sample holds the new value starting at its timestamp)
-// from the first sample until end, and returns the time-weighted average.
-// It returns 0 when the series is empty or the interval is degenerate.
-func (r *Recorder) TimeWeightedMean(name string, end Time) float64 {
-	s := r.series[name]
-	if len(s) == 0 || end <= s[0].At {
-		return 0
-	}
-	var area float64
-	for i := 0; i < len(s); i++ {
-		t0 := s[i].At
-		t1 := end
-		if i+1 < len(s) {
-			t1 = s[i+1].At
-		}
-		if t1 > end {
-			t1 = end
-		}
-		if t1 > t0 {
-			area += s[i].Value * float64(t1-t0)
-		}
-	}
-	return area / float64(end-s[0].At)
-}
-
-// Counter is a monotonically increasing named tally.
-type Counter struct {
-	counts map[string]int64
-}
-
-// Add increments the named counter by delta.
-func (c *Counter) Add(name string, delta int64) {
-	if c.counts == nil {
-		c.counts = make(map[string]int64)
-	}
-	c.counts[name] += delta
-}
-
-// Get returns the named count (0 if never incremented).
-func (c *Counter) Get(name string) int64 { return c.counts[name] }
-
-// Names returns the sorted counter names.
-func (c *Counter) Names() []string {
-	names := make([]string, 0, len(c.counts))
-	for n := range c.counts {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
-}

@@ -100,7 +100,7 @@ func TestKernelResetParity(t *testing.T) {
 				for _, r := range stale[:len(stale)/2] {
 					r.Cancel() // cancelled and never discarded
 				}
-				dirtyFired := k.EventsFired()
+				dirtyFired := k.fired
 
 				before := GlobalEventsFired()
 				k.Reset(42)
@@ -108,9 +108,9 @@ func TestKernelResetParity(t *testing.T) {
 				if len(lives) != 3 {
 					t.Fatalf("observer saw %d lives, want 3 (first life, reset, new kernel)", len(lives))
 				}
-				if k.Now() != 0 || k.EventsFired() != 0 || k.Pending() != 0 || k.Seed() != 42 {
+				if k.Now() != 0 || k.fired != 0 || k.Pending() != 0 || k.Seed() != 42 {
 					t.Fatalf("after Reset: now %v, fired %d, pending %d, seed %d",
-						k.Now(), k.EventsFired(), k.Pending(), k.Seed())
+						k.Now(), k.fired, k.Pending(), k.Seed())
 				}
 				k.Reserve(reserve)
 				fresh.Reserve(reserve)
@@ -137,17 +137,17 @@ func TestKernelResetParity(t *testing.T) {
 					t.Fatalf("reset kernel observed %d events, new kernel %d; first difference at %d",
 						len(got), len(want), firstDiff(got, want))
 				}
-				if k.Now() != fresh.Now() || k.EventsFired() != fresh.EventsFired() {
+				if k.Now() != fresh.Now() || k.fired != fresh.fired {
 					t.Fatalf("reset kernel ends at %v after %d events, new kernel at %v after %d",
-						k.Now(), k.EventsFired(), fresh.Now(), fresh.EventsFired())
+						k.Now(), k.fired, fresh.Now(), fresh.fired)
 				}
-				if gotGlobal != wantGlobal || gotGlobal != k.EventsFired() {
+				if gotGlobal != wantGlobal || gotGlobal != k.fired {
 					t.Fatalf("global count advanced %d for the reset kernel, %d for the new one, want %d",
-						gotGlobal, wantGlobal, k.EventsFired())
+						gotGlobal, wantGlobal, k.fired)
 				}
-				if d := GlobalEventsFired() - before; d != 2*k.EventsFired() {
+				if d := GlobalEventsFired() - before; d != 2*k.fired {
 					t.Fatalf("global count advanced %d over both lives, want %d (dirty life's %d counted once)",
-						d, 2*k.EventsFired(), dirtyFired)
+						d, 2*k.fired, dirtyFired)
 				}
 				for _, name := range append(dirtyStreams, streams...) {
 					for i := range 5 {
@@ -191,7 +191,7 @@ func TestKernelResetFlushesFired(t *testing.T) {
 	if d := GlobalEventsFired() - before; d != 6 {
 		t.Fatalf("global count advanced %d, want 6", d)
 	}
-	if k.EventsFired() != 0 || k.Now() != 0 || k.tracer != nil {
-		t.Fatalf("after Reset in a handler: fired %d, now %v, tracer %v", k.EventsFired(), k.Now(), k.tracer)
+	if k.fired != 0 || k.Now() != 0 || k.tracer != nil {
+		t.Fatalf("after Reset in a handler: fired %d, now %v, tracer %v", k.fired, k.Now(), k.tracer)
 	}
 }

@@ -140,9 +140,9 @@ func TestTeeAndNilTracers(t *testing.T) {
 func TestUntracedRunMatchesTracedVirtualTime(t *testing.T) {
 	traced := runTracedModel(t, NewProfile())
 	bare := runTracedModel(t, nil)
-	if traced.Now() != bare.Now() || traced.EventsFired() != bare.EventsFired() {
+	if traced.Now() != bare.Now() || traced.fired != bare.fired {
 		t.Fatalf("tracer perturbed the simulation: traced (now=%v fired=%d) vs bare (now=%v fired=%d)",
-			traced.Now(), traced.EventsFired(), bare.Now(), bare.EventsFired())
+			traced.Now(), traced.fired, bare.Now(), bare.fired)
 	}
 }
 

@@ -3,7 +3,6 @@ package stats
 import (
 	"cmp"
 	"math"
-	"math/rand"
 	"slices"
 )
 
@@ -89,23 +88,4 @@ func LinearRegression(xs, ys []float64) (LinReg, error) {
 		fit.R2 = sxy * sxy / (sxx * syy)
 	}
 	return fit, nil
-}
-
-// BootstrapCI returns a percentile bootstrap confidence interval for the
-// statistic stat over xs, using reps resamples at confidence level conf
-// (e.g. 0.95). The RNG makes results reproducible.
-func BootstrapCI(xs []float64, stat func([]float64) float64, reps int, conf float64, r *rand.Rand) (lo, hi float64) {
-	if len(xs) == 0 || reps <= 0 {
-		return math.NaN(), math.NaN()
-	}
-	est := make([]float64, reps)
-	buf := make([]float64, len(xs))
-	for i := 0; i < reps; i++ {
-		for j := range buf {
-			buf[j] = xs[r.Intn(len(xs))]
-		}
-		est[i] = stat(buf)
-	}
-	alpha := (1 - conf) / 2
-	return Percentile(est, alpha*100), Percentile(est, (1-alpha)*100)
 }

@@ -79,15 +79,6 @@ func Max(xs []float64) float64 {
 	return m
 }
 
-// Sum returns the total of xs.
-func Sum(xs []float64) float64 {
-	s := 0.0
-	for _, x := range xs {
-		s += x
-	}
-	return s
-}
-
 // sorted returns a sorted copy of xs.
 func sorted(xs []float64) []float64 {
 	cp := make([]float64, len(xs))
@@ -153,97 +144,4 @@ func Summarize(xs []float64) (FiveNum, error) {
 		Mean:   Mean(xs),
 		N:      len(xs),
 	}, nil
-}
-
-// Histogram bins xs into n equal-width bins over [min,max] and returns the
-// bin edges (n+1 values) and counts (n values).
-func Histogram(xs []float64, n int) (edges []float64, counts []int) {
-	if n <= 0 || len(xs) == 0 {
-		return nil, nil
-	}
-	lo, hi := Min(xs), Max(xs)
-	if lo == hi {
-		hi = lo + 1
-	}
-	edges = make([]float64, n+1)
-	w := (hi - lo) / float64(n)
-	for i := range edges {
-		edges[i] = lo + float64(i)*w
-	}
-	counts = make([]int, n)
-	for _, x := range xs {
-		b := int((x - lo) / w)
-		if b >= n {
-			b = n - 1
-		}
-		if b < 0 {
-			b = 0
-		}
-		counts[b]++
-	}
-	return edges, counts
-}
-
-// ECDF returns the empirical CDF evaluated at x.
-func ECDF(xs []float64, x float64) float64 {
-	if len(xs) == 0 {
-		return math.NaN()
-	}
-	c := 0
-	for _, v := range xs {
-		if v <= x {
-			c++
-		}
-	}
-	return float64(c) / float64(len(xs))
-}
-
-// Slowdown returns (wait+run)/run, the canonical scheduling quality metric;
-// run must be positive.
-func Slowdown(wait, run float64) float64 {
-	if run <= 0 {
-		return math.NaN()
-	}
-	return (wait + run) / run
-}
-
-// BoundedSlowdown returns the bounded slowdown with threshold tau
-// (max(1, (wait+run)/max(run,tau))), the standard fix for tiny jobs.
-func BoundedSlowdown(wait, run, tau float64) float64 {
-	den := run
-	if den < tau {
-		den = tau
-	}
-	if den <= 0 {
-		return math.NaN()
-	}
-	s := (wait + run) / den
-	if s < 1 {
-		return 1
-	}
-	return s
-}
-
-// CoefficientOfVariation returns stddev/mean, a normalized dispersion measure
-// used for performance-variability analyses.
-func CoefficientOfVariation(xs []float64) float64 {
-	m := Mean(xs)
-	if m == 0 {
-		return math.NaN()
-	}
-	return StdDev(xs) / m
-}
-
-// NormalizeToBest divides every value by the minimum value, producing
-// relative-performance rows as used in benchmark reports.
-func NormalizeToBest(xs []float64) []float64 {
-	best := Min(xs)
-	out := make([]float64, len(xs))
-	if best == 0 || math.IsInf(best, 1) {
-		return out
-	}
-	for i, x := range xs {
-		out[i] = x / best
-	}
-	return out
 }

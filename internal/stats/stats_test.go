@@ -33,10 +33,10 @@ func TestMeanVarianceStdDev(t *testing.T) {
 	}
 }
 
-func TestMinMaxSum(t *testing.T) {
+func TestMinMax(t *testing.T) {
 	xs := []float64{3, -1, 7, 0}
-	if Min(xs) != -1 || Max(xs) != 7 || Sum(xs) != 9 {
-		t.Errorf("Min/Max/Sum = %v/%v/%v", Min(xs), Max(xs), Sum(xs))
+	if Min(xs) != -1 || Max(xs) != 7 {
+		t.Errorf("Min/Max = %v/%v", Min(xs), Max(xs))
 	}
 	if !math.IsInf(Min(nil), 1) || !math.IsInf(Max(nil), -1) {
 		t.Error("empty Min/Max should be ±Inf")
@@ -101,80 +101,6 @@ func TestSummarize(t *testing.T) {
 	}
 	if _, err := Summarize(nil); err != ErrEmpty {
 		t.Errorf("Summarize(nil) err = %v, want ErrEmpty", err)
-	}
-}
-
-func TestHistogram(t *testing.T) {
-	edges, counts := Histogram([]float64{0, 1, 2, 3, 4, 5, 6, 7, 8, 9}, 5)
-	if len(edges) != 6 || len(counts) != 5 {
-		t.Fatalf("histogram sizes = %d edges, %d counts", len(edges), len(counts))
-	}
-	total := 0
-	for _, c := range counts {
-		total += c
-	}
-	if total != 10 {
-		t.Errorf("histogram total = %d, want 10", total)
-	}
-	// Degenerate cases.
-	if e, c := Histogram(nil, 5); e != nil || c != nil {
-		t.Error("Histogram(empty) should be nil")
-	}
-	_, c := Histogram([]float64{3, 3, 3}, 2)
-	if c[0] != 3 {
-		t.Errorf("constant-data histogram = %v", c)
-	}
-}
-
-func TestECDF(t *testing.T) {
-	xs := []float64{1, 2, 3, 4}
-	if got := ECDF(xs, 2.5); got != 0.5 {
-		t.Errorf("ECDF(2.5) = %v, want 0.5", got)
-	}
-	if got := ECDF(xs, 0); got != 0 {
-		t.Errorf("ECDF(0) = %v, want 0", got)
-	}
-	if got := ECDF(xs, 9); got != 1 {
-		t.Errorf("ECDF(9) = %v, want 1", got)
-	}
-	if !math.IsNaN(ECDF(nil, 1)) {
-		t.Error("ECDF(empty) should be NaN")
-	}
-}
-
-func TestSlowdown(t *testing.T) {
-	if got := Slowdown(10, 5); got != 3 {
-		t.Errorf("Slowdown = %v, want 3", got)
-	}
-	if !math.IsNaN(Slowdown(1, 0)) {
-		t.Error("Slowdown(run=0) should be NaN")
-	}
-	if got := BoundedSlowdown(0, 0.001, 10); got != 1 {
-		t.Errorf("BoundedSlowdown tiny job = %v, want 1", got)
-	}
-	if got := BoundedSlowdown(90, 10, 10); got != 10 {
-		t.Errorf("BoundedSlowdown = %v, want 10", got)
-	}
-}
-
-func TestCoefficientOfVariation(t *testing.T) {
-	xs := []float64{10, 10, 10}
-	if got := CoefficientOfVariation(xs); got != 0 {
-		t.Errorf("CV of constants = %v, want 0", got)
-	}
-	if !math.IsNaN(CoefficientOfVariation([]float64{-1, 1})) {
-		t.Error("CV with zero mean should be NaN")
-	}
-}
-
-func TestNormalizeToBest(t *testing.T) {
-	got := NormalizeToBest([]float64{4, 2, 8})
-	want := []float64{2, 1, 4}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Errorf("NormalizeToBest = %v, want %v", got, want)
-			break
-		}
 	}
 }
 
@@ -247,25 +173,6 @@ func TestLinearRegression(t *testing.T) {
 	}
 	if _, err := LinearRegression([]float64{1, 1}, []float64{2, 3}); err == nil {
 		t.Error("zero-variance x should error")
-	}
-}
-
-func TestBootstrapCI(t *testing.T) {
-	r := rand.New(rand.NewSource(11))
-	xs := make([]float64, 300)
-	for i := range xs {
-		xs[i] = r.NormFloat64() + 10
-	}
-	lo, hi := BootstrapCI(xs, Mean, 500, 0.95, r)
-	if !(lo < 10 && 10 < hi) {
-		t.Errorf("CI [%v,%v] does not cover true mean 10", lo, hi)
-	}
-	if hi-lo > 0.5 {
-		t.Errorf("CI too wide: [%v,%v]", lo, hi)
-	}
-	lo, hi = BootstrapCI(nil, Mean, 10, 0.95, r)
-	if !math.IsNaN(lo) || !math.IsNaN(hi) {
-		t.Error("empty bootstrap should be NaN")
 	}
 }
 

@@ -88,73 +88,3 @@ func TestJobsRoundTripProperty(t *testing.T) {
 		})
 	}
 }
-
-// TestP2PRoundTripProperty: WriteP2P → ReadP2P preserves every record field.
-func TestP2PRoundTripProperty(t *testing.T) {
-	for seed := int64(0); seed < 20; seed++ {
-		r := rand.New(rand.NewSource(seed))
-		var recs []P2PRecord
-		for i := 0; i < r.Intn(40); i++ {
-			rec := P2PRecord{
-				PeerID:   i + 1,
-				Class:    []string{"seeder", "leecher", "freerider"}[r.Intn(3)],
-				JoinS:    r.Float64() * 1e5,
-				DoneS:    r.Float64() * 1e5,
-				Duration: r.Float64() * 1e4,
-			}
-			if r.Float64() < 0.5 {
-				rec.Group = 1 + r.Intn(5)
-			}
-			recs = append(recs, rec)
-		}
-		var buf bytes.Buffer
-		if err := WriteP2P(&buf, recs); err != nil {
-			t.Fatalf("seed %d write: %v", seed, err)
-		}
-		got, err := ReadP2P(&buf)
-		if err != nil {
-			t.Fatalf("seed %d read: %v", seed, err)
-		}
-		if len(recs) == 0 {
-			if len(got) != 0 {
-				t.Fatalf("seed %d: empty input decoded to %d records", seed, len(got))
-			}
-			continue
-		}
-		if !reflect.DeepEqual(got, recs) {
-			t.Fatalf("seed %d: records differ:\n got %+v\nwant %+v", seed, got, recs)
-		}
-	}
-}
-
-// TestGamesRoundTripProperty: WriteGames → ReadGames preserves every record field.
-func TestGamesRoundTripProperty(t *testing.T) {
-	for seed := int64(0); seed < 20; seed++ {
-		r := rand.New(rand.NewSource(seed))
-		var recs []GameRecord
-		for i := 0; i < 1+r.Intn(30); i++ {
-			players := make([]int, 1+r.Intn(10))
-			for p := range players {
-				players[p] = 100 + r.Intn(900)
-			}
-			recs = append(recs, GameRecord{
-				MatchID:     i + 1,
-				StartH:      r.Float64() * 24,
-				Players:     players,
-				Winner:      players[r.Intn(len(players))],
-				DurationMin: r.Float64() * 120,
-			})
-		}
-		var buf bytes.Buffer
-		if err := WriteGames(&buf, recs); err != nil {
-			t.Fatalf("seed %d write: %v", seed, err)
-		}
-		got, err := ReadGames(&buf)
-		if err != nil {
-			t.Fatalf("seed %d read: %v", seed, err)
-		}
-		if !reflect.DeepEqual(got, recs) {
-			t.Fatalf("seed %d: records differ:\n got %+v\nwant %+v", seed, got, recs)
-		}
-	}
-}

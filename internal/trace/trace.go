@@ -1,13 +1,10 @@
-// Package trace implements the archive formats the paper's dissemination
-// principle calls for (§3.6, FAIR/FOAD): a GWA-style job-trace codec for
-// datacenter workloads, the Peer-to-Peer Trace Archive format for download
-// records, and the Game Trace Archive format for match records. All formats
-// are line-oriented CSV with a header, plus JSON codecs for tool interchange.
+// Package trace implements the GWA-style job-trace archive format the
+// paper's dissemination principle calls for (§3.6, FAIR/FOAD): line-oriented
+// CSV with a header, one row per task of a datacenter workload.
 package trace
 
 import (
 	"encoding/csv"
-	"encoding/json"
 	"fmt"
 	"io"
 	"math"
@@ -165,77 +162,4 @@ func parseSeconds(field string) (float64, error) {
 		return 0, fmt.Errorf("%q is not a finite, non-negative number of seconds", field)
 	}
 	return v, nil
-}
-
-// P2PRecord is one row of the Peer-to-Peer Trace Archive.
-type P2PRecord struct {
-	PeerID   int     `json:"peer_id"`
-	Class    string  `json:"class"`
-	JoinS    float64 `json:"join_s"`
-	DoneS    float64 `json:"done_s"`
-	Duration float64 `json:"duration_s"`
-	Group    int     `json:"group,omitempty"`
-}
-
-// WriteP2P encodes records as JSON lines.
-func WriteP2P(w io.Writer, recs []P2PRecord) error {
-	enc := json.NewEncoder(w)
-	for _, r := range recs {
-		if err := enc.Encode(r); err != nil {
-			return fmt.Errorf("trace: p2p encode: %w", err)
-		}
-	}
-	return nil
-}
-
-// ReadP2P decodes JSON-lines records.
-func ReadP2P(r io.Reader) ([]P2PRecord, error) {
-	dec := json.NewDecoder(r)
-	var out []P2PRecord
-	for {
-		var rec P2PRecord
-		if err := dec.Decode(&rec); err == io.EOF {
-			break
-		} else if err != nil {
-			return nil, fmt.Errorf("trace: p2p decode: %w", err)
-		}
-		out = append(out, rec)
-	}
-	return out, nil
-}
-
-// GameRecord is one row of the Game Trace Archive (one match).
-type GameRecord struct {
-	MatchID     int     `json:"match_id"`
-	StartH      float64 `json:"start_h"`
-	Players     []int   `json:"players"`
-	Winner      int     `json:"winner"`
-	DurationMin float64 `json:"duration_min"`
-}
-
-// WriteGames encodes match records as JSON lines.
-func WriteGames(w io.Writer, recs []GameRecord) error {
-	enc := json.NewEncoder(w)
-	for _, r := range recs {
-		if err := enc.Encode(r); err != nil {
-			return fmt.Errorf("trace: game encode: %w", err)
-		}
-	}
-	return nil
-}
-
-// ReadGames decodes JSON-lines match records.
-func ReadGames(r io.Reader) ([]GameRecord, error) {
-	dec := json.NewDecoder(r)
-	var out []GameRecord
-	for {
-		var rec GameRecord
-		if err := dec.Decode(&rec); err == io.EOF {
-			break
-		} else if err != nil {
-			return nil, fmt.Errorf("trace: game decode: %w", err)
-		}
-		out = append(out, rec)
-	}
-	return out, nil
 }

@@ -77,44 +77,3 @@ func TestReadJobsErrors(t *testing.T) {
 		}
 	}
 }
-
-func TestP2PRoundTrip(t *testing.T) {
-	recs := []P2PRecord{
-		{PeerID: 1, Class: "adsl", JoinS: 0, DoneS: 100, Duration: 100},
-		{PeerID: 2, Class: "cable", JoinS: 5, DoneS: 80, Duration: 75, Group: 3},
-	}
-	var buf bytes.Buffer
-	if err := WriteP2P(&buf, recs); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadP2P(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 2 || got[1].Group != 3 || got[0].Class != "adsl" {
-		t.Errorf("round trip = %+v", got)
-	}
-	if _, err := ReadP2P(strings.NewReader("{broken")); err == nil {
-		t.Error("broken json accepted")
-	}
-}
-
-func TestGameRoundTrip(t *testing.T) {
-	recs := []GameRecord{
-		{MatchID: 1, StartH: 0.5, Players: []int{1, 2, 3, 4}, Winner: 1, DurationMin: 30},
-	}
-	var buf bytes.Buffer
-	if err := WriteGames(&buf, recs); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadGames(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 1 || len(got[0].Players) != 4 || got[0].Winner != 1 {
-		t.Errorf("round trip = %+v", got)
-	}
-	if _, err := ReadGames(strings.NewReader("not json")); err == nil {
-		t.Error("broken json accepted")
-	}
-}

@@ -162,9 +162,6 @@ func TestCheckDAGParity(t *testing.T) {
 		if want := refCriticalPath(j); math.Float64bits(float64(cp)) != math.Float64bits(float64(want)) {
 			t.Fatalf("job %d: critical path %v, reference %v", k, cp, want)
 		}
-		if got := j.CriticalPath(); got != cp {
-			t.Fatalf("job %d: CriticalPath %v, CheckDAG %v", k, got, cp)
-		}
 	}
 	for _, kind := range []string{"duplicate", "cycle", "missing"} {
 		if kinds[kind] < 100 {

@@ -96,9 +96,9 @@ func (g Generator) fillJob(job *Job, r *rand.Rand, sc *genScratch) {
 	}
 }
 
-// criticalPath computes Job.CriticalPath without allocating, relying on the
-// generator invariant that dependencies point only at lower task indexes
-// (task ID = index+1 before rebasing).
+// criticalPath computes Job.CheckDAG's critical path without allocating,
+// relying on the generator invariant that dependencies point only at lower
+// task indexes (task ID = index+1 before rebasing).
 func (sc *genScratch) criticalPath(job *Job) sim.Duration {
 	if cap(sc.finish) < len(job.Tasks) {
 		sc.finish = make([]sim.Duration, len(job.Tasks))

@@ -86,17 +86,6 @@ func (j *Job) TotalWork() float64 {
 	return w
 }
 
-// MaxCPUs returns the largest per-task CPU requirement.
-func (j *Job) MaxCPUs() int {
-	m := 0
-	for _, t := range j.Tasks {
-		if t.CPUs > m {
-			m = t.CPUs
-		}
-	}
-	return m
-}
-
 // IsWorkflow reports whether any task has dependencies.
 func (j *Job) IsWorkflow() bool {
 	for _, t := range j.Tasks {
@@ -105,21 +94,6 @@ func (j *Job) IsWorkflow() bool {
 		}
 	}
 	return false
-}
-
-// CriticalPath returns the length, in virtual seconds, of the longest
-// dependency chain (the lower bound on job makespan with infinite
-// resources). It is 0 for a job that fails ValidateDAG.
-func (j *Job) CriticalPath() sim.Duration {
-	cp, _ := j.CheckDAG(new(DAGScratch))
-	return cp
-}
-
-// ValidateDAG checks that task IDs are unique and that dependencies
-// reference existing tasks and contain no cycles.
-func (j *Job) ValidateDAG() error {
-	_, err := j.CheckDAG(new(DAGScratch))
-	return err
 }
 
 // DAGScratch is reusable working storage for CheckDAG: checking a stream of
@@ -138,11 +112,13 @@ const (
 	dagDone
 )
 
-// CheckDAG validates the job as ValidateDAG does and returns its critical
-// path as CriticalPath does, in one depth-first pass over the tasks. On an
-// invalid job it returns 0 and the first problem found: a duplicate task ID,
-// or, in depth-first order from each task in turn, a missing dependency or
-// a cycle.
+// CheckDAG checks that task IDs are unique and that dependencies reference
+// existing tasks and contain no cycles, and returns the job's critical path:
+// the length, in virtual seconds, of the longest dependency chain (the lower
+// bound on its makespan with infinite resources). It makes one depth-first
+// pass over the tasks. On an invalid job it returns 0 and the first problem
+// found: a duplicate task ID, or, in depth-first order from each task in
+// turn, a missing dependency or a cycle.
 func (j *Job) CheckDAG(sc *DAGScratch) (sim.Duration, error) {
 	n := len(j.Tasks)
 	if n == 0 {
@@ -249,15 +225,6 @@ func (tr *Trace) SortBySubmit() {
 	sort.SliceStable(tr.Jobs, func(i, j int) bool { return tr.Jobs[i].Submit < tr.Jobs[j].Submit })
 }
 
-// TotalTasks returns the number of tasks over all jobs.
-func (tr *Trace) TotalTasks() int {
-	n := 0
-	for _, j := range tr.Jobs {
-		n += len(j.Tasks)
-	}
-	return n
-}
-
 // Span returns the submission span (last submit − first submit).
 func (tr *Trace) Span() sim.Duration {
 	if len(tr.Jobs) == 0 {
@@ -275,7 +242,7 @@ func (tr *Trace) Span() sim.Duration {
 	return last - first
 }
 
-// Validate runs ValidateDAG over all jobs.
+// Validate runs CheckDAG over all jobs.
 func (tr *Trace) Validate() error {
 	var sc DAGScratch
 	for _, j := range tr.Jobs {

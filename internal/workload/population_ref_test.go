@@ -85,8 +85,8 @@ func (mc *refMergeCore) next() *Job {
 	mc.job.Class = g.Class
 	g.fillJob(&mc.job, mc.r, &mc.sc)
 	c.next = g.Arrivals.NextAfter(c.next, c.mult, mc.r)
-	mc.heap[0] = mergeNode(c.next, client)
-	heap4.FixTop(mc.heap)
+	_, mc.heap = heap4.Pop(mc.heap)
+	mc.heap = heap4.Push(mc.heap, mergeNode(c.next, client))
 	mc.seq++
 	emitAs(&mc.job, mc.seq, mc.taskID)
 	mc.taskID += len(mc.job.Tasks)

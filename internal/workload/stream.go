@@ -97,30 +97,6 @@ func (s *generatorSource) Name() string {
 
 func (s *generatorSource) Close() {}
 
-// Take caps src at n jobs — the bounding combinator for unbounded streams
-// (a Population never runs dry on its own). Close closes the underlying
-// source.
-func Take(src JobSource, n int) JobSource {
-	return &takeSource{src: src, left: n}
-}
-
-type takeSource struct {
-	src  JobSource
-	left int
-}
-
-func (s *takeSource) Next() *Job {
-	if s.left <= 0 {
-		return nil
-	}
-	s.left--
-	return s.src.Next()
-}
-
-func (s *takeSource) Name() string { return s.src.Name() }
-
-func (s *takeSource) Close() { s.src.Close() }
-
 // Source adapts a materialized trace to the JobSource interface. Jobs are
 // emitted by reference in slice order (callers wanting submit order should
 // SortBySubmit first); unlike generated sources the jobs survive Next, but

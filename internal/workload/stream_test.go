@@ -56,7 +56,8 @@ func legacyGenerate(g Generator, n int, r *rand.Rand) *Trace {
 			legacyChainIntoLevels(job, r)
 		}
 		if g.DeadlineFactor > 0 {
-			job.Deadline = sim.Duration(g.DeadlineFactor) * job.CriticalPath()
+			cp, _ := job.CheckDAG(new(DAGScratch))
+			job.Deadline = sim.Duration(g.DeadlineFactor) * cp
 		}
 		tr.Jobs = append(tr.Jobs, job)
 	}
@@ -169,19 +170,6 @@ func TestSourceScratchReuse(t *testing.T) {
 	}
 }
 
-func TestTakeCapsStream(t *testing.T) {
-	pop := &Population{Clients: 4, Mix: SingleClass(ClassSynthetic), Seed: 1}
-	src, err := pop.Source()
-	if err != nil {
-		t.Fatal(err)
-	}
-	tr := Collect(Take(src, 7), 0)
-	src.Close()
-	if len(tr.Jobs) != 7 {
-		t.Fatalf("Take(7) yielded %d jobs", len(tr.Jobs))
-	}
-}
-
 func TestTraceSourceRoundTrip(t *testing.T) {
 	g := StandardGenerator(ClassSynthetic)
 	tr := g.Generate(25, rand.New(rand.NewSource(9)))
@@ -283,7 +271,7 @@ func TestPopulationStreamWellFormed(t *testing.T) {
 				if !inMix[j.Class] {
 					t.Fatalf("job %d: class %v not in mix", i, j.Class)
 				}
-				if err := j.ValidateDAG(); err != nil {
+				if _, err := j.CheckDAG(new(DAGScratch)); err != nil {
 					t.Fatalf("job %d: %v", i, err)
 				}
 				for _, task := range j.Tasks {

@@ -9,16 +9,13 @@ import (
 	"atlarge/internal/sim"
 )
 
-func TestJobTotalWorkAndMaxCPUs(t *testing.T) {
+func TestJobTotalWork(t *testing.T) {
 	j := &Job{Tasks: []Task{
 		{ID: 1, CPUs: 2, Runtime: 10},
 		{ID: 2, CPUs: 4, Runtime: 5},
 	}}
 	if got := j.TotalWork(); got != 40 {
 		t.Errorf("TotalWork = %v, want 40", got)
-	}
-	if got := j.MaxCPUs(); got != 4 {
-		t.Errorf("MaxCPUs = %v, want 4", got)
 	}
 }
 
@@ -30,12 +27,12 @@ func TestCriticalPath(t *testing.T) {
 		{ID: 3, Runtime: 5, Deps: []int{1}},
 		{ID: 4, Runtime: 1, Deps: []int{2, 3}},
 	}}
-	if got := j.CriticalPath(); got != 31 {
-		t.Errorf("CriticalPath = %v, want 31", got)
+	if got, err := j.CheckDAG(new(DAGScratch)); got != 31 || err != nil {
+		t.Errorf("CheckDAG = %v, %v, want critical path 31", got, err)
 	}
 	bag := &Job{Tasks: []Task{{ID: 1, Runtime: 7}, {ID: 2, Runtime: 3}}}
-	if got := bag.CriticalPath(); got != 7 {
-		t.Errorf("bag CriticalPath = %v, want 7 (longest task)", got)
+	if got, err := bag.CheckDAG(new(DAGScratch)); got != 7 || err != nil {
+		t.Errorf("bag CheckDAG = %v, %v, want critical path 7 (longest task)", got, err)
 	}
 }
 
@@ -66,9 +63,9 @@ func TestValidateDAG(t *testing.T) {
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
 			j := &Job{ID: 1, Tasks: tt.tasks}
-			err := j.ValidateDAG()
+			_, err := j.CheckDAG(new(DAGScratch))
 			if (err != nil) != tt.wantErr {
-				t.Errorf("ValidateDAG = %v, wantErr %v", err, tt.wantErr)
+				t.Errorf("CheckDAG = %v, wantErr %v", err, tt.wantErr)
 			}
 		})
 	}
@@ -278,8 +275,8 @@ func TestDeadlinesAssigned(t *testing.T) {
 		if j.Deadline <= 0 {
 			t.Fatalf("job %d missing deadline", j.ID)
 		}
-		if j.Deadline < j.CriticalPath() {
-			t.Fatalf("job %d deadline %v below critical path %v", j.ID, j.Deadline, j.CriticalPath())
+		if cp, _ := j.CheckDAG(new(DAGScratch)); j.Deadline < cp {
+			t.Fatalf("job %d deadline %v below critical path %v", j.ID, j.Deadline, cp)
 		}
 	}
 }
@@ -293,7 +290,8 @@ func TestChainIntoLevelsKeepsAcyclic(t *testing.T) {
 			job.Tasks = append(job.Tasks, Task{ID: i, Runtime: sim.Duration(1 + r.Float64())})
 		}
 		chainIntoLevels(job, r)
-		return job.ValidateDAG() == nil
+		_, err := job.CheckDAG(new(DAGScratch))
+		return err == nil
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Error(err)

@@ -33,11 +33,6 @@ type Experiment struct {
 	Run RunFunc
 }
 
-// HasTag reports whether the experiment carries the tag.
-func (e Experiment) HasTag(tag string) bool {
-	return slices.Contains(e.Tags, tag)
-}
-
 // Registry is a concurrency-safe catalog of experiments.
 type Registry struct {
 	mu   sync.RWMutex
@@ -110,17 +105,6 @@ func (r *Registry) Experiments() []Experiment {
 		}
 		return cmp.Compare(a.ID, b.ID)
 	})
-	return out
-}
-
-// WithTag returns the experiments carrying the tag, in catalog order.
-func (r *Registry) WithTag(tag string) []Experiment {
-	var out []Experiment
-	for _, e := range r.Experiments() {
-		if e.HasTag(tag) {
-			out = append(out, e)
-		}
-	}
 	return out
 }
 

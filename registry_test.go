@@ -2,6 +2,7 @@ package atlarge
 
 import (
 	"context"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -87,18 +88,12 @@ func TestRegistryOrderAndTags(t *testing.T) {
 	if got := strings.Join(r.IDs(), ","); got != "c,a,b" {
 		t.Errorf("IDs = %s, want c,a,b (order, then ID)", got)
 	}
-	even := r.WithTag("even")
-	if len(even) != 2 || even[0].ID != "a" || even[1].ID != "b" {
-		t.Errorf("WithTag(even) = %+v", even)
-	}
-	if got := r.WithTag("none"); got != nil {
-		t.Errorf("WithTag(none) = %+v, want nil", got)
-	}
-}
-
-func TestExperimentHasTag(t *testing.T) {
-	e := Experiment{Tags: []string{"figure", "fast"}}
-	if !e.HasTag("fast") || e.HasTag("slow") {
-		t.Errorf("HasTag misbehaves: %+v", e.Tags)
+	// The registry keeps each experiment's Tags; `atlarge list -tag` filters
+	// by them (cmd/atlarge TestRunList).
+	want := map[string]string{"a": "even", "b": "even", "c": "odd"}
+	for _, e := range r.Experiments() {
+		if !slices.Equal(e.Tags, []string{want[e.ID]}) {
+			t.Errorf("%s: Tags = %v, want [%s]", e.ID, e.Tags, want[e.ID])
+		}
 	}
 }

@@ -37,11 +37,6 @@ type Metric struct {
 	CI95 float64 `json:"ci95,omitempty"`
 }
 
-// Def returns the metric's catalog entry.
-func (m Metric) Def() MetricDef {
-	return MetricDef{Name: m.Name, HigherBetter: m.HigherBetter, Unit: m.Unit}
-}
-
 // MetricDef is one entry of a metric catalog: a name with its comparison
 // direction. The scenario engine's domain catalogs use the same type, so
 // experiment and scenario metrics share one vocabulary of directions.
@@ -165,16 +160,6 @@ func (r *Report) Metric(name string) (Metric, bool) {
 		}
 	}
 	return Metric{}, false
-}
-
-// MetricDefs returns the catalog entries of the report's metrics, in
-// emission order.
-func (r *Report) MetricDefs() []MetricDef {
-	out := make([]MetricDef, len(r.Metrics))
-	for i, m := range r.Metrics {
-		out[i] = m.Def()
-	}
-	return out
 }
 
 // AddTable appends an empty table and returns it for row building.

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -55,7 +56,7 @@ func TestRunnerParityFull(t *testing.T) {
 	}
 	var ids []string
 	for _, e := range DefaultRegistry().Experiments() {
-		if !e.HasTag("slow") {
+		if !slices.Contains(e.Tags, "slow") {
 			ids = append(ids, e.ID)
 		}
 	}
