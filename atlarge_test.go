@@ -138,7 +138,7 @@ func TestExperimentAllocBudget(t *testing.T) {
 			if testing.Short() {
 				continue
 			}
-			// Each pool worker warms one simulator up, about 1 MiB, so the
+			// Each exec worker warms one simulator up, about 1 MiB, so the
 			// budget holds for two workers, whatever the host's CPU count.
 			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
 		}

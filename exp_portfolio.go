@@ -16,10 +16,10 @@ func init() {
 	})
 }
 
-func runTab9(_ context.Context, seed int64) (*Report, error) {
+func runTab9(ctx context.Context, seed int64) (*Report, error) {
 	cfg := portfolio.DefaultTable9Config()
 	cfg.Seed = seed
-	rows, err := portfolio.RunTable9(cfg)
+	rows, err := portfolio.RunTable9(ctx, cfg)
 	if err != nil {
 		return nil, err
 	}

@@ -103,6 +103,15 @@ func labelPairs(names, values []string) string {
 	return "{" + strings.Join(parts, ",") + "}"
 }
 
+// labelValues splits a series key back into its label values. The key of
+// a family without labels is "", which holds no values, not one empty one.
+func labelValues(labels []string, key string) []string {
+	if len(labels) == 0 {
+		return nil
+	}
+	return strings.Split(key, "\x00")
+}
+
 // Counter is a monotonically increasing integer counter.
 type Counter struct {
 	v atomic.Uint64
@@ -177,7 +186,7 @@ func (r *Registry) GaugeVec(name, help string, labels ...string) *GaugeVec {
 		}
 		g.mu.Unlock()
 		for i, k := range keys {
-			fmt.Fprintf(w, "%s%s %s\n", name, labelPairs(g.labels, strings.Split(k, "\x00")), formatFloat(fns[i]()))
+			fmt.Fprintf(w, "%s%s %s\n", name, labelPairs(g.labels, labelValues(g.labels, k)), formatFloat(fns[i]()))
 		}
 	})
 	return g
@@ -223,7 +232,7 @@ func (r *Registry) CounterVec(name, help string, labels ...string) *CounterVec {
 		}
 		v.mu.Unlock()
 		for i, k := range keys {
-			fmt.Fprintf(w, "%s%s %d\n", name, labelPairs(v.labels, strings.Split(k, "\x00")), counters[i].Value())
+			fmt.Fprintf(w, "%s%s %d\n", name, labelPairs(v.labels, labelValues(v.labels, k)), counters[i].Value())
 		}
 	})
 	return v
@@ -354,7 +363,7 @@ func (r *Registry) HistogramVec(name, help string, buckets []float64, labels ...
 		}
 		v.mu.Unlock()
 		for i, k := range keys {
-			hs[i].render(w, name, v.labels, strings.Split(k, "\x00"))
+			hs[i].render(w, name, v.labels, labelValues(v.labels, k))
 		}
 	})
 	return v

@@ -69,6 +69,28 @@ func TestHistogram(t *testing.T) {
 	}
 }
 
+// TestHistogramUnlabeled: a family without labels renders each bucket with
+// its bound as the only label.
+func TestHistogramUnlabeled(t *testing.T) {
+	r := New()
+	h := r.HistogramVec("latency_seconds", "Latency.", []float64{0.25, 1}).With()
+	for _, v := range []float64{0.125, 0.5, 2} {
+		h.Observe(v)
+	}
+	out := render(t, r)
+	for _, want := range []string{
+		`latency_seconds_bucket{le="0.25"} 1`,
+		`latency_seconds_bucket{le="1"} 2`,
+		`latency_seconds_bucket{le="+Inf"} 3`,
+		"latency_seconds_sum 2.625\n",
+		"latency_seconds_count 3\n",
+	} {
+		if !strings.Contains(out, want) {
+			t.Errorf("output missing %q:\n%s", want, out)
+		}
+	}
+}
+
 // TestHistogramVec: labeled histograms share buckets but not samples, and
 // the le pair renders after the series labels.
 func TestHistogramVec(t *testing.T) {

@@ -13,11 +13,7 @@
 // reproduces the POSUM finding (Table 9, last row).
 package portfolio
 
-import (
-	"sync"
-
-	"atlarge/internal/workload"
-)
+import "atlarge/internal/workload"
 
 // estimateTrace clones the window with task runtimes replaced by their
 // estimates: the information actually available at selection time.
@@ -37,25 +33,15 @@ func estimateTrace(tr *workload.Trace) *workload.Trace {
 
 // selectExhaustive scores each of the portfolio's n policies with score(i),
 // policy i's mean bounded slowdown simulated on the window from runtime
-// estimates, and returns the index of the lowest and the online selection
-// cost in full window simulations: one per policy scored, however many of
-// them the scheduler could share. The candidate simulations are
-// independent, so they are scored concurrently; the argmin keeps the
-// sequential tie-break (lowest portfolio index wins).
+// estimates, in portfolio order on the caller's goroutine, and returns the
+// index of the lowest (the lowest index wins a tie) and the online
+// selection cost in full window simulations: one per policy scored,
+// however many of them the scheduler could share.
 func selectExhaustive(n int, score func(i int) float64) (chosen, simRuns int) {
-	scores := make([]float64, n)
-	var wg sync.WaitGroup
+	var best float64
 	for i := range n {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			scores[i] = score(i)
-		}(i)
-	}
-	wg.Wait()
-	for i := range n {
-		if scores[i] < scores[chosen] {
-			chosen = i
+		if v := score(i); i == 0 || v < best {
+			chosen, best = i, v
 		}
 	}
 	return chosen, n

@@ -1,10 +1,13 @@
 package portfolio
 
 import (
+	"context"
+	"errors"
 	"math/rand"
 	"testing"
 
 	"atlarge/internal/cluster"
+	"atlarge/internal/exec"
 	"atlarge/internal/sched"
 	"atlarge/internal/workload"
 )
@@ -86,6 +89,34 @@ func TestSchedulerRunCompletes(t *testing.T) {
 	}
 }
 
+// comparePanics is a policy whose Compare panics, as a simulator invariant
+// failure would.
+type comparePanics struct{ namedPolicy }
+
+func (comparePanics) Compare(a, b *sched.TaskState) int { panic("compare") }
+
+// TestSchedulerPanicFailsOnlyItsTask runs a portfolio scheduler whose
+// selection simulations panic inside an exec task: the selector scores on
+// the task's goroutine, so exec recovers the panic into the task's error
+// and the process survives.
+func TestSchedulerPanicFailsOnlyItsTask(t *testing.T) {
+	tr := genTrace(t, workload.ClassScientific, 60, 3)
+	var p exec.Plan[*Result]
+	p.Add("portfolio", func(context.Context) (*Result, error) {
+		return (&Scheduler{
+			Policies:   []sched.Policy{sched.DefaultPortfolio()[0], comparePanics{"panics"}},
+			WindowSize: 20,
+			EnvFactory: smallEnvFactory,
+			Seed:       1,
+		}).Run(tr)
+	})
+	_, errs := exec.Run(context.Background(), &p, exec.Options[*Result]{})
+	var pe *exec.PanicError
+	if !errors.As(errs[0], &pe) || pe.Value != "compare" {
+		t.Fatalf("task error = %v, want the recovered Compare panic", errs[0])
+	}
+}
+
 func TestSchedulerRejectsBadConfig(t *testing.T) {
 	tr := genTrace(t, workload.ClassSynthetic, 5, 1)
 	s := &Scheduler{WindowSize: 10, EnvFactory: smallEnvFactory}
@@ -135,7 +166,7 @@ func TestRunTable9ShapesHold(t *testing.T) {
 		t.Skip("table 9 sweep is slow")
 	}
 	cfg := Table9Config{JobsPerRow: 60, WindowSize: 15, Seed: 42}
-	rows, err := RunTable9(cfg)
+	rows, err := RunTable9(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

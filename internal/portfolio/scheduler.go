@@ -3,7 +3,6 @@ package portfolio
 import (
 	"fmt"
 	"math"
-	"sync"
 
 	"atlarge/internal/cluster"
 	"atlarge/internal/sched"
@@ -108,33 +107,24 @@ func (s *Scheduler) staticBaselines(runs *windowRuns) (map[string]float64, error
 }
 
 // windowRuns is a trace cut into the scheduler's windows, with every window
-// simulation memoized: one run per (policy, window, runtimes or estimates),
-// on a fresh environment with seed Seed+window and a simulator borrowed
-// from sims. A policy's run on a window is both its static baseline there
-// and, when the policy is chosen, the portfolio's realized run; on a window
-// whose runtime estimates are all exact, the estimate run a selector scores
-// is that same simulation too.
-// Runs may be requested concurrently.
+// simulation memoized in a slot of its own: one run per (window, policy,
+// runtimes or estimates), on a fresh environment with seed Seed+window and
+// a simulator borrowed from s.Simulators. A policy's run on a window is
+// both its static baseline there and, when the policy is chosen, the
+// portfolio's realized run; on a window whose runtime estimates are all
+// exact, the estimate run a selector scores is that same simulation too.
+// Distinct slots may be filled concurrently; one slot must not be.
 type windowRuns struct {
 	s       *Scheduler
 	windows []*workload.Trace
-	exact   []bool // every task's RuntimeEstimate equals its Runtime
-	sims    *sched.FreeList
-
-	mu   sync.Mutex
-	est  []*workload.Trace // estimate views, built on first use
-	runs map[runKey]*windowRun
-}
-
-type runKey struct {
-	policy, window int
-	est            bool
+	est     []*workload.Trace // estimate views; nil where every estimate is exact
+	runs    []windowRun       // slot 2*(window*len(Policies)+policy), +1 on estimates
 }
 
 // windowRun is one window simulation: its result and, for runs on true
 // runtimes, the per-job slowdowns and responses in completion order.
 type windowRun struct {
-	once      sync.Once
+	done      bool
 	res       *sched.Result
 	slowdowns []float64
 	responses []float64
@@ -142,21 +132,26 @@ type windowRun struct {
 }
 
 // windowRuns cuts tr, in stable submit order, into windows of WindowSize
-// jobs.
+// jobs, and builds the estimate view of each window whose estimates are
+// inexact.
 func (s *Scheduler) windowRuns(tr *workload.Trace) (*windowRuns, error) {
 	if s.WindowSize <= 0 {
 		return nil, fmt.Errorf("portfolio: window size %d", s.WindowSize)
 	}
 	sorted := &workload.Trace{Name: tr.Name, Jobs: append([]*workload.Job(nil), tr.Jobs...)}
 	sorted.SortBySubmit()
-	runs := &windowRuns{s: s, sims: s.Simulators, runs: make(map[runKey]*windowRun)}
+	runs := &windowRuns{s: s}
 	for lo := 0; lo < len(sorted.Jobs); lo += s.WindowSize {
 		hi := min(lo+s.WindowSize, len(sorted.Jobs))
 		window := &workload.Trace{Name: fmt.Sprintf("%s/w%d", tr.Name, len(runs.windows)), Jobs: sorted.Jobs[lo:hi]}
+		var est *workload.Trace
+		if !exactEstimates(window) {
+			est = estimateTrace(window)
+		}
 		runs.windows = append(runs.windows, window)
-		runs.exact = append(runs.exact, exactEstimates(window))
+		runs.est = append(runs.est, est)
 	}
-	runs.est = make([]*workload.Trace, len(runs.windows))
+	runs.runs = make([]windowRun, 2*len(runs.windows)*len(s.Policies))
 	return runs, nil
 }
 
@@ -174,35 +169,27 @@ func exactEstimates(tr *workload.Trace) bool {
 }
 
 // get returns the run of policy i on window w, from runtime estimates when
-// est is set, simulating it on first request.
+// est is set, simulating it into its slot on first request.
 func (r *windowRuns) get(i, w int, est bool) *windowRun {
-	key := runKey{policy: i, window: w, est: est && !r.exact[w]}
-	r.mu.Lock()
-	run := r.runs[key]
-	if run == nil {
-		run = &windowRun{}
-		r.runs[key] = run
+	window, slot := r.windows[w], 2*(w*len(r.s.Policies)+i)
+	if est && r.est[w] != nil {
+		window, slot = r.est[w], slot+1
 	}
-	window := r.windows[w]
-	if key.est {
-		if r.est[w] == nil {
-			r.est[w] = estimateTrace(window)
-		}
-		window = r.est[w]
+	run := &r.runs[slot]
+	if run.done {
+		return run
 	}
-	r.mu.Unlock()
-	run.once.Do(func() {
-		sim := r.sims.Get()
-		defer r.sims.Put(sim)
-		sim.Reset(r.s.EnvFactory(), window, r.s.Policies[i], r.s.Seed+int64(w))
-		if !key.est {
-			sim.OnJob = func(js sched.JobStats) {
-				run.slowdowns = append(run.slowdowns, js.Slowdown)
-				run.responses = append(run.responses, float64(js.Response))
-			}
+	sim := r.s.Simulators.Get()
+	defer r.s.Simulators.Put(sim)
+	sim.Reset(r.s.EnvFactory(), window, r.s.Policies[i], r.s.Seed+int64(w))
+	if slot%2 == 0 {
+		sim.OnJob = func(js sched.JobStats) {
+			run.slowdowns = append(run.slowdowns, js.Slowdown)
+			run.responses = append(run.responses, float64(js.Response))
 		}
-		run.res, run.err = sim.Run()
-	})
+	}
+	run.res, run.err = sim.Run()
+	run.done = true
 	return run
 }
 

@@ -1,6 +1,7 @@
 package portfolio
 
 import (
+	"context"
 	"math"
 	"strings"
 	"testing"
@@ -28,10 +29,10 @@ var pinnedTable9Runs = []struct {
 	{"Voinea'18 (BigData)", "FairShare,FairShare,GreedyBF,FairShare", 28, 0x4006e77d535fd9a6, 0x40a7e3fe5b9a95ae},
 }
 
-// TestTable9SharedWindowRuns runs the default Table 9 through RunTable9's
-// simulation pool, where the portfolio run and the static baselines share
-// window simulations and each pool worker reuses one simulator. Choices,
-// modeled cost and results must match the unshared recording; each shared
+// TestTable9SharedWindowRuns runs the default Table 9 through runTable9,
+// where the portfolio run and the static baselines share window
+// simulations and each simulation reuses a simulator of an earlier one.
+// Choices, modeled cost and results must match the unshared recording; each shared
 // realized run must equal a fresh simulation of its window; and the rows
 // must take 308 simulations in all: one per (policy, window), plus one per
 // policy on estimates for each window whose estimates are inexact.
@@ -47,13 +48,12 @@ func TestTable9SharedWindowRuns(t *testing.T) {
 		res  *Result
 		runs *windowRuns
 	}
-	// The memos are counted after the pool, so runs the static baselines
+	// The memos are counted after the run, so runs the static baselines
 	// might add are counted too.
 	got := make([]seen, len(specs))
-	pool := newTable9Pool(DefaultTable9Config(), func(i int, res *Result, runs *windowRuns) {
+	if _, err := runTable9(context.Background(), DefaultTable9Config(), func(i int, res *Result, runs *windowRuns) {
 		got[i] = seen{res: res, runs: runs}
-	})
-	if _, err := pool.run(); err != nil {
+	}); err != nil {
 		t.Fatal(err)
 	}
 	total := 0
@@ -76,17 +76,22 @@ func TestTable9SharedWindowRuns(t *testing.T) {
 		if sd, resp := math.Float64bits(g.res.MeanSlowdown), math.Float64bits(g.res.MeanResponse); sd != pin.meanSlowdown || resp != pin.meanResponse {
 			t.Errorf("%s: mean slowdown/response bits %#x/%#x, want %#x/%#x", spec.study, sd, resp, pin.meanSlowdown, pin.meanResponse)
 		}
-		want := 0
+		want, done := 0, 0
 		for w := range g.runs.windows {
 			want += len(s.Policies)
-			if !g.runs.exact[w] {
+			if g.runs.est[w] != nil {
 				want += len(s.Policies)
 			}
 		}
-		if len(g.runs.runs) != want {
-			t.Errorf("%s: %d window simulations, want %d", spec.study, len(g.runs.runs), want)
+		for _, run := range g.runs.runs {
+			if run.done {
+				done++
+			}
 		}
-		total += len(g.runs.runs)
+		if done != want {
+			t.Errorf("%s: %d window simulations, want %d", spec.study, done, want)
+		}
+		total += done
 
 		for w, c := range g.res.Choices {
 			p := policyIndex(t, s.Policies, c.Policy)

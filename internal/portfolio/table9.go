@@ -1,13 +1,12 @@
 package portfolio
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
-	"runtime"
-	"sync"
-	"sync/atomic"
 
 	"atlarge/internal/cluster"
+	"atlarge/internal/exec"
 	"atlarge/internal/sched"
 	"atlarge/internal/sim"
 	"atlarge/internal/workload"
@@ -108,10 +107,6 @@ type Table9Config struct {
 	// environments so policies differentiate.
 	LoadFactor float64
 	Seed       int64
-	// Workers bounds the number of window simulations in flight; <= 0
-	// means GOMAXPROCS. Every simulation has its own derived seed, so the
-	// result is identical for any worker count.
-	Workers int
 }
 
 // DefaultTable9Config returns the scale used by the benchmarks.
@@ -121,171 +116,95 @@ func DefaultTable9Config() Table9Config {
 
 // RunTable9 reproduces the seven rows of Table 9: for each study row it runs
 // the portfolio scheduler against all static baselines and derives the
-// "PS is useful" verdict. Every window simulation of every row, once on
-// runtimes and, where estimates are inexact, once on estimates, runs on one
-// pool of cfg.Workers goroutines, each reusing one simulator from run to
-// run. The pool takes the simulations in spec order and builds a row only
-// when it reaches it; once a row's simulations are done its portfolio run
-// and static baselines read them, and the row's windows are dropped.
-// Results keep the spec order regardless of scheduling.
-func RunTable9(cfg Table9Config) ([]Table9Row, error) {
-	return newTable9Pool(cfg, nil).run()
+// "PS is useful" verdict. Rows are built one at a time, in spec order. Each
+// row's window simulations, once on runtimes and, where estimates are
+// inexact, once on estimates, run as one exec plan on ctx, so cancelling
+// ctx stops the table between simulations; the row's portfolio run and
+// static baselines then read them from the memo. Every simulation has its
+// own derived seed, so the rows are identical at any parallelism.
+func RunTable9(ctx context.Context, cfg Table9Config) ([]Table9Row, error) {
+	return runTable9(ctx, cfg, nil)
 }
 
-// table9Pool runs the window simulations of every Table 9 row. A single
-// cursor hands them out in spec order: row, window, policy, then runtimes
-// before estimates.
-type table9Pool struct {
-	cfg   Table9Config
-	specs []table9Spec
-	rows  []Table9Row
-	errs  []error
-	// onRow, when set, sees each row's portfolio result and window runs
-	// when the row is computed, on the worker that computes it.
-	onRow func(i int, res *Result, runs *windowRuns)
-	// sims lends every row's window simulations their simulators, so each
-	// worker's run reuses the kernel and buffers of an earlier one.
-	sims sched.FreeList
-
-	mu    sync.Mutex
-	built int         // rows the cursor has reached
-	items []table9Sim // the reached row's simulations not handed out yet
-}
-
-// table9Sim is one window simulation: policy i on window w of row, from
-// runtime estimates when est is set.
-type table9Sim struct {
-	row  *table9Pending
-	i, w int
-	est  bool
-}
-
-// table9Pending is a row whose simulations are not all done.
-type table9Pending struct {
-	i    int
-	runs *windowRuns
-	left atomic.Int32 // simulations not done yet
-}
-
-func newTable9Pool(cfg Table9Config, onRow func(int, *Result, *windowRuns)) *table9Pool {
+// runTable9 is RunTable9 with a hook: onRow, when set, sees each row's
+// portfolio result and window runs when the row is computed.
+func runTable9(ctx context.Context, cfg Table9Config, onRow func(i int, res *Result, runs *windowRuns)) ([]Table9Row, error) {
+	// sims lends every row's window simulations their simulators, so a
+	// simulation reuses the kernel and buffers of an earlier one.
+	var sims sched.FreeList
 	specs := table9Specs()
-	return &table9Pool{
-		cfg: cfg, specs: specs, onRow: onRow,
-		rows: make([]Table9Row, len(specs)), errs: make([]error, len(specs)),
-	}
-}
-
-func (p *table9Pool) run() ([]Table9Row, error) {
-	workers := p.cfg.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	var wg sync.WaitGroup
-	for range workers {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				it, ok := p.next()
-				if !ok {
-					return
-				}
-				it.row.runs.get(it.i, it.w, it.est)
-				if it.row.left.Add(-1) == 0 {
-					p.finish(it.row)
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	for _, err := range p.errs {
+	rows := make([]Table9Row, len(specs))
+	for i, spec := range specs {
+		s, tr := table9Row(cfg, spec, i)
+		s.Simulators = &sims
+		runs, err := s.windowRuns(tr)
+		if err == nil {
+			err = runs.simulate(ctx)
+		}
+		var res *Result
+		if err == nil {
+			res, err = s.run(runs)
+		}
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("portfolio: row %s: %w", spec.study, err)
 		}
+		if onRow != nil {
+			onRow(i, res, runs)
+		}
+		baselines, err := s.staticBaselines(runs)
+		if err != nil {
+			return nil, fmt.Errorf("portfolio: row %s baselines: %w", spec.study, err)
+		}
+		rows[i] = table9Result(spec, res.MeanSlowdown, baselines, s.Policies)
 	}
-	return p.rows, nil
+	return rows, nil
 }
 
-// next hands out the next simulation, building rows as the cursor reaches
-// them; ok is false once every row's simulations are handed out.
-func (p *table9Pool) next() (it table9Sim, ok bool) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	for len(p.items) == 0 {
-		if p.built == len(p.specs) {
-			return table9Sim{}, false
-		}
-		p.reach(p.built)
-		p.built++
+// simulate runs every window simulation of runs as one exec plan on ctx, in
+// the order window, policy, then runtimes before estimates; each task fills
+// its own slot. It returns the first task error in plan order: a recovered
+// panic, or ctx's error for the tasks skipped after cancellation.
+func (r *windowRuns) simulate(ctx context.Context) error {
+	var p exec.Plan[struct{}]
+	add := func(id string, i, w int, est bool) {
+		p.Add(id, func(context.Context) (struct{}, error) {
+			r.get(i, w, est)
+			return struct{}{}, nil
+		})
 	}
-	it, p.items = p.items[0], p.items[1:]
-	return it, true
-}
-
-// reach builds row i and queues its simulations. A row without any is
-// computed at once.
-func (p *table9Pool) reach(i int) {
-	s, tr := table9Row(p.cfg, p.specs[i], i)
-	s.Simulators = &p.sims
-	runs, err := s.windowRuns(tr)
-	if err != nil {
-		p.errs[i] = fmt.Errorf("portfolio: row %s: %w", p.specs[i].study, err)
-		return
-	}
-	row := &table9Pending{i: i, runs: runs}
-	items := make([]table9Sim, 0, 2*len(runs.windows)*len(s.Policies))
-	for w := range runs.windows {
-		for pi := range s.Policies {
-			items = append(items, table9Sim{row: row, i: pi, w: w})
-			if !runs.exact[w] {
-				items = append(items, table9Sim{row: row, i: pi, w: w, est: true})
+	for w := range r.windows {
+		for i, pol := range r.s.Policies {
+			add(fmt.Sprintf("w%d/%s", w, pol.Name()), i, w, false)
+			if r.est[w] != nil {
+				add(fmt.Sprintf("w%d/%s/est", w, pol.Name()), i, w, true)
 			}
 		}
 	}
-	if len(items) == 0 {
-		p.finish(row)
-		return
+	_, errs := exec.Run(ctx, &p, exec.Options[struct{}]{})
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
 	}
-	row.left.Store(int32(len(items)))
-	p.items = items
+	return nil
 }
 
-// finish computes a row whose simulations are all done and drops its
-// windows.
-func (p *table9Pool) finish(row *table9Pending) {
-	p.rows[row.i], p.errs[row.i] = p.result(row)
-	row.runs = nil
-}
-
-// result runs row's portfolio and static baselines over its window runs and
-// derives the Table 9 row.
-func (p *table9Pool) result(row *table9Pending) (Table9Row, error) {
-	spec, s, runs := p.specs[row.i], row.runs.s, row.runs
-	res, err := s.run(runs)
-	if err != nil {
-		return Table9Row{}, fmt.Errorf("portfolio: row %s: %w", spec.study, err)
-	}
-	if p.onRow != nil {
-		p.onRow(row.i, res, runs)
-	}
-	baselines, err := s.staticBaselines(runs)
-	if err != nil {
-		return Table9Row{}, fmt.Errorf("portfolio: row %s baselines: %w", spec.study, err)
-	}
-
+// table9Result derives a row of Table 9 from its portfolio's mean slowdown
+// and the static baselines of the policies in order.
+func table9Result(spec table9Spec, portfolio float64, baselines map[string]float64, order []sched.Policy) Table9Row {
 	out := Table9Row{
 		Study:       spec.study,
 		Workload:    classesLabel(spec.classes),
 		Environment: kindsLabel(spec.envKinds),
-		Portfolio:   res.MeanSlowdown,
+		Portfolio:   portfolio,
 		NewQuestion: spec.newQuestion,
 	}
-	out.BestStatic, out.WorstStatic = bestWorst(baselines, s.Policies, &out.BestPolicy, &out.WorstPolicy)
+	out.BestStatic, out.WorstStatic = bestWorst(baselines, order, &out.BestPolicy, &out.WorstPolicy)
 	if out.BestStatic > 0 {
 		out.SelectionRegret = out.Portfolio/out.BestStatic - 1
 	}
 	out.Finding = verdict(out)
-	return out, nil
+	return out
 }
 
 // table9Row builds study row i's trace (derived seed, compressed submits)

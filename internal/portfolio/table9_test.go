@@ -1,6 +1,9 @@
 package portfolio
 
 import (
+	"context"
+	"errors"
+	"runtime"
 	"testing"
 
 	"atlarge/internal/cluster"
@@ -71,30 +74,52 @@ func TestVerdictBands(t *testing.T) {
 	}
 }
 
-// TestRunTable9WorkersDeterministic pins the simulation pool's guarantee:
-// any worker count, including more workers than rows, yields identical rows
-// for the same config (per-window derived seeds, order-indexed collection).
+// TestRunTable9WorkersDeterministic pins Table 9's guarantee: any
+// GOMAXPROCS, and so any number of exec workers, including more than a
+// row's simulations, yields identical rows for the same config (per-window
+// derived seeds, one slot per simulation). Under the race detector it
+// covers concurrent fills of the window memo's slots.
 func TestRunTable9WorkersDeterministic(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	cfg := Table9Config{JobsPerRow: 21, WindowSize: 7, LoadFactor: 10, Seed: 3}
-	cfg.Workers = 1
-	seq, err := RunTable9(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, workers := range []int{2, 3, 16} {
-		cfg.Workers = workers
-		par, err := RunTable9(cfg)
+	var seq []Table9Row
+	for _, procs := range []int{1, 2, 3, 16} {
+		runtime.GOMAXPROCS(procs)
+		rows, err := RunTable9(context.Background(), cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(seq) != len(par) {
-			t.Fatalf("%d workers: row counts differ: %d vs %d", workers, len(seq), len(par))
+		if procs == 1 {
+			seq = rows
+			continue
+		}
+		if len(seq) != len(rows) {
+			t.Fatalf("GOMAXPROCS %d: row counts differ: %d vs %d", procs, len(seq), len(rows))
 		}
 		for i := range seq {
-			if seq[i] != par[i] {
-				t.Errorf("%d workers: row %d differs:\n  seq %+v\n  par %+v", workers, i, seq[i], par[i])
+			if seq[i] != rows[i] {
+				t.Errorf("GOMAXPROCS %d: row %d differs:\n  seq %+v\n  par %+v", procs, i, seq[i], rows[i])
 			}
 		}
+	}
+}
+
+// TestRunTable9CancelStopsBetweenRows cancels Table 9 once its first row is
+// computed: the next row's simulations are skipped, so the run returns the
+// cancellation and computes no further row.
+func TestRunTable9CancelStopsBetweenRows(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	seen := 0
+	_, err := runTable9(ctx, Table9Config{JobsPerRow: 21, WindowSize: 7, LoadFactor: 10, Seed: 3}, func(int, *Result, *windowRuns) {
+		seen++
+		cancel()
+	})
+	if !errors.Is(err, context.Canceled) {
+		t.Errorf("err = %v, want context.Canceled", err)
+	}
+	if seen != 1 {
+		t.Errorf("%d rows computed, want 1", seen)
 	}
 }
 
@@ -128,8 +153,8 @@ func TestTable9SpecsShape(t *testing.T) {
 func TestTable9Verdicts(t *testing.T) {
 	if testing.Short() || raceEnabled {
 		// Ten default Table 9 runs take ~6 s, and ~100 s under the race
-		// detector; TestRunTable9WorkersDeterministic covers the row pool's
-		// concurrency.
+		// detector; TestRunTable9WorkersDeterministic covers the
+		// concurrent window simulations.
 		t.Skip("runs the default Table 9 at ten seeds")
 	}
 	const seeds = 10
@@ -137,7 +162,7 @@ func TestTable9Verdicts(t *testing.T) {
 	for seed := int64(0); seed < seeds; seed++ {
 		cfg := DefaultTable9Config()
 		cfg.Seed = seed
-		rows, err := RunTable9(cfg)
+		rows, err := RunTable9(context.Background(), cfg)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -153,6 +153,87 @@ func TestPlanted(t *testing.T) { _ = Planted() }
 	})
 }
 
+// goStatementAllowlist names the packages of the module whose non-test
+// files may start goroutines, each with its reason. Everywhere else,
+// independent work is a task of an exec plan, so the executor bounds how
+// much of it runs at once, recovers its panics and skips it on
+// cancellation.
+var goStatementAllowlist = map[string]string{
+	"atlarge/internal/exec": "the pool: its workers and the goroutine that closes the event stream",
+	"atlarge/internal/dist": "the dispatcher's client streams and the worker's heartbeats",
+	"atlarge/internal/api":  "one runner goroutine per job",
+}
+
+// TestNoGoStatements fails on every go statement of a non-test file of the
+// module outside the allowlisted packages.
+func TestNoGoStatements(t *testing.T) {
+	findings, stale, err := checkGoStatements(".", goStatementAllowlist)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range findings {
+		t.Errorf("%s: go statement: run the work as exec plan tasks, or allowlist the package with a reason", f)
+	}
+	for _, pkg := range stale {
+		t.Errorf("stale allowlist entry: %s starts no goroutine", pkg)
+	}
+
+	t.Run("planted", func(t *testing.T) {
+		dir := t.TempDir()
+		writeModule(t, dir, map[string]string{
+			"go.mod":          "module m\n\ngo 1.24\n",
+			"pool/pool.go":    "package pool\n\nfunc Run(f func()) { go f() }\n",
+			"lib/lib.go":      "package lib\n\nfunc Fan(f func()) {\n\tgo f()\n}\n",
+			"lib/lib_test.go": "package lib\n\nfunc spawn(f func()) { go f() }\n",
+			"idle/idle.go":    "package idle\n\nfunc Noop() {}\n",
+		})
+		allow := map[string]string{"m/pool": "the pool", "m/idle": "no longer"}
+		findings, stale, err := checkGoStatements(dir, allow)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(findings) != 1 || !strings.HasSuffix(findings[0], filepath.Join("lib", "lib.go")+":4:2") {
+			t.Errorf("findings = %v, want exactly lib/lib.go:4:2", findings)
+		}
+		if len(stale) != 1 || stale[0] != "m/idle" {
+			t.Errorf("stale = %v, want m/idle", stale)
+		}
+	})
+}
+
+// checkGoStatements returns the position of every go statement in a
+// non-test file of the module at root whose package allow does not list,
+// and the allowlisted packages that start no goroutine.
+func checkGoStatements(root string, allow map[string]string) (findings, stale []string, err error) {
+	fset, files, err := parseSources(root)
+	if err != nil {
+		return nil, nil, err
+	}
+	used := map[string]bool{}
+	for _, sf := range files {
+		if !sf.mainModule {
+			continue
+		}
+		ast.Inspect(sf.ast, func(n ast.Node) bool {
+			if g, ok := n.(*ast.GoStmt); ok {
+				if _, ok := allow[sf.pkg]; ok {
+					used[sf.pkg] = true
+				} else {
+					findings = append(findings, fset.Position(g.Pos()).String())
+				}
+			}
+			return true
+		})
+	}
+	for pkg := range allow {
+		if !used[pkg] {
+			stale = append(stale, pkg)
+		}
+	}
+	sort.Strings(stale)
+	return findings, stale, nil
+}
+
 func writeModule(t *testing.T, dir string, files map[string]string) {
 	t.Helper()
 	for name, src := range files {
@@ -185,20 +266,18 @@ type srcDecl struct {
 	reached    bool
 }
 
-// checkTestOnlyExports parses every non-test .go file under root (every
-// module found there, testdata and dot-directories skipped) and walks what
-// production code reaches by name from each main and init function, each
-// blank-named value and each allowlisted key. A plain identifier reaches the
-// top-level declaration of that name in its own package, pkg.Name reaches
-// Name in the imported package, and a method is reached when its type is and
-// some reached code selects its name; matching by bare name lets a
-// test-only method through when reached code selects a namesake. It returns
-// the exported declarations of the root module left unreached and the stale
-// allowlist entries: keys that name no declaration or that the walk reaches
-// without the allowlist.
-func checkTestOnlyExports(root string, allow map[string]string) ([]testOnlyFinding, []string, error) {
+// srcFile is one parsed non-test .go file.
+type srcFile struct {
+	ast        *ast.File
+	pkg        string // import path
+	mainModule bool   // in the module at the scan root, not a nested one
+}
+
+// parseSources parses every non-test .go file under root: every module
+// found there, testdata and dot-directories skipped.
+func parseSources(root string) (*token.FileSet, []srcFile, error) {
 	modules := map[string]string{} // module dir -> module path
-	var files []string
+	var paths []string
 	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
 			return err
@@ -222,7 +301,7 @@ func checkTestOnlyExports(root string, allow map[string]string) ([]testOnlyFindi
 				}
 			}
 		case strings.HasSuffix(name, ".go") && !strings.HasSuffix(name, "_test.go"):
-			files = append(files, path)
+			paths = append(paths, path)
 		}
 		return nil
 	})
@@ -230,16 +309,39 @@ func checkTestOnlyExports(root string, allow map[string]string) ([]testOnlyFindi
 		return nil, nil, err
 	}
 	fset := token.NewFileSet()
-	byKey := map[string]*srcDecl{}
-	methodsOf := map[string][]*srcDecl{} // receiver type key -> its methods
-	methodsNamed := map[string][]*srcDecl{}
-	var roots []*srcDecl
-	for _, path := range files {
+	files := make([]srcFile, 0, len(paths))
+	for _, path := range paths {
 		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
 		if err != nil {
 			return nil, nil, err
 		}
 		pkg, mdir := packagePath(modules, root, filepath.Dir(path))
+		files = append(files, srcFile{ast: f, pkg: pkg, mainModule: mdir == root})
+	}
+	return fset, files, nil
+}
+
+// checkTestOnlyExports walks, over the files parseSources finds under root,
+// what production code reaches by name from each main and init function, each
+// blank-named value and each allowlisted key. A plain identifier reaches the
+// top-level declaration of that name in its own package, pkg.Name reaches
+// Name in the imported package, and a method is reached when its type is and
+// some reached code selects its name; matching by bare name lets a
+// test-only method through when reached code selects a namesake. It returns
+// the exported declarations of the root module left unreached and the stale
+// allowlist entries: keys that name no declaration or that the walk reaches
+// without the allowlist.
+func checkTestOnlyExports(root string, allow map[string]string) ([]testOnlyFinding, []string, error) {
+	fset, files, err := parseSources(root)
+	if err != nil {
+		return nil, nil, err
+	}
+	byKey := map[string]*srcDecl{}
+	methodsOf := map[string][]*srcDecl{} // receiver type key -> its methods
+	methodsNamed := map[string][]*srcDecl{}
+	var roots []*srcDecl
+	for _, sf := range files {
+		f, pkg := sf.ast, sf.pkg
 		imports := map[string]string{}
 		for _, imp := range f.Imports {
 			ipath := strings.Trim(imp.Path.Value, `"`)
@@ -251,7 +353,7 @@ func checkTestOnlyExports(root string, allow map[string]string) ([]testOnlyFindi
 		}
 		add := func(recv string, id *ast.Ident, node ast.Node) {
 			d := &srcDecl{key: pkg + "." + id.Name, pkg: pkg, recv: recv, name: id.Name,
-				exported: id.IsExported(), mainModule: mdir == root, pos: fset.Position(node.Pos()), node: node, imports: imports}
+				exported: id.IsExported(), mainModule: sf.mainModule, pos: fset.Position(node.Pos()), node: node, imports: imports}
 			if recv != "" {
 				d.key = pkg + "." + recv + "." + id.Name
 				methodsOf[pkg+"."+recv] = append(methodsOf[pkg+"."+recv], d)
