@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-short lint fmt vet bench bench-base bench-compare bench-e2e-test run-all determinism fuzz loc clean
+.PHONY: all build test test-short lint fmt vet bench bench-base bench-compare bench-e2e-test run-all determinism quickstart fuzz loc clean
 
 all: build lint test
 
@@ -63,11 +63,16 @@ bench-e2e-test:
 run-all:
 	$(GO) run ./cmd/atlarge run --all --parallel 4
 
-# Repeat the determinism, parity and fingerprint tests five times in one
-# process each: a result that follows map iteration order passes a single
-# run by chance far more often than five.
+# Repeat the determinism, parity and fingerprint tests of every package five
+# times in one process each: a result that follows map iteration order
+# passes a single run by chance far more often than five.
 determinism:
-	$(GO) test -count=5 -run 'Determinism|Deterministic|Parity|Fingerprint' ./internal/sim ./internal/p2p ./internal/mmog ./internal/sched ./internal/portfolio ./internal/workload ./internal/graphproc ./internal/biblio ./internal/autoscale ./internal/scenario .
+	$(GO) test -count=5 -run 'Determinism|Deterministic|Parity|Fingerprint' ./...
+
+# Run the library example, the one caller of the framework re-exports that
+# atlarge.go keeps as public API.
+quickstart:
+	$(GO) run ./examples/quickstart
 
 # Fuzz the population merge queue against heap4, the scenario spec boundary
 # (parse, validate, expand), the sweep checkpoint loader, the sched block

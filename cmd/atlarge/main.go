@@ -7,11 +7,11 @@
 //	atlarge run [experiment ...] [--all] [--seed N] [--parallel P] [--replicas R] [--format text|json] [--progress] [--timeout D] [--trace-dir DIR] [--trace-wall]
 //	atlarge serve [--addr HOST:PORT] [--parallel P] [--rate R] [--burst B] [--queue-depth Q] [--max-jobs J] [--state-dir DIR] [--workers H1,H2] [--pprof] [--kernel-profile]
 //	atlarge worker [--listen HOST:PORT] [--parallel P]
-//	atlarge trace <experiment-id> [--seed N] [--dir DIR] [--wall] [--events N]
-//	atlarge trace --spec <spec.json> [--cell ID] [--seed N] [--dir DIR] [--wall] [--events N]
+//	atlarge trace <experiment-id> [--seed N] [--dir DIR] [--wall] [--timeout D]
+//	atlarge trace --spec <spec.json> [--cell ID] [--seed N] [--dir DIR] [--wall] [--timeout D]
 //	atlarge trace --validate <trace.json>
 //	atlarge scenario validate <spec.json> [--domain D]
-//	atlarge scenario run <spec.json> [--domain D] [--seed N] [--parallel P] [--replicas R] [--format text|json|csv] [--progress] [--timeout D]
+//	atlarge scenario run <spec.json> [--domain D] [--seed N] [--parallel P] [--replicas R] [--format text|json|csv] [--progress] [--timeout D] [--trace-dir DIR] [--trace-wall]
 //	atlarge scenario sweep <spec.json> [--domain D] [--seed N] [--parallel P] [--replicas R] [--format text|json|csv] [--progress] [--timeout D] [--checkpoint DIR] [--workers H1,H2] [--trace-dir DIR] [--trace-wall]
 //
 // Experiments: fig1 fig2 fig3 fig7 fig9 tab5 tab6 tab7 tab8 tab9 autoscale bdc
@@ -23,7 +23,14 @@
 // structured tables, series — see the README's Results API section).
 // --progress renders a live task-completion line on stderr as results
 // stream in, and --timeout aborts the run (cooperatively cancelling the
-// worker pool) after a duration.
+// worker pool) after a duration. --trace-dir DIR captures the run's kernel
+// traces and task spans as NDJSON (trace.ndjson) and Chrome trace-event
+// JSON (trace.json, loadable in ui.perfetto.dev) and prints the trace
+// summary and per-event-name profile tables on stderr; --trace-wall keeps
+// the nondeterministic wall-clock fields (handler ns, worker spans).
+// Virtual-time fields are deterministic: traces stay byte-identical across
+// reruns and at any --parallel. scenario run|sweep take the same two
+// flags.
 //
 // serve exposes the same results over HTTP: GET /v1/experiments (catalog),
 // GET /v1/run?ids=&seed=&replicas= (typed results, one run job per
@@ -42,16 +49,13 @@
 // submissions with 429 + a computed Retry-After once the pending-task queue
 // is that deep.
 //
-// trace runs one experiment or one scenario cell sequentially with the
-// kernel tracer and executor task spans attached, writes the capture as
-// NDJSON (trace.ndjson) and Chrome trace-event JSON (trace.json, loadable in
-// ui.perfetto.dev), and prints the per-event-name profile. Virtual-time
-// fields are deterministic — two traced runs of the same target and seed
-// produce byte-identical files; --wall opts into the nondeterministic
-// wall-clock fields (handler ns, worker spans). The same capture rides along
-// full runs via --trace-dir on `run` and `scenario sweep`, where traces stay
-// byte-identical at any --parallel. `trace --validate FILE` checks an
-// existing Chrome trace file (well-formed, monotone per-track timestamps).
+// trace is a shorthand for a traced single run: `trace <exp> --dir D` is
+// `run <exp> --parallel 1 --replicas 1 --trace-dir D` and `trace --spec F
+// --cell C --dir D` is `scenario sweep F --parallel 1 --replicas 1
+// --trace-dir D` over the one cell C, each writing the same files with the
+// report left out and the summary and profile tables on stdout; --wall is
+// --trace-wall. `trace --validate FILE` checks an existing Chrome trace
+// file (well-formed, monotone per-track timestamps).
 //
 // scenario sweep --checkpoint DIR persists every completed (cell, replica)
 // result under DIR as it finishes and resumes from there on a rerun: an
@@ -87,7 +91,6 @@ package main
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -103,7 +106,6 @@ import (
 	"atlarge/internal/api"
 	"atlarge/internal/dist"
 	"atlarge/internal/exec"
-	"atlarge/internal/obs"
 	"atlarge/internal/scenario"
 )
 
@@ -151,7 +153,7 @@ func run(args []string) error {
 
 func runTo(w io.Writer, args []string) error {
 	if len(args) == 0 {
-		return fmt.Errorf("usage: atlarge <list|run|serve|worker|scenario> [args] (see 'go doc atlarge/cmd/atlarge')")
+		return fmt.Errorf("usage: atlarge <list|run|trace|serve|worker|scenario> [args] (see 'go doc atlarge/cmd/atlarge')")
 	}
 	switch args[0] {
 	case "list":
@@ -191,90 +193,20 @@ func runTo(w io.Writer, args []string) error {
 		return runTrace(w, args[1:])
 	case "run":
 		fs := newFlagSet("run")
-		var (
-			all       = fs.Bool("all", false, "run the full experiment catalog")
-			seed      = fs.Int64("seed", 42, "base seed for per-experiment seed derivation")
-			parallel  = fs.Int("parallel", 0, "worker pool size (0 = GOMAXPROCS)")
-			replicas  = fs.Int("replicas", 1, "replicas per experiment, aggregated as mean±95% CI")
-			format    = fs.String("format", "text", "output format: text or json")
-			progress  = fs.Bool("progress", false, "live task ticker on stderr: completions, tasks/sec, queue depth")
-			timeout   = fs.Duration("timeout", 0, "abort the run after this duration (0 = no limit)")
-			traceDir  = fs.String("trace-dir", "", "capture kernel traces and task spans, written as trace.ndjson + trace.json under DIR")
-			traceWall = fs.Bool("trace-wall", false, "include nondeterministic wall-clock fields in the captured trace")
-		)
-		ids, err := parseInterleaved(fs, args[1:])
+		all := fs.Bool("all", false, "run the full experiment catalog")
+		o := runOpts{name: "run", seed: 42, replicas: 1, info: os.Stderr}
+		o.bind(fs, "base seed for per-experiment seed derivation", "replicas per experiment, aggregated as mean±95% CI", "text", "json")
+		ids, err := o.parse(fs, args[1:])
 		if err != nil {
 			return err
-		}
-		if *format != "text" && *format != "json" {
-			return fmt.Errorf("unknown format %q (want text or json)", *format)
 		}
 		if len(ids) == 1 && ids[0] == "all" {
 			ids = nil
-			*all = true
 		}
-		if len(ids) == 0 {
-			*all = true
-		}
-		if *all {
+		if *all || len(ids) == 0 {
 			ids = atlarge.Experiments()
 		}
-
-		ctx, cancel := withTimeout(*timeout)
-		defer cancel()
-		runner := &atlarge.Runner{Parallelism: *parallel, Replicas: *replicas}
-		if *progress {
-			stats := &exec.Stats{}
-			runner.Stats = stats
-			runner.Progress = progressLine(os.Stderr, "run", stats)
-		}
-		var col *obs.Collector
-		var spans *obs.SpanLog
-		if *traceDir != "" {
-			col = &obs.Collector{}
-			restore := col.Install()
-			defer restore()
-			spans = &obs.SpanLog{}
-			runner.SpanObserver = spans.Observe
-		}
-		results, err := runner.RunContext(ctx, ids, *seed)
-		if err != nil {
-			// The joined error is preserved: it names any experiment that
-			// genuinely failed before the deadline, not just the timeout.
-			if ctx.Err() != nil {
-				return fmt.Errorf("run aborted after --timeout %v: %w", *timeout, err)
-			}
-			return err
-		}
-		if col != nil {
-			tr := &obs.Trace{
-				Target:   "run",
-				Seed:     *seed,
-				Sections: col.Sections(taskSeedMap(*seed, ids, *replicas)),
-				Spans:    spans.Sorted(),
-				Wall:     *traceWall,
-			}
-			if err := writeTraceFiles(os.Stderr, tr, *traceDir); err != nil {
-				return err
-			}
-		}
-		if *format == "json" {
-			return atlarge.NewRunDocument(*seed, results).WriteJSON(w)
-		}
-		for _, res := range results {
-			fmt.Fprintf(w, "== %s: %s ==\n", res.ID, res.Title)
-			if err := res.Report.WriteText(w, "  "); err != nil {
-				return err
-			}
-			if res.Aggregate != nil {
-				fmt.Fprintf(w, "  -- aggregate over %d replicas (mean±95%% CI) --\n", len(res.Reports))
-				if err := res.Aggregate.WriteText(w, "  "); err != nil {
-					return err
-				}
-			}
-			fmt.Fprintln(w)
-		}
-		return nil
+		return runExperiments(w, o, ids)
 	case "serve":
 		fs := newFlagSet("serve")
 		var (
@@ -440,9 +372,175 @@ func progressLine(w io.Writer, label string, stats *exec.Stats) func(done, total
 	}
 }
 
+// runOpts are the settings of one run of work, shared by the two run
+// paths: runExperiments (run, trace <experiment>) and runSweep (scenario
+// run|sweep, trace --spec).
+type runOpts struct {
+	name      string // command name on the progress line and the --timeout error
+	seed      int64
+	seedSet   bool // --seed was given; sweeps otherwise keep the spec's seed
+	parallel  int
+	replicas  int
+	format    string   // "" renders no report
+	formats   []string // the --format values bind accepts
+	progress  bool
+	timeout   time.Duration
+	traceDir  string    // "" captures no trace
+	traceWall bool      // the trace keeps its wall-clock fields
+	info      io.Writer // receives the trace summary and profile tables
+
+	// Sweeps only.
+	checkpoint string
+	workers    []string
+}
+
+// bind registers the shared flags of run and scenario run|sweep on fs; the
+// seed and replicas defaults are o's, and --format takes one of formats.
+func (o *runOpts) bind(fs *flag.FlagSet, seedUsage, replicasUsage string, formats ...string) {
+	o.formats = formats
+	fs.Int64Var(&o.seed, "seed", o.seed, seedUsage)
+	fs.IntVar(&o.parallel, "parallel", 0, "worker pool size (0 = GOMAXPROCS)")
+	fs.IntVar(&o.replicas, "replicas", o.replicas, replicasUsage)
+	fs.StringVar(&o.format, "format", formats[0], "output format: "+strings.Join(formats, ", "))
+	fs.BoolVar(&o.progress, "progress", false, "live task ticker on stderr: completions, tasks/sec, queue depth")
+	fs.DurationVar(&o.timeout, "timeout", 0, "abort the run after this duration (0 = no limit)")
+	fs.StringVar(&o.traceDir, "trace-dir", "", "capture kernel traces and task spans, written as trace.ndjson + trace.json under DIR")
+	fs.BoolVar(&o.traceWall, "trace-wall", false, "include nondeterministic wall-clock fields in the captured trace")
+}
+
+// parse parses args into fs with positionals allowed among the flags,
+// records whether --seed was given and checks --format when bind
+// registered it.
+func (o *runOpts) parse(fs *flag.FlagSet, args []string) ([]string, error) {
+	positionals, err := parseInterleaved(fs, args)
+	if err != nil {
+		return nil, err
+	}
+	fs.Visit(func(f *flag.Flag) {
+		if f.Name == "seed" {
+			o.seedSet = true
+		}
+	})
+	if o.formats != nil && !slices.Contains(o.formats, o.format) {
+		return nil, fmt.Errorf("unknown format %q (want %s)", o.format, strings.Join(o.formats, ", "))
+	}
+	return positionals, nil
+}
+
+// aborted names --timeout in err when the run's deadline cut it short. The
+// wrapped error still names any task that genuinely failed before the
+// deadline.
+func (o *runOpts) aborted(ctx context.Context, err error) error {
+	if ctx.Err() != nil {
+		return fmt.Errorf("%s aborted after --timeout %v: %w", o.name, o.timeout, err)
+	}
+	return err
+}
+
+// runExperiments runs catalog experiments on the parallel runner and renders
+// their reports.
+func runExperiments(w io.Writer, o runOpts, ids []string) error {
+	ctx, cancel := withTimeout(o.timeout)
+	defer cancel()
+	runner := &atlarge.Runner{Parallelism: o.parallel, Replicas: o.replicas}
+	if o.progress {
+		runner.Stats = &exec.Stats{}
+		runner.Progress = progressLine(os.Stderr, o.name, runner.Stats)
+	}
+	var results []atlarge.Result
+	err := o.capture(strings.Join(ids, ","), o.seed, ids, o.replicas, func(observe spanObserver) error {
+		runner.SpanObserver = observe
+		var err error
+		results, err = runner.RunContext(ctx, ids, o.seed)
+		return err
+	})
+	if err != nil {
+		return o.aborted(ctx, err)
+	}
+	switch o.format {
+	case "json":
+		return atlarge.NewRunDocument(o.seed, results).WriteJSON(w)
+	case "text":
+		for _, res := range results {
+			fmt.Fprintf(w, "== %s: %s ==\n", res.ID, res.Title)
+			if err := res.Report.WriteText(w, "  "); err != nil {
+				return err
+			}
+			if res.Aggregate != nil {
+				fmt.Fprintf(w, "  -- aggregate over %d replicas (mean±95%% CI) --\n", len(res.Reports))
+				if err := res.Aggregate.WriteText(w, "  "); err != nil {
+					return err
+				}
+			}
+			fmt.Fprintln(w)
+		}
+	}
+	return nil
+}
+
+// runSweep runs scenario cells of spec, in process or across o.workers, and
+// renders the comparative report. A trace of one cell is named after the
+// cell, a trace of several after the spec.
+func runSweep(w io.Writer, o runOpts, spec *scenario.Spec, cells []scenario.Scenario) error {
+	opt := scenario.Options{Replicas: o.replicas, Parallelism: o.parallel, Checkpoint: o.checkpoint}
+	if o.seedSet {
+		opt.Seed = &o.seed
+	}
+	if o.progress {
+		opt.Stats = &exec.Stats{}
+		opt.Progress = progressLine(os.Stderr, o.name, opt.Stats)
+	}
+	ctx, cancel := withTimeout(o.timeout)
+	defer cancel()
+	var dstats *dist.Stats
+	if len(o.workers) > 0 {
+		clients, err := dist.DialAll(ctx, o.workers)
+		if err != nil {
+			return err
+		}
+		dstats = &dist.Stats{}
+		if err := scenario.Distribute(&opt, spec, clients, dstats); err != nil {
+			return err
+		}
+	}
+	seed, replicas := scenario.Effective(spec, opt)
+	ids := make([]string, len(cells))
+	for i := range cells {
+		ids[i] = cells[i].ID()
+	}
+	target := spec.Name
+	if len(ids) == 1 {
+		target = ids[0]
+	}
+	var rep *scenario.Report
+	err := o.capture(target, seed, ids, replicas, func(observe spanObserver) error {
+		opt.SpanObserver = observe
+		var err error
+		rep, err = scenario.Run(ctx, spec, cells, opt)
+		return err
+	})
+	if dstats != nil {
+		if n := dstats.Redispatched(); n > 0 {
+			fmt.Fprintf(os.Stderr, "%s: %d task(s) re-dispatched after lost worker claims\n", o.name, n)
+		}
+	}
+	if err != nil {
+		return o.aborted(ctx, err)
+	}
+	switch o.format {
+	case "json":
+		return rep.WriteJSON(w)
+	case "csv":
+		return rep.WriteCSV(w)
+	case "text":
+		return rep.WriteText(w)
+	}
+	return nil
+}
+
 // runScenario dispatches the scenario subcommands: validate, run, sweep.
 func runScenario(w io.Writer, args []string) error {
-	usage := "usage: atlarge scenario <validate|run|sweep> <spec.json> [--domain D] [--seed N] [--parallel P] [--replicas R] [--format text|json|csv] [--progress] [--timeout D] [sweep: --checkpoint DIR --workers H1,H2 --trace-dir DIR --trace-wall]"
+	usage := "usage: atlarge scenario <validate|run|sweep> <spec.json> [--domain D] [--seed N] [--parallel P] [--replicas R] [--format text|json|csv] [--progress] [--timeout D] [--trace-dir DIR] [--trace-wall] [sweep: --checkpoint DIR --workers H1,H2]"
 	if len(args) == 0 {
 		return fmt.Errorf("%s", usage)
 	}
@@ -453,45 +551,28 @@ func runScenario(w io.Writer, args []string) error {
 	fs := newFlagSet("scenario " + sub)
 	var (
 		domain     = fs.String("domain", "", "simulation domain (fills a spec without one; must match a spec that declares one)")
-		seed       = fs.Int64("seed", 0, "base seed override (default: the spec's seed)")
-		parallel   = fs.Int("parallel", 0, "worker pool size (0 = GOMAXPROCS)")
-		replicas   = fs.Int("replicas", 0, "replicas per scenario (default: the spec's replicas)")
-		format     = fs.String("format", "text", "output format: text, json, or csv")
-		progress   = fs.Bool("progress", false, "live task ticker on stderr: completions, tasks/sec, queue depth")
-		timeout    = fs.Duration("timeout", 0, "abort the run after this duration (0 = no limit)")
 		checkpoint = fs.String("checkpoint", "", "sweep only: persist completed (cell, replica) results under this directory and resume from them")
 		workers    = fs.String("workers", "", "sweep only: comma-separated worker addresses (host:port); the sweep executes across them, byte-identically")
-		traceDir   = fs.String("trace-dir", "", "sweep only: capture kernel traces and task spans, written as trace.ndjson + trace.json under DIR")
-		traceWall  = fs.Bool("trace-wall", false, "include nondeterministic wall-clock fields in the captured trace")
 	)
-	paths, err := parseInterleaved(fs, args[1:])
+	o := runOpts{name: "scenario " + sub, info: os.Stderr}
+	o.bind(fs, "base seed override (default: the spec's seed)", "replicas per scenario (default: the spec's replicas)", "text", "json", "csv")
+	paths, err := o.parse(fs, args[1:])
 	if err != nil {
 		return err
 	}
-	seedSet := false
-	fs.Visit(func(f *flag.Flag) {
-		if f.Name == "seed" {
-			seedSet = true
-		}
-	})
 	if len(paths) != 1 {
 		return fmt.Errorf("scenario %s wants exactly one spec file, got %d\n%s", sub, len(paths), usage)
-	}
-	if *format != "text" && *format != "json" && *format != "csv" {
-		return fmt.Errorf("unknown format %q (want text, json, or csv)", *format)
 	}
 	if *checkpoint != "" && sub != "sweep" {
 		return fmt.Errorf("--checkpoint applies to 'scenario sweep' only")
 	}
-	if *traceDir != "" && sub != "sweep" {
-		return fmt.Errorf("--trace-dir applies to 'scenario sweep' only")
-	}
 	if *workers != "" && sub != "sweep" {
 		return fmt.Errorf("--workers applies to 'scenario sweep' only")
 	}
-	if *workers != "" && *traceDir != "" {
+	if *workers != "" && o.traceDir != "" {
 		return fmt.Errorf("--workers and --trace-dir are mutually exclusive (kernel events fire inside the worker processes, out of this process's tracer's reach)")
 	}
+	o.checkpoint, o.workers = *checkpoint, splitAddrs(*workers)
 
 	spec, err := scenario.Load(paths[0])
 	if err != nil {
@@ -518,88 +599,17 @@ func runScenario(w io.Writer, args []string) error {
 		}
 		fmt.Fprintf(w, "ok: spec %q expands to %d scenario(s)\n", spec.Name, len(cells))
 		return nil
-	case "run", "sweep":
-		var cells []scenario.Scenario
-		if sub == "run" {
-			single, err := scenario.Single(spec)
-			if err != nil {
-				return err
-			}
-			cells = []scenario.Scenario{*single}
-		} else {
-			if cells, err = scenario.Expand(spec); err != nil {
-				return err
-			}
-		}
-		opt := scenario.Options{Replicas: *replicas, Parallelism: *parallel, Checkpoint: *checkpoint}
-		if seedSet {
-			opt.Seed = seed
-		}
-		if *progress {
-			stats := &exec.Stats{}
-			opt.Stats = stats
-			opt.Progress = progressLine(os.Stderr, "scenario "+sub, stats)
-		}
-		var col *obs.Collector
-		var spans *obs.SpanLog
-		if *traceDir != "" {
-			col = &obs.Collector{}
-			restore := col.Install()
-			defer restore()
-			spans = &obs.SpanLog{}
-			opt.SpanObserver = spans.Observe
-		}
-		ctx, cancel := withTimeout(*timeout)
-		defer cancel()
-		var dstats *dist.Stats
-		if *workers != "" {
-			clients, err := dist.DialAll(ctx, splitAddrs(*workers))
-			if err != nil {
-				return err
-			}
-			dstats = &dist.Stats{}
-			if err := scenario.Distribute(&opt, spec, clients, dstats); err != nil {
-				return err
-			}
-		}
-		rep, err := scenario.Run(ctx, spec, cells, opt)
-		if dstats != nil {
-			if n := dstats.Redispatched(); n > 0 {
-				fmt.Fprintf(os.Stderr, "scenario %s: %d task(s) re-dispatched after lost worker claims\n", sub, n)
-			}
-		}
+	case "run":
+		single, err := scenario.Single(spec)
 		if err != nil {
-			if *timeout > 0 && errors.Is(err, context.DeadlineExceeded) {
-				return fmt.Errorf("scenario %s aborted after --timeout %v: %w", sub, *timeout, err)
-			}
 			return err
 		}
-		if col != nil {
-			effSeed, effReplicas := scenario.Effective(spec, opt)
-			ids := make([]string, len(cells))
-			for i := range cells {
-				ids[i] = cells[i].ID()
-			}
-			tr := &obs.Trace{
-				Target:   spec.Name,
-				Seed:     effSeed,
-				Sections: col.Sections(taskSeedMap(effSeed, ids, effReplicas)),
-				Spans:    spans.Sorted(),
-				Wall:     *traceWall,
-			}
-			if err := writeTraceFiles(os.Stderr, tr, *traceDir); err != nil {
-				return err
-			}
-		}
-		switch *format {
-		case "json":
-			return rep.WriteJSON(w)
-		case "csv":
-			return rep.WriteCSV(w)
-		default:
-			return rep.WriteText(w)
-		}
+		return runSweep(w, o, spec, []scenario.Scenario{*single})
 	default:
-		return fmt.Errorf("unknown scenario subcommand %q\n%s", sub, usage)
+		cells, err := scenario.Expand(spec)
+		if err != nil {
+			return err
+		}
+		return runSweep(w, o, spec, cells)
 	}
 }

@@ -33,7 +33,7 @@ func doReq(t *testing.T, method, url, body string) (*http.Response, errorEnvelop
 // checks the one envelope shape: {"error": {"code", "message"}} with the
 // expected status and stable machine-readable code.
 func TestErrorEnvelopeShape(t *testing.T) {
-	srv := httptest.NewServer(New(Config{Registry: testRegistry(t), Parallelism: 2, MaxReplicas: 8, MaxCells: 4}))
+	srv := httptest.NewServer(New(Config{Registry: testRegistry(t), Parallelism: 2}))
 	defer srv.Close()
 
 	cases := []struct {
@@ -43,13 +43,15 @@ func TestErrorEnvelopeShape(t *testing.T) {
 	}{
 		{"bad seed", "GET", "/v1/run?seed=x", "", http.StatusBadRequest, errBadRequest},
 		{"bad replicas", "GET", "/v1/run?replicas=x", "", http.StatusBadRequest, errBadRequest},
-		{"replicas out of range", "GET", "/v1/run?replicas=99", "", http.StatusBadRequest, errBadRequest},
+		{"replicas out of range", "GET", "/v1/run?replicas=65", "", http.StatusBadRequest, errBadRequest},
 		{"unknown experiment", "GET", "/v1/run?ids=nope", "", http.StatusNotFound, errNotFound},
 		{"stream bad seed", "GET", "/v1/run/stream?seed=x", "", http.StatusBadRequest, errBadRequest},
 		{"sweep bad spec", "POST", "/v1/scenario/sweep", "{", http.StatusBadRequest, errBadRequest},
 		{"sweep bad async", "POST", "/v1/scenario/sweep?async=maybe", sweepSpecBody, http.StatusBadRequest, errBadRequest},
 		{"sweep removed async", "POST", "/v1/scenario/sweep?async=true", sweepSpecBody, http.StatusBadRequest, errBadRequest},
 		{"sweep bad seed", "POST", "/v1/scenario/sweep?seed=x", sweepSpecBody, http.StatusBadRequest, errBadRequest},
+		{"sweep too many cells", "POST", "/v1/scenario/sweep", oversizedSweepSpec(), http.StatusBadRequest, errBadRequest},
+		{"sweep too many replicas", "POST", "/v1/scenario/sweep?replicas=65", sweepSpecBody, http.StatusBadRequest, errBadRequest},
 		{"sweep body too large", "POST", "/v1/scenario/sweep", `{"pad": "` + strings.Repeat("x", maxSpecBytes+1) + `"}`, http.StatusRequestEntityTooLarge, errPayloadTooLarge},
 		{"job body too large", "POST", "/v1/jobs", `{"kind": "sweep", "spec": {"pad": "` + strings.Repeat("x", maxSpecBytes+1) + `"}}`, http.StatusRequestEntityTooLarge, errPayloadTooLarge},
 		{"job bad body", "POST", "/v1/jobs", "not json", http.StatusBadRequest, errBadRequest},

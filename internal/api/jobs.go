@@ -179,7 +179,7 @@ func (j *job) profileDoc() jobProfileDoc {
 }
 
 // progress records one streamed task completion. A run also logs the
-// task's ID for streams to relay; it has at most MaxReplicas tasks.
+// task's ID for streams to relay; it has at most maxReplicas tasks.
 func (j *job) progress(done, total int, id string) {
 	j.mu.Lock()
 	defer j.mu.Unlock()

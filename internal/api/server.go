@@ -32,6 +32,9 @@ import (
 // KiB, so 1 MiB is generous while keeping the server un-OOM-able.
 const maxSpecBytes = 1 << 20
 
+// maxReplicas bounds the replicas of one run or sweep request.
+const maxReplicas = 64
+
 // Config tunes a Server.
 type Config struct {
 	// Registry supplies the experiment catalog; nil means the default
@@ -40,14 +43,6 @@ type Config struct {
 	// Parallelism bounds the worker pool behind each job; <= 0 means
 	// GOMAXPROCS.
 	Parallelism int
-	// MaxReplicas rejects run requests asking for more replicas; <= 0
-	// means 64.
-	MaxReplicas int
-	// MaxCells rejects sweep specs whose axis cardinalities alone multiply
-	// to more cells, before any cell is materialized; <= 0 means 4096.
-	// Values above 4096 (the scenario engine's own hard expansion bound)
-	// are clamped to it.
-	MaxCells int
 	// MaxJobs bounds the running jobs POST /v1/jobs submissions hold; work
 	// a request waits on is bounded by Rate and QueueDepth instead. <= 0
 	// means 4.
@@ -156,12 +151,6 @@ type Server struct {
 func New(cfg Config) *Server {
 	if cfg.Registry == nil {
 		cfg.Registry = atlarge.DefaultRegistry()
-	}
-	if cfg.MaxReplicas <= 0 {
-		cfg.MaxReplicas = 64
-	}
-	if cfg.MaxCells <= 0 || cfg.MaxCells > scenario.MaxCells {
-		cfg.MaxCells = scenario.MaxCells
 	}
 	if cfg.MaxJobs <= 0 {
 		cfg.MaxJobs = 4
@@ -415,8 +404,8 @@ func (s *Server) parseRunQuery(w http.ResponseWriter, r *http.Request) (ids []st
 		writeError(w, http.StatusBadRequest, errBadRequest, "bad replicas: %v", err)
 		return nil, 0, 0, false
 	}
-	if replicas < 1 || replicas > s.cfg.MaxReplicas {
-		writeError(w, http.StatusBadRequest, errBadRequest, "replicas must be in 1..%d", s.cfg.MaxReplicas)
+	if replicas < 1 || replicas > maxReplicas {
+		writeError(w, http.StatusBadRequest, errBadRequest, "replicas must be in 1..%d", maxReplicas)
 		return nil, 0, 0, false
 	}
 	ids = splitIDs(q.Get("ids"))
@@ -567,13 +556,14 @@ func (s *Server) runWorks(ids []string, seed int64, replicas int) []jobWork {
 }
 
 // sweepWork applies the checks shared by both sweep entry points (sync and
-// /v1/jobs) — a usable state dir, the replica and cell bounds — and
-// resolves the sweep job, writing the error response itself on failure. The effective replica count (request, else
-// spec, else 1) is bounded, so a spec body declaring a huge "replicas" is
-// rejected exactly like a huge request parameter; the cell bound is
-// enforced from the sweep's axis cardinalities alone, before any cell is
-// materialized, so a degenerate spec cannot make the server allocate its
-// cross-product.
+// /v1/jobs) — a usable state dir, the replica bound, a valid spec — and
+// resolves the sweep job, writing the error response itself on failure.
+// The effective replica count (request, else spec, else 1) is bounded, so a
+// spec body declaring a huge "replicas" is rejected exactly like a huge
+// request parameter. scenario.Expand validates the spec first, and
+// validation bounds the sweep at scenario.MaxCells from its axis
+// cardinalities alone, so a degenerate spec cannot make the server allocate
+// its cross-product.
 func (s *Server) sweepWork(w http.ResponseWriter, spec *scenario.Spec, seed *int64, replicas int) (jobWork, bool) {
 	if s.storeErr != nil {
 		// Refuse rather than silently accepting volatile work on a server
@@ -582,13 +572,8 @@ func (s *Server) sweepWork(w http.ResponseWriter, spec *scenario.Spec, seed *int
 		return jobWork{}, false
 	}
 	eff, replicas := scenario.Effective(spec, scenario.Options{Seed: seed, Replicas: replicas})
-	if replicas > s.cfg.MaxReplicas {
-		writeError(w, http.StatusBadRequest, errBadRequest, "replicas must be in 1..%d", s.cfg.MaxReplicas)
-		return jobWork{}, false
-	}
-	if size := scenario.SweepSize(spec); size > s.cfg.MaxCells {
-		writeError(w, http.StatusBadRequest, errBadRequest,
-			"sweep axis cardinalities multiply to more than this server's limit of %d cells; split the sweep", s.cfg.MaxCells)
+	if replicas > maxReplicas {
+		writeError(w, http.StatusBadRequest, errBadRequest, "replicas must be in 1..%d", maxReplicas)
 		return jobWork{}, false
 	}
 	cells, err := scenario.Expand(spec)
@@ -636,7 +621,7 @@ func (s *Server) parseSweepRequest(w http.ResponseWriter, r *http.Request) (jobW
 	if raw := q.Get("replicas"); raw != "" {
 		replicas, err = strconv.Atoi(raw)
 		if err != nil || replicas < 1 {
-			writeError(w, http.StatusBadRequest, errBadRequest, "replicas must be in 1..%d", s.cfg.MaxReplicas)
+			writeError(w, http.StatusBadRequest, errBadRequest, "replicas must be in 1..%d", maxReplicas)
 			return jobWork{}, false
 		}
 	}
@@ -705,7 +690,7 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if req.Replicas < 0 {
-		writeError(w, http.StatusBadRequest, errBadRequest, "replicas must be in 1..%d", s.cfg.MaxReplicas)
+		writeError(w, http.StatusBadRequest, errBadRequest, "replicas must be in 1..%d", maxReplicas)
 		return
 	}
 	spec, err := scenario.Parse(bytes.NewReader(req.Spec))

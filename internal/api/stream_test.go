@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -163,35 +164,43 @@ func TestServeAsyncSweepCancel(t *testing.T) {
 	}
 }
 
-// TestServeSweepCellBound: a spec whose axis cardinalities multiply past
-// the server's cell limit is rejected up front — including the degenerate
-// many-axis case whose raw product would overflow — without expanding.
-func TestServeSweepCellBound(t *testing.T) {
-	srv := httptest.NewServer(New(Config{MaxCells: 4}))
-	defer srv.Close()
-	spec := `{"version": 2, "name": "big", "domain": "sched",
+// oversizedSweepSpec sweeps jobs × machines × cores over 65 values each:
+// 274,625 cells, far past scenario.MaxCells.
+func oversizedSweepSpec() string {
+	values := make([]string, 65)
+	for i := range values {
+		values[i] = strconv.Itoa(i + 1)
+	}
+	list := "[" + strings.Join(values, ", ") + "]"
+	return `{"version": 2, "name": "big", "domain": "sched", "policy": "sjf",
 		"workload": {"class": "syn", "jobs": 8},
-		"sweep": {"policy": ["sjf", "fcfs", "random"], "load": [0.1, 0.2, 0.3]}}`
-	resp, err := http.Post(srv.URL+"/v1/scenario/sweep", "application/json", strings.NewReader(spec))
+		"sweep": {"jobs": ` + list + `, "machines": ` + list + `, "cores": ` + list + `}}`
+}
+
+// assertNoJobs fails when the server holds any job: a refused request ran
+// no work.
+func assertNoJobs(t *testing.T, url string) {
+	t.Helper()
+	resp, err := http.Get(url + "/v1/jobs")
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer resp.Body.Close()
 	body := readAll(t, resp)
-	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(body, "limit of 4 cells") {
-		t.Errorf("oversized sweep: status %d body %s", resp.StatusCode, body)
+	resp.Body.Close()
+	var list struct{ Jobs []json.RawMessage }
+	if err := json.Unmarshal([]byte(body), &list); err != nil || len(list.Jobs) != 0 {
+		t.Errorf("refused requests left jobs behind (err %v): %s", err, body)
 	}
 }
 
-// TestServeSweepSpecReplicaBound: a spec body declaring a huge replica
-// count is rejected exactly like a huge ?replicas= query — the bound covers
-// both sources, before any work is scheduled.
-func TestServeSweepSpecReplicaBound(t *testing.T) {
-	srv := httptest.NewServer(New(Config{MaxReplicas: 8}))
+// TestServeSweepCellBound: a spec whose axis cardinalities multiply past
+// scenario.MaxCells is refused with a 400 on both sweep entry points before
+// any work runs — including the degenerate many-axis case whose raw
+// product would overflow — without expanding.
+func TestServeSweepCellBound(t *testing.T) {
+	srv := httptest.NewServer(New(Config{}))
 	defer srv.Close()
-	spec := `{"version": 2, "name": "hostile", "domain": "sched",
-		"policy": "sjf", "workload": {"class": "syn", "jobs": 4},
-		"replicas": 1000000}`
+	spec := oversizedSweepSpec()
 	for path, body := range map[string]string{
 		"/v1/scenario/sweep": spec,
 		"/v1/jobs":           `{"kind": "sweep", "spec": ` + spec + `}`,
@@ -202,12 +211,39 @@ func TestServeSweepSpecReplicaBound(t *testing.T) {
 		}
 		got := readAll(t, resp)
 		resp.Body.Close()
-		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(got, "replicas must be in 1..8") {
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(got, "more than 4096 scenarios") {
+			t.Errorf("%s: oversized sweep: status %d body %s", path, resp.StatusCode, got)
+		}
+	}
+	assertNoJobs(t, srv.URL)
+}
+
+// TestServeSweepSpecReplicaBound: a spec body declaring more replicas than
+// the bound is rejected exactly like a huge ?replicas= query — the bound
+// covers both sources, before any work is scheduled.
+func TestServeSweepSpecReplicaBound(t *testing.T) {
+	srv := httptest.NewServer(New(Config{}))
+	defer srv.Close()
+	spec := `{"version": 2, "name": "hostile", "domain": "sched",
+		"policy": "sjf", "workload": {"class": "syn", "jobs": 4},
+		"replicas": 65}`
+	for path, body := range map[string]string{
+		"/v1/scenario/sweep": spec,
+		"/v1/jobs":           `{"kind": "sweep", "spec": ` + spec + `}`,
+	} {
+		resp, err := http.Post(srv.URL+path, "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := readAll(t, resp)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(got, "replicas must be in 1..64") {
 			t.Errorf("%s: status %d body %s, want 400 replica bound", path, resp.StatusCode, got)
 		}
 	}
+	assertNoJobs(t, srv.URL)
 	// The spec's own replica count still works when it is within bounds.
-	ok := strings.Replace(spec, "1000000", "2", 1)
+	ok := strings.Replace(spec, "65", "2", 1)
 	resp, err := http.Post(srv.URL+"/v1/scenario/sweep", "application/json", strings.NewReader(ok))
 	if err != nil {
 		t.Fatal(err)

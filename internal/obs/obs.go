@@ -16,9 +16,11 @@ package obs
 import (
 	"fmt"
 	"sort"
+	"strconv"
 	"sync"
 	"time"
 
+	"atlarge"
 	"atlarge/internal/exec"
 	"atlarge/internal/sim"
 )
@@ -39,9 +41,6 @@ type KernelCapture struct {
 // concurrently, and each capture's tracer is then driven only by its
 // kernel's own goroutine.
 type Collector struct {
-	// MaxEvents bounds each kernel's TraceLog (0 means sim.DefaultTraceCap).
-	MaxEvents int
-
 	mu       sync.Mutex
 	captures []*KernelCapture
 	perSeed  map[int64]int
@@ -59,7 +58,7 @@ func (c *Collector) Install() (restore func()) {
 		kc := &KernelCapture{
 			Seed:    k.Seed(),
 			Profile: sim.NewProfile(),
-			Log:     &sim.TraceLog{Max: c.MaxEvents},
+			Log:     &sim.TraceLog{},
 		}
 		c.mu.Lock()
 		if c.perSeed == nil {
@@ -72,13 +71,6 @@ func (c *Collector) Install() (restore func()) {
 		k.SetTracer(sim.Tee(kc.Profile, kc.Log))
 	})
 	return func() { sim.SetKernelObserver(nil) }
-}
-
-// TaskRef names one plan task for trace attribution: its position in the
-// plan and its stable ID (experiment or cell, "#replica"-suffixed).
-type TaskRef struct {
-	Index int
-	ID    string
 }
 
 // KernelSection is one kernel's capture labelled with the owning task. Trace
@@ -94,13 +86,26 @@ type KernelSection struct {
 	*KernelCapture
 }
 
-// Sections attributes the captures to tasks by seed and returns them in the
-// canonical deterministic order: attributed sections by (task index, seq),
-// then unattributed ones by (seed, seq). tasks maps each task's kernel seed
-// (its DeriveSeed result) to the task; callers compute it from the same
-// inputs the runner used, so attribution needs no cooperation from the
-// simulators.
-func (c *Collector) Sections(tasks map[int64]TaskRef) []KernelSection {
+// Sections attributes the captures to the tasks of a plan laid out as
+// every replica of ids[0], then of ids[1], and so on — the layout of the
+// experiment runner and of the scenario engine — by the kernel seed
+// atlarge.DeriveSeed(seed, id, replica) of each task, and returns them in
+// the canonical deterministic order: attributed sections by (task index,
+// seq), then unattributed ones by (seed, seq). Attribution needs no
+// cooperation from the simulators.
+func (c *Collector) Sections(seed int64, ids []string, replicas int) []KernelSection {
+	replicas = max(replicas, 1)
+	type task struct {
+		index int
+		id    string
+	}
+	tasks := make(map[int64]task, len(ids)*replicas)
+	for i, id := range ids {
+		for k := 0; k < replicas; k++ {
+			tasks[atlarge.DeriveSeed(seed, id, k)] = task{i*replicas + k, id + "#" + strconv.Itoa(k)}
+		}
+	}
+
 	c.mu.Lock()
 	caps := make([]*KernelCapture, len(c.captures))
 	copy(caps, c.captures)
@@ -109,9 +114,9 @@ func (c *Collector) Sections(tasks map[int64]TaskRef) []KernelSection {
 	secs := make([]KernelSection, 0, len(caps))
 	for _, kc := range caps {
 		s := KernelSection{Seed: kc.Seed, Seq: kc.Seq, Index: -1, KernelCapture: kc}
-		if ref, ok := tasks[kc.Seed]; ok {
-			s.Task = ref.ID
-			s.Index = ref.Index
+		if t, ok := tasks[kc.Seed]; ok {
+			s.Task = t.id
+			s.Index = t.index
 		} else {
 			s.Task = fmt.Sprintf("kernel-%d", kc.Seed)
 		}

@@ -52,19 +52,14 @@ func runTracedSweep(t *testing.T, parallel int, wall bool) *obs.Trace {
 		t.Fatalf("Run: %v", err)
 	}
 
-	tasks := map[int64]obs.TaskRef{}
-	idx := 0
+	ids := make([]string, len(cells))
 	for i := range cells {
-		for rep := 0; rep < spec.Replicas; rep++ {
-			id := cells[i].ID() + "#" + strconv.Itoa(rep)
-			tasks[atlarge.DeriveSeed(spec.Seed, cells[i].ID(), rep)] = obs.TaskRef{Index: idx, ID: id}
-			idx++
-		}
+		ids[i] = cells[i].ID()
 	}
 	return &obs.Trace{
 		Target:   spec.Name,
 		Seed:     spec.Seed,
-		Sections: col.Sections(tasks),
+		Sections: col.Sections(spec.Seed, ids, spec.Replicas),
 		Spans:    spans.Sorted(),
 		Wall:     wall,
 	}
@@ -201,14 +196,15 @@ func TestSectionsUnattributedKernels(t *testing.T) {
 	restore := col.Install()
 	defer restore()
 
-	for _, seed := range []int64{7, 7, 3} {
+	known := atlarge.DeriveSeed(1, "known", 0)
+	for _, seed := range []int64{7, 7, known} {
 		k := sim.NewKernel(seed)
 		k.At(0, "e", func(*sim.Kernel) {})
 		if err := k.Run(); err != nil {
 			t.Fatalf("Run: %v", err)
 		}
 	}
-	secs := col.Sections(map[int64]obs.TaskRef{3: {Index: 0, ID: "known#0"}})
+	secs := col.Sections(1, []string{"known"}, 1)
 	if len(secs) != 3 {
 		t.Fatalf("got %d sections, want 3", len(secs))
 	}
@@ -260,7 +256,7 @@ func TestNoGoroutineLeakOnCancelledTracedRun(t *testing.T) {
 	if after := runtime.NumGoroutine(); after > before {
 		t.Fatalf("goroutine leak after cancelled traced run: %d before, %d after", before, after)
 	}
-	if len(col.Sections(nil)) == 0 {
+	if len(col.Sections(0, nil, 1)) == 0 {
 		t.Fatal("collector captured no kernels before cancellation")
 	}
 }

@@ -11,7 +11,7 @@ import (
 )
 
 // FuzzSpecValidate drives arbitrary bytes through the spec boundary that
-// `scenario validate` and POST /v1/jobs expose: Parse, Validate, SweepSize
+// `scenario validate` and POST /v1/jobs expose: Parse, Validate, sweepSize
 // and, for a sweep within MaxCells, Expand. None of them may panic, Expand
 // must agree with Validate, no expanded cell may ask for more clients than a
 // population accepts, and none may draw tasks wider than its widest machine. The committed corpus (testdata/fuzz) holds the
@@ -23,7 +23,7 @@ func FuzzSpecValidate(f *testing.F) {
 			return
 		}
 		verr := s.Validate()
-		if SweepSize(s) > MaxCells {
+		if sweepSize(s) > MaxCells {
 			if verr == nil {
 				t.Fatalf("Validate accepted a sweep of more than %d cells", MaxCells)
 			}

@@ -118,13 +118,13 @@ func (s *Spec) sweepAxes() []string {
 	return slices.Sorted(maps.Keys(s.Sweep))
 }
 
-// SweepSize returns the number of cells the spec's sweep would expand to —
+// sweepSize returns the number of cells the spec's sweep would expand to —
 // the product of the axis cardinalities, computed from the cardinalities
-// alone and saturating at MaxCells+1 — so callers can enforce size bounds
+// alone and saturating at MaxCells+1 — so validation bounds the sweep
 // before any cell is materialized (a hostile spec must never get its
 // cross-product allocated first) and without integer overflow however many
 // axes multiply together.
-func SweepSize(s *Spec) int {
+func sweepSize(s *Spec) int {
 	cells := 1
 	for _, values := range s.Sweep {
 		if len(values) == 0 {
@@ -177,7 +177,7 @@ func (s *Spec) validateSweep(d Domain, bad func(string, ...any)) {
 	// degenerate many-axis sweep cannot overflow the product past the
 	// check): the cross-product is never materialized for an oversized
 	// sweep.
-	if cells := SweepSize(s); cells > MaxCells {
+	if cells := sweepSize(s); cells > MaxCells {
 		size := strconv.Itoa(cells)
 		if cells == MaxCells+1 {
 			size = "more than " + strconv.Itoa(MaxCells)
