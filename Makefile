@@ -77,8 +77,9 @@ quickstart:
 # Fuzz the population merge queue against heap4, the scenario spec boundary
 # (parse, validate, expand), the sweep checkpoint loader, the sched block
 # queue against a flat slice, the dist claim endpoint, the dist protocol line
-# decoder, the GWA trace import and the MMOG social network against its map
-# reference, for 15 s each past their committed seed corpora (testdata/fuzz
+# decoder, the GWA trace import, the MMOG social network against its map
+# reference and the API server's recovery of a job record from its state
+# dir, for 15 s each past their committed seed corpora (testdata/fuzz
 # in each package), which `make test` replays. FuzzMsgReader's corpus holds
 # 64 KiB lines, and minimising a new input grown from one takes longer than
 # the whole 15 s at the default -fuzzminimizetime, so it minimises for 1 s.
@@ -91,6 +92,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzMsgReader$$' -fuzztime 15s -fuzzminimizetime 1s ./internal/dist
 	$(GO) test -run '^$$' -fuzz '^FuzzReadJobs$$' -fuzztime 15s ./internal/trace
 	$(GO) test -run '^$$' -fuzz '^FuzzSocialNetwork$$' -fuzztime 15s ./internal/mmog
+	$(GO) test -run '^$$' -fuzz '^FuzzRecoverJobs$$' -fuzztime 15s ./internal/api
 
 # Added, removed and net Go lines between BASE and the working tree (tracked
 # and staged files), split into non-test files and _test.go files; a renamed

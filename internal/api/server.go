@@ -973,7 +973,18 @@ func (s *Server) RecoverJobs() (resumed, restored int, err error) {
 
 // resumeJob relaunches one interrupted job from its durable record; the
 // checkpoint store replays its completed tasks, so only lost work re-runs.
+// The record is checked as a submission would be before anything is laid
+// out: only a sweep job of 1 to maxReplicas replicas whose valid spec,
+// seed and replicas hash to its ID (the checkpoint directory it resumes
+// from) and whose total counts its tasks is relaunched. Any other record
+// is reported as a problem and left alone.
 func (s *Server) resumeJob(rec *jobRecord) error {
+	if rec.Kind != jobKindSweep {
+		return fmt.Errorf("api: recover job %s: kind %q, only %s jobs resume", rec.ID, rec.Kind, jobKindSweep)
+	}
+	if rec.Replicas < 1 || rec.Replicas > maxReplicas {
+		return fmt.Errorf("api: recover job %s: replicas %d, must be in 1..%d", rec.ID, rec.Replicas, maxReplicas)
+	}
 	spec, err := scenario.Parse(bytes.NewReader(rec.Spec))
 	if err != nil {
 		return fmt.Errorf("api: recover job %s: %w", rec.ID, err)
@@ -981,6 +992,16 @@ func (s *Server) resumeJob(rec *jobRecord) error {
 	cells, err := scenario.Expand(spec)
 	if err != nil {
 		return fmt.Errorf("api: recover job %s: %w", rec.ID, err)
+	}
+	id, err := scenario.RunHash(spec, rec.Seed, rec.Replicas)
+	if err != nil {
+		return fmt.Errorf("api: recover job %s: %w", rec.ID, err)
+	}
+	if id != rec.ID {
+		return fmt.Errorf("api: recover job %s: its spec, seed and replicas hash to %s", rec.ID, id)
+	}
+	if want := len(cells) * rec.Replicas; rec.Total != want {
+		return fmt.Errorf("api: recover job %s: total %d, its plan has %d tasks", rec.ID, rec.Total, want)
 	}
 	work := &jobWork{
 		id: rec.ID, kind: rec.Kind, name: rec.Name, total: rec.Total,

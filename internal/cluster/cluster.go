@@ -10,6 +10,7 @@ package cluster
 
 import (
 	"fmt"
+	"strconv"
 
 	"atlarge/internal/sim"
 )
@@ -152,17 +153,23 @@ func (e *Environment) Utilization() float64 {
 }
 
 // NewHomogeneous builds an environment of the given kind with siteCount
-// clusters of machineCount machines of coreCount cores each.
+// clusters of machineCount machines of coreCount cores each. The machines,
+// the machine pointers and the clusters are one slab each, so building an
+// environment allocates O(sites) objects, none per machine. Each cluster's
+// Machines is capped at its length, so appending to it copies.
 func NewHomogeneous(kind Kind, siteCount, machineCount, coreCount int) *Environment {
-	env := &Environment{Kind: kind}
-	id := 0
-	for s := 0; s < siteCount; s++ {
-		cl := &Cluster{Name: fmt.Sprintf("site-%d", s), Latency: 0.0005}
-		for m := 0; m < machineCount; m++ {
-			id++
-			cl.Machines = append(cl.Machines, &Machine{ID: id, Cores: coreCount, Speed: 1})
-		}
-		env.Clusters = append(env.Clusters, cl)
+	env := &Environment{Kind: kind, Clusters: make([]*Cluster, siteCount)}
+	clusters := make([]Cluster, siteCount)
+	machines := make([]Machine, siteCount*machineCount)
+	ptrs := make([]*Machine, len(machines))
+	for i := range machines {
+		machines[i] = Machine{ID: i + 1, Cores: coreCount, Speed: 1}
+		ptrs[i] = &machines[i]
+	}
+	for s := range clusters {
+		lo, hi := s*machineCount, (s+1)*machineCount
+		clusters[s] = Cluster{Name: "site-" + strconv.Itoa(s), Machines: ptrs[lo:hi:hi], Latency: 0.0005}
+		env.Clusters[s] = &clusters[s]
 	}
 	switch kind {
 	case KindGrid:
@@ -184,6 +191,20 @@ func StandardEnvironment(kind Kind) *Environment {
 	sites, machines, cores := StandardShape(kind)
 	return NewHomogeneous(kind, sites, machines, cores)
 }
+
+// Caps on the shape of a scenario cell's environment, which scenario
+// validation enforces, sized from what a portfolio scheduling cell, the
+// heaviest, allocates per item (linux/amd64): about
+// 1.0 KB per machine, and 35.6 KB per site of the CL kind's 32 machines. So
+// MaxSites sites of a standard kind, or MaxMachines machines on each of a
+// standard kind's at most 5 sites, ask for about 1 GiB. A core allocates
+// nothing; MaxCores keeps MaxSites × MaxMachines × MaxCores (3.3·10^14)
+// an exact integer in the float64 arithmetic of loads and utilization.
+const (
+	MaxSites    = 25_000
+	MaxMachines = 200_000
+	MaxCores    = 1 << 16
+)
 
 // StandardShape returns the sites, machines per site and cores per machine
 // of the kind's standard environment.

@@ -106,3 +106,36 @@ func TestKindString(t *testing.T) {
 		t.Error("unknown Kind String mismatch")
 	}
 }
+
+// TestNewHomogeneousAllocs checks that building an environment allocates
+// per site, not per machine, and that the slab-built machines are distinct,
+// numbered from 1 across sites, and each cluster's machine list is its own:
+// appending to one must not write into the next.
+func TestNewHomogeneousAllocs(t *testing.T) {
+	allocs := func(machines int) float64 {
+		return testing.AllocsPerRun(10, func() { NewHomogeneous(KindGrid, 3, machines, 8) })
+	}
+	if few, many := allocs(4), allocs(1024); many != few {
+		t.Errorf("%.0f allocs for 3 × 1024 machines, %.0f for 3 × 4 (want equal)", many, few)
+	}
+	env := NewHomogeneous(KindGrid, 3, 4, 8)
+	id := 0
+	for s, cl := range env.Clusters {
+		if len(cl.Machines) != 4 || cl.TotalCores() != 32 {
+			t.Fatalf("site %d: %d machines, %d cores", s, len(cl.Machines), cl.TotalCores())
+		}
+		for _, m := range cl.Machines {
+			if id++; m.ID != id {
+				t.Fatalf("site %d: machine ID %d, want %d", s, m.ID, id)
+			}
+		}
+	}
+	next := env.Clusters[1].Machines[0]
+	env.Clusters[0].Machines = append(env.Clusters[0].Machines, &Machine{ID: -1})
+	if env.Clusters[1].Machines[0] != next {
+		t.Fatal("appending to site 0's machines wrote into site 1's")
+	}
+	if err := env.Clusters[0].Machines[0].Claim(8); err != nil || env.Clusters[0].Machines[1].Free() != 8 {
+		t.Fatalf("claiming one machine changed another (err %v)", err)
+	}
+}

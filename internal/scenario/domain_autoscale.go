@@ -203,10 +203,11 @@ func (autoscaleDomain) Run(sc *Scenario, workloadSeed, simSeed int64) ([]MetricV
 		return nil, fmt.Errorf("scenario: cell %s: %w", sc.ID(), err)
 	}
 	// The offered-load target is relative to the provider's capacity cap.
-	tr, err := sc.buildTrace(workloadSeed, cfg.MaxCores)
+	tr, hc, err := sc.buildTrace(workloadSeed, cfg.MaxCores)
 	if err != nil {
 		return nil, err
 	}
+	defer sc.traces.putHeaders(hc)
 	st, err := autoscale.Run(cfg, as, tr)
 	if err != nil {
 		return nil, fmt.Errorf("scenario: cell %s: %w", sc.ID(), err)

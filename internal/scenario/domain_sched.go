@@ -100,6 +100,9 @@ func (d schedDomain) Validate(s *Spec, bad func(string, ...any)) {
 		if dim.v < 0 {
 			bad("cluster.%s: got %d, must be >= 0 (0 means the kind's standard shape)", dim.name, dim.v)
 		}
+		if err := checkCap("cluster."+dim.name, float64(dim.v)); err != nil {
+			bad("cluster.%s: %v", dim.name, err)
+		}
 	}
 
 	if s.Policy == "" {
@@ -189,7 +192,7 @@ func workloadAxes() map[string]AxisDef {
 			Generative: true,
 		},
 		"jobs": {
-			Check: func(v any) error { return checkInt(v, 1) },
+			Check: func(v any) error { return checkCappedInt(v, "workload.jobs") },
 			Apply: func(sc *Scenario, v any) string {
 				sc.Workload.Jobs = int(v.(float64))
 				return formatValue(v)
@@ -266,21 +269,21 @@ func (schedDomain) Axes() map[string]AxisDef {
 		},
 	}
 	axes["sites"] = AxisDef{
-		Check: func(v any) error { return checkInt(v, 1) },
+		Check: func(v any) error { return checkCappedInt(v, "cluster.sites") },
 		Apply: func(sc *Scenario, v any) string {
 			sc.Cluster.Sites = int(v.(float64))
 			return formatValue(v)
 		},
 	}
 	axes["machines"] = AxisDef{
-		Check: func(v any) error { return checkInt(v, 1) },
+		Check: func(v any) error { return checkCappedInt(v, "cluster.machines") },
 		Apply: func(sc *Scenario, v any) string {
 			sc.Cluster.Machines = int(v.(float64))
 			return formatValue(v)
 		},
 	}
 	axes["cores"] = AxisDef{
-		Check: func(v any) error { return checkInt(v, 1) },
+		Check: func(v any) error { return checkCappedInt(v, "cluster.cores") },
 		Apply: func(sc *Scenario, v any) string {
 			sc.Cluster.Cores = int(v.(float64))
 			return formatValue(v)
@@ -291,16 +294,18 @@ func (schedDomain) Axes() map[string]AxisDef {
 
 // Run executes one sched cell: build the environment and trace, then run the
 // named policy (or the portfolio scheduler) and emit its metrics. The
-// simulations run on simulators borrowed from the cell's memo.
+// simulations run on simulators borrowed from the cell's memo, and the
+// cell's header copy goes back to the memo when they are done.
 func (schedDomain) Run(sc *Scenario, workloadSeed, simSeed int64) ([]MetricValue, error) {
 	env, envFactory, err := sc.buildEnv()
 	if err != nil {
 		return nil, err
 	}
-	tr, err := sc.buildTrace(workloadSeed, env.TotalCores())
+	tr, hc, err := sc.buildTrace(workloadSeed, env.TotalCores())
 	if err != nil {
 		return nil, err
 	}
+	defer sc.traces.putHeaders(hc)
 
 	sims := sc.traces.simulators()
 	if isPortfolio(sc.Policy) {

@@ -14,8 +14,10 @@ import (
 // `scenario validate` and POST /v1/jobs expose: Parse, Validate, sweepSize
 // and, for a sweep within MaxCells, Expand. None of them may panic, Expand
 // must agree with Validate, no expanded cell may ask for more clients than a
-// population accepts, and none may draw tasks wider than its widest machine. The committed corpus (testdata/fuzz) holds the
-// example specs and the oversized-clients specs, base and swept.
+// population accepts or exceed a field cap (jobs, sites, machines, cores),
+// and none may draw tasks wider than its widest machine. The committed
+// corpus (testdata/fuzz) holds the example specs and the oversized-clients
+// and oversized-shape specs, base and swept.
 func FuzzSpecValidate(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		s, err := Parse(bytes.NewReader(data))
@@ -36,6 +38,14 @@ func FuzzSpecValidate(f *testing.F) {
 		for _, c := range cells {
 			if c.Workload.Clients > workload.MaxClients {
 				t.Fatalf("cell %v expands to %d clients, max %d", c.Params, c.Workload.Clients, workload.MaxClients)
+			}
+			for field, v := range map[string]int{
+				"workload.jobs": c.Workload.Jobs, "cluster.sites": c.Cluster.Sites,
+				"cluster.machines": c.Cluster.Machines, "cluster.cores": c.Cluster.Cores,
+			} {
+				if v > fieldCaps[field].max {
+					t.Fatalf("cell %v expands to %s %d, cap %d", c.Params, field, v, fieldCaps[field].max)
+				}
 			}
 			if p, ok := c.domain.(placer); ok && c.Workload.Trace == "" {
 				class, _ := workload.ClassByName(c.Workload.Class)

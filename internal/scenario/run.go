@@ -354,8 +354,9 @@ type traceKey struct {
 // task needs a trace the memo lacks. The worker thus holds the traces of
 // its running tasks plus one, and no idle trace while it builds one.
 //
-// The memo also lends its sched cells their simulators (see simulators), so
-// the free list lives exactly as long as the run or the worker.
+// The memo also lends its sched cells their simulators (see simulators),
+// and every cell its copy of the job headers (see copyHeaders), so both
+// free lists live exactly as long as the run or the worker.
 type traceMemo struct {
 	mu      sync.Mutex
 	entries map[traceKey]*traceEntry
@@ -365,6 +366,9 @@ type traceMemo struct {
 	// built, when non-nil, observes every trace the memo builds.
 	built func(traceKey, *workload.Trace)
 	sims  sched.FreeList
+	// copies holds the idle header copies, at most as many as cells ever
+	// held one at once; guarded by mu.
+	copies []*headerCopy
 }
 
 // simulators returns the free list the memo's sched cells borrow their
@@ -452,28 +456,31 @@ func (m *traceMemo) trace(key traceKey, build func() (*workload.Trace, error)) (
 // buildTrace resolves the scenario's workload for one replica seed and
 // rescales it to the target offered load when one is set. The unscaled
 // trace comes from the memo of Run or of the dist worker, and the cell
-// rescales its own copy of the job headers; a cell without a memo builds a
-// private trace and rescales it in place. It is shared by every domain that
-// drives a job-trace workload.
-func (sc *Scenario) buildTrace(seed int64, totalCores int) (*workload.Trace, error) {
+// rescales its own copy of the job headers, which it gives back with
+// putHeaders once its run is over; a cell without a memo builds a private
+// trace, rescales it in place and gets a nil copy. It is shared by every
+// domain that drives a job-trace workload.
+func (sc *Scenario) buildTrace(seed int64, totalCores int) (*workload.Trace, *headerCopy, error) {
 	var tr *workload.Trace
+	var hc *headerCopy
 	var err error
 	if sc.traces != nil {
 		tr, err = sc.traces.trace(traceKey{job: sc.traceJob, workloadID: sc.WorkloadID(), seed: seed},
 			func() (*workload.Trace, error) { return sc.baseTrace(seed) })
 		if err == nil {
-			tr = headerCopy(tr)
+			hc = sc.traces.copyHeaders(tr)
+			tr = &hc.tr
 		}
 	} else {
 		tr, err = sc.baseTrace(seed)
 	}
 	if err != nil {
-		return nil, fmt.Errorf("scenario: cell %s: %w", sc.ID(), err)
+		return nil, nil, fmt.Errorf("scenario: cell %s: %w", sc.ID(), err)
 	}
 	if sc.Workload.Load > 0 {
 		scaleToLoad(tr, sc.Workload.Load, totalCores)
 	}
-	return tr, nil
+	return tr, hc, nil
 }
 
 // baseTrace builds the scenario's unscaled workload for one replica seed:
@@ -524,16 +531,51 @@ func (sc *Scenario) baseTrace(seed int64) (*workload.Trace, error) {
 	return gen.Generate(jobs, rand.New(rand.NewSource(seed))), nil
 }
 
-// headerCopy returns a trace of copies of tr's job headers: the copies may
-// be rescaled freely while their Tasks and Deps stay shared with tr.
-func headerCopy(tr *workload.Trace) *workload.Trace {
-	headers := make([]workload.Job, len(tr.Jobs))
-	cp := &workload.Trace{Name: tr.Name, Jobs: make([]*workload.Job, len(tr.Jobs))}
-	for i, j := range tr.Jobs {
-		headers[i] = *j
-		cp.Jobs[i] = &headers[i]
+// headerCopy is a cell's trace of copies of a shared trace's job headers:
+// the copies may be rescaled freely while their Tasks and Deps stay shared
+// with the memo's trace. Copies are reused through the memo's free list,
+// so a cell of a warm run copies the headers without allocating.
+type headerCopy struct {
+	tr      workload.Trace
+	headers []workload.Job
+}
+
+// copyHeaders returns a copy of tr's job headers, on an idle copy when the
+// memo holds one. No two cells hold one copy at once: a copy is idle from
+// putHeaders until copyHeaders hands it out again.
+func (m *traceMemo) copyHeaders(tr *workload.Trace) *headerCopy {
+	m.mu.Lock()
+	var hc *headerCopy
+	if n := len(m.copies); n > 0 {
+		hc = m.copies[n-1]
+		m.copies = m.copies[:n-1]
 	}
-	return cp
+	m.mu.Unlock()
+	if hc == nil {
+		hc = new(headerCopy)
+	}
+	n := len(tr.Jobs)
+	hc.headers = slices.Grow(hc.headers[:0], n)[:n]
+	hc.tr = workload.Trace{Name: tr.Name, Jobs: slices.Grow(hc.tr.Jobs[:0], n)[:n]}
+	for i, j := range tr.Jobs {
+		hc.headers[i] = *j
+		hc.tr.Jobs[i] = &hc.headers[i]
+	}
+	return hc
+}
+
+// putHeaders takes back a cell's copy once its run is over; a nil memo or
+// copy is a no-op. It clears the headers first, so an idle copy keeps no
+// shared trace reachable.
+func (m *traceMemo) putHeaders(hc *headerCopy) {
+	if m == nil || hc == nil {
+		return
+	}
+	clear(hc.headers)
+	hc.tr.Name = ""
+	m.mu.Lock()
+	m.copies = append(m.copies, hc)
+	m.mu.Unlock()
 }
 
 // scaleToLoad rescales submission times so the offered load — total

@@ -611,3 +611,55 @@ func TestValidateRefusesUnplaceableWork(t *testing.T) {
 		}
 	}
 }
+
+// TestValidateRefusesOversizedFields: smoke-32 with workload.jobs 4·10⁹,
+// cluster.machines 2·10⁹, cluster.cores 2·10⁹ or cluster.sites 10⁸, in the
+// base spec or as a sweep axis value, is refused before anything runs, and
+// the error names the field, its cap and the measurement behind the cap.
+// Values at the caps validate.
+func TestValidateRefusesOversizedFields(t *testing.T) {
+	raw, err := os.ReadFile(filepath.Join("..", "..", "examples", "scenarios", "smoke-32.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	with := func(section, field string, v any, swept bool) string {
+		var doc map[string]any
+		if err := json.Unmarshal(raw, &doc); err != nil {
+			t.Fatal(err)
+		}
+		if swept {
+			doc["sweep"].(map[string]any)[field] = []any{v}
+		} else {
+			doc[section].(map[string]any)[field] = v
+		}
+		out, err := json.Marshal(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(out)
+	}
+	for _, tc := range []struct {
+		section, field string
+		v              float64
+		want           string
+	}{
+		{"workload", "jobs", 4e9, "must be <= 60000 (the heaviest cell measured allocates ~16.9 KB per job"},
+		{"cluster", "machines", 2e9, "must be <= 200000 (a portfolio cell allocates ~1.0 KB per machine"},
+		{"cluster", "cores", 2e9, "must be <= 65536 (a core allocates nothing"},
+		{"cluster", "sites", 1e8, "must be <= 25000 (a portfolio cell allocates ~35.6 KB per site"},
+	} {
+		for _, swept := range []bool{false, true} {
+			spec := with(tc.section, tc.field, tc.v, swept)
+			err := specJSON(t, spec).Validate()
+			if err == nil || !strings.Contains(err.Error(), tc.section+"."+tc.field) || !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("%s.%s = %g (swept %t): Validate = %v, want an error naming the field and containing %q",
+					tc.section, tc.field, tc.v, swept, err, tc.want)
+			}
+			atCap := fieldCaps[tc.section+"."+tc.field].max
+			spec = with(tc.section, tc.field, atCap, swept)
+			if err := specJSON(t, spec).Validate(); err != nil {
+				t.Errorf("%s.%s = %d (swept %t), at the cap, refused: %v", tc.section, tc.field, atCap, swept, err)
+			}
+		}
+	}
+}

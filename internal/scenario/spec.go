@@ -26,6 +26,7 @@ import (
 	"strings"
 	"sync"
 
+	"atlarge/internal/cluster"
 	"atlarge/internal/trace"
 	"atlarge/internal/workload"
 )
@@ -370,6 +371,28 @@ func rejectSection(set bool, section, domain string, bad func(string, ...any)) {
 // defaultJobs is the generated job count when the spec leaves it unset.
 const defaultJobs = 100
 
+// fieldCaps bound the spec fields, in the base spec and on sweep axes,
+// whose value sizes a cell's memory, each with the measurement it was sized
+// from (see workload.MaxJobs and cluster.MaxSites).
+var fieldCaps = map[string]struct {
+	max int
+	why string
+}{
+	"workload.jobs":    {workload.MaxJobs, "the heaviest cell measured allocates ~16.9 KB per job, ~1 GiB at the cap"},
+	"cluster.sites":    {cluster.MaxSites, "a portfolio cell allocates ~35.6 KB per site of 32 machines, ~1 GiB at the cap"},
+	"cluster.machines": {cluster.MaxMachines, "a portfolio cell allocates ~1.0 KB per machine, ~1 GiB at the cap on 5 sites"},
+	"cluster.cores":    {cluster.MaxCores, "a core allocates nothing; the cap keeps sites × machines × cores exact"},
+}
+
+// checkCap refuses a value of field above its cap, naming the cap and the
+// measurement behind it.
+func checkCap(field string, v float64) error {
+	if c := fieldCaps[field]; v > float64(c.max) {
+		return fmt.Errorf("got %s, must be <= %d (%s)", formatValue(v), c.max, c.why)
+	}
+	return nil
+}
+
 // validateWorkloadSpec checks the shared workload section (used by the sched
 // and autoscale domains).
 func (s *Spec) validateWorkloadSpec(bad func(string, ...any)) {
@@ -415,6 +438,9 @@ func (s *Spec) validateWorkloadSpec(bad func(string, ...any)) {
 	}
 	if w.Jobs < 0 {
 		bad("workload.jobs: got %d, must be >= 0 (0 means %d)", w.Jobs, defaultJobs)
+	}
+	if err := checkCap("workload.jobs", float64(w.Jobs)); err != nil {
+		bad("workload.jobs: %v", err)
 	}
 	if w.Load < 0 {
 		bad("workload.load: got %g, must be >= 0 (0 means arrivals as generated)", w.Load)

@@ -96,6 +96,18 @@ func checkInt(v any, min int) error {
 	return nil
 }
 
+// checkCappedInt checks a swept value of a capped field (see fieldCaps): a
+// positive integer no larger than the field's cap.
+func checkCappedInt(v any, field string) error {
+	if err := checkInt(v, 1); err != nil {
+		return err
+	}
+	if err := checkCap(field, v.(float64)); err != nil {
+		return fmt.Errorf("%s %w", field, err)
+	}
+	return nil
+}
+
 // formatValue renders a swept value for IDs and reports; float formatting is
 // the shortest exact form, so IDs are stable.
 func formatValue(v any) string {

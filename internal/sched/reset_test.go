@@ -253,7 +253,8 @@ func profileCounts(p *sim.Profile) []string {
 // goroutines on simulators borrowed from one FreeList. Each run must give
 // a fresh simulator's Result and error bit for bit; afterwards the list
 // holds no more simulators than ran at once, and none keeps its last run's
-// environment, trace, policy or arrival closures reachable.
+// environment, trace, policy, arrival handlers, unfired arrivals or task
+// states reachable.
 func TestFreeListConcurrentParity(t *testing.T) {
 	const workers = 4
 	steps := resetSteps(rand.New(rand.NewSource(5)), 24)
@@ -303,8 +304,37 @@ func TestFreeListConcurrentParity(t *testing.T) {
 	}
 	for _, s := range l.free {
 		if s.env != nil || s.trace != nil || s.policy != nil || s.feed.next != nil ||
-			slices.ContainsFunc(s.feed.batch[:cap(s.feed.batch)], func(b sim.BatchEvent) bool { return b.Fn != nil }) {
+			slices.ContainsFunc(s.feed.batch[:cap(s.feed.batch)], func(b sim.BatchEvent) bool { return b.Fn != nil }) ||
+			slices.ContainsFunc(s.feed.arrivals[:cap(s.feed.arrivals)], func(a arrival) bool { return a.job != nil }) ||
+			s.states.live() != 0 {
 			t.Fatal("an idle simulator keeps its last run reachable")
 		}
+	}
+}
+
+// TestFreeListPutAfterStoppedRun stops a run on a bad job in its second
+// feed chunk, which leaves fed jobs whose arrivals never fired and task
+// states queued and running, and puts the simulator back: the idle
+// simulator must hold neither.
+func TestFreeListPutAfterStoppedRun(t *testing.T) {
+	jobs := slices.Clone(scaledTasks(600, 2, 1).Jobs)
+	k := feedBatch + 100
+	bad := jobs[k].Clone()
+	bad.Submit = jobs[k-1].Submit - 1
+	jobs[k] = bad
+	var l FreeList
+	s := l.Get()
+	s.Reset(cluster.NewHomogeneous(cluster.KindCluster, 1, 4, 8), nil, FCFS(), 1)
+	if _, err := s.RunSource(&listSource{jobs: jobs}); err == nil {
+		t.Fatal("run over a job submitted out of order succeeded")
+	}
+	if len(s.feed.arrivals) == 0 || s.states.live() == 0 {
+		t.Fatalf("stopped run left %d unfired arrivals and %d task states, want some of each",
+			len(s.feed.arrivals), s.states.live())
+	}
+	l.Put(s)
+	if slices.ContainsFunc(s.feed.arrivals[:cap(s.feed.arrivals)], func(a arrival) bool { return a.job != nil }) ||
+		s.states.live() != 0 {
+		t.Fatal("an idle simulator keeps its stopped run's jobs reachable")
 	}
 }

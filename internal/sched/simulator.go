@@ -61,8 +61,10 @@ type Simulator struct {
 	rand *rand.Rand // the "policy" stream, shuffled from by Random
 
 	// states holds the in-flight tasks; everything else refers to them by
-	// ref. cmpMovers is cmp over movers, built once per run.
-	states    stateArena
+	// ref. jobs holds the in-flight jobs' bookkeeping, which their task
+	// states point to. cmpMovers is cmp over movers.
+	states    arena[TaskState]
+	jobs      arena[jobState]
 	cmpMovers func(a, b mover) int
 
 	// queue holds the eligible tasks. Its first sorted tasks are in policy
@@ -105,8 +107,12 @@ type Simulator struct {
 	machClusters []*cluster.Cluster
 	maxSpeed     sim.Duration
 
+	// The handlers of the dispatch, job-arrive and feed events, and
+	// cmpMovers, are built once per simulator and shared by all its runs.
 	dispatchPending bool
-	onDispatch      sim.Handler // the dispatch event, built once per run
+	onDispatch      sim.Handler
+	onArrive        sim.Handler
+	onFeed          sim.Handler
 }
 
 // jobState is a job's bookkeeping for one run; each TaskState of the job
@@ -119,6 +125,7 @@ type jobState struct {
 	served  float64 // CPU-seconds completed, the FairShare key
 	changed bool    // served changed since the last ordering pass
 	bit     uint8   // the job's bit in queue-block job masks
+	ref     uint32  // the state's ref in the job arena
 }
 
 // qitem is a queued task: its state's ref plus the two keys the dispatch
@@ -158,8 +165,11 @@ type estSlot struct {
 // a run. The run claims env's cores, so env must not be shared with another
 // run. The trace is not mutated. The buffers of earlier runs are kept, and
 // the next run clears and reuses them: the kernel (see sim.Kernel.Reset),
-// the arrival batch, the task state arena, the queue blocks, the dependency
-// maps and edges, the EASY estimate slots and the task-finish records.
+// the arrival batch and FIFO, the task and job state arenas, the queue
+// blocks, the dependency maps and edges, the EASY estimate slots and the
+// task-finish records. A reused simulator's run thus allocates O(1)
+// objects, none per job or task, once its buffers have grown to the run's
+// peak.
 func (s *Simulator) Reset(env *cluster.Environment, tr *workload.Trace, p Policy, seed int64) {
 	s.OnJob = nil
 	s.env, s.trace, s.policy, s.seed = env, tr, p, seed
@@ -193,14 +203,19 @@ func (l *FreeList) Get() *Simulator {
 }
 
 // Put takes back a simulator whose run is over. It drops the run's
-// environment, trace, policy and OnJob first, so an idle simulator keeps no
-// trace reachable.
+// environment, trace, policy, OnJob, stream and unfired arrivals first, and
+// the task states a stopped run left, so an idle simulator keeps no job
+// reachable.
 func (l *FreeList) Put(s *Simulator) {
 	if l == nil {
 		return
 	}
 	s.Reset(nil, nil, nil, 0)
 	s.feed.drop()
+	s.feed.forget()
+	if s.states.live() > 0 {
+		s.states.reset()
+	}
 	l.mu.Lock()
 	l.free = append(l.free, s)
 	l.mu.Unlock()
@@ -215,19 +230,28 @@ func (s *Simulator) run(next func() *workload.Job, chunk int) (*Result, error) {
 		s.k.Reset(s.seed)
 	}
 	s.k.Reserve(chunk)
-	s.feed = feeder{next: next, chunk: chunk, batch: slices.Grow(s.feed.batch[:0], chunk)}
+	s.feed.forget()
+	s.feed = feeder{next: next, chunk: chunk, batch: slices.Grow(s.feed.batch[:0], chunk), arrivals: s.feed.arrivals}
 	s.agg = aggregate{}
 	s.skip, s.easy = s.policy.AllowSkip(), s.policy.EasyReservation()
 	s.random = s.policy.Random()
 	s.drift = !s.policy.StaticOrder() && !s.random
 	s.cmp = s.policy.Compare
-	s.cmpMovers = func(a, b mover) int { return s.cmp(s.states.at(a.ref), s.states.at(b.ref)) }
 	s.rand = s.k.Rand("policy")
-	s.onDispatch = func(*sim.Kernel) {
-		s.dispatchPending = false
-		s.dispatch()
+	if s.onDispatch == nil {
+		s.cmpMovers = func(a, b mover) int { return s.cmp(s.states.at(a.ref), s.states.at(b.ref)) }
+		s.onDispatch = func(*sim.Kernel) {
+			s.dispatchPending = false
+			s.dispatch()
+		}
+		s.onArrive = func(*sim.Kernel) {
+			a := s.feed.pop()
+			s.onJobArrive(a.job, a.js)
+		}
+		s.onFeed = func(*sim.Kernel) { s.feedChunk() }
 	}
 	s.states.reset()
+	s.jobs.reset()
 	s.queue.reset()
 	s.sorted, s.changed, s.changedJobs = 0, s.changed[:0], 0
 	s.widths, s.minWidth = s.widths[:0], math.MaxInt
@@ -269,6 +293,9 @@ func (s *Simulator) run(next func() *workload.Job, chunk int) (*Result, error) {
 
 func (s *Simulator) onJobArrive(job *workload.Job, js *jobState) {
 	now := s.k.Now()
+	if len(job.Tasks) == 0 {
+		s.jobs.release(js.ref) // it never finishes
+	}
 	for i := range job.Tasks {
 		t := &job.Tasks[i]
 		ref := s.states.alloc()
@@ -656,6 +683,7 @@ func (s *Simulator) finishJob(job *workload.Job, state *jobState) {
 	if js.Slowdown < 1 {
 		js.Slowdown = 1
 	}
+	s.jobs.release(state.ref)
 	s.agg.add(js)
 	if s.OnJob != nil {
 		s.OnJob(js)

@@ -18,7 +18,9 @@ const feedBatch = 256
 // is the RunSource path over a submit-ordered view of the trace, fed as one
 // up-front batch: jobs are not cloned, and an unsorted trace is viewed
 // through a stable sort by Submit, so simultaneous submissions keep their
-// trace order as the FIFO tie-break. The trace is not mutated.
+// trace order as the FIFO tie-break. The trace is not mutated. On a
+// simulator whose buffers an earlier run of at least as many jobs has
+// grown, Run allocates the same few objects whatever the trace's size.
 func (s *Simulator) Run() (*Result, error) {
 	bySubmit := func(a, b *workload.Job) int { return cmp.Compare(a.Submit, b.Submit) }
 	jobs := s.trace.Jobs
@@ -40,7 +42,9 @@ func (s *Simulator) Run() (*Result, error) {
 // of a materialized trace: arrivals are fed in feedBatch chunks and each job
 // is cloned out of the source's scratch storage, so resident memory is
 // proportional to in-flight jobs — independent of how many jobs the source
-// emits. The source must emit jobs in non-decreasing Submit order (the
+// emits: the arrival FIFO holds at most a chunk, and job and task states
+// return to their arenas as jobs finish; cloning is the only allocation
+// per job. The source must emit jobs in non-decreasing Submit order (the
 // JobSource contract); RunSource does not Close it.
 //
 // For a submit-ordered stream the simulation is event-for-event the run Run
@@ -55,7 +59,8 @@ func (s *Simulator) RunSource(src workload.JobSource) (*Result, error) {
 }
 
 // feeder is the arrival cursor of a run: the job stream, the reusable batch
-// buffer, and the first job of the next chunk.
+// buffer, the first job of the next chunk, and the FIFO of fed jobs whose
+// arrivals have not fired yet.
 type feeder struct {
 	next  func() *workload.Job
 	chunk int
@@ -63,6 +68,31 @@ type feeder struct {
 	batch []sim.BatchEvent
 	last  sim.Time // newest submit fed so far (monotonicity guard)
 	err   error
+
+	// arrivals[head:] are the fed jobs in feed order. Arrivals are fed in
+	// non-decreasing time with increasing sequence numbers, and a chunk is
+	// only fed once every arrival of the one before has fired, so they fire
+	// in feed order: each job-arrive event pops the head. The array is kept
+	// across chunks and runs.
+	arrivals []arrival
+	head     int
+}
+
+// arrival is a fed job and its run bookkeeping.
+type arrival struct {
+	job *workload.Job
+	js  *jobState
+}
+
+// pop takes the job whose arrival fires now. A drained FIFO starts over at
+// the front of its array.
+func (f *feeder) pop() arrival {
+	a := f.arrivals[f.head]
+	f.arrivals[f.head] = arrival{}
+	if f.head++; f.head == len(f.arrivals) {
+		f.arrivals, f.head = f.arrivals[:0], 0
+	}
+	return a
 }
 
 // feedChunk pulls the next chunk of jobs, schedules their arrivals, and — if
@@ -71,11 +101,12 @@ type feeder struct {
 // advances, so all arrivals sharing an instant land in one batch; the feed
 // event then fires after those arrivals but before their dispatch cycle (its
 // sequence number predates the dispatch event's), keeping the event order
-// identical to feeding the whole stream up front.
+// identical to feeding the whole stream up front. Every arrival shares the
+// simulator's one onArrive handler, and job states come from the reused
+// job arena, so feeding allocates nothing per job.
 func (s *Simulator) feedChunk() {
 	f := &s.feed
 	buf := f.batch[:0]
-	var states []jobState // one slab per chunk, refilled if a chunk overruns
 	j := f.carry
 	f.carry = nil
 	if j == nil {
@@ -98,15 +129,11 @@ func (s *Simulator) feedChunk() {
 			break
 		}
 		f.last = j.Submit
-		if len(states) == cap(states) {
-			states = make([]jobState, 0, f.chunk)
-		}
-		states = append(states, jobState{left: len(j.Tasks), cp: cp, bit: jobBit(j.ID)})
-		job, js := j, &states[len(states)-1]
-		buf = append(buf, sim.BatchEvent{
-			At: job.Submit, Name: "job-arrive",
-			Fn: func(k *sim.Kernel) { s.onJobArrive(job, js) },
-		})
+		ref := s.jobs.alloc()
+		js := s.jobs.at(ref)
+		*js = jobState{left: len(j.Tasks), cp: cp, bit: jobBit(j.ID), ref: ref}
+		f.arrivals = append(f.arrivals, arrival{job: j, js: js})
+		buf = append(buf, sim.BatchEvent{At: j.Submit, Name: "job-arrive", Fn: s.onArrive})
 		j = f.next()
 	}
 	f.batch = buf // keep the backing array for the next chunk
@@ -115,21 +142,27 @@ func (s *Simulator) feedChunk() {
 	}
 	s.k.AtBatch(buf)
 	if f.carry == nil {
-		// The stream is drained. For Run the cursor and the buffer span the
-		// whole trace, and the buffer's closures would otherwise stay live
-		// after their arrivals fire, so release them.
+		// The stream is drained: let go of it and of the batch's handlers.
+		// The FIFO stays until its arrivals have fired.
 		f.drop()
 		return
 	}
-	s.k.At(f.last, "feed", func(k *sim.Kernel) { s.feedChunk() })
+	s.k.At(f.last, "feed", s.onFeed)
 }
 
-// drop lets go of the stream and of the closures in the batch buffer,
-// keeping the buffer's array for the next run.
+// drop lets go of the stream and of the handlers in the batch buffer,
+// keeping the buffer's array for the next run. The FIFO is kept as is.
 func (f *feeder) drop() {
 	b := f.batch[:cap(f.batch)]
 	clear(b)
-	*f = feeder{batch: b[:0]}
+	*f = feeder{batch: b[:0], arrivals: f.arrivals, head: f.head}
+}
+
+// forget empties the FIFO, so a stopped run's unfired arrivals keep no job
+// reachable, keeping its array.
+func (f *feeder) forget() {
+	clear(f.arrivals)
+	f.arrivals, f.head = f.arrivals[:0], 0
 }
 
 // aggregate folds per-job stats and the utilization series into the scalar

@@ -327,3 +327,23 @@ func TestRunSourceChunking(t *testing.T) {
 		t.Errorf("Completed = %d, want %d", res.Completed, len(jobs))
 	}
 }
+
+// TestRunSourceJobStatesBounded streams 5000 light jobs and checks that the
+// job-state arena, like the task-state arena, follows the jobs in flight: a
+// job's state is fed a chunk ahead and released when the job finishes, so
+// the arena grows to a few pages, not the 20 the stream would fill.
+func TestRunSourceJobStatesBounded(t *testing.T) {
+	const jobs = 5000
+	s := new(Simulator)
+	s.Reset(cluster.NewHomogeneous(cluster.KindCluster, 1, 16, 8), nil, FCFS(), 1)
+	res, err := s.RunSource(&listSource{jobs: scaledTasks(jobs, 1, 1).Jobs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Completed != jobs || s.jobs.live() != 0 {
+		t.Fatalf("completed %d of %d jobs, %d job states live", res.Completed, jobs, s.jobs.live())
+	}
+	if pages := len(s.jobs.pages); pages > 4 {
+		t.Errorf("job arena grew to %d pages for %d streamed jobs", pages, jobs)
+	}
+}

@@ -174,3 +174,31 @@ func TestRunAllocsDoNotScaleWithTasks(t *testing.T) {
 		}
 	}
 }
+
+// TestRunAllocsDoNotScaleWithJobs checks that a warmed simulator's run
+// allocates per run, not per job: arrivals share one handler and job states
+// come from the reused job arena, so once a run of 800 jobs has grown the
+// simulator, runs of 200 and of 800 jobs allocate the same. Every job state
+// must be back in the arena after a run.
+func TestRunAllocsDoNotScaleWithJobs(t *testing.T) {
+	env := cluster.NewHomogeneous(cluster.KindCluster, 1, 4, 8)
+	small, large := scaledTasks(200, 4, 1), scaledTasks(800, 4, 1)
+	for _, p := range []Policy{FCFS(), EASYBackfill(), FairShare(), RandomOrder()} {
+		s := new(Simulator)
+		allocs := func(tr *workload.Trace) float64 {
+			return testing.AllocsPerRun(5, func() {
+				s.Reset(env, tr, p, 1)
+				if _, err := s.Run(); err != nil {
+					t.Fatal(err)
+				}
+			})
+		}
+		allocs(large) // warm up
+		if a200, a800 := allocs(small), allocs(large); a800 != a200 {
+			t.Errorf("%s: %.0f allocs at 800 jobs, %.0f at 200 (want equal)", p.Name(), a800, a200)
+		}
+		if n := s.jobs.live(); n != 0 {
+			t.Errorf("%s: %d job states live after the run", p.Name(), n)
+		}
+	}
+}

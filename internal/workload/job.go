@@ -211,13 +211,108 @@ type Trace struct {
 
 // Clone deep-copies the trace (jobs, tasks, and task dependency lists), so
 // runs that mutate job state — submission rescaling, dependency remapping,
-// repeated simulations — cannot interfere.
+// repeated simulations — cannot interfere. The copies share one slab each
+// of jobs, tasks and deps, sized exactly; see Collect for what callers may
+// do with them.
 func (tr *Trace) Clone() *Trace {
+	tasks, deps := 0, 0
+	for _, j := range tr.Jobs {
+		tasks += len(j.Tasks)
+		for _, t := range j.Tasks {
+			deps += len(t.Deps)
+		}
+	}
+	a := cloneArena{jobs: make([]Job, 0, len(tr.Jobs)), tasks: make([]Task, 0, tasks), deps: make([]int, 0, deps)}
 	cp := &Trace{Name: tr.Name, Jobs: make([]*Job, len(tr.Jobs))}
 	for i, j := range tr.Jobs {
-		cp.Jobs[i] = j.Clone()
+		cp.Jobs[i] = a.clone(j, i, len(tr.Jobs))
 	}
 	return cp
+}
+
+// cloneArena hands out the storage of cloned jobs in chunks of jobs, tasks
+// and deps, so cloning n jobs allocates O(chunks) objects instead of O(n).
+// A chunk's capacity is rounded up to its allocation size class (through
+// slices.Grow), and later jobs fill what the rounding adds. A job's Tasks
+// and a task's Deps are capped at their length (full slice expressions), so
+// appending to one copies it instead of writing into its neighbour; empty
+// Deps are nil, as with Job.Clone.
+type cloneArena struct {
+	jobs  []Job
+	tasks []Task
+	deps  []int
+	// tasks and deps handed out so far, which size the next chunks
+	nTasks, nDeps int
+}
+
+// maxChunk caps the length of one arena chunk; a job that needs more gets a
+// chunk of its own size.
+const maxChunk = 1 << 12
+
+// edgeJobs is how many jobs at each end of a trace get chunks of exactly
+// their own tasks and deps.
+const edgeJobs = 16
+
+// arenaChunk returns the length of a new chunk that must hold need items,
+// when seen items went to the first k of n jobs (n <= 0: n is unknown).
+// The first and last edgeJobs jobs get exactly need: the first because too
+// few jobs were seen to estimate from, the last because the estimate of a
+// few jobs is too noisy to size a chunk they may leave part empty. Between
+// them a chunk holds three quarters of what the remaining jobs are
+// expected to need, so it is rarely left part empty, and a trace of n jobs
+// costs O(log n) chunks and about its exact bytes; for an unknown n it at
+// most doubles what the arena has handed out.
+func arenaChunk(need, seen, k, n int) int {
+	if k < edgeJobs || n > 0 && n-k < edgeJobs {
+		return need
+	}
+	size := seen
+	if n > 0 {
+		size = int(int64(seen) * int64(n-k) * 3 / (4 * int64(k)))
+	}
+	return max(need, min(size, maxChunk))
+}
+
+// clone copies j, the k-th job of a trace of n (n <= 0: unknown), into the
+// arena.
+func (a *cloneArena) clone(j *Job, k, n int) *Job {
+	if len(a.jobs) == cap(a.jobs) {
+		size := max(k, 1)
+		if n > 0 {
+			size = n - k
+		}
+		a.jobs = slices.Grow([]Job(nil), max(1, min(size, maxChunk)))
+	}
+	a.jobs = append(a.jobs, *j)
+	nj := &a.jobs[len(a.jobs)-1]
+
+	nt, nd := len(j.Tasks), 0
+	for _, t := range j.Tasks {
+		nd += len(t.Deps)
+	}
+	if cap(a.tasks)-len(a.tasks) < nt {
+		a.tasks = slices.Grow([]Task(nil), arenaChunk(nt, a.nTasks, k, n))
+	}
+	if cap(a.deps)-len(a.deps) < nd {
+		a.deps = slices.Grow([]int(nil), arenaChunk(nd, a.nDeps, k, n))
+	}
+	a.nTasks += nt
+	a.nDeps += nd
+	at := len(a.tasks)
+	a.tasks = append(a.tasks, j.Tasks...)
+	nj.Tasks = a.tasks[at:len(a.tasks):len(a.tasks)]
+	for ti := range nj.Tasks {
+		t := &nj.Tasks[ti]
+		if len(t.Deps) == 0 {
+			// Drop empty headers too: they may alias a source's dep arena.
+			t.Deps = nil
+			continue
+		}
+		at := len(a.deps)
+		a.deps = append(a.deps, t.Deps...)
+		t.Deps = a.deps[at:len(a.deps):len(a.deps)]
+	}
+	return nj
 }
 
 // SortBySubmit orders jobs by submission time (stable).

@@ -107,6 +107,13 @@ type Population struct {
 // client ID within the merge key's uint32 client field.
 const MaxClients = 1 << 24
 
+// MaxJobs bounds the jobs a scenario spec may ask of one workload;
+// scenario validation refuses more. The heaviest cell measured, an
+// autoscale cell of big-data jobs, allocates about 16.9 KB per job (a sched
+// cell of them about 7.7 KB), so a workload at the cap asks for about
+// 1 GiB.
+const MaxJobs = 60_000
+
 // SingleClass is the homogeneous mix: every client runs class c.
 func SingleClass(c Class) []ClassShare { return []ClassShare{{Class: c, Weight: 1}} }
 

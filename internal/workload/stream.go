@@ -27,8 +27,14 @@ type JobSource interface {
 // streamed job; max <= 0 drains the source. Collect(g.Source(n, r), n)
 // reproduces g.Generate(n, r) exactly; over a Population source it takes a
 // bounded prefix of an unbounded stream.
+//
+// The clones equal Job.Clone's, but they are carved out of chunked arenas
+// of jobs, tasks and deps, so collecting n jobs allocates O(log n) objects.
+// Each job's Tasks and each task's Deps are capped at their length: a
+// caller's append copies them instead of writing into a neighbouring job.
 func Collect(src JobSource, max int) *Trace {
 	tr := &Trace{Name: src.Name()}
+	var a cloneArena
 	for max <= 0 || len(tr.Jobs) < max {
 		j := src.Next()
 		if j == nil {
@@ -41,7 +47,7 @@ func Collect(src JobSource, max int) *Trace {
 			}
 			tr.Jobs = make([]*Job, 0, hint)
 		}
-		tr.Jobs = append(tr.Jobs, j.Clone())
+		tr.Jobs = append(tr.Jobs, a.clone(j, len(tr.Jobs), max))
 	}
 	return tr
 }

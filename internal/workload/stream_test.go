@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"reflect"
 	"runtime"
+	"slices"
 	"testing"
 	"time"
 
@@ -166,6 +167,96 @@ func TestSourceScratchReuse(t *testing.T) {
 	for _, task := range kept.Tasks {
 		if task.JobID != kept.ID {
 			t.Fatalf("cloned task JobID %d, want %d", task.JobID, kept.ID)
+		}
+	}
+}
+
+// cloneEach is Collect with one Job.Clone per job: the reference the arena
+// clones must equal.
+func cloneEach(src JobSource, n int) *Trace {
+	tr := &Trace{Name: src.Name()}
+	for j := src.Next(); j != nil && len(tr.Jobs) < n; j = src.Next() {
+		tr.Jobs = append(tr.Jobs, j.Clone())
+	}
+	return tr
+}
+
+// TestCollectArena holds Collect's arena clones to per-job Clone: deep
+// equal, including nil deps, for every class, over a generator and a
+// population source, and as independent as Clone's: appending to one job's
+// tasks or to one task's deps must not write into a neighbour. Trace.Clone,
+// which clones into exact slabs, is held to the same. Collect must
+// allocate O(chunks): ten times the jobs may cost a few more chunks, not
+// more allocations per job.
+func TestCollectArena(t *testing.T) {
+	classes := []Class{
+		ClassSynthetic, ClassScientific, ClassComputerEngineering,
+		ClassBusinessCritical, ClassBigData, ClassGaming, ClassIndustrial,
+	}
+	for _, c := range classes {
+		g := StandardGenerator(c)
+		for _, n := range []int{1, 20, 40, 300} {
+			want := cloneEach(g.Source(n, rand.New(rand.NewSource(int64(n)))), n)
+			got := Collect(g.Source(n, rand.New(rand.NewSource(int64(n)))), n)
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("%v, %d jobs: Collect differs from per-job Clone", c, n)
+			}
+			if cp := want.Clone(); !reflect.DeepEqual(cp, want) {
+				t.Fatalf("%v, %d jobs: Trace.Clone differs from per-job Clone", c, n)
+			}
+			checkAppendsCopy(t, got, want)
+		}
+	}
+	pop := testPopulation("zipf")
+	src, err := pop.Source()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := cloneEach(src, 500)
+	src.Close()
+	if src, err = pop.Source(); err != nil {
+		t.Fatal(err)
+	}
+	got := Collect(src, 500)
+	src.Close()
+	if !reflect.DeepEqual(got, want) {
+		t.Fatal("population: Collect differs from per-job Clone")
+	}
+	checkAppendsCopy(t, got, want)
+
+	g := StandardGenerator(ClassScientific)
+	allocs := func(n int) float64 {
+		return testing.AllocsPerRun(3, func() { g.Generate(n, rand.New(rand.NewSource(1))) })
+	}
+	if a200, a2000 := allocs(200), allocs(2000); a2000 > a200+16 {
+		t.Errorf("Generate allocates %.0f times for 2000 jobs, %.0f for 200 (want at most 16 more)", a2000, a200)
+	}
+}
+
+// checkAppendsCopy appends to every job's tasks and every task's deps of
+// got, which equals want, job by job, and checks that each append left the
+// job's own earlier items and the next job, where an arena would put the
+// items that follow, as want has them.
+func checkAppendsCopy(t *testing.T, got, want *Trace) {
+	t.Helper()
+	for i, j := range got.Jobs {
+		j.Tasks = append(j.Tasks, Task{ID: -1})
+		for ti := range j.Tasks {
+			j.Tasks[ti].Deps = append(j.Tasks[ti].Deps, -1)
+		}
+		own := *j
+		own.Tasks = slices.Clone(j.Tasks[:len(j.Tasks)-1])
+		for ti := range own.Tasks {
+			d := own.Tasks[ti].Deps
+			if own.Tasks[ti].Deps = d[:len(d)-1]; len(d) == 1 {
+				own.Tasks[ti].Deps = nil
+			}
+		}
+		if !reflect.DeepEqual(&own, want.Jobs[i]) {
+			t.Fatalf("appending to job %d changed its own tasks or deps", i)
+		}
+		if i+1 < len(got.Jobs) && !reflect.DeepEqual(got.Jobs[i+1], want.Jobs[i+1]) {
+			t.Fatalf("appending to job %d changed job %d", i, i+1)
 		}
 	}
 }
